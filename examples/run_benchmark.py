@@ -35,8 +35,8 @@ def main():
                     help="reduced problem subset")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--concurrency", type=int, default=4,
-                    help="sessions in flight at once (results are "
-                         "identical at any level)")
+                    help="worker processes; 1 = serial in-process "
+                         "(results are identical at any level)")
     args = ap.parse_args()
 
     runner = BenchmarkRunner(max_steps=20, seed=args.seed,

@@ -150,7 +150,7 @@ def bench_profile_cache(agents: int = 4, pids: int = 12,
                 max_steps=max_steps))
     SHARED_PROFILES.clear()
     t0 = time.perf_counter()
-    run_sessions_sync(specs, concurrency=4, release_handles=True)
+    run_sessions_sync(specs, concurrency=1, release_handles=True)
     wall = time.perf_counter() - t0
     stats = dict(SHARED_PROFILES.stats)
     result = {
@@ -192,7 +192,7 @@ def bench_pool(agents: int = 2, pids: int = 6, max_steps: int = 8,
     serial = time.perf_counter() - t0
 
     warm_runner = BenchmarkRunner(max_steps=max_steps, seed=7,
-                                  concurrency=processes, executor="process")
+                                  concurrency=processes)
     t0 = time.perf_counter()
     prep = 0.0
     cases = 0

@@ -16,7 +16,7 @@ can run concurrently::
     ...                                       #  api_docs) from the registry
     >>> result = handle.bind_agent(agent).run_sync(max_steps=10)
 
-Batches fan out under an asyncio semaphore with results independent of the
+Batches fan out over worker processes with results independent of the
 concurrency level::
 
     >>> from repro import SessionSpec, run_sessions_sync
@@ -29,7 +29,7 @@ The seed's ``init_problem`` → ``register_agent`` → ``start_problem`` flow
 still works as a thin shim over one implicit session and is deprecated.
 """
 
-__version__ = "2.7.0"
+__version__ = "3.0.0"
 
 from repro.core import (
     ActionRegistry,
@@ -49,7 +49,6 @@ from repro.core import (
     SessionSpec,
     TaskActions,
     action,
-    run_sessions,
     run_sessions_sync,
 )
 from repro.apps import HotelReservation, SocialNetwork
@@ -84,7 +83,6 @@ __all__ = [
     "SessionSpec",
     "TaskActions",
     "action",
-    "run_sessions",
     "run_sessions_sync",
     "HotelReservation",
     "SocialNetwork",

@@ -10,6 +10,7 @@ from repro.kubesim.helm import ChartService, Helm, HelmChart
 from repro.services.backends import MemcachedBackend, MongoBackend, RedisBackend
 from repro.services.model import Microservice, Operation
 from repro.services.runtime import ServiceRuntime
+from repro.simcore import ResourceNotFound
 from repro.telemetry.collector import TelemetryCollector
 
 
@@ -208,7 +209,7 @@ class App:
         if self.cluster is not None:
             try:
                 owner = self.cluster.get_pod(namespace, pod).owner
-            except Exception:
+            except ResourceNotFound:
                 owner = None
         cmd = " ".join(argv)
         if argv[0] in ("mongo", "mongosh"):

@@ -1,11 +1,9 @@
 """Suite runner: agents × problems → per-case results plus trajectories.
 
-Built on the v2 batch executor: every case is one independent
+Built on :mod:`repro.core.batch`: every case is one independent
 :class:`~repro.core.batch.SessionSpec` whose seed derives from
-``(seed, agent, pid)``, so ``run_suite(concurrency=4)`` produces results
-bit-identical to the serial run — concurrency only changes scheduling.
-``BenchmarkRunner(executor="process")`` swaps the asyncio batch for a
-process pool (true multi-core sweeps) under the same guarantee.
+``(seed, agent, pid)``, so ``run_suite(concurrency=4)`` — four worker
+processes — produces results bit-identical to the serial in-process run.
 """
 
 from __future__ import annotations
@@ -78,26 +76,17 @@ class BenchmarkRunner:
         Root seed; case seeds derive from (seed, agent, pid) so every case
         is independently reproducible — at any concurrency level.
     concurrency:
-        How many sessions run in flight at once (default 1 = serial).
-        Results are independent of this value.
-    executor:
-        ``"async"`` (default) runs cases under the in-process asyncio
-        batch; ``"process"`` fans them out over a process pool with
-        ``concurrency`` workers.  Results are bit-identical either way —
-        every case seed derives from (seed, agent, pid), never from the
-        scheduler.
+        Number of worker processes that cases (and grid cells) fan out
+        over; the default 1 runs them serially in this process.  Results
+        are independent of this value — every case seed derives from
+        (seed, agent, pid), never from the scheduler.
     """
 
     def __init__(self, max_steps: int = 20, seed: int = 0,
-                 concurrency: int = 1, executor: str = "async") -> None:
-        if executor not in ("async", "process"):
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'async' or "
-                f"'process'")
+                 concurrency: int = 1) -> None:
         self.max_steps = max_steps
         self.seed = seed
         self.concurrency = concurrency
-        self.executor = executor
 
     def _case_seed(self, agent: str, pid: str) -> int:
         import hashlib
@@ -147,8 +136,7 @@ class BenchmarkRunner:
         outcomes = run_sessions_sync(
             specs,
             concurrency=self.concurrency if concurrency is None else concurrency,
-            fail_fast=True, release_handles=True, progress=progress,
-            executor=self.executor)
+            fail_fast=True, release_handles=True, progress=progress)
         return [self._case_result(o) for o in outcomes]
 
     # ------------------------------------------------------------------
@@ -207,20 +195,19 @@ class BenchmarkRunner:
 
         Every cell forks the snapshot — the environment seed is frozen in
         it; ``seeds`` vary the *agent* seed — so a 1000-cell grid pays
-        environment setup exactly once.  With the runner's
-        ``executor="process"`` the cells fan out over warm workers that
-        inherit the snapshot at startup; results are bit-identical to the
-        serial path either way, in cell order (agents outermost, then
-        seeds, then step limits).
+        environment setup exactly once.  At ``concurrency > 1`` the cells
+        fan out over warm workers that inherit the snapshot at startup;
+        results are bit-identical to the serial path either way, in cell
+        order (agents outermost, then seeds, then step limits).
         """
         limits = list(step_limits) if step_limits is not None \
             else [self.max_steps]
         cells = [GridCell(agent=agent_factory(agent), agent_name=agent,
                           seed=seed, max_steps=limit)
                  for agent in agents for seed in seeds for limit in limits]
-        n = self.concurrency if concurrency is None else concurrency
-        processes = n if self.executor == "process" else 1
-        results = run_grid(snapshot, cells, processes=processes)
+        results = run_grid(
+            snapshot, cells,
+            processes=self.concurrency if concurrency is None else concurrency)
         for cell, result in zip(cells, results):
             result["agent_seed"] = cell.seed
             result["max_steps"] = cell.max_steps

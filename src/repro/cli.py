@@ -6,7 +6,7 @@ Commands
 * ``run-problem PID --agent NAME [--max-steps N] [--seed N] [--save PATH]``
   — run one session and print the trajectory + evaluation;
 * ``run-benchmark [--agents a,b] [--task T] [--seed N] [--concurrency N]``
-  — run a suite (optionally N sessions in flight) and print Table 3 /
+  — run a suite (optionally over N worker processes) and print Table 3 /
   Table 4;
 * ``show-pool`` — print Table 2.
 """
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--concurrency", type=int, default=1,
-                   help="sessions in flight at once (results are "
-                        "identical at any level)")
+                   help="worker processes; 1 = serial in-process "
+                        "(results are identical at any level)")
     p.set_defaults(func=_cmd_run_benchmark)
 
     p = sub.add_parser("make-report",

@@ -13,9 +13,9 @@
   environment; ``await handle.run(max_steps)`` drives the loop.  The seed's
   ``init_problem`` → ``register_agent`` → ``start_problem`` flow remains as
   a back-compat shim.
-* :func:`run_sessions` — the concurrent batch executor: fan independent
-  :class:`SessionSpec`\\ s out under a semaphore with deterministic,
-  spec-ordered results.
+* :func:`run_sessions_sync` — the batch executor: run independent
+  :class:`SessionSpec`\\ s serially or over a process pool with
+  deterministic, spec-ordered results.
 """
 
 from repro.core.env import (
@@ -46,7 +46,6 @@ from repro.core.batch import (
     SessionOutcome,
     SessionSpec,
     run_grid,
-    run_sessions,
     run_sessions_sync,
 )
 from repro.core.evaluator import Evaluator, system_healthy
@@ -88,7 +87,6 @@ __all__ = [
     "SessionOutcome",
     "SessionSpec",
     "run_grid",
-    "run_sessions",
     "run_sessions_sync",
     "Evaluator",
     "system_healthy",

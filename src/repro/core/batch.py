@@ -1,32 +1,25 @@
-"""Concurrent batch execution of sessions (the v2 fan-out layer).
+"""Batch execution of sessions (the v2 fan-out layer).
 
-:func:`run_sessions` drives many independent :class:`SessionHandle`\\ s
-under an ``asyncio.Semaphore``, so a 4-agents × 48-problems suite is no
-longer strictly serial.  :func:`run_sessions_process` fans the same specs
-out over a :class:`concurrent.futures.ProcessPoolExecutor` instead —
-true multi-core parallelism for CPU-bound sweeps.  Determinism is
-preserved by construction under *every* executor: each spec carries its
-own seed (derived upstream from ``(seed, agent, pid)``), every handle
-owns a private environment, and results come back in spec order
-regardless of completion order — so serial, any asyncio concurrency
-level, and the process pool all produce bit-identical results.
+:func:`run_sessions_sync` runs independent :class:`SessionSpec`\\ s either
+serially in the calling thread (``concurrency=1``) or over a process pool
+(``concurrency>1``) — multi-core parallelism for the CPU-bound 4-agents ×
+48-problems suite; :func:`run_grid` does the same for cells forked off one
+prepared :class:`~repro.core.env.EnvSnapshot`.  Each spec carries its own
+seed (derived upstream from ``(seed, agent, pid)``), every handle owns a
+private environment, and results come back in input order regardless of
+completion order — so the serial loop and any pool size are bit-identical.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.env import EnvSnapshot
-from repro.core.orchestrator import (
-    Orchestrator,
-    SessionContext,
-    SessionHandle,
-    run_coroutine_sync,
-)
+from repro.core.orchestrator import Orchestrator, SessionContext, SessionHandle
 from repro.core.problem import Problem
 from repro.core.session import Session
 
@@ -74,99 +67,95 @@ class SessionOutcome:
 ProgressHook = Callable[[SessionOutcome], None]
 
 
-async def _run_one(orch: Optional[Orchestrator], spec: SessionSpec,
-                   semaphore: asyncio.Semaphore,
-                   fail_fast: bool, release_handles: bool,
-                   progress: Optional[ProgressHook]) -> SessionOutcome:
+def _build_agent(spec: Union[SessionSpec, "GridCell"],
+                 handle: SessionHandle) -> Any:
+    """The spec's (or cell's) agent, calling its factory now that the
+    handle's context exists."""
+    agent = spec.agent
+    if callable(agent) and not hasattr(agent, "get_action"):
+        agent = agent(handle.context, handle.problem.task_type, spec.seed)
+    return agent
+
+
+def _serial_map(fn: Callable, items: Sequence,
+                progress: Optional[Callable[[Any], None]]) -> list:
+    results = []
+    for item in items:
+        results.append(fn(item))
+        if progress is not None:
+            progress(results[-1])
+    return results
+
+
+def _pool_map(fn: Callable, items: Sequence, processes: int,
+              progress: Optional[Callable[[Any], None]] = None,
+              on_error: Optional[Callable[[Any, BaseException], Any]] = None,
+              initializer: Optional[Callable] = None,
+              initargs: tuple = ()) -> list:
+    """Map ``fn`` over ``items`` on a process pool; results in input order.
+
+    ``progress`` fires in the parent as each item completes.  An exception
+    out of a worker becomes that item's result via ``on_error(item, exc)``;
+    without ``on_error`` the first one propagates and undispatched work is
+    cancelled.  fork keeps worker start cheap and inherits the warmed
+    import state; spawn is the portable fallback.
+    """
+    if not items:
+        return []
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    results: list = [None] * len(items)
+    with ProcessPoolExecutor(max_workers=min(processes, len(items)),
+                             mp_context=ctx, initializer=initializer,
+                             initargs=initargs) as pool:
+        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
+        for future in as_completed(futures):
+            i = futures[future]
+            error = future.exception()
+            if error is not None and on_error is None:
+                pool.shutdown(cancel_futures=True)
+                raise error
+            results[i] = future.result() if error is None \
+                else on_error(items[i], error)
+            if progress is not None:
+                progress(results[i])
+    return results
+
+
+def _run_spec(spec: SessionSpec, orch: Optional[Orchestrator] = None,
+              fail_fast: bool = False,
+              release_handles: bool = False) -> SessionOutcome:
+    """Run one spec start-to-finish in this thread."""
     outcome = SessionOutcome(spec=spec)
-    async with semaphore:
-        try:
-            if orch is not None:
-                handle = await asyncio.to_thread(
-                    orch.create_session,
-                    spec.problem, seed=spec.seed, agent_name=spec.agent_name)
-            else:  # untracked: the handle (and its env) dies with the case
-                # setup (deploy + warmup + inject) is sync CPU work; run it
-                # off-loop so in-flight sessions keep being serviced.  Each
-                # problem/env is private to its case, so this stays
-                # deterministic.
-                handle = await asyncio.to_thread(
-                    lambda: SessionHandle(
-                        Orchestrator._resolve_problem(spec.problem),
-                        seed=spec.seed, agent_name=spec.agent_name))
-            outcome.handle = handle
-            agent = spec.agent
-            if callable(agent) and not hasattr(agent, "get_action"):
-                agent = agent(handle.context, handle.problem.task_type,
-                              spec.seed)
-            handle.bind_agent(agent, name=spec.agent_name)
-            outcome.result = await handle.run(max_steps=spec.max_steps)
-            outcome.session = handle.session
-        except Exception as e:  # isolate failures to their own case
-            if fail_fast:
-                raise
-            outcome.error = e
-        finally:
-            if release_handles and outcome.handle is not None:
+    try:
+        if orch is not None:
+            handle = orch.create_session(
+                spec.problem, seed=spec.seed, agent_name=spec.agent_name)
+        else:  # untracked: the handle (and its env) dies with the case
+            handle = SessionHandle(
+                Orchestrator._resolve_problem(spec.problem),
+                seed=spec.seed, agent_name=spec.agent_name)
+        outcome.handle = handle
+        handle.bind_agent(_build_agent(spec, handle), name=spec.agent_name)
+        outcome.result = handle.run_sync(max_steps=spec.max_steps)
+    except Exception as e:  # isolate failures to their own case
+        if fail_fast:
+            raise
+        outcome.error = e
+    finally:
+        if outcome.handle is not None:
+            # keep the (possibly partial) trajectory reachable
+            outcome.session = outcome.handle.session
+            if release_handles:
                 # free the environment as soon as the case is done (failed
-                # or not) instead of pinning every env until the batch
-                # returns; close it (untracking it from the orchestrator,
-                # if any) so its temp export dir is removed, not leaked per
-                # case — keeping the (possibly partial) trajectory
-                # reachable on the outcome
-                if outcome.session is None:
-                    outcome.session = outcome.handle.session
+                # or not); closing it (via the orchestrator, if it tracks
+                # the handle) removes its temp export dir
                 if orch is not None:
                     orch.release(outcome.handle)
                 else:
                     outcome.handle.close()
                 outcome.handle = None
-        if progress is not None:
-            progress(outcome)
     return outcome
-
-
-async def run_sessions(specs: Sequence[SessionSpec],
-                       concurrency: int = 4,
-                       orchestrator: Optional[Orchestrator] = None,
-                       fail_fast: bool = False,
-                       release_handles: bool = False,
-                       progress: Optional[ProgressHook] = None,
-                       ) -> list[SessionOutcome]:
-    """Run every spec, at most ``concurrency`` sessions in flight.
-
-    Returns outcomes in spec order.  By default a failing session never
-    takes the batch down — its outcome carries the exception instead;
-    ``fail_fast=True`` propagates the first failure immediately instead of
-    spending the rest of the batch's budget.  ``release_handles=True``
-    closes and drops each handle (environment, telemetry stores, exported
-    artifact files under its temp export root) as its case finishes,
-    keeping only the in-memory trajectory and result — essential for
-    paper-scale suites where 288 live environments would otherwise
-    coexist.  Passing an ``orchestrator`` additionally tracks every handle
-    on it (``orchestrator.handles``), which pins their environments for
-    the batch's lifetime — leave it None unless you want that.  With
-    ``release_handles=True`` each handle is released from the
-    orchestrator again as its case finishes, so the two options compose.
-    """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    semaphore = asyncio.Semaphore(concurrency)
-    tasks = [
-        asyncio.ensure_future(
-            _run_one(orchestrator, spec, semaphore, fail_fast,
-                     release_handles, progress))
-        for spec in specs
-    ]
-    try:
-        return list(await asyncio.gather(*tasks))
-    except BaseException:
-        # fail_fast (or cancellation): don't leave sibling sessions running
-        # in the caller's loop; cancel and drain them before re-raising
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        raise
 
 
 def run_sessions_sync(specs: Sequence[SessionSpec],
@@ -175,114 +164,48 @@ def run_sessions_sync(specs: Sequence[SessionSpec],
                       fail_fast: bool = False,
                       release_handles: bool = False,
                       progress: Optional[ProgressHook] = None,
-                      executor: str = "async",
                       ) -> list[SessionOutcome]:
-    """Synchronous, loop-safe wrapper around :func:`run_sessions`.
+    """Run every spec; outcomes come back in spec order.
 
-    ``executor`` selects the fan-out backend: ``"async"`` (default) runs
-    the semaphore-bounded asyncio batch in this process;  ``"process"``
-    delegates to :func:`run_sessions_process` with ``concurrency``
-    workers.  Both return bit-identical outcomes in spec order.
+    ``concurrency=1`` is a plain loop in the calling thread: safe inside a
+    running event loop, accepts ``async def get_action`` agents, and
+    returns live handles unless ``release_handles``.  ``concurrency>1``
+    fans the specs out over that many worker processes, each spec running
+    start-to-finish in one worker — bit-identical to the serial loop,
+    since the spec's own seed fully determines the run.  Pool specs must
+    be picklable (use ``repro.agents.registry.agent_factory`` or any
+    module-level factory, not a lambda/closure agent), pool handles are
+    always released (environments never cross the process boundary), and
+    the pool cannot track handles on an ``orchestrator``.
+
+    By default a failing session never takes the batch down — its outcome
+    carries the exception instead; ``fail_fast=True`` propagates the first
+    failure instead of spending the rest of the batch's budget.
+    ``release_handles=True`` closes and drops each handle (environment,
+    telemetry stores, exported artifact files under its temp export root)
+    as its case finishes, keeping only the in-memory trajectory and
+    result — essential for paper-scale suites where 288 live environments
+    would otherwise coexist.  Passing an ``orchestrator`` tracks every
+    handle on it (``orchestrator.handles``) until released.  ``progress``
+    is called in this process as each case completes.
     """
-    if executor == "process":
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+    if concurrency > 1:
         if orchestrator is not None:
             raise ValueError(
-                "the process executor cannot track handles on an "
+                "the process pool cannot track handles on an "
                 "orchestrator; pass orchestrator=None")
-        return run_sessions_process(specs, processes=concurrency,
-                                    fail_fast=fail_fast, progress=progress)
-    if executor != "async":
-        raise ValueError(
-            f"unknown executor {executor!r}; expected 'async' or 'process'")
-    return run_coroutine_sync(
-        run_sessions(specs, concurrency=concurrency,
-                     orchestrator=orchestrator, fail_fast=fail_fast,
-                     release_handles=release_handles, progress=progress))
-
-
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
-def _run_spec_in_worker(spec: SessionSpec,
-                        fail_fast: bool = False) -> SessionOutcome:
-    """Process-pool worker: run one spec start-to-finish in this process.
-
-    Always releases the handle — environments cannot (and should not)
-    cross the process boundary; the outcome carries the pickled session
-    trajectory and result only.  The spec's own seed fully determines the
-    run, so a worker process needs no shared state with its siblings.
-    """
-    [outcome] = run_sessions_sync([spec], concurrency=1,
-                                  fail_fast=fail_fast,
-                                  release_handles=True)
-    return outcome
-
-
-def run_sessions_process(specs: Sequence[SessionSpec],
-                         processes: int = 4,
-                         fail_fast: bool = False,
-                         progress: Optional[ProgressHook] = None,
-                         ) -> list[SessionOutcome]:
-    """Fan specs out over a process pool (opt-in true parallelism).
-
-    Each spec runs start-to-finish inside one worker process with its own
-    private environment, seeded entirely by the spec — so outcomes are
-    bit-identical to :func:`run_sessions_sync` at any concurrency,
-    including serial.  Specs must be picklable: use
-    ``repro.agents.registry.agent_factory`` (or any module-level factory)
-    rather than a lambda/closure agent.  Handles are always released
-    (environments never cross the process boundary); outcomes carry the
-    session trajectory and evaluation result.
-
-    ``fail_fast=True`` propagates the first failure after cancelling
-    undispatched work; otherwise failures stay isolated on their outcome
-    like the asyncio batch.  ``progress`` is called in the parent process,
-    in spec order, once the batch has drained.
-    """
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    specs = list(specs)
-    if not specs:
-        return []
-    # fork keeps worker start cheap and inherits the warmed import state;
-    # spawn is the portable fallback (and the only option on some
-    # platforms) — determinism is seed-carried either way
-    ctx = _pool_context()
-    results: list[Optional[SessionOutcome]] = [None] * len(specs)
-    with ProcessPoolExecutor(max_workers=min(processes, len(specs)),
-                             mp_context=ctx) as pool:
-        futures = {pool.submit(_run_spec_in_worker, spec, fail_fast): i
-                   for i, spec in enumerate(specs)}
-        if fail_fast:
-            done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-            for future in not_done:
-                future.cancel()
-        first_error: Optional[BaseException] = None
-        for future, i in futures.items():
-            if future.cancelled():  # fail_fast tripped before dispatch
-                continue
-            error = future.exception()
-            if error is not None:
-                # under fail_fast session errors propagate out of the
-                # worker; otherwise only worker-level failures (e.g. an
-                # unpicklable spec) surface here — session errors already
-                # live on the outcome
-                if fail_fast:
-                    if first_error is None:
-                        first_error = error
-                    continue
-                outcome = SessionOutcome(spec=specs[i], error=error)
-            else:
-                outcome = future.result()
-            results[i] = outcome
-            if progress is not None:
-                progress(outcome)
-        if first_error is not None:
-            raise first_error
-    return [r for r in results if r is not None]
+        # session errors already live on the outcome; only worker-level
+        # failures (e.g. an unpicklable spec) reach on_error
+        return _pool_map(
+            partial(_run_spec, fail_fast=fail_fast, release_handles=True),
+            list(specs), concurrency, progress=progress,
+            on_error=None if fail_fast else
+            lambda spec, e: SessionOutcome(spec=spec, error=e))
+    return _serial_map(
+        partial(_run_spec, orch=orchestrator, fail_fast=fail_fast,
+                release_handles=release_handles), specs, progress)
 
 
 # ----------------------------------------------------------------------
@@ -325,18 +248,14 @@ def run_grid_cell(snapshot: EnvSnapshot, cell: GridCell) -> dict:
     handle = SessionHandle(problem, seed=cell.seed,
                            agent_name=cell.agent_name, env=env)
     try:
-        agent = cell.agent
-        if callable(agent) and not hasattr(agent, "get_action"):
-            agent = agent(handle.context, problem.task_type, cell.seed)
-        handle.bind_agent(agent, name=cell.agent_name)
+        handle.bind_agent(_build_agent(cell, handle), name=cell.agent_name)
         return handle.run_sync(max_steps=cell.max_steps)
     finally:
         handle.close()
 
 
-#: the warm worker's inherited snapshot (set once per worker by the pool
-#: initializer — by fork inheritance where available, so the payload is
-#: never re-shipped per cell)
+#: the warm worker's snapshot, set once per worker by the pool initializer
+#: (fork-inherited where available) so it is never re-shipped per cell
 _WARM_SNAPSHOT: Optional[EnvSnapshot] = None
 
 
@@ -351,39 +270,21 @@ def _run_cell_in_worker(cell: GridCell) -> dict:
 
 def run_grid(snapshot: EnvSnapshot, cells: Sequence[GridCell],
              processes: int = 1,
-             progress: Optional[Callable[[dict], None]] = None,
-             ) -> list[dict]:
+             progress: Optional[Callable[[dict], None]] = None) -> list[dict]:
     """Run every cell against forks of one snapshot; results in cell order.
 
     ``processes=1`` forks and runs each cell serially in this process.
     ``processes>1`` is the warm-worker pool: each worker receives the
     snapshot exactly once at startup (inherited on fork, along with the
-    parent's warmed profile store and import state) and then rehydrates
-    per cell — no per-cell environment setup, no per-cell snapshot
-    transfer.  Every executor produces bit-identical results because each
-    cell's evolution is fully determined by (snapshot, cell).
+    parent's warmed profile store and import state) and rehydrates per
+    cell — no per-cell environment setup or snapshot transfer.  Results
+    are bit-identical either way: (snapshot, cell) fully determines a
+    cell's evolution.  ``progress`` is called as each cell completes.
     """
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    cells = list(cells)
-    if not cells:
-        return []
-    if processes == 1:
-        results = []
-        for cell in cells:
-            result = run_grid_cell(snapshot, cell)
-            results.append(result)
-            if progress is not None:
-                progress(result)
-        return results
-    with ProcessPoolExecutor(max_workers=min(processes, len(cells)),
-                             mp_context=_pool_context(),
-                             initializer=_init_warm_worker,
-                             initargs=(snapshot,)) as pool:
-        chunksize = max(1, len(cells) // (processes * 8))
-        results = list(pool.map(_run_cell_in_worker, cells,
-                                chunksize=chunksize))
-    if progress is not None:
-        for result in results:
-            progress(result)
-    return results
+    if processes > 1:
+        return _pool_map(_run_cell_in_worker, list(cells), processes,
+                         progress=progress, initializer=_init_warm_worker,
+                         initargs=(snapshot,))
+    return _serial_map(partial(run_grid_cell, snapshot), cells, progress)

@@ -12,17 +12,13 @@ Two execution tiers share the same fault semantics:
   normal-approximated lognormal latency sums, and bounded exemplar
   traces/logs.  Statistically equivalent, orders of magnitude faster.
 
-The aggregate path has two sampling engines sharing one deterministic
-batch stream: the default **vectorized engine** draws fused numpy arrays
-(one latency-sum vector per ``execute_many_all`` call, one lognormal
-matrix per outcome branch covering every exemplar), and a **scalar
-fallback** (no numpy, or ``REPRO_SCALAR_SAMPLING=1``) that draws value by
-value.  Each engine is deterministic in (seed, n); their sample values
-differ because they consume the stream in different shapes.  Compiled
-profiles are additionally shared across sessions through
-:data:`repro.services.profile.SHARED_PROFILES`, keyed by a value-based
-fingerprint so a mutated session can never observe a co-tenant's stale
-profile.
+The aggregate path samples through fused numpy kernels
+(:mod:`repro.services.vectorized`) on one deterministic batch stream: one
+latency-sum vector per ``execute_many_all`` call, one lognormal matrix per
+outcome branch covering every exemplar.  Compiled profiles are shared
+across sessions through :data:`repro.services.profile.SHARED_PROFILES`,
+keyed by a value-based fingerprint so a mutated session can never observe
+a co-tenant's stale profile.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.simcore import RngStream, SimClock
+from repro.simcore import ResourceNotFound, RngStream, SimClock
 from repro.kubesim.cluster import Cluster
 from repro.services import errors as err
 from repro.services import vectorized
@@ -177,9 +173,6 @@ class ServiceRuntime:
         #: profile was invalid and replaced), ``hits`` counts per-runtime
         #: key hits, ``shared_hits`` the installs served by the store
         self.profile_stats = {"compiles": 0, "hits": 0, "shared_hits": 0}
-        #: sampling engine: fused numpy kernels when available, scalar
-        #: draws otherwise (or when forced via REPRO_SCALAR_SAMPLING=1)
-        self.vectorize = vectorized.enabled()
         self._latency_moments_cache: dict[tuple, tuple[float, float]] = {}
         #: (pods.version, state_version)-keyed service -> pod-name memo
         self._pod_cache_key: tuple[int, int] = (-1, -1)
@@ -195,7 +188,7 @@ class ServiceRuntime:
         deployment template so ``kubectl set image`` mitigations count."""
         try:
             dep = self.cluster.get_deployment(self.namespace, svc.name)
-        except Exception:
+        except ResourceNotFound:
             return svc.image
         return dep.template.containers[0].image if dep.template.containers else svc.image
 
@@ -254,11 +247,6 @@ class ServiceRuntime:
         mean_log = math.log(max(svc.base_latency_ms * self._mult(svc), 0.1))
         return self.rng.lognormal(mean_log, svc.latency_sigma)
 
-    def _latency_from(self, rng: RngStream, svc: Microservice) -> float:
-        """One service-time draw from an explicit stream (the batch path)."""
-        mean_log = math.log(max(svc.base_latency_ms * self._mult(svc), 0.1))
-        return rng.lognormal(mean_log, svc.latency_sigma)
-
     def _latency_moments(self, svc: Microservice) -> tuple[float, float]:
         """(mean, variance) of the service's lognormal hop time.
 
@@ -298,7 +286,7 @@ class ServiceRuntime:
     def _check_reachable(self, callee: Microservice) -> Optional[RpcError]:
         try:
             self.cluster.get_service(self.namespace, callee.name)
-        except Exception:
+        except ResourceNotFound:
             return err.unavailable(callee.name, f'service "{callee.name}" not found')
         if not self.cluster.service_reachable(self.namespace, callee.name):
             return err.connection_refused(callee.name, callee.port)
@@ -624,88 +612,6 @@ class ServiceRuntime:
             outcome._kernel = kernel
         return kernel
 
-    def _sample_exemplar(
-        self, op: Operation, outcome: Outcome, rng: RngStream,
-    ) -> tuple[RequestResult, dict[str, list[float]]]:
-        """Scalar-engine exemplar: materialize one full-fidelity trace for
-        an outcome branch, drawing each entered span's lognormal service
-        time individually and recording the trace to the store.  Returns
-        the equivalent RequestResult plus per-service subtree latencies
-        (honest samples for the collector's percentile window).  The
-        vectorized engine replaces the per-span draws with one fused
-        matrix per branch (:meth:`_emit_exemplars_vec`); this path remains
-        as the numpy-free fallback.
-        """
-        spans = outcome.spans
-        durations = [0.0] * len(spans)
-        for i, sn in enumerate(spans):
-            if sn.entered:
-                durations[i] = self._latency_from(rng, self.services[sn.service])
-            else:
-                durations[i] = sn.const_ms
-        # Subtree sums: children are appended after their parent, so one
-        # reverse pass accumulates bottom-up.  Failure stubs keep their
-        # fixed cost and (like the per-request path) don't add to the
-        # caller's total.
-        for i in range(len(spans) - 1, 0, -1):
-            if spans[i].entered and spans[i].parent >= 0:
-                durations[spans[i].parent] += durations[i]
-        trace = Trace(trace_id=self.collector.traces.new_trace_id())
-        now = self.clock.now
-        span_ids: list[str] = []
-        for i, sn in enumerate(spans):
-            span_ids.append(self.collector.traces.new_span_id())
-            trace.spans.append(Span(
-                span_id=span_ids[i], trace_id=trace.trace_id,
-                parent_id=span_ids[sn.parent] if sn.parent >= 0 else None,
-                service=sn.service, operation=sn.operation,
-                start=now, duration_ms=durations[i],
-                status=sn.status, error_message=sn.error_message,
-            ))
-        self.collector.record_trace(trace)
-        per_service: dict[str, list[float]] = {}
-        for i, sn in enumerate(spans):
-            if sn.entered:
-                per_service.setdefault(sn.service, []).append(durations[i])
-        result = RequestResult(
-            op.name, outcome.ok, durations[0], outcome.error,
-            trace.trace_id, list(outcome.error_services),
-        )
-        return result, per_service
-
-    def _sample_tail(
-        self, op: Operation, outcome: Outcome, rng: RngStream,
-    ) -> tuple[RequestResult, dict[str, list[float]]]:
-        """Scalar-engine latency-only exemplar for the grown tail
-        reservoir.
-
-        Draws the same per-span lognormals as :meth:`_sample_exemplar` but
-        skips Trace/Span construction and the trace store entirely —
-        objects nothing read: the tail watch only consumes the latency
-        samples.  Under the vectorized engine tail rows are just extra
-        rows of the branch's fused sample matrix; this scalar path exists
-        for the numpy-free fallback.
-        """
-        spans = outcome.spans
-        durations = [0.0] * len(spans)
-        for i, sn in enumerate(spans):
-            if sn.entered:
-                durations[i] = self._latency_from(rng, self.services[sn.service])
-            else:
-                durations[i] = sn.const_ms
-        for i in range(len(spans) - 1, 0, -1):
-            if spans[i].entered and spans[i].parent >= 0:
-                durations[spans[i].parent] += durations[i]
-        per_service: dict[str, list[float]] = {}
-        for i, sn in enumerate(spans):
-            if sn.entered:
-                per_service.setdefault(sn.service, []).append(durations[i])
-        result = RequestResult(
-            op.name, outcome.ok, durations[0], outcome.error,
-            "", list(outcome.error_services),
-        )
-        return result, per_service
-
     def execute_many(self, op_name: str, n: int) -> BatchResult:
         """Simulate ``n`` requests for ``op_name`` in aggregate.
 
@@ -714,10 +620,10 @@ class ServiceRuntime:
         attribution, same latency distribution — but O(outcome branches)
         instead of O(n · call-tree): a multinomial split over the compiled
         :class:`PathProfile`, normal-approximated lognormal latency sums
-        (one fused draw per branch under the vectorized engine), and
-        bounded exemplar traces/logs feeding the usual telemetry surfaces.
-        Deterministic given (seed, n) per engine — the batch stream is
-        derived from the runtime seed, independent of per-request draws.
+        (one fused draw over all branches), and bounded exemplar
+        traces/logs feeding the usual telemetry surfaces.  Deterministic
+        given (seed, n) — the batch stream is derived from the runtime
+        seed, independent of per-request draws.
         """
         [batch] = self.execute_many_all([(op_name, n)])
         return batch
@@ -729,23 +635,17 @@ class ServiceRuntime:
 
         This is the span-level batching entry point the aggregate workload
         driver uses: a whole span's (op → count) split becomes *one* call,
-        and under the vectorized engine the end-to-end latency sums of
-        every (op, branch) pair are drawn as a single fused numpy sample
-        instead of one draw per branch per call.  Results come back in
-        request order.  Deterministic given (seed, ordered request list);
-        note the fused draw order means a multi-op call consumes the batch
-        stream differently than the same ops issued one
-        :meth:`execute_many` at a time — each shape is individually
-        reproducible.
-
-        The scalar fallback engine interleaves plan and emit per op, which
-        keeps single-op calls bit-identical to the historical scalar draw
-        order.
+        and the end-to-end latency sums of every (op, branch) pair are
+        drawn as a single fused numpy sample instead of one draw per
+        branch per call.  Results come back in request order.
+        Deterministic given (seed, ordered request list); note the fused
+        draw order means a multi-op call consumes the batch stream
+        differently than the same ops issued one :meth:`execute_many` at a
+        time — each shape is individually reproducible.
         """
         rng = self._batch_stream()
-        use_vec = self.vectorize
         results: list[BatchResult] = []
-        plans: list[Optional[tuple]] = []
+        plans: list[tuple] = []
         for op_name, n in requests:
             op = self.operations.get(op_name)
             if op is None:
@@ -755,42 +655,28 @@ class ServiceRuntime:
             batch = BatchResult(op.name, n)
             results.append(batch)
             if n == 0:
-                plans.append(None)
                 continue
             profile = self._profile_for(op)
             counts = rng.multinomial(n, profile.probs)
-            if use_vec:
-                plans.append((op, profile, counts, batch))
-            else:
-                plans.append(None)
-                self._emit_batch(op, profile, counts, batch, rng, None)
-        if use_vec:
-            # one fused normal draw over every stochastic (op, branch)
-            # latency sum in this call
-            keyed: list[tuple[int, int]] = []
-            locs: list[float] = []
-            scales: list[float] = []
-            for pi, plan in enumerate(plans):
-                if plan is None:
-                    continue
-                _, profile, counts, _ = plan
-                for oi, (outcome, k) in enumerate(
-                        zip(profile.outcomes, counts)):
-                    if k and outcome.var_ms > 0.0:
-                        keyed.append((pi, oi))
-                        locs.append(k * outcome.mean_ms)
-                        scales.append(math.sqrt(k * outcome.var_ms))
-            totals: list[dict[int, float]] = [{} for _ in plans]
-            if keyed:
-                sums = vectorized.branch_latency_sums(
-                    rng.generator, locs, scales)
-                for (pi, oi), total in zip(keyed, sums):
-                    totals[pi][oi] = total
-            for pi, plan in enumerate(plans):
-                if plan is None:
-                    continue
-                op, profile, counts, batch = plan
-                self._emit_batch(op, profile, counts, batch, rng, totals[pi])
+            plans.append((op, profile, counts, batch))
+        # one fused normal draw over every stochastic (op, branch)
+        # latency sum in this call
+        keyed: list[tuple[int, int]] = []
+        locs: list[float] = []
+        scales: list[float] = []
+        for pi, (_, profile, counts, _) in enumerate(plans):
+            for oi, (outcome, k) in enumerate(zip(profile.outcomes, counts)):
+                if k and outcome.var_ms > 0.0:
+                    keyed.append((pi, oi))
+                    locs.append(k * outcome.mean_ms)
+                    scales.append(math.sqrt(k * outcome.var_ms))
+        totals: list[dict[int, float]] = [{} for _ in plans]
+        if keyed:
+            sums = vectorized.branch_latency_sums(rng.generator, locs, scales)
+            for (pi, oi), total in zip(keyed, sums):
+                totals[pi][oi] = total
+        for (op, profile, counts, batch), op_totals in zip(plans, totals):
+            self._emit_batch(op, profile, counts, batch, rng, op_totals)
         return results
 
     def _emit_batch(
@@ -800,13 +686,12 @@ class ServiceRuntime:
         counts: Sequence[int],
         batch: BatchResult,
         rng: RngStream,
-        totals: Optional[dict[int, float]],
+        totals: dict[int, float],
     ) -> None:
         """Emit one planned batch: error accounting, latency sums, bounded
         exemplars/logs/noise, and bulk telemetry.  ``totals`` carries the
-        vectorized engine's pre-drawn per-branch latency sums (indexed by
-        outcome position); ``None`` means scalar engine — draw them inline
-        per branch, in the historical order."""
+        pre-drawn per-branch latency sums, indexed by outcome position
+        (branches with zero variance have no entry)."""
         # adaptive exemplar reservoir: a pending p50/p99 watch on any
         # service this operation touches asks for tail fidelity
         trace_exemplars = self.BATCH_TRACE_EXEMPLARS
@@ -840,14 +725,8 @@ class ServiceRuntime:
                 batch.error_kinds[kind] = batch.error_kinds.get(kind, 0) + k
             # end-to-end latency: sum of k iid lognormal-sum samples →
             # normal approximation (exact mean/variance, CLT shape)
-            if totals is not None:
-                total = totals.get(oi)
-                if total is None:  # var == 0: deterministic sum
-                    total = k * outcome.mean_ms
-            elif outcome.var_ms > 0.0:
-                total = max(rng.normal(k * outcome.mean_ms,
-                                       math.sqrt(k * outcome.var_ms)), 0.0)
-            else:
+            total = totals.get(oi)
+            if total is None:  # var == 0: deterministic sum
                 total = k * outcome.mean_ms
             batch.latency_sum_ms += total
             noise_pool += k * outcome.noise_eligible
@@ -873,17 +752,8 @@ class ServiceRuntime:
             # the samples, not more stored traces
             n_ex = min(k, trace_exemplars)
             n_full = min(n_ex, self.BATCH_TRACE_EXEMPLARS)
-            if totals is not None:
-                self._emit_exemplars_vec(op, outcome, rng, n_ex, n_full,
-                                         batch, bulk_entry)
-            else:
-                for j in range(n_ex):
-                    sample = (self._sample_exemplar if j < n_full
-                              else self._sample_tail)
-                    result, per_service = sample(op, outcome, rng)
-                    batch.exemplars.append(result)
-                    for s, lats in per_service.items():
-                        bulk_entry(s)[2].extend(lats)
+            self._emit_exemplars(op, outcome, rng, n_ex, n_full,
+                                 batch, bulk_entry)
             for _ in range(min(k, self.BATCH_LOG_EXEMPLARS)):
                 for svc_name, level, message in outcome.logs:
                     self._log(svc_name, level, message)
@@ -905,7 +775,7 @@ class ServiceRuntime:
             self.collector.record_request_bulk(self._q(s), count, errors, lats)
             self._account(s, count)
 
-    def _emit_exemplars_vec(
+    def _emit_exemplars(
         self,
         op: Operation,
         outcome: Outcome,
@@ -915,7 +785,7 @@ class ServiceRuntime:
         batch: BatchResult,
         bulk_entry: Callable[[str], list],
     ) -> None:
-        """Vectorized exemplar block for one branch: a single fused
+        """Exemplar block for one branch: a single fused
         lognormal matrix covers every exemplar — full-fidelity rows
         (materialized traces, recorded to the store) first, then
         latency-only tail rows when a pending tail watch grew the

@@ -2,43 +2,21 @@
 
 ``ServiceRuntime.execute_many`` spends its time drawing samples: one
 latency-sum per outcome branch, and per-span lognormal service times for
-every exemplar request.  The scalar engine draws each of those through a
-Python call per value; these kernels draw them as fused array operations
+every exemplar request.  These kernels draw them as fused array operations
 on the batch stream's underlying :class:`numpy.random.Generator` — one
 ``normal`` over all (op, branch) latency sums of a span, and one
-``lognormal`` matrix per branch covering every exemplar at once.
-
-numpy is imported behind a clean gate so the scalar fallback in
-``services/runtime.py`` keeps working without it (and can be forced for
-testing with ``REPRO_SCALAR_SAMPLING=1``).  The two engines consume the
-same deterministic batch stream but in different shapes, so each is
-reproducible in (seed, n) while their sample values differ — see
-``docs/design/fidelity.md`` for the RNG stream policy.
+``lognormal`` matrix per branch covering every exemplar at once.  See
+``docs/design/fidelity.md`` for the batch stream's draw order.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised via the explicit fallback test
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.services.profile import Outcome
-
-#: numpy importable at all (the package itself runs without it)
-AVAILABLE = np is not None
-
-
-def enabled() -> bool:
-    """Whether new runtimes should use the vectorized engine: numpy is
-    importable and the scalar engine was not forced via the
-    ``REPRO_SCALAR_SAMPLING=1`` environment variable (the CI fallback
-    gate)."""
-    return AVAILABLE and os.environ.get("REPRO_SCALAR_SAMPLING") != "1"
 
 
 class OutcomeKernel:
@@ -68,8 +46,8 @@ class OutcomeKernel:
         self.sigma = np.array([p[1] for p in params])
         #: bottom-up subtree accumulation order: children are appended
         #: after their parent, so one reverse pass rolls entered spans up;
-        #: failure stubs keep their fixed cost (same rule as the scalar
-        #: engine and the per-request path)
+        #: failure stubs keep their fixed cost (same rule as the
+        #: per-request path)
         self.acc = [(i, spans[i].parent)
                     for i in range(len(spans) - 1, 0, -1)
                     if spans[i].entered and spans[i].parent >= 0]
@@ -95,7 +73,7 @@ def branch_latency_sums(gen, locs: list, scales: list) -> list:
 
     Each entry is the total latency of ``k`` iid requests on one outcome
     branch — normal-approximated with exact mean/variance (CLT shape),
-    clamped at zero exactly like the scalar engine.
+    clamped at zero.
     """
     draws = gen.normal(np.asarray(locs), np.asarray(scales))
     return [max(float(d), 0.0) for d in np.atleast_1d(draws)]

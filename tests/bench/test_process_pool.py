@@ -1,7 +1,7 @@
-"""The process-pool executor must be bit-identical to asyncio and serial:
-every case seed derives from (seed, agent, pid), each worker owns a
-private environment, and outcomes come back in spec order — so the
-executor choice can only change wall-clock, never results."""
+"""The process pool must be bit-identical to the serial loop: every case
+seed derives from (seed, agent, pid), each worker owns a private
+environment, and outcomes come back in spec order — so the worker count
+can only change wall-clock, never results."""
 
 import pickle
 import re
@@ -10,11 +10,7 @@ import pytest
 
 from repro.agents.registry import agent_factory
 from repro.bench import BenchmarkRunner
-from repro.core.batch import (
-    SessionSpec,
-    run_sessions_process,
-    run_sessions_sync,
-)
+from repro.core.batch import SessionSpec, run_sessions_sync
 
 
 def case_key(case):
@@ -59,31 +55,26 @@ def _outcome_key(outcome):
 
 
 class TestProcessPoolDeterminism:
-    def test_three_executors_bit_identical(self):
+    def test_pool_bit_identical_to_serial(self):
         serial = run_sessions_sync(_specs(), concurrency=1,
                                    release_handles=True)
-        fanout = run_sessions_sync(_specs(), concurrency=4,
-                                   release_handles=True)
-        pooled = run_sessions_sync(_specs(), executor="process",
-                                   concurrency=4)
-        assert len(serial) == len(fanout) == len(pooled) == 6
-        serial_keys = [_outcome_key(o) for o in serial]
-        assert serial_keys == [_outcome_key(o) for o in fanout]
-        assert serial_keys == [_outcome_key(o) for o in pooled]
+        pooled = run_sessions_sync(_specs(), concurrency=4)
+        assert len(serial) == len(pooled) == 6
+        assert [_outcome_key(o) for o in serial] == \
+            [_outcome_key(o) for o in pooled]
 
-    def test_runner_process_executor_matches_async(self):
+    def test_runner_pool_matches_serial(self):
         kwargs = dict(agents=("flash",), pids=PIDS)
-        async_run = BenchmarkRunner(max_steps=8, seed=3,
-                                    concurrency=2).run_suite(**kwargs)
-        pool_run = BenchmarkRunner(max_steps=8, seed=3, concurrency=2,
-                                   executor="process").run_suite(**kwargs)
-        assert [case_key(c) for c in async_run.cases] == \
+        serial_run = BenchmarkRunner(max_steps=8, seed=3).run_suite(**kwargs)
+        pool_run = BenchmarkRunner(max_steps=8, seed=3,
+                                   concurrency=2).run_suite(**kwargs)
+        assert [case_key(c) for c in serial_run.cases] == \
             [case_key(c) for c in pool_run.cases]
 
     def test_pool_size_never_changes_results(self):
-        one = run_sessions_process(_specs(max_steps=5), processes=1)
-        many = run_sessions_process(_specs(max_steps=5), processes=4)
-        assert [_outcome_key(o) for o in one] == \
+        two = run_sessions_sync(_specs(max_steps=5), concurrency=2)
+        many = run_sessions_sync(_specs(max_steps=5), concurrency=4)
+        assert [_outcome_key(o) for o in two] == \
             [_outcome_key(o) for o in many]
 
 
@@ -95,42 +86,55 @@ class TestProcessPoolMechanics:
         assert repr(clone) == "agent_factory('flash')"
 
     def test_empty_batch(self):
-        assert run_sessions_process([], processes=2) == []
+        assert run_sessions_sync([], concurrency=2) == []
 
-    def test_invalid_processes_rejected(self):
+    def test_invalid_concurrency_rejected(self):
         with pytest.raises(ValueError):
-            run_sessions_process(_specs()[:1], processes=0)
+            run_sessions_sync(_specs()[:1], concurrency=0)
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            run_sessions_sync(_specs()[:1], executor="threads")
-        with pytest.raises(ValueError):
-            BenchmarkRunner(executor="threads")
-
-    def test_orchestrator_incompatible_with_process_executor(self):
+    def test_orchestrator_incompatible_with_pool(self):
         from repro.core.orchestrator import Orchestrator
         with pytest.raises(ValueError):
-            run_sessions_sync(_specs()[:1], executor="process",
+            run_sessions_sync(_specs()[:1], concurrency=2,
                               orchestrator=Orchestrator())
+
+    def test_pool_always_releases_handles(self):
+        outcomes = run_sessions_sync(_specs(max_steps=5)[:2], concurrency=2)
+        assert all(o.ok and o.handle is None and o.session.submitted
+                   for o in outcomes)
 
     def test_worker_failure_isolated_on_outcome(self):
         specs = [SessionSpec(problem="no-such-problem-id",
                              agent=agent_factory("flash"),
                              agent_name="flash", seed=1, max_steps=3),
                  _specs(max_steps=5)[0]]
-        outcomes = run_sessions_process(specs, processes=2)
+        outcomes = run_sessions_sync(specs, concurrency=2)
         assert outcomes[0].error is not None
+        assert outcomes[1].ok
+
+    def test_unpicklable_spec_isolated_on_outcome(self):
+        good = _specs(max_steps=5)[0]
+        bad = SessionSpec(problem=good.problem,
+                          agent=lambda context, task, seed: None,
+                          agent_name="closure", seed=1, max_steps=3)
+        outcomes = run_sessions_sync([bad, good], concurrency=2)
+        assert outcomes[0].error is not None and outcomes[0].spec is bad
         assert outcomes[1].ok
 
     def test_worker_failure_fail_fast_raises(self):
         specs = [SessionSpec(problem="no-such-problem-id",
                              agent=agent_factory("flash"),
-                             agent_name="flash", seed=1, max_steps=3)]
+                             agent_name="flash", seed=1, max_steps=3),
+                 _specs(max_steps=5)[0]]
         with pytest.raises(Exception):
-            run_sessions_process(specs, processes=1, fail_fast=True)
+            run_sessions_sync(specs, concurrency=2, fail_fast=True)
 
-    def test_progress_called_per_case(self):
+    def test_progress_fires_per_case_outcomes_in_spec_order(self):
+        specs = _specs(max_steps=5)[:3]
         seen = []
-        run_sessions_process(_specs(max_steps=5)[:2], processes=2,
-                             progress=lambda o: seen.append(o.spec.agent_name))
-        assert len(seen) == 2
+        outcomes = run_sessions_sync(specs, concurrency=2,
+                                     progress=seen.append)
+        assert len(seen) == len(specs)
+        assert [(o.spec.agent_name, o.spec.problem) for o in outcomes] == \
+            [(s.agent_name, s.problem) for s in specs]
+        assert sorted(map(id, seen)) == sorted(map(id, outcomes))

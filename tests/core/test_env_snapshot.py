@@ -197,8 +197,8 @@ class TestSnapshotGrid:
         serial = BenchmarkRunner(max_steps=5, seed=7).sweep_grid(
             snapshot, agents=("flash",), seeds=(0, 1, 2),
             step_limits=(3, 5))
-        pooled = BenchmarkRunner(max_steps=5, seed=7, concurrency=2,
-                                 executor="process").sweep_grid(
+        pooled = BenchmarkRunner(max_steps=5, seed=7,
+                                 concurrency=2).sweep_grid(
             snapshot, agents=("flash",), seeds=(0, 1, 2),
             step_limits=(3, 5))
         assert len(serial) == 6
@@ -283,8 +283,8 @@ class TestGeneratedSnapshotGrid:
             .prepare_snapshot(pid)
         serial = BenchmarkRunner(max_steps=4, seed=7).sweep_grid(
             snapshot, agents=("flash",), seeds=(0, 1), step_limits=(3, 4))
-        pooled = BenchmarkRunner(max_steps=4, seed=7, concurrency=2,
-                                 executor="process").sweep_grid(
+        pooled = BenchmarkRunner(max_steps=4, seed=7,
+                                 concurrency=2).sweep_grid(
             snapshot, agents=("flash",), seeds=(0, 1), step_limits=(3, 4))
         assert len(serial) == 4
         assert serial == pooled

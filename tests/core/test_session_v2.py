@@ -6,7 +6,7 @@ import asyncio
 import pytest
 
 from repro.core import Orchestrator
-from repro.core.batch import SessionSpec, run_sessions, run_sessions_sync
+from repro.core.batch import SessionSpec, run_sessions_sync
 from repro.core.problem import DetectionTask, LocalizationTask, MitigationTask
 
 
@@ -22,6 +22,11 @@ class ScriptedAgent:
 
 
 DETECT_SCRIPT = ['get_logs("test-hotel-reservation", "all")', 'submit("yes")']
+
+
+class ExplodingAgent:
+    def get_action(self, state):
+        raise RuntimeError("agent crashed")
 
 
 class TestSessionHandle:
@@ -221,8 +226,9 @@ class TestBatchExecutor:
             for i in range(n)
         ]
 
-    def test_outcomes_in_spec_order(self):
-        outcomes = run_sessions_sync(self._specs(), concurrency=3)
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_outcomes_in_spec_order(self, concurrency):
+        outcomes = run_sessions_sync(self._specs(), concurrency=concurrency)
         assert [o.spec.agent_name for o in outcomes] == ["a0", "a1", "a2"]
         assert all(o.ok and o.result["success"] for o in outcomes)
 
@@ -239,68 +245,47 @@ class TestBatchExecutor:
         assert outcome.ok
         assert built == [("detection", 11)]
 
-    def test_failing_session_isolated(self):
-        class ExplodingAgent:
-            def get_action(self, state):
-                raise RuntimeError("agent crashed")
-
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_failing_session_isolated(self, concurrency):
         specs = self._specs(2)
         specs.insert(1, SessionSpec(problem=DetectionTask("RevokeAuth"),
                                     agent=ExplodingAgent(), seed=9))
-        outcomes = run_sessions_sync(specs, concurrency=3)
+        outcomes = run_sessions_sync(specs, concurrency=concurrency)
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
         assert "agent crashed" in str(outcomes[1].error)
 
-    def test_fail_fast_propagates_first_error(self):
-        class ExplodingAgent:
-            def get_action(self, state):
-                raise RuntimeError("agent crashed")
-
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_fail_fast_propagates_first_error(self, concurrency):
         specs = [SessionSpec(problem=DetectionTask("RevokeAuth"),
                              agent=ExplodingAgent(), seed=9)]
         with pytest.raises(RuntimeError, match="agent crashed"):
-            run_sessions_sync(specs, concurrency=1, fail_fast=True)
+            run_sessions_sync(specs, concurrency=concurrency, fail_fast=True)
 
-    def test_fail_fast_cancels_sibling_sessions(self):
-        """fail_fast must not leave orphaned sessions running in the
-        caller's event loop."""
-        class SlowAgent:
-            async def get_action(self, state):
-                await asyncio.sleep(30)
-                return 'submit("yes")'
-
-        class Boom:
-            def get_action(self, state):
-                raise RuntimeError("kaput")
-
-        async def driver():
-            specs = [
-                SessionSpec(DetectionTask("RevokeAuth"), SlowAgent(), seed=1),
-                SessionSpec(DetectionTask("RevokeAuth"), Boom(), seed=2),
-            ]
-            with pytest.raises(RuntimeError, match="kaput"):
-                await run_sessions(specs, concurrency=2, fail_fast=True)
-            return [t for t in asyncio.all_tasks()
-                    if t is not asyncio.current_task()]
-
-        assert asyncio.run(driver()) == []
-
-    def test_release_handles_drops_env_keeps_trajectory(self):
-        outcomes = run_sessions_sync(self._specs(2), concurrency=2,
+    @pytest.mark.parametrize("concurrency", [1, 2])
+    def test_release_handles_drops_env_keeps_trajectory(self, concurrency):
+        outcomes = run_sessions_sync(self._specs(2), concurrency=concurrency,
                                      release_handles=True)
         for o in outcomes:
             assert o.ok
             assert o.handle is None
             assert o.session is not None and o.session.submitted
 
+    def test_serial_keeps_live_handles_by_default(self):
+        [outcome] = run_sessions_sync(self._specs(1), concurrency=1)
+        assert outcome.handle.session is outcome.session
+        outcome.handle.close()
+
     def test_bad_concurrency_rejected(self):
         with pytest.raises(ValueError):
             run_sessions_sync(self._specs(1), concurrency=0)
 
-    def test_run_sessions_awaitable_from_async_code(self):
+    def test_serial_path_inside_running_event_loop(self):
+        """``concurrency=1`` is loop-safe and accepts an ``async def
+        get_action`` agent (ScriptedAgent is one)."""
         async def driver():
-            return await run_sessions(self._specs(2), concurrency=2)
+            return run_sessions_sync(self._specs(2), concurrency=1,
+                                     release_handles=True)
 
         outcomes = asyncio.run(driver())
-        assert all(o.ok for o in outcomes)
+        assert all(o.ok and o.result["success"] for o in outcomes)

@@ -358,18 +358,8 @@ class TestAdaptiveTailReservoir:
 
 
 class TestEngineDeterminism:
-    """Fixed-seed pins for the two sampling engines.
-
-    Each engine must be exactly reproducible in (seed, n); the engines'
-    values may differ from each other (they consume the batch stream in
-    different shapes) but their *counts* cannot — the multinomial outcome
-    split is the first draw on the stream under both engines."""
-
-    def test_vectorized_engine_active_by_default(self):
-        from repro.services import vectorized
-        assert vectorized.AVAILABLE
-        d = Deployed()
-        assert d.runtime.vectorize == vectorized.enabled()
+    """Fixed-seed pins for the batch sampling engine: it must be exactly
+    reproducible in (seed, n)."""
 
     def test_identical_across_fresh_deployments(self):
         for family, apply_fault in sorted(FAULT_FAMILIES.items()):
@@ -400,42 +390,6 @@ class TestEngineDeterminism:
         assert [x.latency_sum_ms for x in a] == \
             [x.latency_sum_ms for x in b]
         assert [x.n for x in a] == [700, 500, 300]
-
-    def test_counts_identical_across_engines(self, monkeypatch):
-        _, vec = _batch(_apply_auth_failure, n=2000)
-        monkeypatch.setenv("REPRO_SCALAR_SAMPLING", "1")
-        _, scal = _batch(_apply_auth_failure, n=2000)
-        assert vec.errors == scal.errors
-        assert vec.error_kinds == scal.error_kinds
-        assert vec.error_services == scal.error_services
-
-
-class TestScalarFallback:
-    """``REPRO_SCALAR_SAMPLING=1`` (or a missing numpy) selects the
-    value-by-value scalar engine; it must stay statistically equivalent
-    and independently deterministic."""
-
-    def test_env_gate_disables_vectorization(self, monkeypatch):
-        from repro.services import vectorized
-        monkeypatch.setenv("REPRO_SCALAR_SAMPLING", "1")
-        assert not vectorized.enabled()
-        d = Deployed()
-        assert d.runtime.vectorize is False
-
-    def test_scalar_engine_deterministic(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_SAMPLING", "1")
-        _, a = _batch(_apply_network_loss, n=2000)
-        _, b = _batch(_apply_network_loss, n=2000)
-        assert a.latency_sum_ms == b.latency_sum_ms
-        assert [r.latency_ms for r in a.exemplars] == \
-            [r.latency_ms for r in b.exemplars]
-
-    def test_scalar_matches_vectorized_statistically(self, monkeypatch):
-        _, vec = _batch(_apply_healthy, n=N)
-        monkeypatch.setenv("REPRO_SCALAR_SAMPLING", "1")
-        _, scal = _batch(_apply_healthy, n=N)
-        assert scal.mean_latency_ms == pytest.approx(
-            vec.mean_latency_ms, rel=LATENCY_RTOL)
 
 
 class TestSharedProfileStore:

@@ -116,6 +116,28 @@ class TestConnectivityFaultPath:
         assert not result.ok
         assert result.error.kind is RpcErrorKind.CONNECTION_REFUSED
 
+    def test_deleted_service_is_unavailable(self, hotel):
+        """A Service the agent deleted is the agent's problem: the hop
+        fails with the same ``unavailable`` RpcError as ever (values
+        pinned from before the probe narrowed to ResourceNotFound)."""
+        hotel.cluster.delete_service(hotel.app.namespace, "geo")
+        result = hotel.runtime.execute("search_hotel")
+        assert not result.ok
+        assert result.error.kind is RpcErrorKind.UNAVAILABLE
+        assert result.error.message == \
+            'rpc error: code = Unavailable desc = service "geo" not found'
+        assert result.latency_ms == 3.169402301824175
+        assert result.error_services == ["search", "frontend"]
+
+    def test_simulator_bug_in_lookup_propagates(self, hotel, monkeypatch):
+        """Anything but ResourceNotFound out of the cluster lookup is a
+        simulator bug and must not be rendered as "service not found"."""
+        def broken(namespace, name):
+            raise KeyError(name)
+        monkeypatch.setattr(hotel.cluster, "get_service", broken)
+        with pytest.raises(KeyError):
+            hotel.runtime.execute("search_hotel")
+
 
 class TestLogPodAttribution:
     """`_pod_for` is memoized (it used to scan every pod per log line);

@@ -50,6 +50,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0 and "Overall (Table 3)" in out
 
+    def test_run_benchmark_concurrency_prints_same_tables(
+            self, capsys, monkeypatch):
+        """``--concurrency 2`` reaches the process pool; Table 3 must not
+        depend on it (2 pids × 1 agent)."""
+        import repro.problems
+        pids = repro.problems.list_problems("detection")[:2]
+        monkeypatch.setattr(repro.problems, "list_problems",
+                            lambda task=None: pids)
+
+        def table3(concurrency):
+            rc = main(["run-benchmark", "--agents", "flash", "--task",
+                       "detection", "--seed", "3", "--max-steps", "6",
+                       "--concurrency", str(concurrency)])
+            assert rc == 0
+            out = capsys.readouterr().out
+            return out[out.index("Overall (Table 3)"):]
+
+        assert table3(2) == table3(1)
+
     def test_make_report_flags_parse(self):
         args = build_parser().parse_args(
             ["make-report", "--seed", "7", "-o", "out.md"])
