@@ -14,16 +14,12 @@ from repro.bench import BenchmarkRunner
 from repro.problems import get_problem
 
 
-def test_ablation_oracle_vs_random(benchmark, runner):
-    def run():
-        scores = {}
-        for profile in ("oracle", "random"):
-            wins = sum(runner.run_case(profile, pid).success
-                       for pid in REDUCED_PIDS)
-            scores[profile] = wins / len(REDUCED_PIDS)
-        return scores
-
-    scores = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_ablation_oracle_vs_random(runner):
+    scores = {}
+    for profile in ("oracle", "random"):
+        wins = sum(runner.run_case(profile, pid).success
+                   for pid in REDUCED_PIDS)
+        scores[profile] = wins / len(REDUCED_PIDS)
     print()
     print(f"  oracle headroom: {scores['oracle']:.0%}   "
           f"random floor: {scores['random']:.0%}")
@@ -34,42 +30,30 @@ def test_ablation_oracle_vs_random(benchmark, runner):
     assert scores["oracle"] - scores["random"] >= 0.6
 
 
-def test_ablation_fault_soak(benchmark):
+def test_ablation_fault_soak():
     """Detection accuracy vs. how long the fault has been live."""
-
-    def run():
-        out = {}
-        for soak in (2.0, 30.0):
-            runner = BenchmarkRunner(max_steps=10, seed=BENCH_SEED)
-            wins = 0
-            pids = ["revoke_auth_hotel_res-detection-1",
-                    "misconfig_k8s_social_net-detection-1",
-                    "network_loss_hotel_res-detection-1"]
-            for pid in pids:
-                problem = get_problem(pid)
-                problem.fault_soak_seconds = soak
-                orch_case = runner.run_case("oracle", pid)
-                # re-run through a problem instance with modified soak
-                from repro.core import Orchestrator
-                from repro.agents import build_agent
-                orch = Orchestrator(seed=BENCH_SEED)
-                ctx = orch.init_problem(problem)
-                agent = build_agent("oracle", *ctx, task_type="detection",
-                                    seed=BENCH_SEED)
-                orch.register_agent(agent, "oracle")
-                wins += orch.run_problem(max_steps=10)["success"]
-            out[soak] = wins / len(pids)
-        return out
-
-    accuracy = benchmark.pedantic(run, rounds=1, iterations=1)
+    accuracy = {}
+    for soak in (2.0, 30.0):
+        runner = BenchmarkRunner(max_steps=10, seed=BENCH_SEED)
+        wins = 0
+        pids = ["revoke_auth_hotel_res-detection-1",
+                "misconfig_k8s_social_net-detection-1",
+                "network_loss_hotel_res-detection-1"]
+        for pid in pids:
+            problem = get_problem(pid)
+            problem.fault_soak_seconds = soak
+            orch_case = runner.run_case("oracle", pid)
+            # re-run through a problem instance with modified soak
+            from repro.core import Orchestrator
+            from repro.agents import build_agent
+            orch = Orchestrator(seed=BENCH_SEED)
+            ctx = orch.init_problem(problem)
+            agent = build_agent("oracle", *ctx, task_type="detection",
+                                seed=BENCH_SEED)
+            orch.register_agent(agent, "oracle")
+            wins += orch.run_problem(max_steps=10)["success"]
+        accuracy[soak] = wins / len(pids)
     print()
     print(f"  soak  2s: acc {accuracy[2.0]:.0%}   soak 30s: acc {accuracy[30.0]:.0%}")
     assert accuracy[30.0] >= accuracy[2.0]
 
-
-def test_benchmark_single_case_cost(benchmark, runner):
-    """Micro-benchmark: wall-clock cost of one full agent-problem session
-    (environment build + warmup + 20-step budget)."""
-    result = benchmark(lambda: runner.run_case(
-        "gpt-4-w-shell", "revoke_auth_hotel_res-detection-1"))
-    assert result.steps >= 1

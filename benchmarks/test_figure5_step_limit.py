@@ -8,13 +8,9 @@ from benchmarks.conftest import REDUCED_PIDS
 from repro.bench import figure5_step_limit, render_series
 
 
-def test_figure5_step_limit(benchmark, runner):
-    series = benchmark.pedantic(
-        figure5_step_limit,
-        args=(runner,),
-        kwargs={"limits": (3, 5, 10, 15, 20), "pids": REDUCED_PIDS},
-        rounds=1, iterations=1,
-    )
+def test_figure5_step_limit(runner):
+    series = figure5_step_limit(
+        runner, limits=(3, 5, 10, 15, 20), pids=REDUCED_PIDS)
     print()
     print(render_series("Figure 5 — accuracy vs step limit K", series))
 

@@ -6,8 +6,8 @@ agents; FLASH never calls get_traces; K8S (shell) actions dominate."""
 from repro.bench import figure6_api_usage, render_series
 
 
-def test_figure6_api_usage(benchmark, suite_results):
-    usage = benchmark(figure6_api_usage, suite_results)
+def test_figure6_api_usage(suite_results):
+    usage = figure6_api_usage(suite_results)
     print()
     print(render_series("Figure 6 — % of actions by API", usage))
 

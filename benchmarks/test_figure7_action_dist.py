@@ -7,8 +7,8 @@ telemetry-grazing."""
 from repro.bench import figure7_action_distribution, render_series
 
 
-def test_figure7_action_distribution(benchmark, suite_results):
-    dist = benchmark(figure7_action_distribution, suite_results)
+def test_figure7_action_distribution(suite_results):
+    dist = figure7_action_distribution(suite_results)
     print()
     print(render_series("Figure 7 — action distribution by outcome", dist))
 

@@ -8,16 +8,12 @@ from repro.agents.registry import AGENT_NAMES
 from repro.problems import noop_pids
 
 
-def test_noop_false_positives(benchmark, runner):
-    def probe():
-        outcome = {}
-        for agent in AGENT_NAMES:
-            outcome[agent] = all(
-                runner.run_case(agent, pid).success for pid in noop_pids()
-            )
-        return outcome
-
-    outcome = benchmark.pedantic(probe, rounds=1, iterations=1)
+def test_noop_false_positives(runner):
+    outcome = {
+        agent: all(runner.run_case(agent, pid).success
+                   for pid in noop_pids())
+        for agent in AGENT_NAMES
+    }
     print()
     for agent, ok in outcome.items():
         print(f"  {agent:<18} {'correct (no fault)' if ok else 'FALSE POSITIVE'}")

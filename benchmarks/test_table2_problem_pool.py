@@ -4,8 +4,8 @@ from repro.bench import render_table, table2_problem_pool
 from repro.problems import pool_summary
 
 
-def test_table2_problem_pool(benchmark):
-    headers, rows = benchmark(table2_problem_pool)
+def test_table2_problem_pool():
+    headers, rows = table2_problem_pool()
     print()
     print(render_table(headers, rows, "Table 2 — fault/problem inventory"))
 

@@ -8,8 +8,8 @@ Absolute numbers differ (simulated substrate) — orderings must hold.
 from repro.bench import render_table, table3_overall
 
 
-def test_table3_overall(benchmark, suite_results):
-    headers, rows = benchmark(table3_overall, suite_results)
+def test_table3_overall(suite_results):
+    headers, rows = table3_overall(suite_results)
     print()
     print(render_table(headers, rows, "Table 3 — overall agent performance"))
 

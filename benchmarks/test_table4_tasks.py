@@ -34,8 +34,8 @@ def _acc(rows, agent, col=1):
     return float(str(row[col]).rstrip("%"))
 
 
-def test_table4a_detection(benchmark, tables, baselines):
-    headers, rows = benchmark(lambda: tables["detection"])
+def test_table4a_detection(tables, baselines):
+    headers, rows = tables["detection"]
     print()
     print(render_table(headers, rows, "Table 4a — detection"))
     assert _acc(rows, "FLASH") == 100.0        # paper: FLASH answers all
@@ -43,8 +43,8 @@ def test_table4a_detection(benchmark, tables, baselines):
         assert _acc(rows, agent) > baselines["mksmc"]["accuracy"] * 100
 
 
-def test_table4b_localization(benchmark, tables, baselines):
-    headers, rows = benchmark(lambda: tables["localization"])
+def test_table4b_localization(tables, baselines):
+    headers, rows = tables["localization"]
     print()
     print(render_table(headers, rows, "Table 4b — localization"))
     for agent in ("GPT-4-W-SHELL", "REACT", "FLASH"):
@@ -55,8 +55,8 @@ def test_table4b_localization(benchmark, tables, baselines):
         assert _acc(rows, agent, col=1) >= _acc(rows, agent, col=2)
 
 
-def test_table4c_rca(benchmark, tables):
-    headers, rows = benchmark(lambda: tables["analysis"])
+def test_table4c_rca(tables):
+    headers, rows = tables["analysis"]
     print()
     print(render_table(headers, rows, "Table 4c — root cause analysis"))
     # RCA is hard for everyone (paper: 9-45%)
@@ -66,8 +66,8 @@ def test_table4c_rca(benchmark, tables):
         float(str(r[1]).rstrip("%")) for r in rows)
 
 
-def test_table4d_mitigation(benchmark, tables):
-    headers, rows = benchmark(lambda: tables["mitigation"])
+def test_table4d_mitigation(tables):
+    headers, rows = tables["mitigation"]
     print()
     print(render_table(headers, rows, "Table 4d — mitigation"))
     assert _acc(rows, "GPT-3.5-W-SHELL") == 0.0   # paper: recovers nothing

@@ -6,8 +6,8 @@ handful of commands (the paper counts ls/cat/grep/mongo/echo/awk)."""
 from repro.bench import render_table, table5_commands
 
 
-def test_table5_commands(benchmark, suite_results):
-    headers, rows = benchmark(table5_commands, suite_results)
+def test_table5_commands(suite_results):
+    headers, rows = table5_commands(suite_results)
     print()
     print(render_table(headers, rows, "Table 5 — system command occurrences"))
 

@@ -5,18 +5,15 @@ works in offline environments that lack the `wheel` package (PEP 517
 editable installs require building a wheel).
 
 numpy is a hard install dependency: the deterministic RNG streams are
-built on ``numpy.random.Generator`` and the vectorized batch sampling
-engine draws fused arrays through it.  (The scalar sampling fallback in
-``repro.services.vectorized`` only covers environments where numpy is
-present for RNG but ``REPRO_SCALAR_SAMPLING=1`` forces value-by-value
-draws — see docs/design/fidelity.md.)
+built on ``numpy.random.Generator`` and the batch sampling engine
+(``repro.services.vectorized``) draws fused arrays through it.
 """
 
 from setuptools import find_packages, setup
 
 setup(
     name="repro-mlsysim",
-    version="3.0.0",
+    version="3.1.0",
     description=("Simulated cloud incident benchmark: apps, faults, "
                  "telemetry, and agent evaluation on a virtual clock"),
     package_dir={"": "src"},

@@ -8,6 +8,7 @@ then hand the *telemetry* — not the ACI — to the algorithm.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from repro.baselines.mksmc import MKSMC
@@ -16,15 +17,18 @@ from repro.baselines.rmlad import RMLAD
 from repro.problems import get_problem, list_problems
 
 
+@contextmanager
 def _prepared_env(pid: str, seed: int):
+    """Yield (problem, env) for ``pid``; the environment (and its temp
+    export directory) is closed when the algorithm has read its telemetry."""
     problem = get_problem(pid)
-    env = problem.create_environment(seed=seed)
-    problem.start_workload(env)
-    inject_t = env.clock.now
-    problem.inject_fault(env)
-    # extra observation window after the soak, like an agent's first steps
-    env.advance(30.0)
-    return problem, env, inject_t
+    env = problem.prepare(seed)
+    try:
+        # extra observation window after the soak, like an agent's first steps
+        env.advance(30.0)
+        yield problem, env
+    finally:
+        env.close()
 
 
 def run_baseline_suite(
@@ -52,14 +56,15 @@ def _run_mksmc(pids: Optional[Sequence[str]], seed: int) -> dict[str, float]:
     correct = 0
     elapsed = 0.0
     for pid in pid_list:
-        problem, env, inject_t = _prepared_env(pid, seed)
-        services = sorted(env.app.services)
-        t0 = time.perf_counter()
-        detector = MKSMC(seed=seed)
-        detector.fit(env.collector.metrics, services, until=inject_t)
-        verdict = detector.detect(env.collector.metrics, services,
-                                  since=inject_t)
-        elapsed += time.perf_counter() - t0
+        with _prepared_env(pid, seed) as (problem, env):
+            services = sorted(env.app.services)
+            inject_t = problem.injected_at
+            t0 = time.perf_counter()
+            detector = MKSMC(seed=seed)
+            detector.fit(env.collector.metrics, services, until=inject_t)
+            verdict = detector.detect(env.collector.metrics, services,
+                                      since=inject_t)
+            elapsed += time.perf_counter() - t0
         expected_fault = problem.spec is not None
         if verdict.anomalous == expected_fault:
             correct += 1
@@ -75,16 +80,17 @@ def _run_localizer(algo, label: str, pids: Optional[Sequence[str]],
     top1 = top3 = 0
     elapsed = 0.0
     for pid in pid_list:
-        problem, env, inject_t = _prepared_env(pid, seed)
-        t0 = time.perf_counter()
-        if isinstance(algo, RMLAD):
-            result = algo.localize(env.collector, env.namespace,
-                                   healthy_until=inject_t,
-                                   observe_until=env.clock.now)
-        else:
-            result = algo.localize(env.collector, env.namespace,
-                                   since=inject_t)
-        elapsed += time.perf_counter() - t0
+        with _prepared_env(pid, seed) as (problem, env):
+            inject_t = problem.injected_at
+            t0 = time.perf_counter()
+            if isinstance(algo, RMLAD):
+                result = algo.localize(env.collector, env.namespace,
+                                       healthy_until=inject_t,
+                                       observe_until=env.clock.now)
+            else:
+                result = algo.localize(env.collector, env.namespace,
+                                       since=inject_t)
+            elapsed += time.perf_counter() - t0
         truth = problem.ans
         if result.ranking[:1] == [truth]:
             top1 += 1

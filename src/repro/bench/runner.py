@@ -175,10 +175,7 @@ class BenchmarkRunner:
         """
         from repro.problems import get_problem
         problem = get_problem(pid)
-        env = problem.create_environment(
-            seed=self.seed if env_seed is None else env_seed)
-        problem.start_workload(env)
-        problem.inject_fault(env)
+        env = problem.prepare(self.seed if env_seed is None else env_seed)
         snapshot = env.snapshot(extras=problem)
         env.close()
         return snapshot

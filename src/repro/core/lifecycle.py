@@ -10,18 +10,15 @@ over between stages and each stage graded by its own task oracle.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.aci import SubmissionReceived, TaskActions, registry_for
 from repro.core.env import CloudEnvironment
-from repro.core.evaluator import Evaluator
-from repro.core.parser import ActionParseError, parse_action
+from repro.core.orchestrator import SessionHandle
 from repro.core.problem import (
     AnalysisTask, DetectionTask, LocalizationTask, MitigationTask, Problem,
 )
-from repro.core.session import Session, Step
+from repro.core.session import Session
 
 #: lifecycle stage order (Figure 1)
 STAGES: tuple[str, ...] = ("detection", "localization", "analysis",
@@ -48,6 +45,7 @@ class StageResult:
     duration_s: float
     steps: int
     session: Session
+    #: the stage session's result dict (what ``SessionHandle.run`` returns)
     details: dict[str, Any] = field(default_factory=dict)
 
 
@@ -117,94 +115,31 @@ class IncidentLifecycle:
         """Execute the lifecycle; a fresh agent is built per stage (the
         factory may share memory between them if it wants to)."""
         detection = self.problems["detection"]
-        self.env = detection.create_environment(seed=self.seed)
-        detection.start_workload(self.env)
-        detection.inject_fault(self.env)
+        self.env = detection.prepare(self.seed)
         # keep the single injection authoritative for every stage's oracle
         for stage in STAGES[1:]:
             self.problems[stage].injected_at = detection.injected_at
 
-        actions = TaskActions(self.env)
         result = LifecycleResult(fault=self.fault_name, target=self.target)
         for stage in STAGES:
-            stage_result = self._run_stage(stage, actions, agent_factory)
+            stage_result = self._run_stage(stage, agent_factory)
             result.stages.append(stage_result)
             if stage == "detection" and not stage_result.success:
                 break  # an undetected incident is never triaged (Figure 1)
         return result
 
     # ------------------------------------------------------------------
-    def _run_stage(self, stage: str, actions: TaskActions,
+    def _run_stage(self, stage: str,
                    agent_factory: AgentFactory) -> StageResult:
-        problem = self.problems[stage]
-        env = self.env
-        prob_desc = problem.problem_description(env)
-        instructs = ("Interact step by step; one API call per response; "
-                     "finish with submit(...).")
-        registry = registry_for(stage)
-        apis = registry.render_docs()
-        agent = agent_factory(stage, prob_desc, instructs, apis)
-
-        session = Session(pid=f"lifecycle-{self.fault_name}-{stage}",
-                          agent_name=getattr(agent, "name", "agent"),
-                          started_at=env.clock.now)
-        solution: Any = None
-        state = "Stage started. Take your first action."
-        for index in range(self.max_steps_per_stage):
-            raw = str(self._resolve(agent.get_action(state)))
-            consume = getattr(agent, "consume_stats", None)
-            latency = 5.0
-            if callable(consume):
-                in_tok, out_tok, latency = consume()
-                session.add_tokens(in_tok, out_tok)
-            env.advance(max(latency, 0.1))
-            step = Step(index=index, time=env.clock.now, action_raw=raw,
-                        action_name="", action_args=(), observation="")
-            try:
-                parsed = parse_action(raw, registry.names())
-                step.action_name = parsed.name
-                step.action_args = parsed.args
-                obs = registry.execute(
-                    actions, parsed.name, *parsed.args, **parsed.kwargs)
-                step.observation = str(obs)
-                step.payload = obs.payload
-                step.artifacts = obs.artifacts
-            except SubmissionReceived as sub:
-                solution = sub.solution
-                session.submitted = True
-                session.solution = solution
-                step.action_name = "submit"
-                step.observation = "Solution submitted."
-                session.add_step(step)
-                break
-            except ActionParseError as e:
-                step.valid = False
-                step.action_name = "invalid"
-                step.observation = str(e)
-            except Exception as e:  # noqa: BLE001 - feedback, not crash
-                step.observation = f"Error: {e}"
-            session.add_step(step)
-            state = step.observation
-        session.ended_at = env.clock.now
-
-        evaluation = Evaluator(problem, env).evaluate(session, solution)
-        success = evaluation.success and session.submitted
+        """One stage = one ordinary session on the shared environment."""
+        handle = SessionHandle(self.problems[stage], seed=self.seed,
+                               env=self.env)
+        agent = agent_factory(stage, *handle.context)
+        handle.bind_agent(agent, name=getattr(agent, "name", "agent"))
+        result = handle.run_sync(self.max_steps_per_stage)
+        session = handle.session
         return StageResult(
-            stage=stage, success=success, solution=solution,
-            duration_s=evaluation.duration_s, steps=evaluation.steps,
-            session=session, details=evaluation.details,
+            stage=stage, success=result["success"],
+            solution=session.solution, duration_s=result["duration_s"],
+            steps=result["steps"], session=session, details=result,
         )
-
-    @staticmethod
-    def _resolve(result):
-        """Support both sync and async ``get_action`` implementations."""
-        import inspect
-
-        if inspect.isawaitable(result):
-            from repro.core.orchestrator import run_coroutine_sync
-
-            async def _wrap():
-                return await result
-
-            return run_coroutine_sync(_wrap())
-        return result

@@ -74,15 +74,10 @@ class SessionHandle:
         self.problem = problem
         self.seed = seed
         self.step_env_seconds = step_env_seconds
-        if env is None:
-            self.env = problem.create_environment(seed=seed)
-            problem.start_workload(self.env)
-            problem.inject_fault(self.env)
-        else:
-            # prepared-environment path: ``env`` was already deployed,
-            # warmed up and fault-injected (an EnvSnapshot fork) — adopt
-            # it instead of paying the setup again
-            self.env = env
+        # a passed ``env`` was already deployed, warmed up and
+        # fault-injected (an EnvSnapshot fork, a lifecycle's shared
+        # environment) — adopt it instead of paying the setup again
+        self.env = problem.prepare(seed) if env is None else env
         self.actions = TaskActions(self.env)
         self.registry: ActionRegistry = registry_for(problem.task_type)
         self.context = SessionContext(

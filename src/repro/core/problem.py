@@ -110,6 +110,15 @@ class Problem:
         self.injected_at = env.clock.now
         env.advance(self.fault_soak_seconds)
 
+    def prepare(self, seed: int = 0) -> CloudEnvironment:
+        """Deploy, warm up, inject and soak: the environment a session, a
+        baseline or a snapshot starts from.  The caller owns (and closes)
+        the returned environment."""
+        env = self.create_environment(seed=seed)
+        self.start_workload(env)
+        self.inject_fault(env)
+        return env
+
     def recover_fault(self, env: CloudEnvironment) -> None:
         """Oracle recovery (used for cleanup and for testing solvability)."""
         if self._injector is not None:

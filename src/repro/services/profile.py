@@ -321,12 +321,7 @@ def _enter(rt: "ServiceRuntime", op: Operation, svc: Microservice,
     ))
     _bump(branch.visits, svc.name)
 
-    if caller is not None:
-        handler_err = rt._check_handler(caller, svc, command)
-    elif "buggy" in rt._image_of(svc):
-        handler_err = err.app_bug(svc.name, rt._image_of(svc))
-    else:
-        handler_err = None
+    handler_err = rt._check_handler(caller, svc, command)
     if handler_err is not None:
         branch.failure = handler_err
         span = branch.spans[idx]

@@ -293,12 +293,18 @@ class ServiceRuntime:
         return None
 
     def _check_handler(
-        self, caller: Microservice, callee: Microservice, command: str
+        self, caller: Optional[Microservice], callee: Microservice,
+        command: str,
     ) -> Optional[RpcError]:
-        """Application-level behaviour of the callee."""
+        """Application-level behaviour of the callee.
+
+        ``caller`` is None for the entry hop: nothing authenticates to the
+        entry service, so only its image is checked."""
         image = self._image_of(callee)
         if "buggy" in image:
             return err.app_bug(callee.name, image)
+        if caller is None:
+            return None
         backend = callee.backend
         if isinstance(backend, MongoBackend):
             if not backend.up:
@@ -385,12 +391,7 @@ class ServiceRuntime:
         total = own_latency
         failure: Optional[RpcError] = None
 
-        # own handler (for the entry this is trivially OK unless buggy image)
-        handler_err = None
-        if caller is not None:
-            handler_err = self._check_handler(caller, svc, command)
-        elif "buggy" in self._image_of(svc):
-            handler_err = err.app_bug(svc.name, self._image_of(svc))
+        handler_err = self._check_handler(caller, svc, command)
         if handler_err is not None:
             failure = handler_err
             if handler_err.kind is RpcErrorKind.APP_BUG:

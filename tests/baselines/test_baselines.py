@@ -102,6 +102,20 @@ class TestBaselineSuiteRunner:
                                  pids=list_problems("localization")[:2], seed=1)
         assert row["accuracy@1"] <= row["accuracy"]
 
+    def test_suite_leaves_no_export_dir_behind(self):
+        import os
+        import tempfile
+        from repro.baselines import run_baseline_suite
+        from repro.problems import list_problems
+
+        def export_dirs():
+            return {name for name in os.listdir(tempfile.gettempdir())
+                    if name.startswith("aiopslab-")}
+
+        before = export_dirs()
+        run_baseline_suite("mksmc", pids=list_problems("detection")[:1])
+        assert export_dirs() - before == set()
+
     def test_unknown_baseline(self):
         from repro.baselines import run_baseline_suite
         with pytest.raises(KeyError):

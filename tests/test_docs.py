@@ -61,3 +61,36 @@ class TestGeneratedDocs:
             assert f"## {task} surface" in text
             for name in registry_for(task).names():
                 assert f"`{name}`" in text
+
+
+class TestProseIsTrue:
+    def test_docs_name_only_paths_that_exist(self):
+        """README, DESIGN.md and docs/design/* may only mention repo
+        paths (scripts, tests, benchmark files, …) that are in the tree."""
+        import re
+        pattern = re.compile(
+            r"(?:scripts|tests|benchmarks|examples|bench_e2e|docs)/[\w./*-]+"
+            r"|\bBENCH\w*\.json")
+        pages = [REPO / "README.md", REPO / "DESIGN.md",
+                 *sorted((REPO / "docs" / "design").glob("*.md"))]
+        missing = [
+            f"{page.name}: {mention}"
+            for page in pages
+            for mention in pattern.findall(page.read_text())
+            if not list(REPO.glob(mention.rstrip(".")))
+        ]
+        assert missing == []
+
+    def test_no_test_needs_the_benchmark_plugin(self):
+        """README's install line is all the tier-1 suite needs: nothing
+        outside bench_e2e/ requests a ``benchmark`` fixture."""
+        import ast
+        offenders = [
+            f"{path.relative_to(REPO)}::{node.name}"
+            for folder in ("tests", "benchmarks")
+            for path in sorted((REPO / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "benchmark" in [a.arg for a in node.args.args]
+        ]
+        assert offenders == []
