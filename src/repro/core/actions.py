@@ -32,6 +32,13 @@ _ACTION_ATTR = "__aci_action__"
 #: that know they failed should return Observation.error(...) explicitly.
 _ERROR_PREFIXES = ("error:", "error from", "policyerror", "sh:")
 
+#: annotation (as written, or the type's name) -> what an agent may pass
+#: for it; a float is a usable ``int`` count of minutes or lines
+_ARG_TYPES = {"str": (str,), "int": (int, float)}
+#: parameters that may be None: the telemetry actions read a missing
+#: namespace as "the session's own"
+_NONE_OK = frozenset({"namespace"})
+
 
 class Observation(str):
     """What one agent action produced (§2.2.1's "high-quality feedback").
@@ -233,15 +240,28 @@ class ActionRegistry:
         return Observation.of(spec.func(instance, *args, **kwargs))
 
     def bind_errors(self, name: str, args: tuple, kwargs: dict) -> Optional[str]:
-        """Check ``args``/``kwargs`` against the action's signature.
+        """Check ``args``/``kwargs`` against the action's signature and its
+        ``str``/``int`` annotations.
 
-        Returns an agent-readable error string when the call cannot bind,
-        None when the arguments fit.  Lets the Orchestrator distinguish
-        "you called the API wrong" from "the API itself raised TypeError".
+        Returns an agent-readable error string when the call cannot bind or
+        an argument has the wrong type, None when the arguments fit.  Lets
+        the Orchestrator distinguish "you called the API wrong" from "the
+        API itself raised TypeError".
         """
         spec = self._specs[name]
         try:
-            inspect.signature(spec.func).bind(None, *args, **kwargs)
+            bound = inspect.signature(spec.func).bind(None, *args, **kwargs)
         except TypeError as e:
             return f"Error: invalid arguments for {name}: {e}"
+        for pname, value in bound.arguments.items():
+            param = bound.signature.parameters[pname]
+            if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+                continue
+            annotation = getattr(param.annotation, "__name__", param.annotation)
+            expected = _ARG_TYPES.get(annotation)
+            if expected is None or isinstance(value, expected) \
+                    or (value is None and pname in _NONE_OK):
+                continue
+            return (f"Error: invalid arguments for {name}: {pname} must be "
+                    f"{annotation}, got {value!r} ({type(value).__name__})")
         return None

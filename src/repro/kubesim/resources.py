@@ -22,11 +22,12 @@ machines themselves:
    also sheds load (:func:`overload_probability`): hops into its pods
    fail with ``ResourceExhausted`` at up to 50 % probability.
 4. **Quantization** — effective multipliers/shed probabilities are
-   quantized to steps of :data:`QUANT_STEP` so the path-profile compiler
-   can fingerprint them compactly: small demand jitter between rollups
-   does not recompile profiles, a real regime change does (the
-   per-namespace :meth:`ResourcePlane.fingerprint` version feeds
-   ``ServiceRuntime._profile_key``).
+   quantized to steps of :data:`QUANT_STEP` so they change rarely: small
+   demand jitter between rollups leaves resolved call plans (and the
+   profiles compiled from them) valid, a real regime change does not
+   (the per-namespace :meth:`ResourcePlane.fingerprint` version is a
+   component of ``ServiceRuntime._profile_key``, the plan cache's key;
+   ``repro.services.plan.resolve`` is the one reader of the values).
 
 The plane is **opt-in**: environments run with
 ``resource_coupling=False`` by default, in which case no runtime is

@@ -113,15 +113,15 @@ class MongoBackend:
         return ""
 
 
-class RedisBackend:
-    """A simulated Redis: a keyed store with a liveness flag."""
+class CacheBackend:
+    """A simulated cache instance: a liveness flag, nothing else (the data
+    plane is abstract, and no fault reaches into a cache's keys)."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         #: liveness-toggle counter (the only control-plane state here)
         self.version = 0
         self._up = True
-        self._store: dict[str, str] = {}
 
     @property
     def up(self) -> bool:
@@ -132,40 +132,10 @@ class RedisBackend:
         self._up = bool(value)
         self.version += 1
 
-    def set(self, key: str, value: str) -> None:
-        self._store[key] = value
 
-    def get(self, key: str) -> Optional[str]:
-        return self._store.get(key)
-
-    def __len__(self) -> int:
-        return len(self._store)
+class RedisBackend(CacheBackend):
+    """The cache behind a ``redis`` microservice."""
 
 
-class MemcachedBackend:
-    """A simulated Memcached: an LRU-less cache with a liveness flag."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        #: liveness-toggle counter (the only control-plane state here)
-        self.version = 0
-        self._up = True
-        self._store: dict[str, str] = {}
-
-    @property
-    def up(self) -> bool:
-        return self._up
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        self._up = bool(value)
-        self.version += 1
-
-    def set(self, key: str, value: str) -> None:
-        self._store[key] = value
-
-    def get(self, key: str) -> Optional[str]:
-        return self._store.get(key)
-
-    def flush(self) -> None:
-        self._store.clear()
+class MemcachedBackend(CacheBackend):
+    """The cache behind a ``memcached`` microservice."""

@@ -26,9 +26,10 @@ class RpcErrorKind(str, enum.Enum):
     RESOURCE_EXHAUSTED = "resource_exhausted"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RpcError:
-    """A failure observed on one RPC hop.
+    """A failure observed on one RPC hop (immutable: resolved plans hold
+    and hash them).
 
     Attributes
     ----------

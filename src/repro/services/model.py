@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.services.backends import MemcachedBackend, MongoBackend, RedisBackend
+from repro.services.backends import CacheBackend, MongoBackend
 
 
 @dataclass
@@ -36,7 +36,7 @@ class Microservice:
     port: int
     kind: str = "stateless"
     image: str = ""
-    backend: Optional[MongoBackend | RedisBackend | MemcachedBackend] = None
+    backend: Optional[MongoBackend | CacheBackend] = None
     base_latency_ms: float = 2.0
     latency_sigma: float = 0.3
     credentials: dict[str, Optional[tuple[str, str]]] = field(default_factory=dict)

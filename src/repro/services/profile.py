@@ -1,24 +1,21 @@
-"""Path-profile compiler: call graph + fault state → an aggregate outcome model.
+"""Path-profile compiler: a resolved call plan → an aggregate outcome model.
 
-Per-request execution (:meth:`ServiceRuntime.execute`) walks the call tree
-once per request, drawing RNG at every hop.  For a *fixed* cluster/fault
-state, though, the set of distinct things that can happen to a request is
-tiny: every check except network loss is deterministic, so the execution
-tree collapses into a handful of **outcome branches** — "all hops succeed",
+Under a fixed state the set of distinct things that can happen to a
+request is tiny: a :class:`~repro.services.plan.Plan` has decided every
+check except the coin flips of its ``gates``, so the execution tree
+collapses into a handful of **outcome branches** — "all hops succeed",
 "dropped on the search→geo edge", "auth fails at mongodb-rate", … — each
 with a closed-form probability and per-service latency moments.
 
-:func:`compile_profile` enumerates those branches symbolically, mirroring
-``_run_service``'s semantics exactly (handler checks, failure propagation,
-log attribution, per-service request records).  The resulting
-:class:`PathProfile` lets ``execute_many(op, n)`` simulate ``n`` requests
-with O(branches) work: a multinomial split over outcomes, normal-
-approximated latency sums, and bounded exemplar traces/logs — instead of
-``n`` recursive walks.
-
-The profile is a pure function of (call tree, cluster state, backend
-state, helm credentials, ``network_loss``); the runtime caches it keyed on
-a fingerprint of exactly those inputs (see ``ServiceRuntime._profile_key``).
+:func:`compile_profile` enumerates those branches.  It reads nothing but
+the plan — the same plan ``ServiceRuntime.execute`` walks one request at a
+time, with the same gate order and the same two log/attribution rules
+(:mod:`repro.services.plan`) — so the tiers agree by construction and
+equal plans compile equal profiles, which is what lets
+:class:`ProfileStore` share them across sessions keyed by the plan itself.
+The resulting :class:`PathProfile` lets ``execute_many(op, n)`` simulate
+``n`` requests with O(branches) work: a multinomial split over outcomes,
+normal-approximated latency sums, and bounded exemplar traces/logs.
 """
 
 from __future__ import annotations
@@ -27,21 +24,18 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import Hashable, Optional
 
-from repro.services import errors as err
-from repro.services.errors import RpcError, RpcErrorKind
-from repro.services.model import CallEdge, Microservice, Operation
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.services.runtime import ServiceRuntime
-
-#: handler-error kinds that log (and attribute error_services) at the
-#: failing node itself, mirroring ``_run_service``
-_AUTH_KINDS = (
-    RpcErrorKind.AUTH_FAILED,
-    RpcErrorKind.NOT_AUTHORIZED,
-    RpcErrorKind.USER_NOT_FOUND,
+from repro.services.errors import RpcError
+from repro.services.plan import (
+    CLIENT,
+    CLIENT_FAIL_MS,
+    HOP_FAIL_MS,
+    Hop,
+    Plan,
+    caller_log,
+    gates,
+    handler_log,
 )
 
 
@@ -50,9 +44,9 @@ class SpanNode:
     """One span in an outcome's trace skeleton.
 
     ``entered`` spans correspond to services that actually executed (one
-    lognormal service-time draw each); stubs model the fixed-cost failure
-    spans the per-request path emits (0.5 ms hop failures, the 1.0 ms
-    wrk-client span when the frontend is down).
+    ``lognormal(mu, sigma)`` service-time draw each); stubs model the
+    fixed-cost failure spans the per-request path emits (0.5 ms hop
+    failures, the 1.0 ms wrk-client span when the frontend is down).
     """
 
     service: str
@@ -62,6 +56,8 @@ class SpanNode:
     status: str = "OK"
     error_message: str = ""
     const_ms: float = 0.0
+    mu: float = 0.0
+    sigma: float = 0.0
 
 
 @dataclass
@@ -102,7 +98,6 @@ class PathProfile:
 
     op_name: str
     entry: str
-    key: tuple
     outcomes: list[Outcome]
     probs: list[float]
 
@@ -111,71 +106,17 @@ class PathProfile:
         return len(self.outcomes)
 
 
-def value_fingerprint(rt: "ServiceRuntime", op: Operation) -> tuple:
-    """Value-based fingerprint of everything :func:`compile_profile` reads.
-
-    The runtime's per-env cache key (``ServiceRuntime._profile_key``) leans
-    on cheap *counter* versions, which only mean "something changed" within
-    one environment — two different environments can reach the same counter
-    values through different mutation histories, so counters must never be
-    compared across sessions.  This fingerprint instead snapshots the
-    *values* the compiler consumes: the op's tree signature, every involved
-    service's image / latency parameters / pressure multiplier / overload
-    probability / network loss / reachability verdict, and the handler
-    verdict of every tree edge (credentials, backend liveness, auth and
-    role state all fold into that verdict, message text included).  Two
-    runtimes with equal fingerprints compile byte-equal profiles by
-    construction, which is what makes the cross-session
-    :class:`ProfileStore` safe.
-
-    Profiles are namespace-agnostic (qualification happens at telemetry
-    emission, not compile time), so sessions of the same problem — and
-    even co-tenant apps of the same shape in different namespaces — share
-    entries.
-    """
-    involved, _ = rt._op_fingerprint_inputs(op)
-    svc_state = []
-    for name in involved:
-        svc = rt.services[name]
-        reach = rt._check_reachable(svc)
-        svc_state.append((
-            name,
-            rt._image_of(svc),
-            svc.base_latency_ms,
-            svc.latency_sigma,
-            rt._mult(svc),
-            rt._overload_p(name),
-            rt.network_loss.get(name, 0.0),
-            (reach.kind.value, reach.message) if reach is not None else None,
-        ))
-    edge_checks: list[tuple] = []
-
-    def walk(caller: Microservice, edges: list[CallEdge]) -> None:
-        for e in edges:
-            callee = rt.services.get(e.callee)
-            if callee is None:
-                continue
-            herr = rt._check_handler(caller, callee, e.command)
-            edge_checks.append((
-                caller.name, callee.name, e.command,
-                (herr.kind.value, herr.message) if herr is not None else None,
-            ))
-            walk(callee, e.children)
-
-    walk(rt.services[op.entry], op.tree)
-    return (op.name, rt._op_tree_signature(op), tuple(svc_state),
-            tuple(edge_checks))
-
-
 class ProfileStore:
-    """Cross-session cache of compiled profiles, keyed by value fingerprint.
+    """Cross-session cache of compiled profiles, keyed by the plan.
 
     One store (:data:`SHARED_PROFILES`) is shared by every runtime in the
     process, so a 4-agents × 48-problems suite compiles each (op, state)
     profile once instead of once per session.  Safety comes from the key,
-    not from invalidation: a mutated session computes a different
-    :func:`value_fingerprint` and can never observe a co-tenant's stale
-    entry, and the stored outcomes are read-only after compilation.
+    not from invalidation: the plan is :func:`compile_profile`'s only
+    input, so a mutated session resolves a different plan and can never
+    observe a co-tenant's stale entry, and the stored outcomes are
+    read-only after compilation.  Plans carry no namespace, so co-tenant
+    apps of the same shape share entries too.
     Entries are evicted LRU past ``maxsize``; access is lock-guarded
     because batch sessions run in worker threads.  Process-pool workers
     each own their (forked or fresh) copy — profiles never cross process
@@ -185,13 +126,13 @@ class ProfileStore:
     def __init__(self, maxsize: int = 1024) -> None:
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, PathProfile] = OrderedDict()
+        self._entries: OrderedDict[Hashable, PathProfile] = OrderedDict()
         self.stats = {"hits": 0, "misses": 0, "stores": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple) -> Optional[PathProfile]:
+    def get(self, key: Hashable) -> Optional[PathProfile]:
         with self._lock:
             profile = self._entries.get(key)
             if profile is not None:
@@ -201,7 +142,7 @@ class ProfileStore:
                 self.stats["misses"] += 1
             return profile
 
-    def put(self, key: tuple, profile: PathProfile) -> None:
+    def put(self, key: Hashable, profile: PathProfile) -> None:
         with self._lock:
             self._entries[key] = profile
             self._entries.move_to_end(key)
@@ -270,37 +211,26 @@ def _bump(d: dict[str, int], key: str, by: int = 1) -> None:
     d[key] = d.get(key, 0) + by
 
 
-def _fail_edge(branch: _Branch, op: Operation, edge: CallEdge,
-               caller: str, caller_idx: int, hop_err: RpcError) -> None:
-    """A hop to ``edge.callee`` failed before the callee executed: emit the
-    0.5 ms error stub, log at the caller, and mark the branch failed."""
+def _fail_edge(branch: _Branch, op_name: str, child: Hop, caller: str,
+               caller_idx: int, hop_err: RpcError) -> None:
+    """A call into ``child`` failed before the callee executed: emit the
+    fixed-cost error stub and let the caller observe the failure."""
     branch.spans.append(SpanNode(
-        service=edge.callee, operation=f"{op.name}/{edge.command}",
+        service=child.service, operation=f"{op_name}/{child.command}",
         parent=caller_idx, entered=False, status="ERROR",
-        error_message=hop_err.message, const_ms=0.5,
+        error_message=hop_err.message, const_ms=HOP_FAIL_MS,
     ))
-    _bump(branch.hop_fails, edge.callee)
+    _bump(branch.hop_fails, child.service)
     branch.failure = hop_err
-    branch.logs.append((
-        caller, "ERROR",
-        f"failed to call {edge.callee}.{edge.command}: {hop_err.message}",
-    ))
-    branch.error_services.append(caller)
-    span = branch.spans[caller_idx]
-    span.status = "ERROR"
-    span.error_message = hop_err.message
-    _bump(branch.error_visits, caller)
+    _propagate(branch, child, caller, caller_idx)
 
 
-def _propagate(branch: _Branch, op: Operation, edge: CallEdge,
-               caller: str, caller_idx: int) -> None:
-    """A recursive callee failed: the caller logs, attributes itself, and
-    re-raises — the per-request path's unwind, applied symbolically."""
+def _propagate(branch: _Branch, child: Hop, caller: str,
+               caller_idx: int) -> None:
+    """The call into ``child`` failed: the caller logs, attributes itself,
+    and re-raises — the per-request path's unwind, applied symbolically."""
     assert branch.failure is not None
-    branch.logs.append((
-        caller, "ERROR",
-        f"failed to call {edge.callee}.{edge.command}: {branch.failure.message}",
-    ))
+    branch.logs.append((caller, *caller_log(child, branch.failure)))
     branch.error_services.append(caller)
     span = branch.spans[caller_idx]
     span.status = "ERROR"
@@ -308,69 +238,47 @@ def _propagate(branch: _Branch, op: Operation, edge: CallEdge,
     _bump(branch.error_visits, caller)
 
 
-def _enter(rt: "ServiceRuntime", op: Operation, svc: Microservice,
-           caller: Optional[Microservice], command: str,
-           children: list[CallEdge], branch: _Branch,
+def _enter(op_name: str, hop: Hop, branch: _Branch,
            parent_idx: int) -> tuple[Optional[_Branch], list[_Branch]]:
-    """Symbolically execute ``svc``; returns (success branch | None,
-    failure branches).  Mirrors ``_run_service`` decision-for-decision."""
+    """Symbolically execute an entered ``hop``; returns (success branch |
+    None, failure branches) — ``ServiceRuntime._walk`` with every coin
+    flip forked instead of drawn."""
     idx = len(branch.spans)
     branch.spans.append(SpanNode(
-        service=svc.name, operation=f"{op.name}/{command}",
-        parent=parent_idx, entered=True,
+        service=hop.service, operation=f"{op_name}/{hop.command}",
+        parent=parent_idx, entered=True, mu=hop.mu, sigma=hop.sigma,
     ))
-    _bump(branch.visits, svc.name)
+    _bump(branch.visits, hop.service)
 
-    handler_err = rt._check_handler(caller, svc, command)
-    if handler_err is not None:
-        branch.failure = handler_err
+    if hop.handler is not None:
+        branch.failure = hop.handler
         span = branch.spans[idx]
         span.status = "ERROR"
-        span.error_message = handler_err.message
-        _bump(branch.error_visits, svc.name)
-        if handler_err.kind is RpcErrorKind.APP_BUG:
-            branch.logs.append((svc.name, "ERROR", handler_err.message))
-            branch.error_services.append(svc.name)
-        elif handler_err.kind in _AUTH_KINDS:
-            branch.logs.append((svc.name, "WARN",
-                                f"ACCESS [conn42] {handler_err.message}"))
-            branch.error_services.append(svc.name)
+        span.error_message = hop.handler.message
+        _bump(branch.error_visits, hop.service)
+        line = handler_log(hop.handler)
+        if line is not None:
+            branch.logs.append((hop.service, *line))
+            branch.error_services.append(hop.service)
         return None, [branch]
 
     failures: list[_Branch] = []
-    for edge in children:
-        callee = rt.services.get(edge.callee)
-        if callee is None:
-            continue
-        p = rt.network_loss.get(edge.callee, 0.0)
-        if p > 0:
-            dropped = branch.clone()
-            dropped.prob *= p
-            _fail_edge(dropped, op, edge, svc.name, idx,
-                       err.network_drop(edge.callee))
-            failures.append(dropped)
+    for child in hop.children:
+        for p, gate_err in gates(child):
+            failed = branch.clone()
+            failed.prob *= p
+            _fail_edge(failed, op_name, child, hop.service, idx, gate_err)
+            failures.append(failed)
             branch.prob *= (1.0 - p)
             if branch.prob <= 0.0:  # p == 1: no surviving path
                 return None, failures
-        p_over = rt._overload_p(edge.callee)
-        if p_over > 0:
-            shed = branch.clone()
-            shed.prob *= p_over
-            _fail_edge(shed, op, edge, svc.name, idx,
-                       err.resource_exhausted(edge.callee))
-            failures.append(shed)
-            branch.prob *= (1.0 - p_over)
-            if branch.prob <= 0.0:
-                return None, failures
-        reach_err = rt._check_reachable(callee)
-        if reach_err is not None:
-            _fail_edge(branch, op, edge, svc.name, idx, reach_err)
+        if child.blocked is not None:
+            _fail_edge(branch, op_name, child, hop.service, idx, child.blocked)
             failures.append(branch)
             return None, failures
-        sub_ok, sub_failures = _enter(rt, op, callee, svc, edge.command,
-                                      edge.children, branch, idx)
+        sub_ok, sub_failures = _enter(op_name, child, branch, idx)
         for fb in sub_failures:
-            _propagate(fb, op, edge, svc.name, idx)
+            _propagate(fb, child, hop.service, idx)
         failures.extend(sub_failures)
         if sub_ok is None:
             return None, failures
@@ -379,24 +287,30 @@ def _enter(rt: "ServiceRuntime", op: Operation, svc: Microservice,
     return branch, failures
 
 
-def _finalize(rt: "ServiceRuntime", op: Operation, branch: _Branch,
-              ok: bool) -> Outcome:
+def _moments(mu: float, sigma: float) -> tuple[float, float]:
+    """(mean, variance) of a ``lognormal(mu, sigma)`` hop time."""
+    sigma2 = sigma ** 2
+    return (math.exp(mu + sigma2 / 2.0),
+            (math.exp(sigma2) - 1.0) * math.exp(2.0 * mu + sigma2))
+
+
+def _finalize(entry: str, branch: _Branch, ok: bool) -> Outcome:
+    spans = branch.spans
+    moments = {sn.service: _moments(sn.mu, sn.sigma)
+               for sn in spans if sn.entered}
     mean = var = 0.0
     for svc_name, count in branch.visits.items():
-        m, v = rt._latency_moments(rt.services[svc_name])
+        m, v = moments[svc_name]
         mean += count * m
         var += count * v
     error_services = list(branch.error_services)
-    if not ok and op.entry not in error_services:
-        error_services.append(op.entry)
+    if not ok and entry not in error_services:
+        error_services.append(entry)
     # Per-span mean subtree latency (entered children roll up to parents,
     # failure stubs don't) — gives noise exemplars realistic "handled in
     # X ms" figures per site.
-    spans = branch.spans
-    subtree_mean = [
-        rt._latency_moments(rt.services[sn.service])[0] if sn.entered else 0.0
-        for sn in spans
-    ]
+    subtree_mean = [moments[sn.service][0] if sn.entered else 0.0
+                    for sn in spans]
     for i in range(len(spans) - 1, 0, -1):
         if spans[i].entered and spans[i].parent >= 0:
             subtree_mean[spans[i].parent] += subtree_mean[i]
@@ -418,36 +332,35 @@ def _finalize(rt: "ServiceRuntime", op: Operation, branch: _Branch,
         noise_sites=noise_sites,
         mean_ms=mean,
         var_ms=var,
-        spans=branch.spans,
+        spans=spans,
     )
 
 
-def compile_profile(rt: "ServiceRuntime", op: Operation, key: tuple) -> PathProfile:
-    """Enumerate every outcome branch of ``op`` under the current state."""
-    entry = rt.services[op.entry]
-    root_err = rt._check_reachable(entry)
-    if root_err is not None:
+def compile_profile(plan: Plan) -> PathProfile:
+    """Enumerate every outcome branch of ``plan``."""
+    root = plan.root
+    if root.blocked is not None:
         outcome = Outcome(
-            prob=1.0, ok=False, error=root_err,
-            error_services=(entry.name,),
+            prob=1.0, ok=False, error=root.blocked,
+            error_services=(root.service,),
             visit_counts={}, error_visit_counts={}, hop_fail_counts={},
             client_fail=True, logs=(), noise_eligible=0, noise_sites=(),
-            mean_ms=1.0, var_ms=0.0,
-            spans=[SpanNode(service="wrk-client", operation=op.name,
+            mean_ms=CLIENT_FAIL_MS, var_ms=0.0,
+            spans=[SpanNode(service=CLIENT, operation=plan.op_name,
                             parent=-1, entered=False, status="ERROR",
-                            error_message=root_err.message, const_ms=1.0)],
+                            error_message=root.blocked.message,
+                            const_ms=CLIENT_FAIL_MS)],
         )
-        return PathProfile(op.name, entry.name, key, [outcome], [1.0])
+        return PathProfile(plan.op_name, root.service, [outcome], [1.0])
 
-    success, failures = _enter(rt, op, entry, None, "handle", op.tree,
-                               _Branch(1.0), -1)
-    outcomes = [_finalize(rt, op, fb, ok=False) for fb in failures]
+    success, failures = _enter(plan.op_name, root, _Branch(1.0), -1)
+    outcomes = [_finalize(root.service, fb, ok=False) for fb in failures]
     if success is not None and success.prob > 0.0:
-        outcomes.append(_finalize(rt, op, success, ok=True))
+        outcomes.append(_finalize(root.service, success, ok=True))
     total = sum(o.prob for o in outcomes)
     if not math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-12):
         raise AssertionError(
-            f"path profile for {op.name!r} does not cover the outcome "
+            f"path profile for {plan.op_name!r} does not cover the outcome "
             f"space: probabilities sum to {total!r}")
     probs = [o.prob / total for o in outcomes]
-    return PathProfile(op.name, entry.name, key, outcomes, probs)
+    return PathProfile(plan.op_name, root.service, outcomes, probs)

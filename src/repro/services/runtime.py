@@ -1,24 +1,26 @@
 """Request execution over the call graph — where faults become observable.
 
-Two execution tiers share the same fault semantics:
+What can happen to a request under the current state is resolved once per
+state into a :class:`~repro.services.plan.Plan` (``services/plan.py``, the
+one statement of fault semantics); two execution tiers consume it:
 
-* :meth:`ServiceRuntime.execute` — the per-request reference path: one
-  recursive walk per request, full-fidelity telemetry.  Bit-identical to
-  the seed.
+* :meth:`ServiceRuntime.execute` — the per-request reference path: walks
+  the plan once per request, one RNG draw per decision, full-fidelity
+  telemetry.  Bit-identical to the seed.
 * :meth:`ServiceRuntime.execute_many` — the aggregate path: compiles the
-  current call graph + fault state into a cached
-  :class:`~repro.services.profile.PathProfile` and samples ``n`` requests'
-  outcomes in O(outcome branches) — binomial/multinomial error splits,
-  normal-approximated lognormal latency sums, and bounded exemplar
-  traces/logs.  Statistically equivalent, orders of magnitude faster.
+  plan into a cached :class:`~repro.services.profile.PathProfile` and
+  samples ``n`` requests' outcomes in O(outcome branches) —
+  binomial/multinomial error splits, normal-approximated lognormal
+  latency sums, and bounded exemplar traces/logs.  Statistically
+  equivalent, orders of magnitude faster.
 
-The aggregate path samples through fused numpy kernels
-(:mod:`repro.services.vectorized`) on one deterministic batch stream: one
-latency-sum vector per ``execute_many_all`` call, one lognormal matrix per
-outcome branch covering every exemplar.  Compiled profiles are shared
-across sessions through :data:`repro.services.profile.SHARED_PROFILES`,
-keyed by a value-based fingerprint so a mutated session can never observe
-a co-tenant's stale profile.
+Both fetch the plan through one per-runtime cache keyed on cheap state
+counters (:meth:`ServiceRuntime._profile_key`).  The aggregate path
+samples through fused numpy kernels (:mod:`repro.services.vectorized`) on
+one deterministic batch stream, and shares compiled profiles across
+sessions through :data:`repro.services.profile.SHARED_PROFILES`, keyed by
+the plan itself so a mutated session can never observe a co-tenant's
+stale profile.
 """
 
 from __future__ import annotations
@@ -29,18 +31,27 @@ from typing import Callable, Optional, Sequence
 
 from repro.simcore import ResourceNotFound, RngStream, SimClock
 from repro.kubesim.cluster import Cluster
-from repro.services import errors as err
 from repro.services import vectorized
-from repro.services.backends import MemcachedBackend, MongoBackend, RedisBackend
-from repro.services.errors import RpcError, RpcErrorKind
+from repro.services.backends import MongoBackend
+from repro.services.errors import RpcError
 from repro.services.model import CallEdge, Microservice, Operation
+from repro.services.plan import (
+    CLIENT,
+    CLIENT_FAIL_MS,
+    HOP_FAIL_MS,
+    Hop,
+    Plan,
+    caller_log,
+    gates,
+    handler_log,
+    resolve,
+)
 from repro.services.profile import (
     SHARED_PROFILES,
     Outcome,
     PathProfile,
     ProfileStore,
     compile_profile,
-    value_fingerprint,
 )
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.traces import Span, Trace
@@ -125,7 +136,7 @@ class ServiceRuntime:
     INFO_SAMPLE = 0.03
     #: probability of a benign transient WARN anywhere (background noise)
     NOISE_WARN = 0.01
-    #: cross-session compiled-profile store (value-fingerprint keyed);
+    #: cross-session compiled-profile store (keyed by the plan);
     #: override on an instance — or set None — to opt a runtime out
     profile_store: Optional[ProfileStore] = SHARED_PROFILES
 
@@ -156,24 +167,21 @@ class ServiceRuntime:
         #: are deterministic in (seed, n) regardless of interleaved
         #: ``execute`` calls — and per-request draws stay bit-identical.
         self._batch_rng: Optional[RngStream] = None
-        #: op name -> compiled PathProfile (possibly shared with co-tenant
-        #: runtimes via the cross-session store)
+        #: op name -> (this runtime's counter key, the plan resolved under
+        #: it): the one validity cache both tiers fetch through
+        self._plans: dict[str, tuple[tuple, Plan]] = {}
+        #: op name -> the cached plan's compiled PathProfile (possibly
+        #: shared with co-tenant runtimes via the cross-session store);
+        #: dropped whenever the plan is re-resolved
         self._profiles: dict[str, PathProfile] = {}
-        #: op name -> this runtime's counter fingerprint at install time
-        #: (install validity; kept outside the profile so store-served
-        #: objects need no per-runtime re-keying copy)
-        self._profile_keys: dict[str, tuple] = {}
         #: op name -> static fingerprint inputs (services, backend edges)
         self._op_static: dict[str, tuple] = {}
-        #: op name -> structural call-tree signature (for the value key)
-        self._op_sigs: dict[str, tuple] = {}
         #: observability for tests/benchmarks of the profile cache:
         #: ``compiles`` counts profile installs for *this* runtime (cold
         #: compiles and cross-session fetches alike — either way the old
         #: profile was invalid and replaced), ``hits`` counts per-runtime
         #: key hits, ``shared_hits`` the installs served by the store
         self.profile_stats = {"compiles": 0, "hits": 0, "shared_hits": 0}
-        self._latency_moments_cache: dict[tuple, tuple[float, float]] = {}
         #: (pods.version, state_version)-keyed service -> pod-name memo
         self._pod_cache_key: tuple[int, int] = (-1, -1)
         self._pod_cache: dict[str, str] = {}
@@ -243,223 +251,112 @@ class ServiceRuntime:
         if self.resources is not None:
             self.resources.account(self.namespace, service, count)
 
-    def _latency(self, svc: Microservice) -> float:
-        mean_log = math.log(max(svc.base_latency_ms * self._mult(svc), 0.1))
-        return self.rng.lognormal(mean_log, svc.latency_sigma)
-
-    def _latency_moments(self, svc: Microservice) -> tuple[float, float]:
-        """(mean, variance) of the service's lognormal hop time.
-
-        Keyed on the parameters themselves (pressure multiplier included),
-        so an in-place change to a service's latency profile or a plane
-        rollup can never serve stale moments."""
-        m = self._mult(svc)
-        key = (svc.name, svc.base_latency_ms, svc.latency_sigma, m)
-        cached = self._latency_moments_cache.get(key)
-        if cached is None:
-            mu = math.log(max(svc.base_latency_ms * m, 0.1))
-            sigma2 = svc.latency_sigma ** 2
-            mean = math.exp(mu + sigma2 / 2.0)
-            var = (math.exp(sigma2) - 1.0) * math.exp(2.0 * mu + sigma2)
-            cached = (mean, var)
-            self._latency_moments_cache[key] = cached
-        return cached
-
-    # ------------------------------------------------------------------
-    # hop checks
-    # ------------------------------------------------------------------
-    def _check_network(self, caller: str, callee: str) -> Optional[RpcError]:
-        p = self.network_loss.get(callee, 0.0)
-        if p > 0 and self.rng.bernoulli(p):
-            return err.network_drop(callee)
-        return None
-
-    def _check_overload(self, callee: Microservice) -> Optional[RpcError]:
-        """Node-pressure load shedding: a hop into a pod on a node past
-        the overload knee fails with ``ResourceExhausted``.  Guarded so
-        the common (unloaded / coupling-off) case draws no RNG."""
-        p = self._overload_p(callee.name)
-        if p > 0 and self.rng.bernoulli(p):
-            return err.resource_exhausted(callee.name)
-        return None
-
-    def _check_reachable(self, callee: Microservice) -> Optional[RpcError]:
-        try:
-            self.cluster.get_service(self.namespace, callee.name)
-        except ResourceNotFound:
-            return err.unavailable(callee.name, f'service "{callee.name}" not found')
-        if not self.cluster.service_reachable(self.namespace, callee.name):
-            return err.connection_refused(callee.name, callee.port)
-        return None
-
-    def _check_handler(
-        self, caller: Optional[Microservice], callee: Microservice,
-        command: str,
-    ) -> Optional[RpcError]:
-        """Application-level behaviour of the callee.
-
-        ``caller`` is None for the entry hop: nothing authenticates to the
-        entry service, so only its image is checked."""
-        image = self._image_of(callee)
-        if "buggy" in image:
-            return err.app_bug(callee.name, image)
-        if caller is None:
-            return None
-        backend = callee.backend
-        if isinstance(backend, MongoBackend):
-            if not backend.up:
-                return err.unavailable(callee.name, "mongod is shutting down")
-            creds = self.credentials_provider(caller.name, callee.name)
-            user, pw = creds if creds else (None, None)
-            reason = backend.authenticate(user, pw)
-            if reason in ("no_credentials", "bad_password"):
-                return err.auth_failed(callee.name, backend.db_name)
-            if reason == "user_not_found":
-                return err.user_not_found(callee.name, backend.db_name, user or "<none>")
-            reason = backend.authorize(user, command)
-            if reason == "not_authorized":
-                return err.not_authorized(callee.name, backend.db_name, command)
-            if reason == "user_not_found":
-                return err.user_not_found(callee.name, backend.db_name, user or "<none>")
-        elif isinstance(backend, (RedisBackend, MemcachedBackend)):
-            if not backend.up:
-                return err.unavailable(callee.name, f"{callee.kind} instance down")
-        return None
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def execute(self, op_name: str) -> RequestResult:
-        """Run one request for ``op_name`` through the call graph."""
+        """Run one request for ``op_name`` through its resolved plan."""
         op = self.operations.get(op_name)
         if op is None:
             raise KeyError(f"unknown operation {op_name!r}")
-        entry = self.services[op.entry]
+        root = self._plan_for(op).root
         trace = Trace(trace_id=self.collector.traces.new_trace_id())
-        error_services: list[str] = []
-
-        root_error = self._check_reachable(entry)
-        start = self.clock.now
-        if root_error is not None:
+        if root.blocked is not None:
             # The client (workload generator) observes the frontend down.
-            span = Span(
-                span_id=self.collector.traces.new_span_id(),
-                trace_id=trace.trace_id, parent_id=None,
-                service="wrk-client", operation=op.name,
-                start=start, duration_ms=1.0,
-                status="ERROR", error_message=root_error.message,
-            )
-            trace.spans.append(span)
+            self._stub_span(trace, None, CLIENT, op.name, CLIENT_FAIL_MS,
+                            root.blocked, root.service)
             self.collector.record_trace(trace)
-            self.collector.record_request(self._q(entry.name), 1.0, error=True)
-            self._account(entry.name)
-            return RequestResult(op.name, False, 1.0, root_error,
-                                 trace.trace_id, [entry.name])
+            return RequestResult(op.name, False, CLIENT_FAIL_MS, root.blocked,
+                                 trace.trace_id, [root.service])
 
-        latency, error = self._run_service(
-            caller=None, svc=entry, command="handle", children=op.tree,
-            op=op, trace=trace, parent_span=None, error_services=error_services,
-        )
+        error_services: list[str] = []
+        latency, error = self._walk(root, op.name, trace, None, error_services)
         self.collector.record_trace(trace)
         ok = error is None
-        if not ok and entry.name not in error_services:
-            error_services.append(entry.name)
+        if not ok and root.service not in error_services:
+            error_services.append(root.service)
         return RequestResult(op.name, ok, latency, error, trace.trace_id,
                              error_services)
 
-    def _run_service(
+    def _stub_span(self, trace: Trace, parent_id: Optional[str], service: str,
+                   operation: str, cost_ms: float, failure: RpcError,
+                   record_as: str) -> None:
+        """The fixed-cost error span of a call whose callee never ran,
+        accounted as one failed request of ``record_as``."""
+        trace.spans.append(Span(
+            span_id=self.collector.traces.new_span_id(),
+            trace_id=trace.trace_id, parent_id=parent_id,
+            service=service, operation=operation,
+            start=self.clock.now, duration_ms=cost_ms,
+            status="ERROR", error_message=failure.message,
+        ))
+        self.collector.record_request(self._q(record_as), cost_ms, error=True)
+        self._account(record_as)
+
+    def _walk(
         self,
-        caller: Optional[Microservice],
-        svc: Microservice,
-        command: str,
-        children: list[CallEdge],
-        op: Operation,
+        hop: Hop,
+        op_name: str,
         trace: Trace,
-        parent_span: Optional[Span],
+        parent_id: Optional[str],
         error_services: list[str],
     ) -> tuple[float, Optional[RpcError]]:
-        """Execute ``svc``'s part of the operation; returns (latency, error)."""
+        """Execute an entered ``hop``; returns (latency, error).
+
+        Draw order, per entered hop: its service time; per child in order
+        one bernoulli per gate (network drop, then shed — only those with
+        a non-zero probability) until one fires; after the children, iff
+        nothing failed, the WARN then the INFO noise coin."""
+        rng = self.rng
         span = Span(
             span_id=self.collector.traces.new_span_id(),
-            trace_id=trace.trace_id,
-            parent_id=parent_span.span_id if parent_span else None,
-            service=svc.name, operation=f"{op.name}/{command}",
+            trace_id=trace.trace_id, parent_id=parent_id,
+            service=hop.service, operation=f"{op_name}/{hop.command}",
             start=self.clock.now, duration_ms=0.0,
         )
         trace.spans.append(span)
-        own_latency = self._latency(svc)
-        total = own_latency
-        failure: Optional[RpcError] = None
-
-        handler_err = self._check_handler(caller, svc, command)
-        if handler_err is not None:
-            failure = handler_err
-            if handler_err.kind is RpcErrorKind.APP_BUG:
-                self._log(svc.name, "ERROR", handler_err.message)
-                error_services.append(svc.name)
-            elif handler_err.kind in (
-                RpcErrorKind.AUTH_FAILED,
-                RpcErrorKind.NOT_AUTHORIZED,
-                RpcErrorKind.USER_NOT_FOUND,
-            ):
-                # mongod itself also records the access failure
-                self._log(svc.name, "WARN",
-                          f"ACCESS [conn42] {handler_err.message}")
-                error_services.append(svc.name)
+        total = rng.lognormal(hop.mu, hop.sigma)
+        failure = hop.handler
+        if failure is not None:
+            line = handler_log(failure)
+            if line is not None:
+                self._log(hop.service, *line)
+                error_services.append(hop.service)
         else:
             # fan out to children
-            for edge in children:
-                callee = self.services.get(edge.callee)
-                if callee is None:
-                    continue
-                hop_err = self._check_network(svc.name, edge.callee)
-                if hop_err is None:
-                    hop_err = self._check_overload(callee)
-                if hop_err is None:
-                    hop_err = self._check_reachable(callee)
-                if hop_err is not None:
-                    child_span = Span(
-                        span_id=self.collector.traces.new_span_id(),
-                        trace_id=trace.trace_id, parent_id=span.span_id,
-                        service=callee.name, operation=f"{op.name}/{edge.command}",
-                        start=self.clock.now, duration_ms=0.5,
-                        status="ERROR", error_message=hop_err.message,
-                    )
-                    trace.spans.append(child_span)
-                    self.collector.record_request(self._q(callee.name), 0.5,
-                                                  error=True)
-                    self._account(callee.name)
-                    failure = hop_err
-                else:
-                    child_latency, child_err = self._run_service(
-                        caller=svc, svc=callee, command=edge.command,
-                        children=edge.children, op=op, trace=trace,
-                        parent_span=span, error_services=error_services,
-                    )
-                    total += child_latency
-                    failure = child_err
+            for child in hop.children:
+                failure = child.blocked
+                for p, gate_err in gates(child):
+                    if rng.bernoulli(p):
+                        failure = gate_err
+                        break
                 if failure is not None:
-                    self._log(
-                        svc.name, "ERROR",
-                        f"failed to call {edge.callee}.{edge.command}: {failure.message}",
-                    )
-                    error_services.append(svc.name)
+                    self._stub_span(trace, span.span_id, child.service,
+                                    f"{op_name}/{child.command}", HOP_FAIL_MS,
+                                    failure, child.service)
+                else:
+                    child_latency, failure = self._walk(
+                        child, op_name, trace, span.span_id, error_services)
+                    total += child_latency
+                if failure is not None:
+                    self._log(hop.service, *caller_log(child, failure))
+                    error_services.append(hop.service)
                     break
 
-        if failure is None and self.rng.bernoulli(self.NOISE_WARN):
-            self._log(svc.name, "WARN",
-                      f"slow {command} request: retrying idempotent call once")
-        if failure is None and self.rng.bernoulli(self.INFO_SAMPLE):
-            self._log(svc.name, "INFO",
-                      f"{op.name}/{command} handled in {total:.1f}ms")
+        if failure is None and rng.bernoulli(self.NOISE_WARN):
+            self._log(hop.service, "WARN",
+                      f"slow {hop.command} request: retrying idempotent call once")
+        if failure is None and rng.bernoulli(self.INFO_SAMPLE):
+            self._log(hop.service, "INFO",
+                      f"{op_name}/{hop.command} handled in {total:.1f}ms")
 
         span.duration_ms = total
         if failure is not None:
             span.status = "ERROR"
             span.error_message = failure.message
-        self.collector.record_request(self._q(svc.name), total,
+        self.collector.record_request(self._q(hop.service), total,
                                       error=failure is not None)
-        self._account(svc.name)
+        self._account(hop.service)
         return total, failure
 
     # ------------------------------------------------------------------
@@ -511,21 +408,9 @@ class ServiceRuntime:
         self._op_static[op.name] = cached
         return cached
 
-    def _op_tree_signature(self, op: Operation) -> tuple:
-        """Structural signature of ``op``'s call tree (entry, nested
-        (callee, command) tuples) — part of the cross-session value key,
-        so two ops that merely share involved services can't collide."""
-        sig = self._op_sigs.get(op.name)
-        if sig is None:
-            def walk(edges: list[CallEdge]) -> tuple:
-                return tuple((e.callee, e.command, walk(e.children))
-                             for e in edges)
-            sig = (op.entry, walk(op.tree))
-            self._op_sigs[op.name] = sig
-        return sig
-
     def _profile_key(self, op: Operation) -> tuple:
-        """Fingerprint of everything the path-profile compiler reads.
+        """Fingerprint of everything :func:`~repro.services.plan.resolve`
+        reads — the validity key of the cached plan, for both tiers.
 
         Cheap counters (cluster state/membership versions, backend
         versions) catch every mutation that flows through cluster CRUD,
@@ -567,50 +452,47 @@ class ServiceRuntime:
             else self.resources.fingerprint(self.namespace),
         )
 
-    def _profile_for(self, op: Operation) -> PathProfile:
-        """The valid compiled profile for ``op`` — per-runtime cache first
-        (cheap counter key), then the cross-session store (value key), and
-        only then an actual compile.  Install validity is tracked in
-        ``_profile_keys`` (this runtime's counter fingerprint at install
-        time), so a store-served profile object is shared as-is — its
-        outcome objects are read-only after compilation, and its own
-        ``key`` field records the compiling runtime's counters, not
-        ours."""
+    def _plan_for(self, op: Operation) -> Plan:
+        """The plan for ``op`` under the current state: re-resolved (and
+        its compiled profile dropped) exactly when the counter key moves."""
         key = self._profile_key(op)
+        cached = self._plans.get(op.name)
+        if cached is not None and cached[0] == key:
+            return cached[1]
+        plan = resolve(self, op)
+        self._plans[op.name] = (key, plan)
+        self._profiles.pop(op.name, None)
+        return plan
+
+    def _profile_for(self, op: Operation) -> PathProfile:
+        """The compiled profile of ``op``'s current plan — per-runtime
+        cache first, then the cross-session store (keyed by the plan, so
+        a store-served profile object is shared as-is; its outcome objects
+        are read-only after compilation), and only then a compile."""
+        plan = self._plan_for(op)
         profile = self._profiles.get(op.name)
-        if profile is not None and self._profile_keys.get(op.name) == key:
+        if profile is not None:
             self.profile_stats["hits"] += 1
             return profile
         store = self.profile_store
-        if store is not None:
-            vkey = value_fingerprint(self, op)
-            shared = store.get(vkey)
-            if shared is not None:
-                profile = shared
-                self.profile_stats["shared_hits"] += 1
-            else:
-                profile = compile_profile(self, op, key)
-                store.put(vkey, profile)
+        profile = store.get(plan) if store is not None else None
+        if profile is not None:
+            self.profile_stats["shared_hits"] += 1
         else:
-            profile = compile_profile(self, op, key)
+            profile = compile_profile(plan)
+            if store is not None:
+                store.put(plan, profile)
         self._profiles[op.name] = profile
-        self._profile_keys[op.name] = key
         self.profile_stats["compiles"] += 1
         return profile
 
     def _kernel_for(self, outcome: Outcome) -> "vectorized.OutcomeKernel":
         """The outcome's cached vectorized sampling kernel (built on first
-        use; every kernel input is pinned by the profile's fingerprint, so
-        caching on the shared outcome object is safe across sessions)."""
+        use from the span skeleton alone, so caching on the shared outcome
+        object is safe across sessions)."""
         kernel = getattr(outcome, "_kernel", None)
         if kernel is None:
-            def mu_sigma(service: str) -> tuple[float, float]:
-                svc = self.services[service]
-                return (math.log(max(svc.base_latency_ms * self._mult(svc),
-                                     0.1)),
-                        svc.latency_sigma)
-            kernel = vectorized.OutcomeKernel(outcome, mu_sigma)
-            outcome._kernel = kernel
+            kernel = outcome._kernel = vectorized.OutcomeKernel(outcome)
         return kernel
 
     def execute_many(self, op_name: str, n: int) -> BatchResult:
@@ -742,12 +624,12 @@ class ServiceRuntime:
                 e = bulk_entry(s)
                 e[0] += k * c
                 e[1] += k * c
-                e[2].extend([0.5] * min(k * c, 2))
+                e[2].extend([HOP_FAIL_MS] * min(k * c, 2))
             if outcome.client_fail:
                 e = bulk_entry(profile.entry)
                 e[0] += k
                 e[1] += k
-                e[2].extend([1.0] * min(k, 2))
+                e[2].extend([CLIENT_FAIL_MS] * min(k, 2))
             # bounded full-fidelity exemplars, plus (when a tail watch
             # grew the reservoir) cheap latency-only ones: the watch needs
             # the samples, not more stored traces

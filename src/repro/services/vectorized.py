@@ -24,26 +24,21 @@ class OutcomeKernel:
 
     Built lazily from an :class:`~repro.services.profile.Outcome`'s span
     skeleton the first time the branch needs exemplars, then cached on the
-    outcome — the profile's validity fingerprint already pins every input
-    (latency parameters, pressure multipliers), so the kernel can never
-    outlive the state it encodes, including when the outcome is shared
-    across sessions through the profile store.
+    outcome — every input (each entered span's pressure-adjusted
+    lognormal ``(mu, sigma)``) is in the skeleton itself, so the kernel is
+    as shareable across sessions as the outcome is.
     """
 
     __slots__ = ("n_spans", "entered_idx", "const", "mu", "sigma", "acc")
 
-    def __init__(self, outcome: "Outcome", mu_sigma) -> None:
-        """``mu_sigma(service) -> (mu, sigma)`` supplies each entered
-        span's lognormal parameters (the runtime's pressure-adjusted
-        moments source)."""
+    def __init__(self, outcome: "Outcome") -> None:
         spans = outcome.spans
         self.n_spans = len(spans)
         self.entered_idx = np.array(
             [i for i, sn in enumerate(spans) if sn.entered], dtype=np.intp)
         self.const = np.array([sn.const_ms for sn in spans])
-        params = [mu_sigma(spans[i].service) for i in self.entered_idx]
-        self.mu = np.array([p[0] for p in params])
-        self.sigma = np.array([p[1] for p in params])
+        self.mu = np.array([spans[i].mu for i in self.entered_idx])
+        self.sigma = np.array([spans[i].sigma for i in self.entered_idx])
         #: bottom-up subtree accumulation order: children are appended
         #: after their parent, so one reverse pass rolls entered spans up;
         #: failure stubs keep their fixed cost (same rule as the

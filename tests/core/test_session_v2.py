@@ -190,6 +190,37 @@ class TestExecutionErrors:
         obs = handle.session.steps[0].observation
         assert obs.startswith("Error: invalid arguments for get_logs")
 
+    @pytest.mark.parametrize("call, param, expected, got", [
+        ('get_metrics("test-hotel-reservation", "5")',
+         "duration", "int", "'5' (str)"),
+        ('get_logs("test-hotel-reservation", "geo", "3")',
+         "tail", "int", "'3' (str)"),
+        ('exec_shell(None)', "command", "str", "None (NoneType)"),
+        ('get_logs(["a"], "geo")', "namespace", "str", "['a'] (list)"),
+    ])
+    def test_wrong_typed_argument_names_the_parameter(
+            self, call, param, expected, got):
+        """These four reached the agent as raw Python TypeErrors."""
+        handle = self._handle([call, 'submit("yes")'])
+        handle.run_sync(max_steps=5)
+        name = call.split("(")[0]
+        assert handle.session.steps[0].observation == (
+            f"Error: invalid arguments for {name}: "
+            f"{param} must be {expected}, got {got}")
+
+    @pytest.mark.parametrize("call", [
+        'get_metrics(None)',                       # session namespace
+        'get_logs(None, "geo")',
+        'get_metrics("test-hotel-reservation", 2.5)',   # float minutes
+        'get_logs("test-hotel-reservation", "geo", tail=3)',
+        'exec_shell("kubectl get pods -n test-hotel-reservation")',
+    ])
+    def test_calls_accepted_before_stay_accepted(self, call):
+        handle = self._handle([call, 'submit("yes")'])
+        handle.run_sync(max_steps=5)
+        obs = handle.session.steps[0].observation
+        assert not obs.startswith("Error"), obs
+
     def test_typeerror_inside_action_not_misreported(self, monkeypatch):
         """A TypeError raised by the action body is an execution error,
         not an invalid-call error (the seed conflated the two)."""

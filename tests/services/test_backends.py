@@ -1,4 +1,9 @@
-from repro.services.backends import MemcachedBackend, MongoBackend, RedisBackend
+from repro.services.backends import (
+    CacheBackend,
+    MemcachedBackend,
+    MongoBackend,
+    RedisBackend,
+)
 
 
 class TestMongoAuth:
@@ -70,17 +75,12 @@ class TestMongoAuth:
 
 
 class TestCaches:
-    def test_redis_set_get(self):
-        r = RedisBackend("r")
-        r.set("k", "v")
-        assert r.get("k") == "v" and len(r) == 1
-
-    def test_redis_missing_key(self):
-        assert RedisBackend("r").get("nope") is None
-
-    def test_memcached_set_get_flush(self):
-        m = MemcachedBackend("m")
-        m.set("k", "v")
-        assert m.get("k") == "v"
-        m.flush()
-        assert m.get("k") is None
+    def test_both_kinds_are_one_liveness_backend(self):
+        for cls in (RedisBackend, MemcachedBackend):
+            cache = cls("c")
+            assert isinstance(cache, CacheBackend)
+            assert cache.name == "c" and cache.up and cache.version == 0
+            cache.up = False
+            assert not cache.up and cache.version == 1
+            cache.up = True
+            assert cache.up and cache.version == 2

@@ -12,10 +12,16 @@ probability < 1e-4 per assertion while systematic skew is caught.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import pytest
 
 from repro.apps import HotelReservation
 from repro.kubesim import Cluster, Helm, Kubectl
+from repro.services import runtime as runtime_module
+from repro.services.plan import handler_log, resolve
+from repro.services.profile import compile_profile
 from repro.simcore import SimClock
 from repro.telemetry import TelemetryCollector
 
@@ -183,6 +189,181 @@ class TestStatisticalEquivalence:
             d.runtime.execute_many(OP, -1)
 
 
+def _scale(d: Deployed, service: str, replicas: int) -> None:
+    d.cluster.scale_deployment(d.app.namespace, service, replicas)
+
+
+def _remove_credentials(d: Deployed) -> None:
+    """What the AuthenticationMissing injector does: edit the release
+    values in place, no revision bump."""
+    release = d.app.helm.releases[d.app.release_name]
+    release.values["mongo_credentials"]["mongodb-rate"] = None
+
+
+class _Pressure:
+    """Stands in for the environment's ResourcePlane: the node under geo
+    sheds a quarter of the calls into it, the one under rate doubles its
+    service time."""
+
+    def multiplier_for(self, namespace, service):
+        return 2.0 if service == "rate" else 1.0
+
+    def overload_p(self, namespace, service):
+        return 0.25 if service == "geo" else 0.0
+
+    def account(self, namespace, service, count=1):
+        pass
+
+    def fingerprint(self, namespace):
+        return 1
+
+
+def _apply_shedding(d: Deployed) -> None:
+    d.runtime.resources = _Pressure()
+
+
+def _apply_loss_then_shedding(d: Deployed) -> None:
+    d.runtime.network_loss["geo"] = 0.4
+    d.runtime.resources = _Pressure()
+
+
+def _apply_loss_on_unreachable(d: Deployed) -> None:
+    d.runtime.network_loss["search"] = 0.4
+    _scale(d, "search", 0)
+
+
+#: every state the two tiers must agree on: the statistical families, the
+#: states TestProfileCacheInvalidation reaches, node-pressure shedding, and
+#: two states where two rules compete for the same hop (so a tier that
+#: checked them in another order would show)
+STATES = {
+    **FAULT_FAMILIES,
+    "total_loss": lambda d: d.runtime.network_loss.update(search=1.0),
+    "user_dropped": lambda d: d.app.backends["mongodb-geo"].drop_user("admin"),
+    "credentials_removed": _remove_credentials,
+    "scaled_to_zero": lambda d: _scale(d, "search", 0),
+    "deleted_service":
+        lambda d: d.cluster.delete_service(d.app.namespace, "geo"),
+    "entry_unreachable": lambda d: _scale(d, "frontend", 0),
+    "shedding": _apply_shedding,
+    "loss_then_shedding": _apply_loss_then_shedding,
+    "loss_on_unreachable": _apply_loss_on_unreachable,
+}
+
+
+class TestTierAgreement:
+    """The tiers agree branch for branch, not just on average: drive
+    ``execute`` down every path of every operation with scripted coins and
+    compare what each path did — and how likely it was — with the compiled
+    profile's outcomes.  Both read one resolved plan, so this holds by
+    construction; the test is what fails if they are ever made to differ."""
+
+    @staticmethod
+    def _walked(d: Deployed, op: str, fire_at) -> tuple[tuple, float, int]:
+        """One ``execute`` whose fault coins all come up False, except the
+        ``fire_at``-th: (what happened, its probability, coins flipped)."""
+        rt = d.runtime
+        rt.NOISE_WARN = rt.INFO_SAMPLE = 0.0   # noise coins: forced False
+        flipped: list[float] = []
+
+        def scripted(p: float) -> bool:
+            if p == 0.0:
+                return False
+            flipped.append(p)
+            return len(flipped) - 1 == fire_at
+
+        rt.rng.bernoulli = scripted
+        logs_before = len(d.collector.logs)
+        requests = Counter(d.collector._window_requests)
+        errors = Counter(d.collector._window_errors)
+        result = rt.execute(op)
+        requests = Counter(d.collector._window_requests) - requests
+        errors = Counter(d.collector._window_errors) - errors
+        trace = d.collector.traces.query()[-1]
+        assert trace.trace_id == result.trace_id
+        prob = math.prod(p if i == fire_at else 1.0 - p
+                         for i, p in enumerate(flipped))
+        return (
+            (result.ok,
+             result.error.kind if result.error else None,
+             result.error.message if result.error else None,
+             tuple(result.error_services),
+             tuple((s.service, s.operation, s.status, s.error_message)
+                   for s in trace.spans),
+             tuple((r.service, r.level, r.message)
+                   for r in d.collector.logs.query()[logs_before:]
+                   if r.level in ("ERROR", "WARN")),
+             frozenset(requests.items()), frozenset(errors.items())),
+            prob, len(flipped))
+
+    @staticmethod
+    def _compiled(profile, o) -> tuple:
+        requests = Counter(o.visit_counts) + Counter(o.hop_fail_counts)
+        errors = Counter(o.error_visit_counts) + Counter(o.hop_fail_counts)
+        if o.client_fail:
+            requests[profile.entry] += 1
+            errors[profile.entry] += 1
+        return (o.ok,
+                o.error.kind if o.error else None,
+                o.error.message if o.error else None,
+                o.error_services,
+                tuple((s.service, s.operation, s.status, s.error_message)
+                      for s in o.spans),
+                o.logs,
+                frozenset(requests.items()), frozenset(errors.items()))
+
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_every_branch_of_every_operation(self, state):
+        d = Deployed()
+        STATES[state](d)
+        for op in sorted(d.app.operations):
+            profile = compile_profile(
+                resolve(d.runtime, d.app.operations[op]))
+            compiled = {self._compiled(profile, o): o.prob
+                        for o in profile.outcomes}
+            assert len(compiled) == profile.n_outcomes, (state, op)
+
+            first, prob, coins = self._walked(d, op, fire_at=None)
+            walked = {first: prob}
+            for i in range(coins):
+                branch, prob, _ = self._walked(d, op, fire_at=i)
+                assert branch not in walked, (state, op, i)
+                walked[branch] = prob
+            # a path that needed a p = 1 coin to come up False is no path
+            walked = {b: p for b, p in walked.items() if p > 0.0}
+
+            assert set(walked) == set(compiled), (state, op)
+            for branch, prob in walked.items():
+                assert compiled[branch] == pytest.approx(prob, rel=1e-12), \
+                    (state, op, branch[1])
+
+    def test_states_cover_every_kind_of_branch(self):
+        """The sweep above is only as good as its states: between them
+        they must reach every gate, both stubs and both log rules."""
+        kinds, stubs, coins, own_logs = set(), set(), set(), set()
+        for apply_state in STATES.values():
+            d = Deployed()
+            apply_state(d)
+            for op in d.app.operations.values():
+                plan = resolve(d.runtime, op)
+                stack = [plan.root]
+                while stack:
+                    hop = stack.pop()
+                    stack.extend(hop.children)
+                    coins.update(name for name in ("p_drop", "p_shed")
+                                 if getattr(hop, name) > 0)
+                    if hop.blocked is not None:
+                        stubs.add("client" if hop is plan.root else "hop")
+                    if hop.handler is not None:
+                        kinds.add(hop.handler.kind.value)
+                        own_logs.add(handler_log(hop.handler) is None)
+        assert coins == {"p_drop", "p_shed"}
+        assert stubs == {"client", "hop"}
+        assert own_logs == {True, False}
+        assert kinds >= {"app_bug", "auth_failed", "not_authorized",
+                         "user_not_found", "unavailable"}
+
+
 class TestProfileCacheInvalidation:
     """The path profile is a derived cache over cluster/backend/helm state;
     every mutator an agent (or fault) can reach must invalidate it —
@@ -291,6 +472,97 @@ class TestProfileCacheInvalidation:
         assert batch.error_kinds == {"connection_refused": 200}
         assert batch.error_services == {"frontend": 200}
         assert batch.latency_sum_ms == pytest.approx(200.0)
+
+
+def _kubectl_set_image(d: Deployed) -> None:
+    Kubectl(d.cluster).run(
+        f"kubectl set image deployment/geo "
+        f"geo=deathstarbench/hotel-geo:buggy-v2 -n {d.app.namespace}")
+
+
+def _delete_geo_pod(d: Deployed) -> None:
+    pod = [p for p in d.cluster.pods_in(d.app.namespace)
+           if p.owner == "geo"][0]
+    d.cluster.delete_pod(d.app.namespace, pod.name)
+
+
+def _memcached_down(d: Deployed) -> None:
+    d.app.backends["memcached-rate"].up = False
+
+
+#: the mutations TestProfileCacheInvalidation makes, with the error kind
+#: the very next request must fail with (None: it must still succeed)
+MUTATIONS = {
+    "kubectl_set_image": (_kubectl_set_image, "app_bug"),
+    "helm_upgrade": (
+        lambda d: d.app.helm.upgrade(
+            d.app.release_name, {"mongo_credentials": {"mongodb-rate": None}}),
+        "auth_failed"),
+    "helm_values_surgery": (_remove_credentials, "auth_failed"),
+    "pod_delete": (_delete_geo_pod, None),
+    "scale_to_zero": (STATES["scaled_to_zero"], "connection_refused"),
+    "backend_toggle": (_memcached_down, "unavailable"),
+    "mongo_revoke_roles": (_apply_auth_failure, "not_authorized"),
+    "mongo_drop_user": (STATES["user_dropped"], "user_not_found"),
+    "network_loss_change": (STATES["total_loss"], "network_drop"),
+    "entry_unreachable": (STATES["entry_unreachable"], "connection_refused"),
+}
+
+
+class TestPerRequestPlanInvalidation:
+    """``execute`` walks a cached plan behind the same counter key that
+    guards compiled profiles, so the reference tier owes the same promise:
+    every mutation shows on the very next request."""
+
+    @pytest.fixture
+    def resolved(self, monkeypatch):
+        """Names of the ops ``resolve`` was called for, in call order."""
+        calls: list[str] = []
+
+        def counting(rt, op):
+            calls.append(op.name)
+            return resolve(rt, op)
+
+        monkeypatch.setattr(runtime_module, "resolve", counting)
+        return calls
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_first_execute_after_mutation_sees_it(self, mutation, resolved):
+        mutate, kind = MUTATIONS[mutation]
+        d = Deployed()
+        assert d.runtime.execute(OP).ok
+        assert d.runtime.execute(OP).ok
+        assert resolved == [OP]
+        mutate(d)
+        result = d.runtime.execute(OP)
+        assert (result.error.kind.value if result.error else None) == kind
+        assert resolved == [OP, OP]
+
+    def test_mutation_is_undone_on_the_next_request_too(self):
+        d = Deployed()
+        assert d.runtime.execute(OP).ok
+        for mutate, undo in [
+            (_memcached_down,
+             lambda d: setattr(d.app.backends["memcached-rate"], "up", True)),
+            (STATES["total_loss"], lambda d: d.runtime.network_loss.clear()),
+            (STATES["scaled_to_zero"], lambda d: _scale(d, "search", 1)),
+        ]:
+            mutate(d)
+            assert not d.runtime.execute(OP).ok
+            undo(d)
+            assert d.runtime.execute(OP).ok
+
+    def test_unmutated_runtime_resolves_each_op_once(self, resolved):
+        d = Deployed()
+        ops = sorted(d.app.operations)
+        for _ in range(25):
+            for op in ops:
+                d.runtime.execute(op)
+        # the aggregate tier fetches through the same cache
+        d.runtime.execute_many_all([(op, 50) for op in ops])
+        assert sorted(resolved) == ops
+        # ... and a plan fetch alone is not a profile install
+        assert d.runtime.profile_stats["compiles"] == len(ops)
 
 
 class TestAdaptiveTailReservoir:
