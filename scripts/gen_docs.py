@@ -1,11 +1,15 @@
 #!/usr/bin/env python
 """Generate the checked-in docs that mirror code-owned registries.
 
-Two files are generated (and committed, so readers need no tooling):
+Three files are generated (and committed, so readers need no tooling):
 
 * ``docs/api/actions.md`` — the Agent-Cloud Interface reference, rendered
   from the ``@action`` registry exactly as sessions render it for agents
   (``registry_for(task).render_docs()`` per task type);
+* ``docs/api/shell.md`` — what ``exec_shell`` accepts: the policy's allowed
+  binaries and deny patterns, and the kubectl / helm / file-tool grammar,
+  rendered from the same tables the shell dispatches through and
+  ``kubectl``'s usage text is printed from;
 * ``docs/scenarios.md`` — the scenario-problem catalog behind
   ``repro.problems.scenario_pids()``: pid, hosted app(s), fidelity/rate,
   trigger kinds and the full fault timeline per scenario, plus the
@@ -29,6 +33,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
+from repro.core import shell  # noqa: E402
 from repro.core.aci import registry_for  # noqa: E402
 from repro.core.problem import Problem  # noqa: E402
 from repro.faults.triggers import (  # noqa: E402
@@ -36,6 +41,8 @@ from repro.faults.triggers import (  # noqa: E402
     AtTime,
     MetricTrigger,
 )
+from repro.kubesim.grammar import SHELL_OPERATORS, Flag  # noqa: E402
+from repro.kubesim.kubectl import KINDS, VERBS  # noqa: E402
 from repro.problems.scenarios import (  # noqa: E402
     MultiAppScheduledProblem,
     SCENARIO_FACTORIES,
@@ -74,6 +81,105 @@ def render_actions_md() -> str:
         out.append(registry.render_docs())
         out.append("```")
         out.append("")
+    return "\n".join(out)
+
+
+def _render_flags(spec: dict[str, Flag]) -> str:
+    """One verb's flag spec, each flag once with all its spellings."""
+    out = []
+    for flag in dict.fromkeys(spec.values()):
+        text = "`" + ", ".join(flag.names) + "`"
+        if flag.takes_value:
+            text += " N" if flag.integer else " VALUE"
+        notes = [note for note, on in (
+            ("required", flag.required), ("repeatable", flag.repeated),
+            ("accepted and ignored", flag.dest is None)) if on]
+        out.append(text + (f" ({', '.join(notes)})" if notes else ""))
+    return "; ".join(out) or "—"
+
+
+def _render_verbs(binary: str, verbs: dict) -> list[str]:
+    out = ["| command | resource kinds | flags |", "|---|---|---|"]
+    for verb in {id(v): v for v in verbs.values()}.values():
+        spellings = " / ".join(k for k, v in verbs.items() if v is verb)
+        usage = "`" + " ".join(
+            filter(None, [binary, spellings, verb.synopsis])) + "`"
+        if verb.handler is None:
+            usage = f"`{binary} {spellings}` {verb.synopsis}"
+        out.append(f"| {usage.replace('|', chr(92) + '|')} "
+                   f"| {', '.join(verb.kinds) or '—'} "
+                   f"| {_render_flags(verb.flags)} |")
+    return out
+
+
+def render_shell_md() -> str:
+    """What ``exec_shell`` accepts, from the tables it dispatches through."""
+    out = [
+        GENERATED_BANNER,
+        "# `exec_shell` — command reference",
+        "",
+        "`exec_shell(command)` runs **one** command against the simulated",
+        "environment.  The command is tokenized once (POSIX quoting), checked",
+        "against the security policy, and dispatched through the tables",
+        "below; anything they do not list is answered with an `error:` line",
+        "naming the offending token — never guessed at, and a rejected",
+        "command never changes the environment.",
+        "",
+        "## Security policy",
+        "",
+        "Allowed binaries: "
+        + ", ".join(f"`{b}`" for b in sorted(shell.ALLOWED_BINARIES)) + ".",
+        "Anything else is answered with `PolicyError:`, as is any command",
+        "matching a deny pattern:",
+        "",
+        "| pattern | reason |",
+        "|---|---|",
+    ]
+    for pattern, why in shell.DENY_PATTERNS:
+        shown = pattern.pattern.replace("|", chr(92) + "|")
+        out.append(f"| `{shown}` | {why} |")
+    operators = " ".join(f"`{op}`" for op in sorted(SHELL_OPERATORS))
+    out += [
+        "",
+        "There is no shell behind `exec_shell`: the bare operators",
+        f"{operators} are rejected up front.".replace("|", chr(92) + "|"),
+        "Use `grep`/`head`/`tail` on the files the telemetry actions export.",
+        "",
+        "## kubectl",
+        "",
+        "Flags may appear anywhere before a `--` (including before the",
+        "verb); everything after `--` belongs to the container command.",
+        "A target is `TYPE[/NAME] [NAME]` with `TYPE` any spelling below.",
+        "",
+        "### Resource kinds",
+        "",
+        "| kind | also spelled | namespaced | `get NAME` | `top` |",
+        "|---|---|---|---|---|",
+    ]
+    for kind in KINDS.values():
+        out.append(
+            f"| {kind.name} | {', '.join(kind.aliases)} "
+            f"| {'yes' if kind.namespaced else 'no'} "
+            f"| {'yes' if kind.get else 'list only'} "
+            f"| {'yes' if kind.top else '—'} |")
+    out += ["", "### Verbs", ""]
+    out += _render_verbs("kubectl", VERBS)
+    out += ["", "## helm", ""]
+    out += _render_verbs("helm", shell.HELM_VERBS)
+    out += [
+        "",
+        "## File tools",
+        "",
+        "Read-only, and confined to the session's telemetry export",
+        "directory (relative paths resolve against it).  `echo` prints its",
+        "arguments.",
+        "",
+        "| tool | flags |",
+        "|---|---|",
+    ]
+    for tool, spec in shell.FILE_TOOLS.items():
+        out.append(f"| `{tool}` | {_render_flags(spec)} |")
+    out.append("")
     return "\n".join(out)
 
 
@@ -220,6 +326,7 @@ def main() -> None:
 
     targets = {
         REPO / "docs" / "api" / "actions.md": render_actions_md(),
+        REPO / "docs" / "api" / "shell.md": render_shell_md(),
         REPO / "docs" / "scenarios.md": render_scenarios_md(),
     }
     stale = []

@@ -87,7 +87,7 @@ class TaskActions:
             return Observation.error(
                 f"Error: Your service/namespace does not exist: {service}",
                 namespace=ns, service=service)
-        text = self.env.collector.logs.tail_service(ns, service, tail)
+        text = self.env.collector.logs.tail_service(ns, service, int(tail))
         if not text:
             return Observation(
                 f"Saved logs to {path}. Service {service} has produced "

@@ -20,6 +20,7 @@ reflecting over that class.  This module replaces both mechanisms:
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
@@ -33,7 +34,7 @@ _ACTION_ATTR = "__aci_action__"
 _ERROR_PREFIXES = ("error:", "error from", "policyerror", "sh:")
 
 #: annotation (as written, or the type's name) -> what an agent may pass
-#: for it; a float is a usable ``int`` count of minutes or lines
+#: for it; a finite float is a usable ``int`` count of minutes or lines
 _ARG_TYPES = {"str": (str,), "int": (int, float)}
 #: parameters that may be None: the telemetry actions read a missing
 #: namespace as "the session's own"
@@ -259,7 +260,8 @@ class ActionRegistry:
                 continue
             annotation = getattr(param.annotation, "__name__", param.annotation)
             expected = _ARG_TYPES.get(annotation)
-            if expected is None or isinstance(value, expected) \
+            finite = not isinstance(value, float) or math.isfinite(value)
+            if expected is None or (isinstance(value, expected) and finite) \
                     or (value is None and pname in _NONE_OK):
                 continue
             return (f"Error: invalid arguments for {name}: {pname} must be "

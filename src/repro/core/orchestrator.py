@@ -22,6 +22,7 @@ from repro.core.evaluator import EvaluationResult, Evaluator
 from repro.core.parser import ActionParseError, parse_action
 from repro.core.problem import Problem
 from repro.core.session import Session, Step
+from repro.simcore import SimError
 
 
 def run_coroutine_sync(coro) -> Any:
@@ -213,9 +214,9 @@ class SessionHandle:
         try:
             return self.registry.execute(
                 self.actions, parsed.name, *parsed.args, **parsed.kwargs)
-        except SubmissionReceived:
-            raise
-        except Exception as e:  # surface env errors as feedback, not crashes
+        except SimError as e:
+            # the environment's refusal is the agent's feedback; anything else
+            # is a simulator defect for the case boundary (core/batch.py)
             return f"Error: {e}"
 
     def _result_dict(self, result: EvaluationResult) -> dict:

@@ -73,7 +73,8 @@ def parse_action(text: str,
                 kw.arg: ast.literal_eval(kw.value)
                 for kw in call.keywords if kw.arg is not None
             }
-        except (ValueError, SyntaxError) as e:
+        except (ValueError, SyntaxError, TypeError, RecursionError,
+                MemoryError) as e:  # everything ast.literal_eval documents
             # strip object reprs (``<ast.Name object at 0x7f...>``) from the
             # message: memory addresses would make the observation text —
             # and thus recorded trajectories — differ between identical runs

@@ -1,8 +1,10 @@
 """``exec_shell``: the security-filtered shell behind the ACI.
 
-Routes ``kubectl`` to the Kubectl facade, ``helm`` to a small helm CLI
-parser, and blocks anything destructive or out of scope — the paper's
-"execute shell commands after applying security policy filters".
+Routes ``kubectl`` to the Kubectl facade, ``helm`` to a small helm CLI and
+the file tools to the telemetry export directory, and blocks anything
+destructive or out of scope — the paper's "execute shell commands after
+applying security policy filters".  helm and the file tools are tables read
+through :mod:`repro.kubesim.grammar`, like kubectl's.
 """
 
 from __future__ import annotations
@@ -11,13 +13,16 @@ import re
 import shlex
 from typing import TYPE_CHECKING
 
-from repro.simcore import PolicyViolation
+from repro.kubesim.grammar import (
+    Flag, Verb, extract_flags, flag_spec, ignored,
+    reject_shell_operators, resolve, usage)
+from repro.simcore import InvalidAction, PolicyViolation
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import CloudEnvironment
 
 #: commands the policy always refuses, with the regexes that catch them
-_DENY_PATTERNS = [
+DENY_PATTERNS = [
     (re.compile(r"\brm\s+-rf\s+/"), "recursive delete of filesystem root"),
     (re.compile(r"\b(shutdown|reboot|halt)\b"), "host power control"),
     (re.compile(r"\bmkfs\b"), "filesystem formatting"),
@@ -28,8 +33,30 @@ _DENY_PATTERNS = [
      "namespace deletion would destroy the environment"),
 ]
 
+_HELM_NS = ignored("-n", "--namespace", value=True)
+_HELM_LIST = Verb("list", "", flag_spec(
+    _HELM_NS, ignored("-a", "--all", "-A", "--all-namespaces")), "_run_helm")
+HELM_VERBS = {
+    "list": _HELM_LIST, "ls": _HELM_LIST,
+    "upgrade": Verb("upgrade", "RELEASE --set KEY=VALUE [--set ...]", flag_spec(
+        _HELM_NS, Flag(("--set",), "sets", repeated=True),
+        ignored("--reuse-values")), "_run_helm"),
+    "get values": Verb("get values", "RELEASE", flag_spec(
+        _HELM_NS, ignored("-a", "--all")), "_run_helm"),
+}
+
+_LINES = Flag(("-n", "--lines"), "lines", integer=True)
+#: read-only tools over the exported telemetry -> the flags each accepts
+FILE_TOOLS = {
+    "cat": flag_spec(),
+    "ls": flag_spec(ignored("-l", "-a", "-la", "-al")),
+    "grep": flag_spec(ignored("-i", "-r", "-n")),
+    "head": flag_spec(_LINES),
+    "tail": flag_spec(_LINES),
+}
+
 #: binaries the policy allows as entry points
-_ALLOW_BINARIES = {"kubectl", "helm", "cat", "ls", "grep", "head", "tail", "echo"}
+ALLOWED_BINARIES = {"kubectl", "helm", "echo", *FILE_TOOLS}
 
 
 class ShellExecutor:
@@ -40,7 +67,11 @@ class ShellExecutor:
 
     def check_policy(self, command: str) -> None:
         """Raise :class:`PolicyViolation` if the command is disallowed."""
-        for pattern, why in _DENY_PATTERNS:
+        self._admit(command)
+
+    def _admit(self, command: str) -> list[str]:
+        """The policy gate; returns the command's argv (tokenized once)."""
+        for pattern, why in DENY_PATTERNS:
             if pattern.search(command):
                 raise PolicyViolation(f"command blocked by security policy: {why}")
         try:
@@ -49,141 +80,112 @@ class ShellExecutor:
             raise PolicyViolation(f"unparseable command: {e}") from None
         if not argv:
             raise PolicyViolation("empty command")
-        if argv[0] not in _ALLOW_BINARIES:
+        if argv[0] not in ALLOWED_BINARIES:
             raise PolicyViolation(
                 f'binary "{argv[0]}" is not in the allowed set '
-                f"({', '.join(sorted(_ALLOW_BINARIES))})"
+                f"({', '.join(sorted(ALLOWED_BINARIES))})"
             )
+        return argv
 
     def run(self, command: str) -> str:
-        """Execute one command; policy violations come back as error text."""
+        """Execute one command; policy violations and malformed commands
+        come back as error text, never as exceptions."""
         try:
-            self.check_policy(command)
+            argv = self._admit(command)
+            reject_shell_operators(argv)
+            binary = argv[0]
+            if binary == "kubectl":
+                return self.env.kubectl.run(argv)
+            if binary == "helm":
+                return self._run_helm(argv[1:])
+            if binary == "echo":
+                return " ".join(argv[1:])
+            return self._run_file_tool(binary, argv[1:])
         except PolicyViolation as e:
             return f"PolicyError: {e}"
-        argv = shlex.split(command)
-        binary = argv[0]
-        if binary == "kubectl":
-            return self.env.kubectl.run(command)
-        if binary == "helm":
-            return self._run_helm(argv[1:])
-        if binary == "echo":
-            return " ".join(argv[1:])
-        if binary in ("cat", "ls", "grep", "head", "tail"):
-            return self._run_file_tool(argv)
-        return f"sh: command not found: {binary}"
+        except InvalidAction as e:
+            return f"error: {e}"
 
     # -- helm CLI -----------------------------------------------------------
     def _run_helm(self, argv: list[str]) -> str:
         helm = self.env.helm
         if not argv:
-            return "helm: usage: helm [list|upgrade|get] ..."
-        verb = argv[0]
-        if verb in ("list", "ls"):
+            return f"helm: usage:\n{usage('helm', HELM_VERBS)}"
+        verb, flags, args, _ = resolve("helm", argv, HELM_VERBS)
+        if verb.name == "list":
             rows = [
                 f"{r.name}\t{r.namespace}\t{r.revision}\t{r.chart.name}-{r.chart.version}"
                 for r in helm.releases.values()
             ]
             return "NAME\tNAMESPACE\tREVISION\tCHART\n" + "\n".join(rows)
-        if verb == "upgrade":
-            rest = [a for a in argv[1:] if not a.startswith("-")]
-            sets = self._collect_set_flags(argv[1:])
-            if not rest:
-                return "Error: helm upgrade needs a release name"
-            release_name = rest[0]
-            if release_name not in helm.releases:
-                return f'Error: release "{release_name}" not found'
-            values = self._sets_to_values(sets)
-            helm.upgrade(release_name, values)
-            rel = helm.releases[release_name]
-            return (f'Release "{release_name}" has been upgraded. Happy Helming!\n'
-                    f"REVISION: {rel.revision}")
-        if verb == "get":
-            if len(argv) >= 3 and argv[1] == "values":
-                rel = helm.releases.get(argv[2])
-                if rel is None:
-                    return f'Error: release "{argv[2]}" not found'
-                return f"USER-SUPPLIED VALUES:\n{rel.values}"
-            return "helm get: supported: helm get values RELEASE"
-        return f'Error: unknown command "{verb}" for "helm"'
-
-    @staticmethod
-    def _collect_set_flags(argv: list[str]) -> list[str]:
-        sets = []
-        i = 0
-        while i < len(argv):
-            if argv[i] == "--set" and i + 1 < len(argv):
-                sets.append(argv[i + 1])
-                i += 2
-            elif argv[i].startswith("--set="):
-                sets.append(argv[i].split("=", 1)[1])
-                i += 1
-            else:
-                i += 1
-        return sets
+        if not args:
+            raise InvalidAction(f"helm {verb.name} needs a release name")
+        rel = helm.releases.get(args[0])
+        if rel is None:
+            return f'Error: release "{args[0]}" not found'
+        if verb.name == "get values":
+            return f"USER-SUPPLIED VALUES:\n{rel.values}"
+        # a rejected --set raises here, before the revision moves
+        helm.upgrade(rel.name, self._sets_to_values(flags.get("sets", [])))
+        return (f'Release "{rel.name}" has been upgraded. Happy Helming!\n'
+                f"REVISION: {rel.revision}")
 
     @staticmethod
     def _sets_to_values(sets: list[str]) -> dict:
         """``a.b.c=v`` strings → nested dict (helm --set semantics, dotted)."""
         values: dict = {}
         for assignment in sets:
-            if "=" not in assignment:
-                continue
-            path, raw = assignment.split("=", 1)
-            value: object = raw
-            if raw.lower() in ("true", "false"):
-                value = raw.lower() == "true"
+            path, eq, raw = assignment.partition("=")
+            if not eq:
+                raise InvalidAction(f'--set "{assignment}": expected KEY=VALUE')
+            *parents, leaf = path.split(".")
             node = values
-            keys = path.split(".")
-            for key in keys[:-1]:
+            for key in parents:
                 node = node.setdefault(key, {})
-            node[keys[-1]] = value
+                if not isinstance(node, dict):
+                    raise InvalidAction(
+                        f'--set "{assignment}": "{key}" is already set to a '
+                        f"value, it cannot also hold keys")
+            node[leaf] = {"true": True, "false": False}.get(raw.lower(), raw)
         return values
 
     # -- read-only file tools over exported telemetry --------------------------
-    def _run_file_tool(self, argv: list[str]) -> str:
+    def _run_file_tool(self, binary: str, argv: list[str]) -> str:
         """cat/ls/grep/head/tail restricted to the telemetry export root."""
-        import pathlib
-
         root = self.env.exporter.root.resolve()
-        binary = argv[0]
-        paths = [a for a in argv[1:] if not a.startswith("-")]
-        if binary == "grep" and len(paths) >= 2:
-            pattern, files = paths[0], paths[1:]
-        else:
-            pattern, files = "", paths
+        flags, files, tail = extract_flags(argv, FILE_TOOLS[binary])
+        files += tail
+        pattern = files.pop(0) if binary == "grep" and len(files) >= 2 else ""
         if not files:
-            if binary == "ls":
-                files = [str(root)]
-            else:
+            if binary != "ls":
                 return f"{binary}: missing file operand"
+            files = [str(root)]
+        n = flags.get("lines", 10)
         out: list[str] = []
         for f in files:
-            p = pathlib.Path(f)
-            if not p.is_absolute():
-                p = root / p
-            p = p.resolve()
-            if not str(p).startswith(str(root)):
-                return (f"PolicyError: {binary} may only access the telemetry "
-                        f"export directory {root}")
-            if binary == "ls":
-                if p.is_dir():
-                    out.append("\n".join(sorted(x.name for x in p.iterdir())))
-                elif p.exists():
-                    out.append(p.name)
-                else:
-                    return f"ls: cannot access '{f}': No such file or directory"
-                continue
-            if not p.exists():
-                return f"{binary}: {f}: No such file or directory"
-            text = p.read_text()
+            try:
+                p = (root / f).resolve()
+                if not p.is_relative_to(root):
+                    return (f"PolicyError: {binary} may only access the "
+                            f"telemetry export directory {root}")
+                if binary == "ls":
+                    if not p.exists():
+                        return (f"ls: cannot access '{f}': "
+                                f"No such file or directory")
+                    out.append("\n".join(sorted(x.name for x in p.iterdir()))
+                               if p.is_dir() else p.name)
+                    continue
+                text = p.read_text(errors="replace")
+            except (OSError, ValueError) as e:
+                # missing, a directory, unreadable, or not a usable path
+                return f"{binary}: {f}: {getattr(e, 'strerror', None) or e}"
+            lines = text.splitlines()
             if binary == "cat":
                 out.append(text)
             elif binary == "head":
-                out.append("\n".join(text.splitlines()[:10]))
+                out.append("\n".join(lines[:n]))
             elif binary == "tail":
-                out.append("\n".join(text.splitlines()[-10:]))
-            elif binary == "grep":
-                out.append("\n".join(
-                    line for line in text.splitlines() if pattern in line))
+                out.append("\n".join(lines[-n:] if n else []))
+            else:
+                out.append("\n".join(ln for ln in lines if pattern in ln))
         return "\n".join(out)

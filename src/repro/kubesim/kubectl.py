@@ -4,16 +4,24 @@ Language agents issue raw command strings (``kubectl get pods -n ns``); this
 module parses them and renders output formatted like the real CLI, including
 its error messages — the paper's ACI exposes exactly this surface through
 ``exec_shell``.
+
+The surface is two tables read through :mod:`repro.kubesim.grammar`:
+``KINDS`` (a resource type's spellings and how it is listed, fetched and
+tabulated) and ``VERBS`` (the flags and kinds each verb accepts).  Handlers
+receive an already validated ``(namespace, kind, name, flags, rest)``.
 """
 
 from __future__ import annotations
 
 import json
 import shlex
-from typing import Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.simcore import ResourceNotFound, InvalidAction
 from repro.kubesim.cluster import Cluster
+from repro.kubesim.grammar import (
+    NAMESPACE, Flag, Verb, flag_spec, ignored, reject_shell_operators,
+    resolve, usage)
 from repro.kubesim.objects import Deployment
 
 LogSource = Callable[[str, str, int], str]
@@ -37,16 +45,224 @@ def format_age(seconds: float) -> str:
     return f"{h // 24}d"
 
 
-def _tabulate(headers: list[str], rows: list[list[str]]) -> str:
+def _tabulate(ns: str, headers: Sequence[str], rows: list[list[str]]) -> str:
     """Left-aligned whitespace table in kubectl's style."""
+    if not rows:
+        return f"No resources found in {ns} namespace."
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    def fmt(cells: list[str]) -> str:
+    def fmt(cells: Sequence[str]) -> str:
         return "   ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     lines = [fmt(headers)] + [fmt(r) for r in rows]
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# KINDS: every resource type, stated once
+# ----------------------------------------------------------------------
+class Kind(NamedTuple):
+    """One resource type: its spellings and how ``get``/``top`` render it."""
+
+    name: str
+    aliases: tuple[str, ...]
+    headers: tuple[str, ...]
+    row: Callable[["Kubectl", Any], list[str]]
+    #: ``(cluster, namespace, or None for every namespace) -> objects``
+    list: Callable[[Cluster, Optional[str]], list]
+    #: ``(cluster, namespace, name) -> object``; None: the kind is list-only
+    get: Optional[Callable[[Cluster, str, str], Any]] = None
+    namespaced: bool = True
+    #: API group kubectl prints after the name (``deployment.apps``)
+    group: str = ""
+    #: how one named object renders, when not as a one-row table
+    detail: Optional[Callable[[Any], str]] = None
+    #: extra ``get`` columns while the resource plane reports node usage
+    plane_headers: tuple[str, ...] = ()
+    #: ``top``: (the Kubectl source attribute, headers, sample -> row)
+    top: Optional[tuple[str, tuple[str, ...], Callable[..., list[str]]]] = None
+
+
+def _stored(attr: str) -> Callable[[Cluster, Optional[str]], list]:
+    """Lister over one of Cluster's ``(namespace, name)``-keyed stores."""
+    def listing(cluster: Cluster, ns: Optional[str]) -> list:
+        return [o for (n, _), o in sorted(getattr(cluster, attr).items())
+                if ns in (None, n)]
+    return listing
+
+
+def _service_row(k: "Kubectl", s) -> list[str]:
+    ports = ",".join(f"{p.port}/TCP" for p in s.ports) or "<none>"
+    return [s.name, s.service_type, s.cluster_ip, "<none>", ports, k._age(s)]
+
+
+def _deployment_row(k: "Kubectl", d) -> list[str]:
+    pods, ready = k._readiness(d)
+    return [d.name, f"{ready}/{d.replicas}", str(len(pods)), str(ready),
+            k._age(d)]
+
+
+def _endpoints_row(k: "Kubectl", e) -> list[str]:
+    addrs = ",".join(f"{a.ip}:{a.port}" for a in e.addresses[:3])
+    if len(e.addresses) > 3:
+        addrs += f" + {len(e.addresses) - 3} more..."
+    return [e.name, addrs or "<none>", k._age(e)]
+
+
+def _node_row(k: "Kubectl", n) -> list[str]:
+    row = [n.name, "Ready" if n.ready else "NotReady", "<none>", k._age(n),
+           "v1.29.0-sim"]
+    if k.node_metrics_source is not None:
+        u = next((u for u in k.node_metrics_source() if u[0] == n.name), None)
+        row += ([f"{u[2]:.0f}%", f"{u[4]:.0f}%", str(u[5])]
+                if u else ["<unknown>", "<unknown>", "0"])
+    return row
+
+
+def _secret_detail(s) -> str:
+    # clear text — this is a simulator
+    lines = [f"Name:         {s.name}", f"Namespace:    {s.namespace}",
+             "Type:         Opaque", "", "Data", "===="]
+    return "\n".join(lines + [f"{k}:  {v}" for k, v in sorted(s.data.items())])
+
+
+KINDS: dict[str, Kind] = {kind.name: kind for kind in (
+    Kind("pod", ("pods", "po"), ("NAME", "READY", "STATUS", "RESTARTS", "AGE"),
+         lambda k, p: [p.name, p.ready_display(), p.status_display(),
+                       str(p.restart_count), k._age(p)],
+         _stored("pods"), Cluster.get_pod,
+         top=("metrics_source", ("NAME", "CPU(cores)", "MEMORY(bytes)"),
+              lambda pod, cpu, mem: [pod, f"{int(cpu)}m", f"{int(mem)}Mi"])),
+    Kind("service", ("services", "svc"),
+         ("NAME", "TYPE", "CLUSTER-IP", "EXTERNAL-IP", "PORT(S)", "AGE"),
+         _service_row, _stored("services"), Cluster.get_service),
+    Kind("deployment", ("deployments", "deploy"),
+         ("NAME", "READY", "UP-TO-DATE", "AVAILABLE", "AGE"), _deployment_row,
+         _stored("deployments"), Cluster.get_deployment, group=".apps"),
+    Kind("endpoints", ("ep",), ("NAME", "ENDPOINTS", "AGE"), _endpoints_row,
+         _stored("endpoints"), Cluster.get_endpoints),
+    Kind("event", ("events",),
+         ("LAST SEEN", "TYPE", "REASON", "OBJECT", "MESSAGE"),
+         lambda k, e: [format_age(k.cluster.clock.now - e.time), e.event_type,
+                       e.reason, f"{e.kind.lower()}/{e.name}", e.message],
+         lambda c, ns: [e for e in c.events
+                        if ns in (None, e.namespace)][-40:]),
+    Kind("node", ("nodes", "no"), ("NAME", "STATUS", "ROLES", "AGE", "VERSION"),
+         _node_row, lambda c, ns: sorted(c.nodes.values(), key=lambda n: n.name),
+         namespaced=False, plane_headers=("CPU%", "MEM%", "PODS"),
+         top=("node_metrics_source", ("NAME", "CPU(cores)", "CPU%",
+                                      "MEMORY(bytes)", "MEMORY%", "PODS"),
+              lambda name, cpu, pct, mem, mem_pct, pods: [
+                  name, f"{int(cpu)}m", f"{pct:.0f}%", f"{int(mem)}Mi",
+                  f"{mem_pct:.0f}%", str(pods)])),
+    Kind("configmap", ("configmaps", "cm"), ("NAME", "DATA", "AGE"),
+         lambda k, c: [c.name, str(len(c.data)), k._age(c)],
+         _stored("configmaps"), Cluster.get_configmap),
+    Kind("namespace", ("namespaces", "ns"), ("NAME", "STATUS", "AGE"),
+         lambda k, ns: [ns, "Active", "1h"],
+         lambda c, ns: sorted(c.namespaces), namespaced=False),
+    Kind("secret", ("secrets",), ("NAME", "TYPE", "DATA", "AGE"),
+         lambda k, s: [s.name, "Opaque", str(len(s.data)), k._age(s)],
+         _stored("secrets"), Cluster.get_secret, detail=_secret_detail),
+)}
+KIND_BY_SPELLING = {spelling: kind for kind in KINDS.values()
+                    for spelling in (kind.name, *kind.aliases)}
+
+
+def parse_target(verb: Verb, args: list[str],
+                 ) -> tuple[Kind, Optional[str], list[str]]:
+    """The one ``TYPE[/NAME] [NAME]`` parser: ``-> (kind, name, leftover)``."""
+    if not args:
+        raise InvalidAction(
+            f"you must specify the type of resource to {verb.name}")
+    word, slash, name = args[0].partition("/")
+    rest = args[1:]
+    if not slash and rest:
+        name, rest = rest[0], rest[1:]
+    kind = KIND_BY_SPELLING.get(word.lower())
+    if kind is None:
+        raise InvalidAction(
+            f'the server doesn\'t have a resource type "{word.lower()}"')
+    if kind.name not in verb.kinds:
+        raise InvalidAction(
+            f'{verb.name} is not supported for resource type "{kind.name}" '
+            f"(supported: {', '.join(verb.kinds)})")
+    if verb.needs_name and not name:
+        raise InvalidAction("you must specify a resource name")
+    return kind, name or None, rest
+
+
+# ----------------------------------------------------------------------
+# VERBS: every command, stated once
+# ----------------------------------------------------------------------
+_NS = flag_spec(NAMESPACE)
+_TARGET = "TYPE[/NAME] [NAME]"
+
+VERBS: dict[str, Verb] = {verb.name: verb for verb in (
+    Verb("get", f"{_TARGET} [-n NS | -A]", flag_spec(
+        NAMESPACE, ignored("-o", "--output", value=True),
+        Flag(("-A", "--all-namespaces"), "all_namespaces", takes_value=False)),
+        "_get", tuple(KINDS), needs_name=False),
+    Verb("describe", f"{_TARGET} [-n NS]", _NS, "_describe",
+         ("pod", "service", "deployment")),
+    Verb("logs", "POD [-n NS] [--tail=N]", flag_spec(
+        NAMESPACE, Flag(("--tail",), "tail", integer=True),
+        ignored("-c", "--container", "--since", value=True),
+        ignored("-f", "--follow", "-p", "--previous", "--timestamps")),
+        "_logs"),
+    Verb("exec", "POD [-n NS] -- COMMAND [ARG...]", flag_spec(
+        NAMESPACE, ignored("-c", "--container", value=True),
+        ignored("-it", "-i", "-t", "--stdin", "--tty")), "_exec"),
+    Verb("top", "pods|nodes [-n NS]", _NS, "_top",
+         tuple(k.name for k in KINDS.values() if k.top), needs_name=False),
+    Verb("delete", f"{_TARGET} [-n NS]", flag_spec(
+        NAMESPACE, ignored("--grace-period", value=True),
+        ignored("--force")),
+        "_delete", ("pod", "service", "deployment")),
+    Verb("scale", f"{_TARGET} --replicas=N [-n NS]", flag_spec(
+        NAMESPACE, Flag(("--replicas",), "replicas", integer=True,
+                        required=True)), "_scale", ("deployment",)),
+    Verb("patch", f"{_TARGET} -p JSON [-n NS]", flag_spec(
+        NAMESPACE, Flag(("-p", "--patch"), "patch", required=True),
+        ignored("--type", value=True)), "_patch", ("service", "deployment")),
+    Verb("set image", f"{_TARGET} CONTAINER=IMAGE... [-n NS]", _NS,
+         "_set_image", ("deployment",)),
+    Verb("rollout restart", f"{_TARGET} [-n NS]", _NS, "_rollout_restart",
+         ("deployment",)),
+    Verb("rollout status", f"{_TARGET} [-n NS]", _NS, "_rollout_status",
+         ("deployment",)),
+    Verb("apply", "-f requires a manifest file; this environment supports "
+         "imperative commands (scale, patch, set image, delete)", flag_spec(
+             NAMESPACE, ignored("-f", "--filename", value=True)), None),
+    Verb("edit", "is interactive and not supported; use patch", _NS, None),
+)}
+
+#: the ``-p`` fields the simulator acts on, and the JSON type each must have
+_PATCH_SHAPE = {"spec": {
+    "replicas": int, "selector": dict,
+    "ports": [{"port": int, "targetPort": int}],
+    "template": {"spec": {"nodeName": str,
+                          "containers": [{"name": str, "image": str}]}}}}
+_JSON_NAMES = {dict: "an object", list: "an array", int: "an integer",
+               str: "a string"}
+
+
+def _conform(value: Any, shape: Any, path: str = "") -> None:
+    """``InvalidAction`` naming the first path where ``value`` does not have
+    ``shape``'s JSON type; a null member reads as absent."""
+    kind = shape if isinstance(shape, type) else type(shape)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InvalidAction(
+            f"invalid patch: {path or 'the patch'} must be "
+            f"{_JSON_NAMES[kind]}, got {json.dumps(value)}")
+    if isinstance(shape, dict):
+        for key, member in shape.items():
+            if value.get(key) is not None:
+                _conform(value[key], member, f"{path}.{key}".lstrip("."))
+    elif isinstance(shape, list):
+        for i, item in enumerate(value):
+            _conform(item, shape[0], f"{path}[{i}]")
 
 
 class Kubectl:
@@ -88,14 +304,17 @@ class Kubectl:
     # ------------------------------------------------------------------
     # entry point
     # ------------------------------------------------------------------
-    def run(self, command: str) -> str:
-        """Execute one kubectl command string; returns CLI-style output.
+    def run(self, command: str | Sequence[str]) -> str:
+        """Execute one kubectl command; returns CLI-style output.
 
-        Errors come back as ``Error from server`` / usage strings rather
-        than exceptions, because that is the feedback a shell gives.
+        ``command`` is the command string, or the argv the shell already
+        split from it.  Errors come back as ``Error from server`` /
+        ``error:`` strings rather than exceptions, because that is the
+        feedback a shell gives.
         """
         try:
-            argv = shlex.split(command)
+            argv = (shlex.split(command) if isinstance(command, str)
+                    else list(command))
         except ValueError as e:
             return f"error: failed to parse command: {e}"
         if not argv:
@@ -103,282 +322,59 @@ class Kubectl:
         if argv[0] == "kubectl":
             argv = argv[1:]
         if not argv:
-            return self._usage()
-        verb = argv[0]
-        handler = {
-            "get": self._cmd_get,
-            "describe": self._cmd_describe,
-            "logs": self._cmd_logs,
-            "delete": self._cmd_delete,
-            "scale": self._cmd_scale,
-            "patch": self._cmd_patch,
-            "set": self._cmd_set,
-            "rollout": self._cmd_rollout,
-            "exec": self._cmd_exec,
-            "top": self._cmd_top,
-            "apply": self._cmd_apply,
-            "edit": lambda a: "error: edit is interactive and not supported; use patch",
-        }.get(verb)
-        if handler is None:
-            return f'error: unknown command "{verb}"\n{self._usage()}'
+            return ("kubectl controls the simulated Kubernetes cluster.\n"
+                    f"Supported:\n{usage('kubectl', VERBS)}")
         try:
-            return handler(argv[1:])
+            reject_shell_operators(argv)
+            verb, flags, args, tail = resolve("kubectl", argv, VERBS)
+            if verb.handler is None:
+                raise InvalidAction(verb.usage)
+            kind = name = None
+            if verb.kinds:
+                kind, name, args = parse_target(verb, args)
+            ns = flags.pop("namespace", None) or "default"
+            return getattr(self, verb.handler)(
+                ns, kind, name, flags, args + tail)
         except ResourceNotFound as e:
             return f"Error from server (NotFound): {e}"
         except InvalidAction as e:
             return f"error: {e}"
 
-    def _usage(self) -> str:
-        return (
-            "kubectl controls the simulated Kubernetes cluster.\n"
-            "Supported: get, describe, logs, delete, scale, patch, set image, "
-            "rollout, exec, top"
-        )
+    def _age(self, obj) -> str:
+        return format_age(self.cluster.clock.now - obj.meta.creation_time)
+
+    def _readiness(self, dep: Deployment) -> tuple[list, int]:
+        """A deployment's pods, and how many of them are available."""
+        pods = self.cluster.pods_for_deployment(dep)
+        return pods, sum(1 for p in pods if p.ready and not p.crash_looping)
 
     # ------------------------------------------------------------------
-    # flag helpers
+    # reads
     # ------------------------------------------------------------------
-    @staticmethod
-    def _extract_flag(args: list[str], *names: str, default: Optional[str] = None):
-        """Pop ``--flag value`` / ``--flag=value`` / ``-n value`` from args."""
-        value = default
-        out: list[str] = []
-        i = 0
-        while i < len(args):
-            a = args[i]
-            matched = False
-            for name in names:
-                if a == name:
-                    if i + 1 < len(args):
-                        value = args[i + 1]
-                        i += 2
-                        matched = True
-                    else:
-                        i += 1
-                        matched = True
-                    break
-                if a.startswith(name + "="):
-                    value = a.split("=", 1)[1]
-                    i += 1
-                    matched = True
-                    break
-            if not matched:
-                out.append(a)
-                i += 1
-        args[:] = out
-        return value
-
-    def _namespace(self, args: list[str]) -> str:
-        ns = self._extract_flag(args, "-n", "--namespace", default="default")
-        return ns or "default"
-
-    # ------------------------------------------------------------------
-    # get
-    # ------------------------------------------------------------------
-    def _cmd_get(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        self._extract_flag(args, "-o", "--output")  # accepted, table only
-        all_ns = "--all-namespaces" in args or "-A" in args
-        args = [a for a in args if a not in ("--all-namespaces", "-A")]
-        if not args:
-            return "error: you must specify the type of resource to get"
-        kind = args[0].lower()
-        rest = args[1:]
-        if "/" in kind:
-            kind, name = kind.split("/", 1)
-            rest = [name] + rest
-        if kind in ("pod", "pods", "po"):
-            return self._get_pods(ns, rest, all_ns)
-        if kind in ("service", "services", "svc"):
-            return self._get_services(ns, rest)
-        if kind in ("deployment", "deployments", "deploy"):
-            return self._get_deployments(ns, rest)
-        if kind in ("endpoints", "ep"):
-            return self._get_endpoints(ns, rest)
-        if kind in ("event", "events"):
-            return self._get_events(ns)
-        if kind in ("node", "nodes"):
-            return self._get_nodes()
-        if kind in ("configmap", "configmaps", "cm"):
-            return self._get_configmaps(ns, rest)
-        if kind in ("namespace", "namespaces", "ns"):
-            return self._get_namespaces()
-        if kind in ("secret", "secrets"):
-            return self._get_secrets(ns, rest)
-        return f'error: the server doesn\'t have a resource type "{kind}"'
-
-    def _get_pods(self, ns: str, rest: list[str], all_ns: bool) -> str:
-        self.cluster.require_namespace(ns)
-        if rest:
-            pods = [self.cluster.get_pod(ns, rest[0])]
-        elif all_ns:
-            pods = [p for _, p in sorted(self.cluster.pods.items())]
+    def _get(self, ns, kind, name, flags, rest) -> str:
+        every = kind.namespaced and flags.get("all_namespaces", False)
+        if kind.namespaced:
+            self.cluster.require_namespace(ns)
+        if name is None:
+            objs = kind.list(self.cluster, None if every else ns)
+        elif kind.get is None:
+            raise InvalidAction(f"{kind.name}s are listed, not fetched by "
+                                f"name: kubectl get {kind.name}s")
         else:
-            pods = self.cluster.pods_in(ns)
-        if not pods:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        headers = ["NAME", "READY", "STATUS", "RESTARTS", "AGE"]
-        if all_ns:
-            headers = ["NAMESPACE"] + headers
-        rows = []
-        for p in pods:
-            row = [
-                p.name, p.ready_display(), p.status_display(),
-                str(p.restart_count), format_age(now - p.meta.creation_time),
-            ]
-            if all_ns:
-                row = [p.namespace] + row
-            rows.append(row)
-        return _tabulate(headers, rows)
-
-    def _get_services(self, ns: str, rest: list[str]) -> str:
-        self.cluster.require_namespace(ns)
-        svcs = [self.cluster.get_service(ns, rest[0])] if rest else self.cluster.services_in(ns)
-        if not svcs:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        rows = []
-        for s in svcs:
-            ports = ",".join(f"{p.port}/TCP" for p in s.ports) or "<none>"
-            rows.append([
-                s.name, s.service_type, s.cluster_ip, "<none>", ports,
-                format_age(now - s.meta.creation_time),
-            ])
-        return _tabulate(
-            ["NAME", "TYPE", "CLUSTER-IP", "EXTERNAL-IP", "PORT(S)", "AGE"], rows
-        )
-
-    def _get_deployments(self, ns: str, rest: list[str]) -> str:
-        self.cluster.require_namespace(ns)
-        deps = [self.cluster.get_deployment(ns, rest[0])] if rest else self.cluster.deployments_in(ns)
-        if not deps:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        rows = []
-        for d in deps:
-            pods = self.cluster.pods_for_deployment(d)
-            ready = sum(1 for p in pods if p.ready and not p.crash_looping)
-            rows.append([
-                d.name, f"{ready}/{d.replicas}", str(len(pods)), str(ready),
-                format_age(now - d.meta.creation_time),
-            ])
-        return _tabulate(["NAME", "READY", "UP-TO-DATE", "AVAILABLE", "AGE"], rows)
-
-    def _get_endpoints(self, ns: str, rest: list[str]) -> str:
-        self.cluster.require_namespace(ns)
-        if rest:
-            eps = [self.cluster.get_endpoints(ns, rest[0])]
-        else:
-            eps = [e for (n, _), e in sorted(self.cluster.endpoints.items()) if n == ns]
-        if not eps:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        rows = []
-        for e in eps:
-            addrs = ",".join(f"{a.ip}:{a.port}" for a in e.addresses[:3])
-            if len(e.addresses) > 3:
-                addrs += f" + {len(e.addresses) - 3} more..."
-            rows.append([e.meta.name, addrs or "<none>",
-                         format_age(now - e.meta.creation_time)])
-        return _tabulate(["NAME", "ENDPOINTS", "AGE"], rows)
-
-    def _get_events(self, ns: str) -> str:
-        self.cluster.require_namespace(ns)
-        events = self.cluster.events_in(ns)
-        if not events:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        rows = [
-            [
-                format_age(now - e.time), e.event_type, e.reason,
-                f"{e.kind.lower()}/{e.name}", e.message,
-            ]
-            for e in events[-40:]
-        ]
-        return _tabulate(["LAST SEEN", "TYPE", "REASON", "OBJECT", "MESSAGE"], rows)
-
-    def _get_nodes(self) -> str:
-        now = self.cluster.clock.now
-        headers = ["NAME", "STATUS", "ROLES", "AGE", "VERSION"]
-        rows = [
-            [n.name, "Ready" if n.ready else "NotReady", "<none>",
-             format_age(now - n.meta.creation_time), "v1.29.0-sim"]
-            for n in sorted(self.cluster.nodes.values(), key=lambda n: n.name)
-        ]
+            objs = [kind.get(self.cluster, ns, name)]
+            if kind.detail is not None:
+                return kind.detail(objs[0])
+        headers = list(kind.headers)
         if self.node_metrics_source is not None:
-            # utilization-aware columns, only when the resource plane is
-            # wired in (seed environments keep byte-identical output)
-            headers += ["CPU%", "MEM%", "PODS"]
-            usage = {u[0]: u for u in self.node_metrics_source()}
-            for row in rows:
-                u = usage.get(row[0])
-                row += ([f"{u[2]:.0f}%", f"{u[4]:.0f}%", str(u[5])]
-                        if u else ["<unknown>", "<unknown>", "0"])
-        return _tabulate(headers, rows)
+            headers += kind.plane_headers
+        rows = [kind.row(self, o) for o in objs]
+        if every:
+            headers.insert(0, "NAMESPACE")
+            rows = [[o.namespace, *row] for o, row in zip(objs, rows)]
+        return _tabulate(ns, headers, rows)
 
-    def _get_configmaps(self, ns: str, rest: list[str]) -> str:
-        self.cluster.require_namespace(ns)
-        if rest:
-            cms = [self.cluster.get_configmap(ns, rest[0])]
-        else:
-            cms = [c for (n, _), c in sorted(self.cluster.configmaps.items()) if n == ns]
-        if not cms:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        rows = [
-            [c.name, str(len(c.data)), format_age(now - c.meta.creation_time)]
-            for c in cms
-        ]
-        return _tabulate(["NAME", "DATA", "AGE"], rows)
-
-    def _get_secrets(self, ns: str, rest: list[str] | None = None) -> str:
-        self.cluster.require_namespace(ns)
-        if rest:
-            # Named secret: render its data (clear text — this is a simulator).
-            s = self.cluster.get_secret(ns, rest[0])
-            lines = [f"Name:         {s.name}", f"Namespace:    {ns}",
-                     "Type:         Opaque", "", "Data", "===="]
-            lines += [f"{k}:  {v}" for k, v in sorted(s.data.items())]
-            return "\n".join(lines)
-        secrets = [s for (n, _), s in sorted(self.cluster.secrets.items()) if n == ns]
-        if not secrets:
-            return f"No resources found in {ns} namespace."
-        now = self.cluster.clock.now
-        rows = [
-            [s.name, "Opaque", str(len(s.data)), format_age(now - s.meta.creation_time)]
-            for s in secrets
-        ]
-        return _tabulate(["NAME", "TYPE", "DATA", "AGE"], rows)
-
-    def _get_namespaces(self) -> str:
-        rows = [[ns, "Active", "1h"] for ns in sorted(self.cluster.namespaces)]
-        return _tabulate(["NAME", "STATUS", "AGE"], rows)
-
-    # ------------------------------------------------------------------
-    # describe
-    # ------------------------------------------------------------------
-    def _cmd_describe(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        if not args:
-            return "error: you must specify the type of resource to describe"
-        kind = args[0].lower()
-        rest = args[1:]
-        if "/" in kind:
-            kind, name = kind.split("/", 1)
-            rest = [name] + rest
-        if not rest:
-            return "error: you must specify a resource name"
-        name = rest[0]
-        if kind in ("pod", "pods", "po"):
-            return self._describe_pod(ns, name)
-        if kind in ("service", "services", "svc"):
-            return self._describe_service(ns, name)
-        if kind in ("deployment", "deployments", "deploy"):
-            return self._describe_deployment(ns, name)
-        return f'error: describe not supported for resource type "{kind}"'
+    def _describe(self, ns, kind, name, flags, rest) -> str:
+        return getattr(self, f"_describe_{kind.name}")(ns, name)
 
     def _describe_pod(self, ns: str, name: str) -> str:
         pod = self.cluster.get_pod(ns, name)
@@ -431,8 +427,7 @@ class Kubectl:
 
     def _describe_deployment(self, ns: str, name: str) -> str:
         dep = self.cluster.get_deployment(ns, name)
-        pods = self.cluster.pods_for_deployment(dep)
-        ready = sum(1 for p in pods if p.ready and not p.crash_looping)
+        pods, ready = self._readiness(dep)
         lines = [
             f"Name:                   {dep.name}",
             f"Namespace:              {dep.namespace}",
@@ -447,190 +442,93 @@ class Kubectl:
             lines.append(f"  NodeName: {dep.template.node_name}")
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
-    # logs / exec / top
-    # ------------------------------------------------------------------
-    def _cmd_logs(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        tail = self._extract_flag(args, "--tail", default="50")
-        args = [a for a in args if not a.startswith("-")]
-        if not args:
-            return "error: expected 'logs POD_NAME'"
-        name = args[0]
-        pod = self.cluster.get_pod(ns, name)  # raises NotFound appropriately
+    def _logs(self, ns, kind, name, flags, rest) -> str:
+        if not rest:
+            raise InvalidAction("expected 'logs POD_NAME'")
+        pod = self.cluster.get_pod(ns, rest[0])
         if self.log_source is None:
             return ""
-        try:
-            n = int(tail)
-        except (TypeError, ValueError):
-            n = 50
-        return self.log_source(ns, pod.name, n)
+        return self.log_source(ns, pod.name, flags.get("tail", 50))
 
-    def _cmd_exec(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        self._extract_flag(args, "-c", "--container")
-        args = [a for a in args if a not in ("-it", "-i", "-t", "--stdin", "--tty")]
-        if "--" in args:
-            sep = args.index("--")
-            target, argv = args[:sep], args[sep + 1:]
-        else:
-            target, argv = args[:1], args[1:]
-        if not target:
-            return "error: expected 'exec POD_NAME -- COMMAND'"
-        pod = self.cluster.get_pod(ns, target[0])
-        if not argv:
-            return "error: you must specify at least one command for the container"
-        if self.exec_handler is None:
-            return f"error: exec not available in pod {pod.name}"
-        return self.exec_handler(ns, pod.name, argv)
-
-    def _cmd_top(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        if args and args[0] in ("node", "nodes", "no"):
-            return self._top_nodes()
-        if not args or args[0] not in ("pod", "pods", "po"):
-            return "error: top supports 'top pods' and 'top nodes'"
-        if self.metrics_source is None:
-            return "error: Metrics API not available"
-        rows = [
-            [pod, f"{int(cpu)}m", f"{int(mem)}Mi"]
-            for pod, cpu, mem in self.metrics_source(ns)
-        ]
-        if not rows:
-            return f"No resources found in {ns} namespace."
-        return _tabulate(["NAME", "CPU(cores)", "MEMORY(bytes)"], rows)
-
-    def _top_nodes(self) -> str:
-        if self.node_metrics_source is None:
-            return "error: Metrics API not available"
-        rows = [
-            [name, f"{int(cpu)}m", f"{pct:.0f}%", f"{int(mem)}Mi",
-             f"{mem_pct:.0f}%", str(pods)]
-            for name, cpu, pct, mem, mem_pct, pods
-            in self.node_metrics_source()
-        ]
-        return _tabulate(
-            ["NAME", "CPU(cores)", "CPU%", "MEMORY(bytes)", "MEMORY%",
-             "PODS"], rows)
-
-    # ------------------------------------------------------------------
-    # mutations
-    # ------------------------------------------------------------------
-    def _cmd_delete(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        self._extract_flag(args, "--grace-period")
-        args = [a for a in args if a != "--force"]
-        if not args:
-            return "error: you must specify the type of resource to delete"
-        kind = args[0].lower()
-        rest = args[1:]
-        if "/" in kind:
-            kind, name = kind.split("/", 1)
-            rest = [name] + rest
+    def _exec(self, ns, kind, name, flags, rest) -> str:
         if not rest:
-            return "error: you must specify a resource name"
-        name = rest[0]
-        if kind in ("pod", "pods", "po"):
-            self.cluster.delete_pod(ns, name)
-            return f'pod "{name}" deleted'
-        if kind in ("deployment", "deployments", "deploy"):
-            self.cluster.delete_deployment(ns, name)
-            return f'deployment.apps "{name}" deleted'
-        if kind in ("service", "services", "svc"):
-            self.cluster.delete_service(ns, name)
-            return f'service "{name}" deleted'
-        return f'error: delete not supported for resource type "{kind}"'
+            raise InvalidAction("expected 'exec POD_NAME -- COMMAND'")
+        pod = self.cluster.get_pod(ns, rest[0])
+        if not rest[1:]:
+            raise InvalidAction(
+                "you must specify at least one command for the container")
+        if self.exec_handler is None:
+            raise InvalidAction(f"exec not available in pod {pod.name}")
+        return self.exec_handler(ns, pod.name, rest[1:])
 
-    def _cmd_scale(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        replicas = self._extract_flag(args, "--replicas")
-        if replicas is None:
-            return "error: --replicas is required"
-        if not args:
-            return "error: expected 'scale deployment NAME --replicas=N'"
-        kind = args[0].lower()
-        rest = args[1:]
-        if "/" in kind:
-            kind, name = kind.split("/", 1)
-        elif rest:
-            name = rest[0]
-        else:
-            return "error: you must specify a resource name"
-        if kind not in ("deployment", "deployments", "deploy"):
-            return f'error: scale not supported for resource type "{kind}"'
-        try:
-            n = int(replicas)
-        except ValueError:
-            return f'error: invalid replicas value "{replicas}"'
-        self.cluster.scale_deployment(ns, name, n)
-        return f"deployment.apps/{name} scaled"
+    def _top(self, ns, kind, name, flags, rest) -> str:
+        source_attr, headers, row = kind.top
+        source = getattr(self, source_attr)
+        if source is None:
+            raise InvalidAction("Metrics API not available")
+        samples = source(ns) if kind.namespaced else source()
+        return _tabulate(ns, headers, [row(*s) for s in samples])
 
-    def _cmd_patch(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        patch_str = self._extract_flag(args, "-p", "--patch")
-        self._extract_flag(args, "--type")
-        if patch_str is None:
-            return "error: must specify -p to patch"
-        if not args:
-            return "error: you must specify the type of resource to patch"
-        kind = args[0].lower()
-        rest = args[1:]
-        if "/" in kind:
-            kind, name = kind.split("/", 1)
-        elif rest:
-            name = rest[0]
-        else:
-            return "error: you must specify a resource name"
-        try:
-            patch = json.loads(patch_str)
-        except json.JSONDecodeError as e:
-            return f"error: unable to parse patch: {e}"
-        if kind in ("service", "services", "svc"):
-            return self._patch_service(ns, name, patch)
-        if kind in ("deployment", "deployments", "deploy"):
-            return self._patch_deployment(ns, name, patch)
-        return f'error: patch not supported for resource type "{kind}"'
-
-    def _patch_service(self, ns: str, name: str, patch: dict) -> str:
-        svc = self.cluster.get_service(ns, name)
-        spec = patch.get("spec", {})
-        ports = spec.get("ports")
-        if ports:
-            for entry in ports:
-                port = entry.get("port")
-                tp = entry.get("targetPort")
-                for sp in svc.ports:
-                    if port is None or sp.port == port:
-                        if tp is not None:
-                            sp.target_port = int(tp)
-        selector = spec.get("selector")
-        if selector is not None:
-            svc.selector = dict(selector)
-        self.cluster.reconcile()
-        return f"service/{name} patched"
-
-    def _patch_deployment(self, ns: str, name: str, patch: dict) -> str:
+    def _rollout_status(self, ns, kind, name, flags, rest) -> str:
         dep = self.cluster.get_deployment(ns, name)
-        spec = patch.get("spec", {})
-        if "replicas" in spec:
-            self.cluster.scale_deployment(ns, name, int(spec["replicas"]))
-        tmpl = spec.get("template", {}).get("spec", {})
+        _, ready = self._readiness(dep)
+        if ready >= dep.replicas:
+            return f'deployment "{name}" successfully rolled out'
+        return (f"Waiting for deployment \"{name}\" rollout to finish: "
+                f"{ready} of {dep.replicas} updated replicas are available...")
+
+    # ------------------------------------------------------------------
+    # mutations: nothing changes until the whole command has validated
+    # ------------------------------------------------------------------
+    def _delete(self, ns, kind, name, flags, rest) -> str:
+        getattr(self.cluster, f"delete_{kind.name}")(ns, name)
+        return f'{kind.name}{kind.group} "{name}" deleted'
+
+    def _scale(self, ns, kind, name, flags, rest) -> str:
+        self.cluster.scale_deployment(ns, name, flags["replicas"])
+        return f"{kind.name}{kind.group}/{name} scaled"
+
+    def _rollout_restart(self, ns, kind, name, flags, rest) -> str:
+        self._restamp_pods(self.cluster.get_deployment(ns, name))
+        return f"{kind.name}{kind.group}/{name} restarted"
+
+    def _patch(self, ns, kind, name, flags, rest) -> str:
+        try:
+            patch = json.loads(flags["patch"])
+        except json.JSONDecodeError as e:
+            raise InvalidAction(f"unable to parse patch: {e}") from None
+        _conform(patch, _PATCH_SHAPE)
+        getattr(self, f"_patch_{kind.name}")(ns, name, patch)
+        return f"{kind.name}{kind.group}/{name} patched"
+
+    def _patch_service(self, ns: str, name: str, patch: dict) -> None:
+        svc = self.cluster.get_service(ns, name)
+        spec = patch.get("spec") or {}
+        for entry in spec.get("ports") or []:
+            port, target = entry.get("port"), entry.get("targetPort")
+            for sp in svc.ports:
+                if target is not None and port in (None, sp.port):
+                    sp.target_port = target
+        if spec.get("selector") is not None:
+            svc.selector = dict(spec["selector"])
+        self.cluster.reconcile()
+
+    def _patch_deployment(self, ns: str, name: str, patch: dict) -> None:
+        dep = self.cluster.get_deployment(ns, name)
+        spec = patch.get("spec") or {}
+        if spec.get("replicas") is not None:
+            # refuses a negative count before it changes anything
+            self.cluster.scale_deployment(ns, name, spec["replicas"])
+        tmpl = (spec.get("template") or {}).get("spec") or {}
         if "nodeName" in tmpl:
             dep.template.node_name = tmpl["nodeName"] or None
             self._restamp_pods(dep)
-        for c_patch in tmpl.get("containers", []):
+        for c_patch in tmpl.get("containers") or []:
             for c in dep.template.containers:
-                if c.name == c_patch.get("name") and "image" in c_patch:
+                if c.name == c_patch.get("name") and c_patch.get("image"):
                     c.image = c_patch["image"]
             self._restamp_pods(dep)
         self.cluster.reconcile()
-        return f"deployment.apps/{name} patched"
 
     def _restamp_pods(self, dep: Deployment) -> None:
         """Delete a deployment's pods so the controller recreates them from
@@ -640,68 +538,17 @@ class Kubectl:
         dep.generation += 1
         self.cluster.reconcile()
 
-    def _cmd_set(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        if not args or args[0] != "image":
-            return "error: set supports 'set image'"
-        rest = args[1:]
-        if not rest:
-            return "error: expected 'set image deployment/NAME CONTAINER=IMAGE'"
-        target = rest[0]
-        if "/" not in target:
-            return "error: expected resource in KIND/NAME form"
-        kind, name = target.split("/", 1)
-        if kind.lower() not in ("deployment", "deployments", "deploy"):
-            return f'error: set image not supported for "{kind}"'
+    def _set_image(self, ns, kind, name, flags, rest) -> str:
         dep = self.cluster.get_deployment(ns, name)
-        changed = False
-        for assignment in rest[1:]:
-            if "=" not in assignment:
-                return f'error: invalid image assignment "{assignment}"'
-            cname, image = assignment.split("=", 1)
-            for c in dep.template.containers:
-                if c.name == cname or cname == "*":
-                    c.image = image
-                    changed = True
-        if not changed:
-            return "error: no matching container found"
+        bad = next((a for a in rest if "=" not in a), None)
+        if bad is not None:
+            raise InvalidAction(f'invalid image assignment "{bad}"')
+        images = dict(a.split("=", 1) for a in rest)
+        matched = [c for c in dep.template.containers
+                   if c.name in images or "*" in images]
+        if not matched:
+            raise InvalidAction("no matching container found")
+        for c in matched:
+            c.image = images.get(c.name, images.get("*"))
         self._restamp_pods(dep)
-        return f"deployment.apps/{name} image updated"
-
-    def _cmd_rollout(self, args: list[str]) -> str:
-        args = list(args)
-        ns = self._namespace(args)
-        if not args:
-            return "error: expected 'rollout restart|status deployment/NAME'"
-        sub = args[0]
-        rest = args[1:]
-        if not rest:
-            return "error: you must specify a resource"
-        target = rest[0]
-        if "/" in target:
-            kind, name = target.split("/", 1)
-        elif len(rest) >= 2:
-            kind, name = rest[0], rest[1]
-        else:
-            return "error: you must specify a resource name"
-        if kind.lower() not in ("deployment", "deployments", "deploy"):
-            return f'error: rollout not supported for "{kind}"'
-        dep = self.cluster.get_deployment(ns, name)
-        if sub == "restart":
-            self._restamp_pods(dep)
-            return f"deployment.apps/{name} restarted"
-        if sub == "status":
-            pods = self.cluster.pods_for_deployment(dep)
-            ready = sum(1 for p in pods if p.ready and not p.crash_looping)
-            if ready >= dep.replicas:
-                return f'deployment "{name}" successfully rolled out'
-            return (f"Waiting for deployment \"{name}\" rollout to finish: "
-                    f"{ready} of {dep.replicas} updated replicas are available...")
-        return f'error: unknown rollout subcommand "{sub}"'
-
-    def _cmd_apply(self, args: list[str]) -> str:
-        return (
-            "error: apply -f requires a manifest file; this environment "
-            "supports imperative commands (scale, patch, set image, delete)"
-        )
+        return f"{kind.name}{kind.group}/{name} image updated"

@@ -206,6 +206,14 @@ class Endpoints:
     addresses: list[EndpointAddress] = field(default_factory=list)
 
     @property
+    def name(self) -> str:
+        return self.meta.name
+
+    @property
+    def namespace(self) -> str:
+        return self.meta.namespace
+
+    @property
     def reachable(self) -> bool:
         """True if at least one ready backend exists."""
         return len(self.addresses) > 0

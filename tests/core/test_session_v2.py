@@ -197,6 +197,9 @@ class TestExecutionErrors:
          "tail", "int", "'3' (str)"),
         ('exec_shell(None)', "command", "str", "None (NoneType)"),
         ('get_logs(["a"], "geo")', "namespace", "str", "['a'] (list)"),
+        # a count must be finite (this one raised OverflowError in the body)
+        ('get_logs("test-hotel-reservation", "geo", 1e999)',
+         "tail", "int", "inf (float)"),
     ])
     def test_wrong_typed_argument_names_the_parameter(
             self, call, param, expected, got):
@@ -213,6 +216,7 @@ class TestExecutionErrors:
         'get_logs(None, "geo")',
         'get_metrics("test-hotel-reservation", 2.5)',   # float minutes
         'get_logs("test-hotel-reservation", "geo", tail=3)',
+        'get_logs("test-hotel-reservation", "geo", 2.5)',   # float lines
         'exec_shell("kubectl get pods -n test-hotel-reservation")',
     ])
     def test_calls_accepted_before_stay_accepted(self, call):
@@ -222,17 +226,36 @@ class TestExecutionErrors:
         assert not obs.startswith("Error"), obs
 
     def test_typeerror_inside_action_not_misreported(self, monkeypatch):
-        """A TypeError raised by the action body is an execution error,
-        not an invalid-call error (the seed conflated the two)."""
-        handle = self._handle(['exec_shell("kubectl get pods")',
-                               'submit("yes")'])
-        def boom(command):
-            raise TypeError("boom inside the action body")
-        monkeypatch.setattr(handle.actions.shell, "run", boom)
+        """The line between "the environment refused the action" and "the
+        simulator broke": a ``SimError`` from an action body is feedback the
+        agent can act on; any other exception is a simulator defect — it
+        propagates out of ``run`` and the batch executor's case boundary
+        records it in ``outcome.error`` (errored, not *agent failed*)."""
+        from repro.core.shell import ShellExecutor
+        from repro.simcore import InvalidAction
+        script = ['exec_shell("kubectl get pods")', 'submit("yes")']
+
+        def refuse(self, command):
+            raise InvalidAction("refused by the environment")
+        monkeypatch.setattr(ShellExecutor, "run", refuse)
+        handle = self._handle(script)
         handle.run_sync(max_steps=5)
-        obs = handle.session.steps[0].observation
-        assert "boom inside the action body" in obs
-        assert "invalid arguments" not in obs
+        assert handle.session.steps[0].observation == \
+            "Error: refused by the environment"
+        assert handle.session.submitted
+
+        def boom(self, command):
+            raise TypeError("boom inside the action body")
+        monkeypatch.setattr(ShellExecutor, "run", boom)
+        with pytest.raises(TypeError, match="boom inside the action body"):
+            self._handle(script).run_sync(max_steps=5)
+        outcome, = run_sessions_sync(
+            [SessionSpec(problem=DetectionTask("RevokeAuth"),
+                         agent=ScriptedAgent(script), seed=3, max_steps=5)],
+            concurrency=1)
+        assert not outcome.ok and outcome.result is None
+        assert isinstance(outcome.error, TypeError)
+        assert not outcome.session.submitted
 
     def test_shell_command_recorded_from_keyword_argument(self):
         handle = self._handle(

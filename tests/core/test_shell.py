@@ -67,6 +67,21 @@ class TestHelmCli:
         assert env.app.get_credentials("rate", "mongodb-rate") == \
             ("admin", "rate-pass")
 
+    @pytest.mark.parametrize("sets, expected", [
+        ("--set a=1 --set a.b=2",
+         'error: --set "a.b=2": "a" is already set to a value'),
+        ("--set", "error: flag needs an argument: --set"),
+        ("--set tls.enabled", 'error: --set "tls.enabled": expected KEY=VALUE'),
+        ("--set a=1 --atomic", "error: unknown flag: --atomic"),
+    ])
+    def test_helm_upgrade_rejected_set_never_mutates(self, shell, env, sets,
+                                                     expected):
+        rel = env.helm.releases[env.app.release_name]
+        before = (env.cluster.state_version, rel.revision, dict(rel.values))
+        out = shell.run(f"helm upgrade {rel.name} {sets}")
+        assert out.startswith(expected)
+        assert (env.cluster.state_version, rel.revision, rel.values) == before
+
     def test_helm_upgrade_missing_release(self, shell):
         assert "not found" in shell.run("helm upgrade ghost --set a=1")
 
@@ -98,6 +113,33 @@ class TestFileTools:
         out = shell.run("grep authorized logs/geo.log")
         assert "not authorized" in out
 
-    def test_missing_file(self, shell, env):
-        env.exporter.root.mkdir(parents=True, exist_ok=True)
-        assert "No such file" in shell.run("cat nope.txt")
+    @pytest.mark.parametrize("command, expected", [
+        ("cat nope.txt", "No such file"),
+        ("cat logs", "cat: logs: Is a directory"),
+        ("head logs", "head: logs: Is a directory"),
+        ("tail -n 2 logs", "tail: logs: Is a directory"),
+        ("grep ERROR logs", "grep: logs: Is a directory"),
+    ])
+    def test_missing_file(self, shell, env, command, expected):
+        (env.exporter.root / "logs").mkdir(parents=True, exist_ok=True)
+        assert expected in shell.run(command)
+
+    def test_head_and_tail_take_a_line_count(self, shell, env):
+        (env.exporter.root / "logs").mkdir(parents=True, exist_ok=True)
+        (env.exporter.root / "logs" / "n.txt").write_text("1\n2\n3\n4\n5\n")
+        assert shell.run("tail -n 3 logs/n.txt") == "3\n4\n5"
+        assert shell.run("head --lines=2 logs/n.txt") == "1\n2"
+        assert shell.run("head logs/n.txt -n 1") == "1"
+        assert shell.run("tail -n x logs/n.txt").startswith(
+            'error: invalid argument "x" for -n')
+
+    @pytest.mark.parametrize("command", [
+        "kubectl get pods -n test-hotel-reservation | head -3",
+        "cat logs/all.jsonl | grep ERROR",
+        "kubectl get pods -n test-hotel-reservation > pods.txt",
+        "echo a && echo b",
+    ])
+    def test_shell_operators_are_rejected_up_front(self, shell, command):
+        out = shell.run(command)
+        assert out.startswith("error: shell operator ")
+        assert "grep/head/tail" in out

@@ -69,9 +69,54 @@ class TestGet:
         out = kubectl.run("kubectl get events -n app")
         assert "SuccessfulCreate" in out or "Scheduled" in out
 
-    def test_get_all_namespaces_flag(self, kubectl):
-        out = kubectl.run("kubectl get pods -A")
+    @pytest.mark.parametrize("command", [
+        "kubectl get pods -A",
+        "kubectl get -A pods",
+        "kubectl -A get pods",
+        "kubectl --all-namespaces get pods -o wide",
+    ])
+    def test_get_all_namespaces_flag(self, kubectl, command):
+        out = kubectl.run(command)
         assert "NAMESPACE" in out
+
+    def test_namespace_flag_before_the_verb(self, kubectl):
+        assert kubectl.run("kubectl -n app get pods") == \
+            kubectl.run("kubectl get pods -n app")
+        assert kubectl.run("kubectl --namespace=app get pods").count("web-") == 2
+
+    @pytest.mark.parametrize("command, flag", [
+        ("kubectl get pods --show-labels -n app", "--show-labels"),
+        ("kubectl get pods -l app=web -n app", "-l"),
+        ("kubectl get pods --field-selector=status.phase=Running -n app",
+         "--field-selector"),
+        ("kubectl delete pod --all -n app", "--all"),
+        ("kubectl describe pod -w web -n app", "-w"),
+    ])
+    def test_unlisted_flag_is_never_a_resource_name(self, kubectl, cluster,
+                                                    command, flag):
+        before = cluster.state_version
+        assert kubectl.run(command) == f"error: unknown flag: {flag}"
+        assert cluster.state_version == before
+
+    @pytest.mark.parametrize("command, flag", [
+        ("kubectl get pods -n", "-n"),
+        ("kubectl scale deployment web -n app --replicas", "--replicas"),
+        ("kubectl patch deployment web -n app -p", "-p"),
+    ])
+    def test_value_flag_without_a_value(self, kubectl, cluster, command, flag):
+        before = cluster.state_version
+        assert kubectl.run(command) == f"error: flag needs an argument: {flag}"
+        assert cluster.state_version == before
+
+    def test_shell_operator_is_not_a_resource_name(self, kubectl):
+        out = kubectl.run("kubectl get pods -n app | head -3")
+        assert out.startswith('error: shell operator "|" is not available')
+
+    def test_usage_lists_every_verb_in_the_table(self, kubectl):
+        from repro.kubesim.kubectl import VERBS
+        out = kubectl.run("kubectl")
+        for verb in VERBS:
+            assert f"kubectl {verb} " in out
 
     def test_unknown_resource_type(self, kubectl):
         out = kubectl.run("kubectl get widgets -n app")
@@ -129,9 +174,31 @@ class TestMutations:
         assert "patched" in out
         assert not cluster.service_reachable("app", "web")
 
-    def test_patch_invalid_json(self, kubectl):
-        out = kubectl.run("kubectl patch service web -n app -p '{bad json'")
-        assert "unable to parse" in out
+    @pytest.mark.parametrize("kind, patch, expected", [
+        ("service", "{bad json", "unable to parse"),
+        ("deployment", "[1]", "the patch must be an object, got [1]"),
+        ("deployment", "null", "the patch must be an object, got null"),
+        ("deployment", '{"spec":[]}', "spec must be an object, got []"),
+        ("deployment", '{"spec":{"template":{"spec":{"containers":[1]}}}}',
+         "spec.template.spec.containers[0] must be an object, got 1"),
+        ("deployment", '{"spec":{"replicas":"x"}}',
+         'spec.replicas must be an integer, got "x"'),
+        ("deployment", '{"spec":{"replicas":5,"template":{"spec":'
+                       '{"containers":[{"name":"web","image":7}]}}}}',
+         "spec.template.spec.containers[0].image must be a string, got 7"),
+        ("service", '{"spec":{"ports":[{"targetPort":"http"}]}}',
+         'spec.ports[0].targetPort must be an integer, got "http"'),
+        ("service", '{"spec":{"ports":[{"port":8080,"targetPort":9999},7]}}',
+         "spec.ports[1] must be an object, got 7"),
+    ])
+    def test_patch_invalid_json(self, kubectl, cluster, kind, patch, expected):
+        before = cluster.state_version
+        out = kubectl.run(f"kubectl patch {kind} web -n app -p '{patch}'")
+        assert out.startswith("error:") and expected in out
+        # a rejected patch never mutates, not even its well-formed half
+        assert cluster.state_version == before
+        assert len(cluster.pods_in("app")) == 2
+        assert cluster.service_reachable("app", "web")
 
     def test_set_image(self, kubectl, cluster):
         out = kubectl.run("kubectl set image deployment/web web=img:v2 -n app")
@@ -190,6 +257,15 @@ class TestLogsExecTop:
         k = Kubectl(cluster, exec_handler=lambda ns, p, argv: " ".join(argv))
         out = k.run(f"kubectl exec {pod} -n app -- mongo --eval x")
         assert out == "mongo --eval x"
+
+    def test_exec_leaves_the_container_argv_alone(self, cluster):
+        cluster.create_namespace("app")
+        cluster.create_deployment(make_deployment(name="db", ns="app"))
+        pod = cluster.pods_in("app")[0].name
+        k = Kubectl(cluster,
+                    exec_handler=lambda ns, p, argv: f"{ns}: {' '.join(argv)}")
+        out = k.run(f"kubectl exec {pod} -n app -- mongo --eval x -n other")
+        assert out == "app: mongo --eval x -n other"
 
     def test_exec_without_handler(self, cluster):
         cluster.create_namespace("app")

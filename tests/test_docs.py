@@ -1,9 +1,10 @@
 """Generated docs must match the registries they document.
 
 `scripts/gen_docs.py` renders `docs/api/actions.md` from the `@action`
-registry and `docs/scenarios.md` from the scenario pool; both are
-committed.  This test (and the CI `docs-check` step, which runs
-`gen_docs.py --check`) fails when either file is stale.
+registry, `docs/api/shell.md` from the `exec_shell` grammar tables and
+`docs/scenarios.md` from the scenario pool; all three are committed.  This
+test (and the CI `docs-check` step, which runs `gen_docs.py --check`) fails
+when any of them is stale.
 """
 
 import importlib.util
@@ -29,6 +30,25 @@ class TestGeneratedDocs:
         assert path.exists(), "run: PYTHONPATH=src python scripts/gen_docs.py"
         assert path.read_text() == gen.render_actions_md(), \
             "docs/api/actions.md is stale — regenerate with scripts/gen_docs.py"
+
+    def test_shell_reference_is_current(self):
+        gen = _gen_docs()
+        path = REPO / "docs" / "api" / "shell.md"
+        assert path.exists(), "run: PYTHONPATH=src python scripts/gen_docs.py"
+        assert path.read_text() == gen.render_shell_md(), \
+            "docs/api/shell.md is stale — regenerate with scripts/gen_docs.py"
+
+    def test_shell_reference_covers_the_tables(self):
+        from repro.core import shell
+        from repro.kubesim.kubectl import KIND_BY_SPELLING, VERBS
+        text = (REPO / "docs" / "api" / "shell.md").read_text()
+        for verb in [*VERBS, *shell.HELM_VERBS, *shell.FILE_TOOLS]:
+            assert f" {verb}" in text or f"`{verb}`" in text
+        for spelling in KIND_BY_SPELLING:
+            assert spelling in text
+        for verbs in (VERBS, shell.HELM_VERBS):
+            for spec in (v.flags for v in verbs.values()):
+                assert all(name in text for name in spec)
 
     def test_scenario_catalog_is_current(self):
         gen = _gen_docs()
