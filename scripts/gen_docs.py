@@ -35,7 +35,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 from repro.core import shell  # noqa: E402
 from repro.core.aci import registry_for  # noqa: E402
-from repro.core.problem import Problem  # noqa: E402
+from repro.core.problem import TASK_CLASSES  # noqa: E402
 from repro.faults.triggers import (  # noqa: E402
     AfterEvent,
     AtTime,
@@ -43,14 +43,7 @@ from repro.faults.triggers import (  # noqa: E402
 )
 from repro.kubesim.grammar import SHELL_OPERATORS, Flag  # noqa: E402
 from repro.kubesim.kubectl import KINDS, VERBS  # noqa: E402
-from repro.problems.scenarios import (  # noqa: E402
-    MultiAppScheduledProblem,
-    SCENARIO_FACTORIES,
-    ScheduledFaultProblem,
-)
-
-#: task surfaces rendered in the API reference, in presentation order
-TASKS = ("detection", "localization", "analysis", "mitigation")
+from repro.problems.scenarios import SCENARIOS  # noqa: E402
 
 GENERATED_BANNER = (
     "<!-- GENERATED FILE — do not edit by hand.\n"
@@ -70,7 +63,7 @@ def render_actions_md() -> str:
         "task types only appear on those tasks' surfaces.",
         "",
     ]
-    for task in TASKS:
+    for task in TASK_CLASSES:
         registry = registry_for(task)
         names = ", ".join(f"`{n}`" for n in registry.names())
         out.append(f"## {task} surface")
@@ -195,34 +188,25 @@ def _trigger_kind(trigger) -> str:
 
 def _scenario_rows() -> list[dict]:
     rows = []
-    for pid, factory in SCENARIO_FACTORIES.items():
-        prob: Problem = factory()
-        if isinstance(prob, MultiAppScheduledProblem):
-            specs = prob.app_specs()
-            apps = " + ".join(s.app_cls.__name__ for s in specs)
-        else:
-            apps = prob.app_name
-        schedule = prob.build_schedule() \
-            if isinstance(prob, ScheduledFaultProblem) else None
+    for row in SCENARIOS:
         kinds: list[str] = []
         timeline: list[str] = []
-        if schedule is not None:
-            for entry in schedule.entries:
-                kind = _trigger_kind(entry.trigger)
-                if entry.repeat != 1:
-                    kind = "repeating"
-                if kind not in kinds:
-                    kinds.append(kind)
-                times = "" if entry.repeat == 1 else (
-                    " ×∞" if entry.repeat == 0 else f" ×{entry.repeat}")
-                timeline.append(
-                    f"{entry.trigger.describe()}{times}: {entry.describe()}")
+        for entry in row.timeline.entries:
+            kind = _trigger_kind(entry.trigger)
+            if entry.repeat != 1:
+                kind = "repeating"
+            if kind not in kinds:
+                kinds.append(kind)
+            times = "" if entry.repeat == 1 else (
+                " ×∞" if entry.repeat == 0 else f" ×{entry.repeat}")
+            timeline.append(
+                f"{entry.trigger.describe()}{times}: {entry.describe()}")
         rows.append({
-            "pid": pid,
-            "task": prob.task_type,
-            "apps": apps,
-            "fidelity": prob.fidelity,
-            "rate": prob.workload_rate,
+            "pid": row.pid,
+            "task": row.task,
+            "apps": " + ".join(s.app_cls.__name__ for s in row.apps),
+            "fidelity": row.fidelity,
+            "rate": row.apps[0].workload_rate,
             "kinds": "/".join(kinds) or "—",
             "timeline": timeline,
         })

@@ -29,7 +29,7 @@ The seed's ``init_problem`` → ``register_agent`` → ``start_problem`` flow
 still works as a thin shim over one implicit session and is deprecated.
 """
 
-__version__ = "3.3.0"
+__version__ = "3.4.0"
 
 from repro.core import (
     ActionRegistry,

@@ -93,10 +93,3 @@ def registration_loc(name: str) -> int:
         return base - 20  # minus docstrings/blank padding of the base
     return own + 25  # scaffold plus the minimal wiring in user code
 
-
-def task_type_of(pid: str) -> str:
-    """``..._hotel_res-localization-2`` → ``localization``."""
-    for task in ("detection", "localization", "analysis", "mitigation"):
-        if f"-{task}-" in pid:
-            return task
-    raise ValueError(f"cannot infer task type from pid {pid!r}")

@@ -26,9 +26,12 @@ class App:
     ----------
     name / namespace / frontend:
         Application identity; ``frontend`` is the entry service name.
+    short_name:
+        The app's spelling inside problem ids (``..._hotel_res-detection-1``).
     """
 
     name: str = "app"
+    short_name: str = "app"
     namespace: str = "default"
     frontend: str = "frontend"
 

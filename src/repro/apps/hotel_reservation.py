@@ -17,6 +17,7 @@ class HotelReservation(App):
     """The hotel reservation application under test."""
 
     name = "hotel-reservation"
+    short_name = "hotel_res"
     namespace = "test-hotel-reservation"
     frontend = "frontend"
 

@@ -12,6 +12,7 @@ class SocialNetwork(App):
     """The social network application under test (28 microservices)."""
 
     name = "social-network"
+    short_name = "social_net"
     namespace = "test-social-network"
     frontend = "nginx-web-server"
 

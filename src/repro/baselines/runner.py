@@ -65,9 +65,10 @@ def _run_mksmc(pids: Optional[Sequence[str]], seed: int) -> dict[str, float]:
             verdict = detector.detect(env.collector.metrics, services,
                                       since=inject_t)
             elapsed += time.perf_counter() - t0
-        expected_fault = problem.spec is not None
-        if verdict.anomalous == expected_fault:
-            correct += 1
+        # the verdict is graded as the answer an agent would submit, by
+        # the problem's own oracle — one spelling of ground truth
+        answer = "yes" if verdict.anomalous else "no"
+        correct += problem.eval(answer, None, 0.0)["success"]
     n = len(pid_list)
     return {"task": "detection", "accuracy": correct / n if n else 0.0,
             "accuracy@1": correct / n if n else 0.0,

@@ -217,15 +217,23 @@ class BenchmarkRunner:
         pids: Optional[Iterable[str]] = None,
         concurrency: Optional[int] = None,
     ) -> dict[str, dict[int, float]]:
-        """Figure 5: accuracy as a function of the step limit K."""
+        """Figure 5: accuracy as a function of the step limit K.
+
+        Each (agent, pid) runs **once**, at ``max(limits)``: a session is
+        deterministic in its seed and the agent never learns its budget,
+        so the K-step run is the K-step prefix of the long one — it
+        succeeds iff the long run did *and* submitted within K steps
+        (``SessionHandle.run``'s no-submission-within-the-limit rule).
+        """
         pid_list = list(pids) if pids is not None else benchmark_pids()
-        grid = [(limit, agent) for limit in limits for agent in agents]
-        specs = [self._case_spec(agent, pid, max_steps=limit)
-                 for limit, agent in grid for pid in pid_list]
-        cases = self._run_specs(specs, concurrency)
-        out: dict[str, dict[int, float]] = {a: {} for a in agents}
-        it = iter(cases)
-        for limit, agent in grid:
-            wins = sum(next(it).success for _ in pid_list)
-            out[agent][limit] = wins / len(pid_list)
+        specs = [self._case_spec(agent, pid, max_steps=max(limits))
+                 for agent in agents for pid in pid_list]
+        cases = iter(self._run_specs(specs, concurrency))
+        out: dict[str, dict[int, float]] = {}
+        for agent in agents:
+            mine = [next(cases) for _ in pid_list]
+            out[agent] = {
+                limit: sum(c.success and c.steps <= limit
+                           for c in mine) / len(pid_list)
+                for limit in limits}
         return out

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 
 from repro.agents.registry import AGENT_NAMES, registration_loc
 from repro.bench.runner import SuiteResults
+from repro.core.problem import TASK_CLASSES
 from repro.faults.library import FAULT_LIBRARY
 from repro.problems import benchmark_pids
 
@@ -88,7 +89,7 @@ def table4_by_task(results: SuiteResults,
     "accuracy@1": ..., "time_s": ...} rows for MKSMC/PDiagnose/RMLAD.
     """
     out: dict[str, tuple[list[str], list[list[object]]]] = {}
-    for task in ("detection", "localization", "analysis", "mitigation"):
+    for task in TASK_CLASSES:
         if task == "localization":
             headers = ["Agent", "Acc.@3", "Acc.@1", "Time (s)", "# Steps",
                        "Input", "Output"]

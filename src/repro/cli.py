@@ -96,11 +96,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="AIOpsLab reproduction — problems, agents, benchmark.",
     )
+    from repro.core.problem import TASK_CLASSES
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list-problems", help="enumerate the problem pool")
-    p.add_argument("--task", choices=("detection", "localization",
-                                      "analysis", "mitigation"))
+    p.add_argument("--task", choices=tuple(TASK_CLASSES))
     p.add_argument("--include-noop", action="store_true")
     p.set_defaults(func=_cmd_list_problems)
 
@@ -117,8 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-benchmark", help="run a suite and print tables")
     p.add_argument("--agents", help="comma-separated agent names")
-    p.add_argument("--task", choices=("detection", "localization",
-                                      "analysis", "mitigation"))
+    p.add_argument("--task", choices=tuple(TASK_CLASSES))
     p.add_argument("--max-steps", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--concurrency", type=int, default=1,

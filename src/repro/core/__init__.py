@@ -22,7 +22,6 @@ from repro.core.env import (
     AppSpec,
     CloudEnvironment,
     EnvSnapshot,
-    EnvSpec,
     FIDELITY_TIERS,
 )
 from repro.core.actions import ActionRegistry, ActionSpec, Observation, action
@@ -63,7 +62,6 @@ __all__ = [
     "AppSpec",
     "CloudEnvironment",
     "EnvSnapshot",
-    "EnvSpec",
     "FIDELITY_TIERS",
     "ActionRegistry",
     "ActionSpec",

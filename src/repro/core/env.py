@@ -80,36 +80,6 @@ class AppSpec:
             else ConstantRate(self.workload_rate)
 
 
-@dataclass(frozen=True)
-class EnvSpec:
-    """Declarative environment configuration — the knobs a problem (or a
-    scaling experiment) turns without touching environment wiring.
-
-    ``fidelity`` selects the execution tier; everything else mirrors the
-    corresponding :class:`CloudEnvironment` constructor parameter.
-    Single-app by construction; multi-app problems pass a list of
-    :class:`AppSpec` to :class:`CloudEnvironment` directly.
-    """
-
-    seed: int = 0
-    workload_rate: float = 60.0
-    policy: Optional[RatePolicy] = None
-    fidelity: str = "per_request"
-    resync_interval: float = 30.0
-    export_root: Optional[str | Path] = None
-    #: resource-plane knobs (see docs/design/resources.md); the defaults
-    #: leave benchmark environments bit-identical to the seed
-    resource_coupling: bool = False
-    node_specs: Optional[tuple[NodeSpec, ...]] = None
-    autoscale: Optional[tuple[HpaPolicy, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.fidelity not in FIDELITY_TIERS:
-            raise ValueError(
-                f"fidelity must be one of {FIDELITY_TIERS}, "
-                f"got {self.fidelity!r}")
-
-
 class CloudEnvironment:
     """Deploys one or more applications and wires every subsystem to one
     virtual clock.
@@ -280,22 +250,6 @@ class CloudEnvironment:
         the autoscaler a look at the fresh utilization numbers."""
         self.resources.rollup()
         self.autoscaler.evaluate()
-
-    @classmethod
-    def from_spec(cls, app_cls: Type[App], spec: EnvSpec) -> "CloudEnvironment":
-        """Build a single-app environment from a declarative :class:`EnvSpec`."""
-        return cls(
-            app_cls,
-            seed=spec.seed,
-            workload_rate=spec.workload_rate,
-            policy=spec.policy,
-            export_root=spec.export_root,
-            resync_interval=spec.resync_interval,
-            fidelity=spec.fidelity,
-            resource_coupling=spec.resource_coupling,
-            node_specs=spec.node_specs,
-            autoscale=spec.autoscale,
-        )
 
     # ------------------------------------------------------------------
     # multi-app accessors

@@ -15,21 +15,11 @@ from typing import Any, Callable, Optional
 
 from repro.core.env import CloudEnvironment
 from repro.core.orchestrator import SessionHandle
-from repro.core.problem import (
-    AnalysisTask, DetectionTask, LocalizationTask, MitigationTask, Problem,
-)
+from repro.core.problem import TASK_CLASSES, Problem
 from repro.core.session import Session
 
 #: lifecycle stage order (Figure 1)
-STAGES: tuple[str, ...] = ("detection", "localization", "analysis",
-                           "mitigation")
-
-_STAGE_CLASSES: dict[str, type[Problem]] = {
-    "detection": DetectionTask,
-    "localization": LocalizationTask,
-    "analysis": AnalysisTask,
-    "mitigation": MitigationTask,
-}
+STAGES: tuple[str, ...] = tuple(TASK_CLASSES)
 
 #: agent factory: (stage, prob_desc, instructs, apis) -> agent object
 AgentFactory = Callable[[str, str, str, str], Any]
@@ -97,7 +87,7 @@ class IncidentLifecycle:
         # Build one problem per stage sharing fault/target; stage problems
         # grade against the same ground truth, the environment is shared.
         self.problems: dict[str, Problem] = {
-            stage: _STAGE_CLASSES[stage](fault, target=target)
+            stage: TASK_CLASSES[stage](fault, target=target)
             for stage in STAGES
         }
         first = self.problems["detection"]

@@ -7,22 +7,16 @@ expected solution.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Type
+from typing import Any, Optional
 
-from repro.apps.base import App
-from repro.apps import HotelReservation, SocialNetwork
-from repro.core.env import CloudEnvironment, EnvSpec
+from repro.apps import APP_CLASSES
+from repro.core.env import CloudEnvironment
 from repro.core.evaluator import system_healthy
 from repro.faults import (
     INJECTOR_CLASSES as _INJECTOR_CLASSES,
     FaultSpec,
     get_fault_spec,
 )
-
-_APP_CLASSES: dict[str, Type[App]] = {
-    "HotelReservation": HotelReservation,
-    "SocialNetwork": SocialNetwork,
-}
 
 
 class Problem:
@@ -65,10 +59,10 @@ class Problem:
         if self.spec is not None and self.spec.injector == "none":
             self.spec = None  # Noop behaves like no fault at all
         resolved_app = app_name or (self.spec.application if self.spec else None)
-        if resolved_app not in _APP_CLASSES:
+        if resolved_app not in APP_CLASSES:
             raise ValueError(f"unknown application {resolved_app!r}")
         self.app_name = resolved_app
-        self.app_cls = _APP_CLASSES[resolved_app]
+        self.app_cls = APP_CLASSES[resolved_app]
         if target is None and self.spec is not None:
             defaults = self.spec.targets.get(resolved_app, ())
             target = defaults[0] if defaults else None
@@ -80,19 +74,16 @@ class Problem:
 
     def _default_pid(self) -> str:
         fault_key = self.spec.fault_key if self.spec else "noop"
-        app_short = "hotel_res" if self.app_name == "HotelReservation" else "social_net"
-        return f"{fault_key}_{app_short}-{self.task_type}-{self.target or 'none'}"
+        return (f"{fault_key}_{self.app_cls.short_name}-{self.task_type}-"
+                f"{self.target or 'none'}")
 
     # ------------------------------------------------------------------
     # lifecycle (called by the Orchestrator)
     # ------------------------------------------------------------------
-    def env_spec(self, seed: int = 0) -> EnvSpec:
-        """The declarative environment configuration for this problem."""
-        return EnvSpec(seed=seed, workload_rate=self.workload_rate,
-                       fidelity=self.fidelity)
-
     def create_environment(self, seed: int = 0) -> CloudEnvironment:
-        return CloudEnvironment.from_spec(self.app_cls, self.env_spec(seed))
+        return CloudEnvironment(self.app_cls, seed=seed,
+                                workload_rate=self.workload_rate,
+                                fidelity=self.fidelity)
 
     def start_workload(self, env: CloudEnvironment) -> None:
         """Warm the system up with healthy traffic."""
@@ -253,3 +244,11 @@ class MitigationTask(Problem):
         res["success"] = healthy
         res["reason"] = reason
         return res
+
+
+#: task name -> task interface, in lifecycle order (Figure 1) — the one
+#: statement of the task vocabulary; ``tuple(TASK_CLASSES)`` is the task list
+TASK_CLASSES: dict[str, type[Problem]] = {
+    cls.task_type: cls
+    for cls in (DetectionTask, LocalizationTask, AnalysisTask, MitigationTask)
+}

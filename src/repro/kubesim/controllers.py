@@ -145,7 +145,7 @@ class EndpointsController:
         return changed
 
 
-@dataclass
+@dataclass(frozen=True)
 class HpaPolicy:
     """One autoscaler target: a deployment plus its scaling parameters.
 

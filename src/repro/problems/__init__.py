@@ -4,9 +4,7 @@ a seeded procedural generator (:mod:`repro.problems.generator`) behind
 :func:`generated_pool`."""
 
 from repro.problems.pool import (
-    GENERATED_FACTORIES,
     PROBLEM_FACTORIES,
-    SCENARIO_FACTORIES,
     benchmark_pids,
     noop_pids,
     scenario_pids,
@@ -23,9 +21,7 @@ from repro.problems.generator import (
 )
 
 __all__ = [
-    "GENERATED_FACTORIES",
     "PROBLEM_FACTORIES",
-    "SCENARIO_FACTORIES",
     "GeneratedSpec",
     "ScenarioGenerator",
     "benchmark_pids",

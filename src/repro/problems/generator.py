@@ -1,9 +1,10 @@
 """Procedural scenario synthesis: a seeded generator over the template space.
 
-The scenario pool used to be two dozen hand-written problems; this module
-turns scenario diversity into a *dimension of scale* by composing valid,
-gradable :class:`~repro.core.problem.Problem` instances from the same
-axes the hand-written pool samples by hand:
+The hand-written scenario pool is two dozen rows; this module turns
+scenario diversity into a *dimension of scale* by composing valid,
+gradable :class:`~repro.problems.scenarios.Scenario` records — run by the
+same :class:`~repro.problems.scenarios.ScenarioProblem` as the
+hand-written rows — from the axes that table samples by hand:
 
 * **hosted app set** — 1–3 applications (the primary app under test plus
   co-tenant neighbors, including second-tenant clones of the stock apps
@@ -60,21 +61,15 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from repro.apps import HotelReservation, SocialNetwork
+from repro.apps import APP_CLASSES
 from repro.core.env import AppSpec
-from repro.core.problem import (
-    DetectionTask,
-    LocalizationTask,
-    MitigationTask,
-    Problem,
-)
 from repro.faults.library import FAULT_LIBRARY, FaultSpec
 from repro.faults.schedule import FaultSchedule
 from repro.faults.triggers import MetricAbove
-from repro.problems.scenarios import MultiAppScheduledProblem
+from repro.problems.scenarios import Scenario, ScenarioProblem
 from repro.workload.policies import (
     BurstRate,
     ConstantRate,
@@ -83,37 +78,6 @@ from repro.workload.policies import (
     SpikeRate,
 )
 
-
-# ---------------------------------------------------------------------------
-# Second-tenant app clones.  CloudEnvironment requires hosted apps to live
-# in distinct namespaces, and only two stock applications exist — these
-# module-level subclasses (module-level so generated problems stay
-# picklable for snapshot/fork grids) let a generated environment host a
-# third tenant: a second copy of a stock app under its own namespace and
-# helm release.
-# ---------------------------------------------------------------------------
-
-class HotelReservationTenantB(HotelReservation):
-    """A second HotelReservation tenant (own namespace/release)."""
-
-    name = "hotel-reservation-b"
-    namespace = "test-hotel-reservation-b"
-
-
-class SocialNetworkTenantB(SocialNetwork):
-    """A second SocialNetwork tenant (own namespace/release)."""
-
-    name = "social-network-b"
-    namespace = "test-social-network-b"
-
-
-#: app key -> class, for every app a generated environment may host
-APP_CLASSES = {
-    "HotelReservation": HotelReservation,
-    "SocialNetwork": SocialNetwork,
-    "HotelReservationTenantB": HotelReservationTenantB,
-    "SocialNetworkTenantB": SocialNetworkTenantB,
-}
 
 #: primary app -> clone key (a primary is always a stock app)
 _CLONE_OF = {
@@ -125,8 +89,6 @@ _OTHER = {
     "HotelReservation": "SocialNetwork",
     "SocialNetwork": "HotelReservation",
 }
-
-_APP_SHORT = {"HotelReservation": "hotel_res", "SocialNetwork": "social_net"}
 
 #: trigger-shape axis, cycled by index so every pool of >= 7 problems
 #: covers all of them (parameters within a shape stay rng-sampled)
@@ -261,61 +223,18 @@ def describe_timeline(spec: GeneratedSpec) -> list[str]:
             for e in build_schedule_for(spec).entries]
 
 
-# ---------------------------------------------------------------------------
-# Problem classes.  One per task type; all module-level (picklable for
-# snapshot extras) and all driven purely by the GeneratedSpec.
-# ---------------------------------------------------------------------------
-
-class _GeneratedProblem(MultiAppScheduledProblem):
-    """Base for generated problems: spec-driven apps, policy, timeline."""
-
-    def __init__(self, spec: GeneratedSpec,
-                 fidelity: Optional[str] = None, **task_kwargs) -> None:
-        self.gen = spec
-        super().__init__(None, target=spec.target or None,
-                         app_name=spec.app_name, pid=spec.pid,
-                         fidelity=fidelity or spec.fidelity, **task_kwargs)
-        self.workload_rate = spec.rate
-
-    def rate_policy(self) -> RatePolicy:
-        return build_policy(self.gen.policy, self.gen.policy_params)
-
-    def app_specs(self) -> list[AppSpec]:
-        specs = [AppSpec(APP_CLASSES[self.gen.app_name],
-                         policy=self.rate_policy())]
-        for key, kind, *params in self.gen.neighbors:
-            specs.append(AppSpec(APP_CLASSES[key],
-                                 policy=build_policy(kind, params)))
-        return specs
-
-    def build_schedule(self) -> FaultSchedule:
-        return build_schedule_for(self.gen)
-
-
-class GeneratedDetection(_GeneratedProblem, DetectionTask):
-    """Generated level-1 problem; expected answer derived from the
-    timeline (``"yes"`` iff it injects anything)."""
-
-    def __init__(self, spec: GeneratedSpec,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(spec, fidelity=fidelity, expected=spec.expected)
-
-
-class GeneratedLocalization(_GeneratedProblem, LocalizationTask):
-    """Generated level-2 problem; ground truth is the root inject's
-    target service."""
-
-
-class GeneratedMitigation(_GeneratedProblem, MitigationTask):
-    """Generated level-4 problem; graded by the whole-system health
-    check, exactly like the hand-written mitigation problems."""
-
-
-_TASK_CLASSES = {
-    "detection": GeneratedDetection,
-    "localization": GeneratedLocalization,
-    "mitigation": GeneratedMitigation,
-}
+def scenario_for(spec: GeneratedSpec) -> Scenario:
+    """The recipe as the record :class:`ScenarioProblem` runs: primary app
+    first, then the co-tenants, all driven purely by ``spec``."""
+    apps = [AppSpec(APP_CLASSES[spec.app_name], workload_rate=spec.rate,
+                    policy=build_policy(spec.policy, spec.policy_params))]
+    for key, kind, *params in spec.neighbors:
+        apps.append(AppSpec(APP_CLASSES[key],
+                            policy=build_policy(kind, params)))
+    return Scenario(pid=spec.pid, task=spec.task, apps=tuple(apps),
+                    target=spec.target, expected=spec.expected or None,
+                    fidelity=spec.fidelity,
+                    timeline=build_schedule_for(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +274,11 @@ class ScenarioGenerator:
         return [s.pid for s in self.specs(n)]
 
     def problem(self, index: int,
-                fidelity: Optional[str] = None) -> Problem:
-        return self.problem_for_spec(self.spec(index), fidelity=fidelity)
-
-    @staticmethod
-    def problem_for_spec(spec: GeneratedSpec,
-                         fidelity: Optional[str] = None) -> Problem:
-        return _TASK_CLASSES[spec.task](spec, fidelity=fidelity)
+                fidelity: Optional[str] = None) -> ScenarioProblem:
+        scenario = scenario_for(self.spec(index))
+        if fidelity is not None:
+            scenario = replace(scenario, fidelity=fidelity)
+        return scenario.problem()
 
     # -- the sampler ----------------------------------------------------
     def _compose(self, index: int) -> GeneratedSpec:
@@ -407,7 +324,7 @@ class ScenarioGenerator:
 
         stem_fault = fault or "noop"
         pid = (f"gen{self.seed}x{index:04d}_{shape}_{stem_fault}"
-               f"_{_APP_SHORT[primary]}-{task}-1")
+               f"_{APP_CLASSES[primary].short_name}-{task}-1")
         return GeneratedSpec(
             pid=pid, gen_seed=self.seed, index=index, task=task,
             shape=shape, app_name=primary, neighbors=neighbors,
@@ -511,38 +428,17 @@ class ScenarioGenerator:
 
 def generated_pool(n: int, seed: int = 0) -> list[str]:
     """``n`` generated problem pids for generator ``seed`` — fresh,
-    never-hand-reviewed incident sets for sweeps.  The pids are also
-    registered with :func:`repro.problems.get_problem` (any generated
-    pid resolves there even without prior registration — the pid embeds
-    its recipe — registration just skips re-deriving the recipe)."""
-    from repro.problems import pool
-    gen = ScenarioGenerator(seed)
-    pids = gen.pids(n)
-    for i, pid in enumerate(pids):
-        if pid not in pool.GENERATED_FACTORIES:
-            pool.GENERATED_FACTORIES[pid] = _PidFactory(seed, i)
-    return pids
-
-
-class _PidFactory:
-    """Picklable factory for one generated pid (registered by
-    :func:`generated_pool`)."""
-
-    __slots__ = ("seed", "index")
-
-    def __init__(self, seed: int, index: int) -> None:
-        self.seed = seed
-        self.index = index
-
-    def __call__(self) -> Problem:
-        return ScenarioGenerator(self.seed).problem(self.index)
+    never-hand-reviewed incident sets for sweeps.  Nothing is registered:
+    :func:`repro.problems.get_problem` rebuilds any generated problem from
+    the recipe its pid embeds."""
+    return ScenarioGenerator(seed).pids(n)
 
 
 def is_generated_pid(pid: str) -> bool:
     return _GEN_PID_RE.match(pid) is not None
 
 
-def problem_for_pid(pid: str) -> Problem:
+def problem_for_pid(pid: str) -> ScenarioProblem:
     """Rebuild a generated problem from its pid alone.
 
     The pid's ``gen<seed>x<index>`` prefix names the recipe; the rest of
@@ -557,7 +453,7 @@ def problem_for_pid(pid: str) -> Problem:
         raise KeyError(
             f"generated pid {pid!r} does not match its recipe "
             f"(expected {spec.pid!r})")
-    return gen.problem_for_spec(spec)
+    return scenario_for(spec).problem()
 
 
 def template_space() -> dict[str, tuple[str, ...]]:

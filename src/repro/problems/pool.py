@@ -29,31 +29,23 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.core.problem import (
-    AnalysisTask,
-    DetectionTask,
-    LocalizationTask,
-    MitigationTask,
-    Problem,
-)
+from repro.apps import APP_CLASSES
+from repro.core.problem import TASK_CLASSES, Problem
 from repro.faults.library import FAULT_LIBRARY, FaultSpec
-from repro.problems.scenarios import SCENARIO_FACTORIES
+from repro.problems.generator import (
+    generated_pool,
+    is_generated_pid,
+    problem_for_pid,
+)
+from repro.problems.scenarios import SCENARIOS
 
-_TASK_CLASSES: dict[str, type[Problem]] = {
-    "detection": DetectionTask,
-    "localization": LocalizationTask,
-    "analysis": AnalysisTask,
-    "mitigation": MitigationTask,
-}
-
-_LEVEL_TO_TASK = {1: "detection", 2: "localization", 3: "analysis", 4: "mitigation"}
-
-_APP_SHORT = {"HotelReservation": "hotel_res", "SocialNetwork": "social_net"}
+#: Table-2 task level (1-4) -> task name
+_LEVEL_TO_TASK = dict(enumerate(TASK_CLASSES, start=1))
 
 
 def _make_factory(task: str, spec: FaultSpec, target: Optional[str],
                   app_name: str, pid: str) -> Callable[[], Problem]:
-    cls = _TASK_CLASSES[task]
+    cls = TASK_CLASSES[task]
 
     def factory() -> Problem:
         return cls(spec.number if spec.injector != "none" else "Noop",
@@ -75,8 +67,8 @@ def _build() -> tuple[dict[str, Callable[[], Problem]], list[str], list[str]]:
             for level in spec.task_levels:
                 task = _LEVEL_TO_TASK[level]
                 for i, target in enumerate(targets, start=1):
-                    pid = (f"{spec.fault_key or 'noop'}_{_APP_SHORT[app_name]}"
-                           f"-{task}-{i}")
+                    pid = (f"{spec.fault_key or 'noop'}"
+                           f"_{APP_CLASSES[app_name].short_name}-{task}-{i}")
                     factories[pid] = _make_factory(task, spec, target,
                                                    app_name, pid)
                     if spec.injector == "none":
@@ -87,13 +79,7 @@ def _build() -> tuple[dict[str, Callable[[], Problem]], list[str], list[str]]:
 
 
 PROBLEM_FACTORIES, _BENCHMARK_PIDS, _NOOP_PIDS = _build()
-_SCENARIO_PIDS = list(SCENARIO_FACTORIES)
-
-#: generated pid -> factory, populated by ``generated_pool`` (a cache:
-#: any generated pid also resolves through the parse fallback below)
-GENERATED_FACTORIES: dict[str, Callable[[], Problem]] = {}
-
-_TASK_TYPES = tuple(_TASK_CLASSES)
+_SCENARIOS = {row.pid: row for row in SCENARIOS}
 
 
 def split_pid(pid: str) -> Optional[tuple[str, str, int]]:
@@ -104,7 +90,7 @@ def split_pid(pid: str) -> Optional[tuple[str, str, int]]:
     if len(parts) != 3:
         return None
     stem, task, index = parts
-    if not stem or "-" in stem or task not in _TASK_TYPES \
+    if not stem or "-" in stem or task not in TASK_CLASSES \
             or not index.isdigit():
         return None
     return stem, task, int(index)
@@ -132,23 +118,21 @@ def scenario_pids(n: Optional[int] = None, seed: int = 0) -> list[str]:
     Kept separate from :func:`benchmark_pids` so the paper-faithful
     48-problem set is untouched."""
     if n is None:
-        return list(_SCENARIO_PIDS)
-    from repro.problems.generator import generated_pool
+        return list(_SCENARIOS)
     return generated_pool(n, seed=seed)
 
 
 def get_problem(pid: str) -> Problem:
     """Instantiate a fresh problem for ``pid`` (problems are single-use).
 
-    Resolution order: benchmark/noop factories, hand-written scenarios,
-    the generated-pool cache, and finally — for ``gen<seed>x<index>_…``
-    pids never registered in this process — the generator itself, which
-    rebuilds the problem from the recipe encoded in the pid."""
-    factory = PROBLEM_FACTORIES.get(pid) or SCENARIO_FACTORIES.get(pid) \
-        or GENERATED_FACTORIES.get(pid)
-    if factory is not None:
-        return factory()
-    from repro.problems.generator import is_generated_pid, problem_for_pid
+    Resolution order: benchmark/noop factories, the hand-written
+    scenario table, and — for ``gen<seed>x<index>_…`` pids — the
+    generator, which rebuilds the problem from the recipe encoded in the
+    pid."""
+    if pid in PROBLEM_FACTORIES:
+        return PROBLEM_FACTORIES[pid]()
+    if pid in _SCENARIOS:
+        return _SCENARIOS[pid].problem()
     if is_generated_pid(pid):
         return problem_for_pid(pid)
     raise KeyError(
@@ -167,10 +151,10 @@ def list_problems(task_type: Optional[str] = None,
         + (scenario_pids() if include_scenarios else [])
     if task_type is None:
         return pids
-    if task_type not in _TASK_TYPES:
+    if task_type not in TASK_CLASSES:
         raise ValueError(
             f"unknown task type {task_type!r}; expected one of "
-            f"{', '.join(_TASK_TYPES)}")
+            f"{', '.join(TASK_CLASSES)}")
     out = []
     for p in pids:
         parsed = split_pid(p)
@@ -182,7 +166,7 @@ def list_problems(task_type: Optional[str] = None,
 def pool_summary() -> dict[str, int]:
     """Problem counts per task type (the Table-2/§3.3 accounting)."""
     out: dict[str, int] = {}
-    for task in _TASK_CLASSES:
+    for task in TASK_CLASSES:
         out[task] = len(list_problems(task))
     out["total"] = len(benchmark_pids())
     out["noop"] = len(noop_pids())

@@ -31,6 +31,11 @@ works:
   reacts to (or thrashes on, or exhausts node capacity chasing) real
   demand — the timeline is empty and the machines are the incident.
 
+A scenario is a *value*: one frozen :class:`Scenario` record says what is
+hosted, what unfolds and what the right answer is, and one
+:class:`ScenarioProblem` interprets any record.  The hand-written catalog
+is the :data:`SCENARIOS` table below — adding a scenario is adding a row —
+and :mod:`repro.problems.generator` composes further records procedurally.
 Scenarios span both applications (HotelReservation and SocialNetwork),
 singly and co-hosted.  They are registered behind
 :func:`repro.problems.scenario_pids` and are *not* part of
@@ -40,10 +45,12 @@ set is untouched.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import inspect
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.apps import HotelReservation, SocialNetwork
-from repro.core.env import AppSpec, FIDELITY_TIERS, CloudEnvironment, EnvSpec
+from repro.core.env import FIDELITY_TIERS, AppSpec, CloudEnvironment
 from repro.core.problem import (
     DetectionTask,
     LocalizationTask,
@@ -53,51 +60,89 @@ from repro.core.problem import (
 from repro.faults.schedule import ArmedSchedule, FaultSchedule
 from repro.faults.triggers import MetricAbove
 from repro.kubesim import HpaPolicy, NodeSpec
-from repro.workload.policies import BurstRate, RatePolicy, SpikeRate
+from repro.workload.policies import BurstRate, SpikeRate
 
 #: the two hosted namespaces, named once (multi-app scenario wiring)
 HOTEL_NS = HotelReservation.namespace
 SOCIAL_NS = SocialNetwork.namespace
 
 
-class ScheduledFaultProblem(Problem):
-    """Base for problems whose fault is a :class:`FaultSchedule`.
+@dataclass(frozen=True)
+class Scenario:
+    """One scenario, stated once: the ⟨T, C, S⟩ tuple as data.
 
-    Subclasses implement :meth:`build_schedule`; arming replaces the
-    immediate injection of the base class.  The armed schedule is kept so
-    teardown can cancel what hasn't fired and recover what has.
-
-    ``fidelity`` can be overridden per instance (the grading-agreement
-    tests run every scenario family at both execution tiers), and
-    :meth:`rate_policy` lets a scenario drive a non-constant workload from
-    t=0 — load-triggered scenarios need traffic shape, not just rate.
+    ``task`` is a key of :data:`~repro.core.problem.TASK_CLASSES`.
+    ``apps`` are the hosted applications, first = the primary app the task
+    is graded on (its ``workload_rate`` is the scenario's nominal rate); a
+    timeline entry or metric trigger may name any hosted namespace.
+    ``target`` is the service ground truth points at, ``expected`` the
+    detection answer (``None`` on other tasks).  ``timeline`` is armed at
+    injection time — it is never mutated, so every problem built from the
+    record shares it — and the resource-plane fields mirror the
+    :class:`~repro.core.env.CloudEnvironment` parameters of the same name.
+    ``doc`` is the scenario's explanation and timing rationale.
     """
 
-    def __init__(self, *args, fidelity: Optional[str] = None,
-                 **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if fidelity is not None:
-            if fidelity not in FIDELITY_TIERS:
-                raise ValueError(
-                    f"fidelity must be one of {FIDELITY_TIERS}, "
-                    f"got {fidelity!r}")
-            self.fidelity = fidelity
+    pid: str
+    task: str
+    apps: tuple[AppSpec, ...]
+    target: str
+    expected: Optional[str] = None
+    fidelity: str = "per_request"
+    timeline: FaultSchedule = field(default_factory=FaultSchedule)
+    resource_coupling: bool = False
+    node_specs: Optional[tuple[NodeSpec, ...]] = None
+    autoscale: Optional[tuple[HpaPolicy, ...]] = None
+    doc: str = ""
+
+    def __post_init__(self) -> None:
+        if self.fidelity not in FIDELITY_TIERS:
+            raise ValueError(
+                f"fidelity must be one of {FIDELITY_TIERS}, "
+                f"got {self.fidelity!r}")
+        object.__setattr__(self, "doc", inspect.cleandoc(self.doc))
+
+    def problem(self) -> "ScenarioProblem":
+        """A fresh problem instance (problems are single-use)."""
+        return _PROBLEM_CLASSES[self.task](self)
+
+
+class ScenarioProblem(Problem):
+    """The one interpreter of :class:`Scenario` records.
+
+    Arming the record's timeline replaces the immediate injection of the
+    base class; the armed schedule is kept so teardown can cancel what
+    hasn't fired and recover what has.  ``fidelity`` stays assignable per
+    instance (the grading-agreement tests run every scenario family at
+    both execution tiers).
+
+    The agent's problem description leads with the primary app (existing
+    scaffolds parse the first ``namespace "..."`` they see) and then
+    introduces the co-hosted neighbors, whose namespaces the ACI and
+    kubectl can inspect too.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        super().__init__(None, target=scenario.target or None,
+                         app_name=scenario.apps[0].app_cls.__name__,
+                         pid=scenario.pid)
+        if scenario.expected is not None:
+            self.ans = scenario.expected
+        self.scenario = scenario
+        self.fidelity = scenario.fidelity
+        self.workload_rate = scenario.apps[0].workload_rate
         self.armed: Optional[ArmedSchedule] = None
 
-    def rate_policy(self) -> Optional[RatePolicy]:
-        """The workload's rate policy (None → constant ``workload_rate``)."""
-        return None
-
-    def env_spec(self, seed: int = 0) -> EnvSpec:
-        return EnvSpec(seed=seed, workload_rate=self.workload_rate,
-                       fidelity=self.fidelity, policy=self.rate_policy())
-
-    def build_schedule(self) -> FaultSchedule:
-        raise NotImplementedError
+    def create_environment(self, seed: int = 0) -> CloudEnvironment:
+        s = self.scenario
+        return CloudEnvironment(s.apps, seed=seed, fidelity=self.fidelity,
+                                resource_coupling=s.resource_coupling,
+                                node_specs=s.node_specs,
+                                autoscale=s.autoscale)
 
     def inject_fault(self, env: CloudEnvironment) -> None:
         """Arm the timeline and soak; later entries fire mid-session."""
-        self.armed = self.build_schedule().arm(env)
+        self.armed = self.scenario.timeline.arm(env)
         self.injected_at = env.clock.now
         env.advance(self.fault_soak_seconds)
 
@@ -106,308 +151,6 @@ class ScheduledFaultProblem(Problem):
         if self.armed is not None:
             self.armed.cancel_pending()
             self.armed.recover_all()
-
-
-# ---------------------------------------------------------------------------
-# HotelReservation: time-triggered shapes (the original five that shipped
-# with the FaultSchedule timeline layer)
-# ---------------------------------------------------------------------------
-
-class DelayedRevokeAuthDetection(ScheduledFaultProblem, DetectionTask):
-    """Healthy at session start; MongoDB auth is revoked mid-session.
-
-    The soak covers 30s of the 40s onset delay, so the fault lands ~10
-    virtual seconds into the agent's investigation — an agent that probes
-    once and answers early reports a false "no".
-    """
-
-    onset_delay = 40.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="mongodb-geo",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.delayed("RevokeAuth", (self.target,),
-                                     self.onset_delay)
-
-
-class FlappingNetworkLossDetection(ScheduledFaultProblem, DetectionTask):
-    """Intermittent packet loss on the search path: 15s on, 15s off."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="search",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.flapping("NetworkLoss", (self.target,),
-                                      start=5.0, period=30.0, on_for=15.0,
-                                      cycles=6)
-
-
-class FlappingPodFailureLocalization(ScheduledFaultProblem, LocalizationTask):
-    """The recommendation pods crash-loop in bursts; localize the service."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="recommendation",
-                         app_name="HotelReservation", pid=pid,
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.flapping("PodFailure", (self.target,),
-                                      start=10.0, period=40.0, on_for=20.0,
-                                      cycles=5)
-
-
-class CascadeGeoOutageLocalization(ScheduledFaultProblem, LocalizationTask):
-    """A two-stage outage: geo's database auth is revoked first, then the
-    recommendation pods fail while the agent is diagnosing.  Ground truth
-    is the *root* of the cascade (mongodb-geo)."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="mongodb-geo",
-                         app_name="HotelReservation", pid=pid,
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.cascade([
-            (10.0, "RevokeAuth", (self.target,)),
-            (50.0, "PodFailure", ("recommendation",)),
-        ])
-
-
-class SurgeRevokeAuthMitigation(ScheduledFaultProblem, MitigationTask):
-    """A marketing-burst traffic surge begins just before profile's
-    database auth is revoked; the agent must repair the system while the
-    burst policy drives 3× load waves.
-
-    The burst factor is chosen so the peak (180 rps) stays under the
-    driver's ``max_requests_per_tick`` cap — the offered load is actually
-    delivered, not clipped."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="mongodb-profile",
-                         app_name="HotelReservation", pid=pid,
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return (FaultSchedule()
-                .set_rate(5.0, BurstRate(base=self.workload_rate,
-                                         burst_factor=3.0, interval=120.0,
-                                         burst_duration=30.0))
-                .inject(20.0, "RevokeAuth", (self.target,)))
-
-
-# ---------------------------------------------------------------------------
-# HotelReservation: condition-triggered and chained shapes
-# ---------------------------------------------------------------------------
-
-class LoadTriggeredNetworkLossDetection(ScheduledFaultProblem, DetectionTask):
-    """The fault fires *because* the system is loaded: recurring traffic
-    bursts (3× every 45s) push the frontend's request rate past 90 req/s,
-    and only then does packet loss land on the search path — closed-loop
-    symptom/fault interaction, not a wall-clock appointment.
-
-    Timing: bursts run [0,15), [45,60), ... and the watch is armed at
-    t=30 (after warmup), so the first satisfying scrape is t=50 — the
-    fault is live before the agent is engaged at t=60."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="search",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def rate_policy(self) -> RatePolicy:
-        return BurstRate(base=self.workload_rate, burst_factor=3.0,
-                         interval=45.0, burst_duration=15.0)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.load_triggered(
-            MetricAbove("frontend", "request_rate", 90.0),
-            "NetworkLoss", (self.target,))
-
-
-class ErrorCascadeLocalization(ScheduledFaultProblem, LocalizationTask):
-    """A degradation-conditioned cascade: geo's auth is revoked on a
-    timer, and once the frontend's error rate has stayed above 2 err/s
-    for 10 sustained seconds, the recommendation pods fail too — the
-    second fault fires because the system is already degraded.  Ground
-    truth is the cascade root (mongodb-geo)."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="mongodb-geo",
-                         app_name="HotelReservation", pid=pid,
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return (FaultSchedule()
-                .inject(10.0, "RevokeAuth", (self.target,), tag="root")
-                .when(MetricAbove("frontend", "error_rate", 2.0,
-                                  sustain_s=10.0),
-                      "PodFailure", ("recommendation",)))
-
-
-class ChainedLossRelapseDetection(ScheduledFaultProblem, DetectionTask):
-    """An incident with a relapse, expressed as an event chain: packet
-    loss lands at t=15, heals 25s after it landed, then relapses 20s
-    after the healing — each stage anchored to the previous stage's
-    *firing*, not to wall-clock guesses."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="search",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return (FaultSchedule()
-                .inject(15.0, "NetworkLoss", (self.target,), tag="loss")
-                .after("loss", "NetworkLoss", (self.target,), delay=25.0,
-                       kind="recover", new_tag="healed")
-                .after("healed", "NetworkLoss", (self.target,), delay=20.0))
-
-
-class HighRateDelayedRevokeAuthDetection(DelayedRevokeAuthDetection):
-    """The delayed-onset scenario at 1000 rps on the aggregate tier —
-    "millions of users" scale, same timeline, same grading."""
-
-    workload_rate = 1000.0
-    fidelity = "aggregate"
-
-
-class HighRateCascadeLocalization(CascadeGeoOutageLocalization):
-    """The geo cascade at 2000 rps on the aggregate tier."""
-
-    workload_rate = 2000.0
-    fidelity = "aggregate"
-
-
-# ---------------------------------------------------------------------------
-# SocialNetwork scenarios
-# ---------------------------------------------------------------------------
-
-class DelayedScaleZeroDetection(ScheduledFaultProblem, DetectionTask):
-    """SocialNetwork is healthy at session start; compose-post is scaled
-    to zero pods 40s in (10s into the agent's investigation)."""
-
-    onset_delay = 40.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="compose-post-service",
-                         app_name="SocialNetwork", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.delayed("ScalePod", (self.target,),
-                                     self.onset_delay)
-
-
-class FlappingMisconfigDetection(ScheduledFaultProblem, DetectionTask):
-    """user-service's target port flips between broken and fixed — the
-    paper's TargetPortMisconfig as an intermittent incident."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="user-service",
-                         app_name="SocialNetwork", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.flapping("TargetPortMisconfig", (self.target,),
-                                      start=5.0, period=30.0, on_for=15.0,
-                                      cycles=6)
-
-
-class SocialCascadeLocalization(ScheduledFaultProblem, LocalizationTask):
-    """A SocialNetwork cascade: user-service's port is misconfigured
-    first, then compose-post is scaled to zero mid-diagnosis.  Ground
-    truth is the root (user-service)."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="user-service",
-                         app_name="SocialNetwork", pid=pid,
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.cascade([
-            (10.0, "TargetPortMisconfig", (self.target,)),
-            (50.0, "ScalePod", ("compose-post-service",)),
-        ])
-
-
-class LoadTriggeredScaleZeroLocalization(ScheduledFaultProblem,
-                                         LocalizationTask):
-    """A one-off traffic spike (4× at t=45) trips a request-rate watch on
-    the SocialNetwork frontend, and the overload "takes down" compose-post
-    (scaled to zero) — localize the service that failed under load."""
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="compose-post-service",
-                         app_name="SocialNetwork", pid=pid,
-                         fidelity=fidelity)
-
-    def rate_policy(self) -> RatePolicy:
-        return SpikeRate(base=self.workload_rate, spike_factor=4.0,
-                         at=45.0, duration=30.0)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.load_triggered(
-            MetricAbove("nginx-web-server", "request_rate", 90.0),
-            "ScalePod", (self.target,))
-
-
-class HighRateDelayedMisconfigDetection(ScheduledFaultProblem, DetectionTask):
-    """SocialNetwork at 1500 rps on the aggregate tier; post-storage's
-    target port breaks 20s after arming."""
-
-    workload_rate = 1500.0
-    fidelity = "aggregate"
-    onset_delay = 20.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="post-storage-service",
-                         app_name="SocialNetwork", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.delayed("TargetPortMisconfig", (self.target,),
-                                     self.onset_delay)
-
-
-# ---------------------------------------------------------------------------
-# Multi-app scenarios: two applications, one environment, cross-app triggers
-# ---------------------------------------------------------------------------
-
-class MultiAppScheduledProblem(ScheduledFaultProblem):
-    """Base for scenarios hosted on a multi-app :class:`CloudEnvironment`.
-
-    Subclasses declare the hosted applications via :meth:`app_specs`
-    (first spec = the primary app the task is graded on) and a timeline
-    whose entries may target any hosted namespace.  The agent's problem
-    description leads with the primary app (existing scaffolds parse the
-    first ``namespace "..."`` they see) and then introduces the co-hosted
-    neighbors, whose namespaces the ACI and kubectl can inspect too.
-    """
-
-    def app_specs(self) -> list[AppSpec]:
-        raise NotImplementedError
-
-    def create_environment(self, seed: int = 0) -> CloudEnvironment:
-        return CloudEnvironment(self.app_specs(), seed=seed,
-                                fidelity=self.fidelity)
 
     def problem_description(self, env: CloudEnvironment) -> str:
         desc = super().problem_description(env)
@@ -423,426 +166,403 @@ class MultiAppScheduledProblem(ScheduledFaultProblem):
         return f"{head}{extra}\n{sep}{tail}" if sep else f"{desc}\n{extra}"
 
 
-class NoisyNeighborDetection(MultiAppScheduledProblem, DetectionTask):
-    """HotelReservation (under test) shares the environment with a bursty
+class ScenarioDetection(ScenarioProblem, DetectionTask):
+    """Level 1: the record's ``expected`` says whether it is an incident."""
+
+
+class ScenarioLocalization(ScenarioProblem, LocalizationTask):
+    """Level 2: ground truth is the record's ``target``."""
+
+
+class ScenarioMitigation(ScenarioProblem, MitigationTask):
+    """Level 4: graded by the whole-system health check."""
+
+
+_PROBLEM_CLASSES = {cls.task_type: cls for cls in (
+    ScenarioDetection, ScenarioLocalization, ScenarioMitigation)}
+
+
+# ---------------------------------------------------------------------------
+# The hand-written catalog.  Rows with a high-rate or re-tuned variant are
+# named so the variant can be a ``replace`` of them.
+# ---------------------------------------------------------------------------
+
+_HOTEL = (AppSpec(HotelReservation),)
+_SOCIAL = (AppSpec(SocialNetwork),)
+
+_DELAYED_REVOKE_AUTH = Scenario(
+    pid="delayed_revoke_auth_hotel_res-detection-1", task="detection",
+    apps=_HOTEL, target="mongodb-geo", expected="yes",
+    timeline=FaultSchedule.delayed("RevokeAuth", ("mongodb-geo",), 40.0),
+    doc="""Healthy at session start; MongoDB auth is revoked mid-session.
+
+    The soak covers 30s of the 40s onset delay, so the fault lands ~10
+    virtual seconds into the agent's investigation — an agent that probes
+    once and answers early reports a false "no".
+    """)
+
+_CASCADE_GEO_OUTAGE = Scenario(
+    pid="cascade_geo_outage_hotel_res-localization-1", task="localization",
+    apps=_HOTEL, target="mongodb-geo",
+    timeline=FaultSchedule.cascade([
+        (10.0, "RevokeAuth", ("mongodb-geo",)),
+        (50.0, "PodFailure", ("recommendation",)),
+    ]),
+    doc="""A two-stage outage: geo's database auth is revoked first, then the
+    recommendation pods fail while the agent is diagnosing.  Ground truth
+    is the *root* of the cascade (mongodb-geo).
+    """)
+
+_NOISY_NEIGHBOR = Scenario(
+    pid="noisy_neighbor_multi_hotel_res-detection-1", task="detection",
+    apps=(AppSpec(HotelReservation),
+          AppSpec(SocialNetwork, policy=BurstRate(
+              base=40.0, burst_factor=5.0, interval=45.0,
+              burst_duration=15.0))),
+    target="search", expected="yes",
+    timeline=FaultSchedule.load_triggered(
+        MetricAbove("nginx-web-server", "request_rate", 150.0,
+                    namespace=SOCIAL_NS),
+        "NetworkLoss", ("search",), namespace=HOTEL_NS),
+    doc="""HotelReservation (under test) shares the environment with a bursty
     SocialNetwork neighbor.  When the neighbor's storm pushes its frontend
-    past ``storm_threshold`` req/s, packet loss lands on the *hotel* search
-    path — interference from a co-tenant, not a fault of the app itself.
+    past the storm threshold (150 req/s), packet loss lands on the *hotel*
+    search path — interference from a co-tenant, not a fault of the app
+    itself.
 
     Timing: the neighbor bursts on a 45 s cycle ([0, 15), [45, 60), ...);
     the watch arms at t=30 (after warmup), so the first satisfying scrape
-    is t=50 — the interference is live before the agent engages at t=60."""
+    is t=50 — the interference is live before the agent engages at t=60.
+    """)
 
-    neighbor_base = 40.0
-    neighbor_factor = 5.0
-    neighbor_interval = 45.0
-    neighbor_duration = 15.0
-    storm_threshold = 150.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="search",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def app_specs(self) -> list[AppSpec]:
-        return [
-            AppSpec(HotelReservation, workload_rate=self.workload_rate),
-            AppSpec(SocialNetwork, policy=BurstRate(
-                base=self.neighbor_base, burst_factor=self.neighbor_factor,
-                interval=self.neighbor_interval,
-                burst_duration=self.neighbor_duration)),
-        ]
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule.load_triggered(
-            MetricAbove("nginx-web-server", "request_rate",
-                        self.storm_threshold, namespace=SOCIAL_NS),
-            "NetworkLoss", (self.target,), namespace=HOTEL_NS)
-
-
-class SharedBackendCascadeLocalization(MultiAppScheduledProblem,
-                                       LocalizationTask):
-    """A cross-app cascade through shared backend infrastructure: the
-    co-hosted SocialNetwork's read storm saturates its post-storage path,
-    and — both tenants' databases living on the same simulated backend
-    tier — HotelReservation's rate database locks clients out
-    (RevokeAuth as the contention stand-in), then the recommendation pods
-    fail 30 s after the lockout.  Ground truth is the *hotel-side* root
-    of the cascade (mongodb-rate); the trigger lives entirely in the
-    neighbor's namespace.  The neighbor's storm cycle puts the first
-    satisfying scrape at t=50 (lockout live before the agent engages) and
-    the pod failure at t=80, mid-session."""
-
-    storm_threshold = 100.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="mongodb-rate",
-                         app_name="HotelReservation", pid=pid,
-                         fidelity=fidelity)
-
-    def app_specs(self) -> list[AppSpec]:
-        return [
-            AppSpec(HotelReservation, workload_rate=self.workload_rate),
-            AppSpec(SocialNetwork, policy=BurstRate(
-                base=50.0, burst_factor=4.0, interval=45.0,
-                burst_duration=15.0)),
-        ]
-
-    def build_schedule(self) -> FaultSchedule:
-        return (FaultSchedule()
-                .when(MetricAbove("post-storage-service", "request_rate",
-                                  self.storm_threshold, namespace=SOCIAL_NS),
-                      "RevokeAuth", (self.target,), namespace=HOTEL_NS,
-                      tag="contention")
-                .after("contention", "PodFailure", ("recommendation",),
-                       delay=30.0, namespace=HOTEL_NS))
-
-
-class CrossAppRemediationDetection(MultiAppScheduledProblem, DetectionTask):
-    """The auto-remediation loop — the first schedule built on repeating
-    triggers (:meth:`FaultSchedule.every_crossing`, which re-arms its
-    :class:`~repro.telemetry.watch.MetricWatch` after every firing):
-
-    * every time the co-hosted HotelReservation neighbor's burst pushes
-      its frontend past 120 req/s, packet loss lands on SocialNetwork's
-      compose path (cross-app interference, once per storm *crossing*);
-    * every time SocialNetwork's frontend error rate then exceeds
-      0.5 err/s *sustained for 5 s*, the loss is recovered
-      (telemetry-driven remediation) — so the incident flaps in lockstep
-      with the neighbor's load, and both watches keep re-arming for the
-      whole session (first episode ≈ [50, 60], then once per 45 s storm).
-
-    The agent sees a system that degrades and self-heals repeatedly;
-    detection ground truth is "yes"."""
-
-    storm_threshold = 120.0
-    remediation_threshold = 0.5
-    remediation_sustain = 5.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="compose-post-service",
-                         app_name="SocialNetwork", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def app_specs(self) -> list[AppSpec]:
-        return [
-            AppSpec(SocialNetwork, workload_rate=self.workload_rate),
-            AppSpec(HotelReservation, policy=BurstRate(
-                base=40.0, burst_factor=4.0, interval=45.0,
-                burst_duration=15.0)),
-        ]
-
-    def build_schedule(self) -> FaultSchedule:
-        return (FaultSchedule
-                .every_crossing(
-                    MetricAbove("frontend", "request_rate",
-                                self.storm_threshold, namespace=HOTEL_NS),
-                    "NetworkLoss", (self.target,), namespace=SOCIAL_NS,
-                    tag="interference")
-                .when(MetricAbove("nginx-web-server", "error_rate",
-                                  self.remediation_threshold,
-                                  sustain_s=self.remediation_sustain,
-                                  namespace=SOCIAL_NS),
-                      "NetworkLoss", (self.target,), kind="recover",
-                      namespace=SOCIAL_NS, repeat=0))
-
-
-class HighRateNoisyNeighborDetection(NoisyNeighborDetection):
-    """The noisy-neighbor scenario at 1000 rps (plus a 400→2000 rps
-    bursting neighbor) on the aggregate execution tier — both apps'
-    drivers batch through ``execute_many`` on the shared queue, and the
-    cross-app trigger still lands within one scrape interval of the
-    per-request tier."""
-
-    workload_rate = 1000.0
-    fidelity = "aggregate"
-    neighbor_base = 400.0
-    neighbor_factor = 5.0
-    storm_threshold = 1500.0
-
-
-# ---------------------------------------------------------------------------
-# Resource-plane scenarios: node capacity, emergent contention, autoscaling.
-# None of these injects a fault — build_schedule() is empty and the incident
-# (or its absence) emerges from demand meeting finite machines.
-# ---------------------------------------------------------------------------
-
-class EmergentNoisyNeighborDetection(MultiAppScheduledProblem, DetectionTask):
-    """Noisy neighbor from first principles: both applications share one
-    deliberately small node with ``resource_coupling=True`` and **no fault
-    is ever injected**.  When the co-hosted SocialNetwork's storm (an
-    aggregate-tier burst policy) pushes the node past the resource plane's
-    70 % pressure knee, *every* co-located pod — the hotel frontend
-    included — sees its latency inflate, and past 90 % the node sheds
-    hotel RPCs with ``ResourceExhausted``.  Between storms the node cools
-    below the knee and the hotel is healthy again.  Detection ground truth
-    is "yes": the interference is real, even though ``kubectl describe``
-    of every hotel object looks clean — only ``kubectl top nodes`` and the
-    co-tenant's traffic give it away."""
-
-    node_cpu_mcores = 8000.0
-    neighbor_base = 150.0
-    neighbor_factor = 4.0
-    neighbor_interval = 45.0
-    neighbor_duration = 15.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="frontend",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def app_specs(self) -> list[AppSpec]:
-        return [
-            AppSpec(HotelReservation, workload_rate=self.workload_rate),
-            AppSpec(SocialNetwork, policy=BurstRate(
-                base=self.neighbor_base, burst_factor=self.neighbor_factor,
-                interval=self.neighbor_interval,
-                burst_duration=self.neighbor_duration),
-                fidelity="aggregate"),
-        ]
-
-    def create_environment(self, seed: int = 0) -> CloudEnvironment:
-        return CloudEnvironment(
-            self.app_specs(), seed=seed, fidelity=self.fidelity,
-            resource_coupling=True,
-            node_specs=(NodeSpec("node-0",
-                                 cpu_capacity=self.node_cpu_mcores),),
-        )
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule()  # nothing injected — contention is emergent
-
-
-class HpaSpikeRecoveryDetection(ScheduledFaultProblem, DetectionTask):
-    """A traffic spike the autoscaler absorbs: the hotel frontend's HPA
+_HPA_SPIKE_RECOVERY = Scenario(
+    pid="hpa_spike_recovery_hotel_res-detection-1", task="detection",
+    apps=(AppSpec(HotelReservation, policy=SpikeRate(
+        base=60.0, spike_factor=3.0, at=40.0, duration=40.0)),),
+    target="frontend", expected="no",
+    autoscale=(HpaPolicy(
+        namespace=HOTEL_NS, deployment="frontend", target_utilization=0.5,
+        max_replicas=5, scale_down_stabilization_s=30.0),),
+    doc="""A traffic spike the autoscaler absorbs: the hotel frontend's HPA
     (target 50 % of its 200 m request) sees the 3× spike land at t=40,
     scales 1 → 3 replicas within a rollup or two, then — after the spike
     ends and utilization stays low through the stabilization window —
     scales back down to 1 mid-session.  No fault, no degradation the
     system didn't handle: detection ground truth is "no", and the
     ``SuccessfulRescale`` events are the breadcrumbs a careful agent reads
-    to conclude the excitement is over."""
+    to conclude the excitement is over.
+    """)
 
-    spike_at = 40.0
-    spike_duration = 40.0
-    spike_factor = 3.0
-    hpa_target = 0.5
-    hpa_max = 5
-    hpa_stabilization_s = 30.0
+#: the catalog, in presentation order
+SCENARIOS: tuple[Scenario, ...] = (
+    # -- HotelReservation: time-triggered shapes (the original five that
+    #    shipped with the FaultSchedule timeline layer) ---------------------
+    _DELAYED_REVOKE_AUTH,
+    Scenario(
+        pid="flapping_network_loss_hotel_res-detection-1", task="detection",
+        apps=_HOTEL, target="search", expected="yes",
+        timeline=FaultSchedule.flapping(
+            "NetworkLoss", ("search",), start=5.0, period=30.0, on_for=15.0,
+            cycles=6),
+        doc="Intermittent packet loss on the search path: 15s on, 15s off."),
+    Scenario(
+        pid="flapping_pod_failure_hotel_res-localization-1",
+        task="localization", apps=_HOTEL, target="recommendation",
+        timeline=FaultSchedule.flapping(
+            "PodFailure", ("recommendation",), start=10.0, period=40.0,
+            on_for=20.0, cycles=5),
+        doc="The recommendation pods crash-loop in bursts; localize the "
+            "service."),
+    _CASCADE_GEO_OUTAGE,
+    Scenario(
+        pid="surge_revoke_auth_hotel_res-mitigation-1", task="mitigation",
+        apps=_HOTEL, target="mongodb-profile",
+        timeline=(FaultSchedule()
+                  .set_rate(5.0, BurstRate(base=60.0, burst_factor=3.0,
+                                           interval=120.0,
+                                           burst_duration=30.0))
+                  .inject(20.0, "RevokeAuth", ("mongodb-profile",))),
+        doc="""A marketing-burst traffic surge begins just before profile's
+        database auth is revoked; the agent must repair the system while the
+        burst policy drives 3× load waves.
 
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="frontend",
-                         app_name="HotelReservation", pid=pid, expected="no",
-                         fidelity=fidelity)
+        The burst factor is chosen so the peak (180 rps) stays under the
+        driver's ``max_requests_per_tick`` cap — the offered load is actually
+        delivered, not clipped.
+        """),
+    # -- HotelReservation: condition-triggered, chained, high-rate ----------
+    Scenario(
+        pid="load_triggered_network_loss_hotel_res-detection-1",
+        task="detection",
+        apps=(AppSpec(HotelReservation, policy=BurstRate(
+            base=60.0, burst_factor=3.0, interval=45.0,
+            burst_duration=15.0)),),
+        target="search", expected="yes",
+        timeline=FaultSchedule.load_triggered(
+            MetricAbove("frontend", "request_rate", 90.0),
+            "NetworkLoss", ("search",)),
+        doc="""The fault fires *because* the system is loaded: recurring traffic
+        bursts (3× every 45s) push the frontend's request rate past 90 req/s,
+        and only then does packet loss land on the search path — closed-loop
+        symptom/fault interaction, not a wall-clock appointment.
 
-    def rate_policy(self) -> RatePolicy:
-        return SpikeRate(base=self.workload_rate,
-                         spike_factor=self.spike_factor,
-                         at=self.spike_at, duration=self.spike_duration)
+        Timing: bursts run [0,15), [45,60), ... and the watch is armed at
+        t=30 (after warmup), so the first satisfying scrape is t=50 — the
+        fault is live before the agent is engaged at t=60.
+        """),
+    Scenario(
+        pid="error_cascade_hotel_res-localization-1", task="localization",
+        apps=_HOTEL, target="mongodb-geo",
+        timeline=(FaultSchedule()
+                  .inject(10.0, "RevokeAuth", ("mongodb-geo",), tag="root")
+                  .when(MetricAbove("frontend", "error_rate", 2.0,
+                                    sustain_s=10.0),
+                        "PodFailure", ("recommendation",))),
+        doc="""A degradation-conditioned cascade: geo's auth is revoked on a
+        timer, and once the frontend's error rate has stayed above 2 err/s
+        for 10 sustained seconds, the recommendation pods fail too — the
+        second fault fires because the system is already degraded.  Ground
+        truth is the cascade root (mongodb-geo).
+        """),
+    Scenario(
+        pid="chained_loss_relapse_hotel_res-detection-1", task="detection",
+        apps=_HOTEL, target="search", expected="yes",
+        timeline=(FaultSchedule()
+                  .inject(15.0, "NetworkLoss", ("search",), tag="loss")
+                  .after("loss", "NetworkLoss", ("search",), delay=25.0,
+                         kind="recover", new_tag="healed")
+                  .after("healed", "NetworkLoss", ("search",), delay=20.0)),
+        doc="""An incident with a relapse, expressed as an event chain: packet
+        loss lands at t=15, heals 25s after it landed, then relapses 20s
+        after the healing — each stage anchored to the previous stage's
+        *firing*, not to wall-clock guesses.
+        """),
+    replace(
+        _DELAYED_REVOKE_AUTH,
+        pid="highrate_revoke_auth_hotel_res-detection-1",
+        apps=(AppSpec(HotelReservation, workload_rate=1000.0),),
+        fidelity="aggregate",
+        doc="""The delayed-onset scenario at 1000 rps on the aggregate tier —
+        "millions of users" scale, same timeline, same grading.
+        """),
+    replace(
+        _CASCADE_GEO_OUTAGE,
+        pid="highrate_cascade_hotel_res-localization-1",
+        apps=(AppSpec(HotelReservation, workload_rate=2000.0),),
+        fidelity="aggregate",
+        doc="The geo cascade at 2000 rps on the aggregate tier."),
+    # -- SocialNetwork --------------------------------------------------------
+    Scenario(
+        pid="delayed_scale_zero_social_net-detection-1", task="detection",
+        apps=_SOCIAL, target="compose-post-service", expected="yes",
+        timeline=FaultSchedule.delayed(
+            "ScalePod", ("compose-post-service",), 40.0),
+        doc="""SocialNetwork is healthy at session start; compose-post is scaled
+        to zero pods 40s in (10s into the agent's investigation).
+        """),
+    Scenario(
+        pid="flapping_misconfig_social_net-detection-1", task="detection",
+        apps=_SOCIAL, target="user-service", expected="yes",
+        timeline=FaultSchedule.flapping(
+            "TargetPortMisconfig", ("user-service",), start=5.0, period=30.0,
+            on_for=15.0, cycles=6),
+        doc="""user-service's target port flips between broken and fixed — the
+        paper's TargetPortMisconfig as an intermittent incident.
+        """),
+    Scenario(
+        pid="cascade_social_outage_social_net-localization-1",
+        task="localization", apps=_SOCIAL, target="user-service",
+        timeline=FaultSchedule.cascade([
+            (10.0, "TargetPortMisconfig", ("user-service",)),
+            (50.0, "ScalePod", ("compose-post-service",)),
+        ]),
+        doc="""A SocialNetwork cascade: user-service's port is misconfigured
+        first, then compose-post is scaled to zero mid-diagnosis.  Ground
+        truth is the root (user-service).
+        """),
+    Scenario(
+        pid="load_triggered_scale_zero_social_net-localization-1",
+        task="localization",
+        apps=(AppSpec(SocialNetwork, policy=SpikeRate(
+            base=60.0, spike_factor=4.0, at=45.0, duration=30.0)),),
+        target="compose-post-service",
+        timeline=FaultSchedule.load_triggered(
+            MetricAbove("nginx-web-server", "request_rate", 90.0),
+            "ScalePod", ("compose-post-service",)),
+        doc="""A one-off traffic spike (4× at t=45) trips a request-rate watch on
+        the SocialNetwork frontend, and the overload "takes down" compose-post
+        (scaled to zero) — localize the service that failed under load.
+        """),
+    Scenario(
+        pid="highrate_misconfig_social_net-detection-1", task="detection",
+        apps=(AppSpec(SocialNetwork, workload_rate=1500.0),),
+        target="post-storage-service", expected="yes", fidelity="aggregate",
+        timeline=FaultSchedule.delayed(
+            "TargetPortMisconfig", ("post-storage-service",), 20.0),
+        doc="""SocialNetwork at 1500 rps on the aggregate tier; post-storage's
+        target port breaks 20s after arming.
+        """),
+    # -- multi-app: two namespaces, one environment, cross-app triggers -----
+    _NOISY_NEIGHBOR,
+    Scenario(
+        pid="shared_backend_cascade_multi_hotel_res-localization-1",
+        task="localization",
+        apps=(AppSpec(HotelReservation),
+              AppSpec(SocialNetwork, policy=BurstRate(
+                  base=50.0, burst_factor=4.0, interval=45.0,
+                  burst_duration=15.0))),
+        target="mongodb-rate",
+        timeline=(FaultSchedule()
+                  .when(MetricAbove("post-storage-service", "request_rate",
+                                    100.0, namespace=SOCIAL_NS),
+                        "RevokeAuth", ("mongodb-rate",), namespace=HOTEL_NS,
+                        tag="contention")
+                  .after("contention", "PodFailure", ("recommendation",),
+                         delay=30.0, namespace=HOTEL_NS)),
+        doc="""A cross-app cascade through shared backend infrastructure: the
+        co-hosted SocialNetwork's read storm saturates its post-storage path,
+        and — both tenants' databases living on the same simulated backend
+        tier — HotelReservation's rate database locks clients out
+        (RevokeAuth as the contention stand-in), then the recommendation pods
+        fail 30 s after the lockout.  Ground truth is the *hotel-side* root
+        of the cascade (mongodb-rate); the trigger lives entirely in the
+        neighbor's namespace.  The neighbor's storm cycle puts the first
+        satisfying scrape at t=50 (lockout live before the agent engages) and
+        the pod failure at t=80, mid-session.
+        """),
+    Scenario(
+        pid="cross_app_remediation_multi_social_net-detection-1",
+        task="detection",
+        apps=(AppSpec(SocialNetwork),
+              AppSpec(HotelReservation, policy=BurstRate(
+                  base=40.0, burst_factor=4.0, interval=45.0,
+                  burst_duration=15.0))),
+        target="compose-post-service", expected="yes",
+        timeline=(FaultSchedule
+                  .every_crossing(
+                      MetricAbove("frontend", "request_rate", 120.0,
+                                  namespace=HOTEL_NS),
+                      "NetworkLoss", ("compose-post-service",),
+                      namespace=SOCIAL_NS, tag="interference")
+                  .when(MetricAbove("nginx-web-server", "error_rate", 0.5,
+                                    sustain_s=5.0, namespace=SOCIAL_NS),
+                        "NetworkLoss", ("compose-post-service",),
+                        kind="recover", namespace=SOCIAL_NS, repeat=0)),
+        doc="""The auto-remediation loop — the first schedule built on repeating
+        triggers (:meth:`FaultSchedule.every_crossing`, which re-arms its
+        :class:`~repro.telemetry.watch.MetricWatch` after every firing):
 
-    def autoscale_policies(self) -> tuple[HpaPolicy, ...]:
-        return (HpaPolicy(
-            namespace=HOTEL_NS, deployment=self.target,
-            target_utilization=self.hpa_target, max_replicas=self.hpa_max,
-            scale_down_stabilization_s=self.hpa_stabilization_s),)
+        * every time the co-hosted HotelReservation neighbor's burst pushes
+          its frontend past 120 req/s, packet loss lands on SocialNetwork's
+          compose path (cross-app interference, once per storm *crossing*);
+        * every time SocialNetwork's frontend error rate then exceeds
+          0.5 err/s *sustained for 5 s*, the loss is recovered
+          (telemetry-driven remediation) — so the incident flaps in lockstep
+          with the neighbor's load, and both watches keep re-arming for the
+          whole session (first episode ≈ [50, 60], then once per 45 s storm).
 
-    def env_spec(self, seed: int = 0) -> EnvSpec:
-        return EnvSpec(seed=seed, workload_rate=self.workload_rate,
-                       fidelity=self.fidelity, policy=self.rate_policy(),
-                       autoscale=self.autoscale_policies())
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule()
-
-
-class AutoscalerThrashDetection(HpaSpikeRecoveryDetection):
-    """A misconfigured autoscaler as the incident: the stabilization
-    window is shorter than the workload's burst cycle, so every burst
-    scales the frontend up and every trough scales it straight back down
-    — the deployment's replica count flaps for the whole session (a
-    stream of ``SuccessfulRescale`` events alternating direction).
-    Detection ground truth is "yes": replica thrash *is* the operational
-    anomaly, even though each individual scaling decision looks locally
-    reasonable."""
-
-    burst_factor = 3.0
-    burst_interval = 40.0
-    burst_duration = 15.0
-    hpa_stabilization_s = 10.0
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(pid=pid, fidelity=fidelity)
-        self.ans = "yes"
-
-    def rate_policy(self) -> RatePolicy:
-        return BurstRate(base=self.workload_rate,
-                         burst_factor=self.burst_factor,
-                         interval=self.burst_interval,
-                         burst_duration=self.burst_duration)
-
-
-class CapacityExhaustionLocalization(ScheduledFaultProblem,
-                                     LocalizationTask):
-    """The autoscaler runs out of machine: a long 3× spike drives the
-    frontend's HPA to want 3 replicas, but the single node was sized with
-    barely any headroom over the chart's aggregate CPU requests — the
-    second new pod finds ``Insufficient cpu`` and stays ``Pending``
-    (a ``FailedScheduling`` event) for as long as the spike lasts.
-    Localize the service whose pods are stuck: the frontend."""
-
-    node_cpu_mcores = 3000.0
-    spike_at = 40.0
-    spike_duration = 150.0
-    spike_factor = 3.0
-    hpa_target = 0.5
-    hpa_max = 5
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="frontend",
-                         app_name="HotelReservation", pid=pid,
-                         fidelity=fidelity)
-
-    def rate_policy(self) -> RatePolicy:
-        return SpikeRate(base=self.workload_rate,
-                         spike_factor=self.spike_factor,
-                         at=self.spike_at, duration=self.spike_duration)
-
-    def env_spec(self, seed: int = 0) -> EnvSpec:
-        return EnvSpec(
-            seed=seed, workload_rate=self.workload_rate,
-            fidelity=self.fidelity, policy=self.rate_policy(),
-            node_specs=(NodeSpec("node-0",
-                                 cpu_capacity=self.node_cpu_mcores),),
-            autoscale=(HpaPolicy(
-                namespace=HOTEL_NS, deployment=self.target,
-                target_utilization=self.hpa_target,
-                max_replicas=self.hpa_max),))
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule()
-
-
-class ScaleUpRaceDetection(MultiAppScheduledProblem, DetectionTask):
-    """Two autoscalers race for one node's remaining capacity: both
-    tenants' frontends have HPAs, both see load rise at once (the hotel's
-    spike and the neighbor's burst overlap), and the node's headroom only
-    fits part of the combined scale-up — whichever rollup asks second
-    leaves pods ``Pending`` with ``Insufficient cpu``.  With coupling on,
-    the combined demand also pushes the node through the pressure knee
-    while the race is unresolved.  Detection ground truth is "yes"."""
-
-    node_cpu_mcores = 7000.0
-    spike_at = 40.0
-    spike_duration = 90.0
-    spike_factor = 3.0
-    neighbor_base = 60.0
-    neighbor_factor = 3.0
-    neighbor_interval = 45.0
-    neighbor_duration = 20.0
-    hpa_target = 0.5
-    hpa_max = 4
-
-    def __init__(self, pid: Optional[str] = None,
-                 fidelity: Optional[str] = None) -> None:
-        super().__init__(None, target="frontend",
-                         app_name="HotelReservation", pid=pid, expected="yes",
-                         fidelity=fidelity)
-
-    def app_specs(self) -> list[AppSpec]:
-        return [
-            AppSpec(HotelReservation, policy=SpikeRate(
-                base=self.workload_rate, spike_factor=self.spike_factor,
-                at=self.spike_at, duration=self.spike_duration)),
-            AppSpec(SocialNetwork, policy=BurstRate(
-                base=self.neighbor_base, burst_factor=self.neighbor_factor,
-                interval=self.neighbor_interval,
-                burst_duration=self.neighbor_duration)),
-        ]
-
-    def create_environment(self, seed: int = 0) -> CloudEnvironment:
-        return CloudEnvironment(
-            self.app_specs(), seed=seed, fidelity=self.fidelity,
-            resource_coupling=True,
-            node_specs=(NodeSpec("node-0",
-                                 cpu_capacity=self.node_cpu_mcores),),
-            autoscale=(
-                HpaPolicy(namespace=HOTEL_NS, deployment="frontend",
-                          target_utilization=self.hpa_target,
-                          max_replicas=self.hpa_max),
-                HpaPolicy(namespace=SOCIAL_NS,
-                          deployment="nginx-web-server",
-                          target_utilization=self.hpa_target,
-                          max_replicas=self.hpa_max),
-            ),
-        )
-
-    def build_schedule(self) -> FaultSchedule:
-        return FaultSchedule()
-
-
-#: pid -> factory, in presentation order
-SCENARIO_FACTORIES: dict[str, Callable[[], Problem]] = {
-    pid: (lambda cls=cls, pid=pid: cls(pid=pid))
-    for pid, cls in {
-        # HotelReservation, time-triggered
-        "delayed_revoke_auth_hotel_res-detection-1":
-            DelayedRevokeAuthDetection,
-        "flapping_network_loss_hotel_res-detection-1":
-            FlappingNetworkLossDetection,
-        "flapping_pod_failure_hotel_res-localization-1":
-            FlappingPodFailureLocalization,
-        "cascade_geo_outage_hotel_res-localization-1":
-            CascadeGeoOutageLocalization,
-        "surge_revoke_auth_hotel_res-mitigation-1":
-            SurgeRevokeAuthMitigation,
-        # HotelReservation, condition-triggered / chained / high-rate
-        "load_triggered_network_loss_hotel_res-detection-1":
-            LoadTriggeredNetworkLossDetection,
-        "error_cascade_hotel_res-localization-1":
-            ErrorCascadeLocalization,
-        "chained_loss_relapse_hotel_res-detection-1":
-            ChainedLossRelapseDetection,
-        "highrate_revoke_auth_hotel_res-detection-1":
-            HighRateDelayedRevokeAuthDetection,
-        "highrate_cascade_hotel_res-localization-1":
-            HighRateCascadeLocalization,
-        # SocialNetwork
-        "delayed_scale_zero_social_net-detection-1":
-            DelayedScaleZeroDetection,
-        "flapping_misconfig_social_net-detection-1":
-            FlappingMisconfigDetection,
-        "cascade_social_outage_social_net-localization-1":
-            SocialCascadeLocalization,
-        "load_triggered_scale_zero_social_net-localization-1":
-            LoadTriggeredScaleZeroLocalization,
-        "highrate_misconfig_social_net-detection-1":
-            HighRateDelayedMisconfigDetection,
-        # multi-app (two namespaces, one environment, cross-app triggers)
-        "noisy_neighbor_multi_hotel_res-detection-1":
-            NoisyNeighborDetection,
-        "shared_backend_cascade_multi_hotel_res-localization-1":
-            SharedBackendCascadeLocalization,
-        "cross_app_remediation_multi_social_net-detection-1":
-            CrossAppRemediationDetection,
-        "highrate_noisy_neighbor_multi_hotel_res-detection-1":
-            HighRateNoisyNeighborDetection,
-        # resource plane (node capacity, emergent contention, autoscaling)
-        "emergent_contention_multi_hotel_res-detection-1":
-            EmergentNoisyNeighborDetection,
-        "hpa_spike_recovery_hotel_res-detection-1":
-            HpaSpikeRecoveryDetection,
-        "autoscaler_thrash_hotel_res-detection-1":
-            AutoscalerThrashDetection,
-        "capacity_exhaustion_hotel_res-localization-1":
-            CapacityExhaustionLocalization,
-        "scale_up_race_multi_hotel_res-detection-1":
-            ScaleUpRaceDetection,
-    }.items()
-}
+        The agent sees a system that degrades and self-heals repeatedly;
+        detection ground truth is "yes".
+        """),
+    replace(
+        _NOISY_NEIGHBOR,
+        pid="highrate_noisy_neighbor_multi_hotel_res-detection-1",
+        apps=(AppSpec(HotelReservation, workload_rate=1000.0),
+              AppSpec(SocialNetwork, policy=BurstRate(
+                  base=400.0, burst_factor=5.0, interval=45.0,
+                  burst_duration=15.0))),
+        fidelity="aggregate",
+        timeline=FaultSchedule.load_triggered(
+            MetricAbove("nginx-web-server", "request_rate", 1500.0,
+                        namespace=SOCIAL_NS),
+            "NetworkLoss", ("search",), namespace=HOTEL_NS),
+        doc="""The noisy-neighbor scenario at 1000 rps (plus a 400→2000 rps
+        bursting neighbor) on the aggregate execution tier — both apps'
+        drivers batch through ``execute_many`` on the shared queue, and the
+        cross-app trigger still lands within one scrape interval of the
+        per-request tier.
+        """),
+    # -- resource plane: node capacity, emergent contention, autoscaling.
+    #    None of these injects a fault — the timeline is empty and the
+    #    incident (or its absence) emerges from demand meeting finite
+    #    machines ------------------------------------------------------------
+    Scenario(
+        pid="emergent_contention_multi_hotel_res-detection-1",
+        task="detection",
+        apps=(AppSpec(HotelReservation),
+              AppSpec(SocialNetwork, policy=BurstRate(
+                  base=150.0, burst_factor=4.0, interval=45.0,
+                  burst_duration=15.0), fidelity="aggregate")),
+        target="frontend", expected="yes", resource_coupling=True,
+        node_specs=(NodeSpec("node-0", cpu_capacity=8000.0),),
+        doc="""Noisy neighbor from first principles: both applications share one
+        deliberately small node with ``resource_coupling=True`` and **no fault
+        is ever injected**.  When the co-hosted SocialNetwork's storm (an
+        aggregate-tier burst policy) pushes the node past the resource plane's
+        70 % pressure knee, *every* co-located pod — the hotel frontend
+        included — sees its latency inflate, and past 90 % the node sheds
+        hotel RPCs with ``ResourceExhausted``.  Between storms the node cools
+        below the knee and the hotel is healthy again.  Detection ground truth
+        is "yes": the interference is real, even though ``kubectl describe``
+        of every hotel object looks clean — only ``kubectl top nodes`` and the
+        co-tenant's traffic give it away.
+        """),
+    _HPA_SPIKE_RECOVERY,
+    replace(
+        _HPA_SPIKE_RECOVERY,
+        pid="autoscaler_thrash_hotel_res-detection-1", expected="yes",
+        apps=(AppSpec(HotelReservation, policy=BurstRate(
+            base=60.0, burst_factor=3.0, interval=40.0,
+            burst_duration=15.0)),),
+        autoscale=(replace(_HPA_SPIKE_RECOVERY.autoscale[0],
+                           scale_down_stabilization_s=10.0),),
+        doc="""A misconfigured autoscaler as the incident: the stabilization
+        window is shorter than the workload's burst cycle, so every burst
+        scales the frontend up and every trough scales it straight back down
+        — the deployment's replica count flaps for the whole session (a
+        stream of ``SuccessfulRescale`` events alternating direction).
+        Detection ground truth is "yes": replica thrash *is* the operational
+        anomaly, even though each individual scaling decision looks locally
+        reasonable.
+        """),
+    Scenario(
+        pid="capacity_exhaustion_hotel_res-localization-1",
+        task="localization",
+        apps=(AppSpec(HotelReservation, policy=SpikeRate(
+            base=60.0, spike_factor=3.0, at=40.0, duration=150.0)),),
+        target="frontend",
+        node_specs=(NodeSpec("node-0", cpu_capacity=3000.0),),
+        autoscale=(HpaPolicy(
+            namespace=HOTEL_NS, deployment="frontend",
+            target_utilization=0.5, max_replicas=5),),
+        doc="""The autoscaler runs out of machine: a long 3× spike drives the
+        frontend's HPA to want 3 replicas, but the single node was sized with
+        barely any headroom over the chart's aggregate CPU requests — the
+        second new pod finds ``Insufficient cpu`` and stays ``Pending``
+        (a ``FailedScheduling`` event) for as long as the spike lasts.
+        Localize the service whose pods are stuck: the frontend.
+        """),
+    Scenario(
+        pid="scale_up_race_multi_hotel_res-detection-1", task="detection",
+        apps=(AppSpec(HotelReservation, policy=SpikeRate(
+                  base=60.0, spike_factor=3.0, at=40.0, duration=90.0)),
+              AppSpec(SocialNetwork, policy=BurstRate(
+                  base=60.0, burst_factor=3.0, interval=45.0,
+                  burst_duration=20.0))),
+        target="frontend", expected="yes", resource_coupling=True,
+        node_specs=(NodeSpec("node-0", cpu_capacity=7000.0),),
+        autoscale=(
+            HpaPolicy(namespace=HOTEL_NS, deployment="frontend",
+                      target_utilization=0.5, max_replicas=4),
+            HpaPolicy(namespace=SOCIAL_NS, deployment="nginx-web-server",
+                      target_utilization=0.5, max_replicas=4),
+        ),
+        doc="""Two autoscalers race for one node's remaining capacity: both
+        tenants' frontends have HPAs, both see load rise at once (the hotel's
+        spike and the neighbor's burst overlap), and the node's headroom only
+        fits part of the combined scale-up — whichever rollup asks second
+        leaves pods ``Pending`` with ``Insufficient cpu``.  With coupling on,
+        the combined demand also pushes the node through the pressure knee
+        while the race is unresolved.  Detection ground truth is "yes".
+        """),
+)

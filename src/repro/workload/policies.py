@@ -43,7 +43,10 @@ class RatePolicy(Protocol):
         ...
 
 
-@dataclass
+# Every policy is frozen: a policy object is a value that scenario rows,
+# AppSpecs and timeline entries share across environments.
+
+@dataclass(frozen=True)
 class ConstantRate:
     """A fixed offered load."""
 
@@ -61,7 +64,7 @@ class ConstantRate:
         return math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiurnalRate:
     """Sinusoidal day/night pattern around a base rate.
 
@@ -143,7 +146,7 @@ class DiurnalRate:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BurstRate:
     """Base load with recurring bursts (e.g. marketing pushes).
 
@@ -183,7 +186,7 @@ class BurstRate:
         return t + (self.interval - phase)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpikeRate:
     """A single one-off spike at ``at`` lasting ``duration`` seconds."""
 
@@ -215,7 +218,7 @@ class SpikeRate:
         return math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayTrace:
     """Replays an industry trace: a step function over (time, rate) points."""
 

@@ -6,7 +6,6 @@ from repro.agents import (
     AGENT_NAMES, FlashAgent, GptWithShellAgent, ReactAgent, build_agent,
     registration_loc,
 )
-from repro.agents.registry import task_type_of
 
 DESC = 'namespace "test-ns". Services: frontend, geo, mongodb-geo.'
 INSTR = "Interact step by step."
@@ -40,11 +39,6 @@ class TestRegistry:
         assert all(v > 0 for v in locs.values())
         # richer scaffolds cost more wiring, as in Table 3
         assert locs["flash"] > locs["react"] > locs["gpt-4-w-shell"]
-
-    def test_task_type_of(self):
-        assert task_type_of("x_hotel_res-localization-2") == "localization"
-        with pytest.raises(ValueError):
-            task_type_of("x-nothing-1")
 
 
 class TestAgentContract:

@@ -43,6 +43,37 @@ class TestMKSMC:
         assert t1 == t2
 
 
+class TestMksmcGrading:
+    """The runner grades the detector's verdict against the problem's own
+    answer — scenario problems carry no fault spec, only ``ans``."""
+
+    @pytest.mark.parametrize("pid,accuracy", [
+        # ans == "yes" with spec None: "not anomalous" is a miss
+        ("delayed_revoke_auth_hotel_res-detection-1", 0.0),
+        # ans == "no": "not anomalous" is correct
+        ("hpa_spike_recovery_hotel_res-detection-1", 1.0),
+    ])
+    def test_quiet_verdict_is_graded_by_problem_answer(
+            self, monkeypatch, pid, accuracy):
+        from repro.baselines import runner
+        from repro.baselines.mksmc import MksmcResult
+
+        class NeverAnomalous:
+            def __init__(self, seed=0):
+                pass
+
+            def fit(self, *args, **kwargs):
+                return self
+
+            def detect(self, *args, **kwargs):
+                return MksmcResult(anomalous=False, score=0.0,
+                                   threshold=1.0)
+
+        monkeypatch.setattr(runner, "MKSMC", NeverAnomalous)
+        row = runner.run_baseline_suite("mksmc", pids=[pid])
+        assert row["accuracy"] == accuracy
+
+
 class TestRMLAD:
     def test_ranks_log_anomalous_service_high(self, hotel):
         hotel.driver.run_events(30)

@@ -8,11 +8,7 @@ from repro.apps import HotelReservation
 from repro.core import CloudEnvironment, Orchestrator
 from repro.kubesim import HpaPolicy
 from repro.problems import get_problem
-from repro.problems.scenarios import (
-    HOTEL_NS,
-    SOCIAL_NS,
-    EmergentNoisyNeighborDetection,
-)
+from repro.problems.scenarios import HOTEL_NS, SOCIAL_NS
 
 from tests.core.test_kernel_equivalence import scrape_series, stats_key
 
@@ -23,7 +19,8 @@ class TestEmergentContention:
     def test_co_tenant_degradation_without_any_fault(self):
         """Two apps on one undersized node degrade each other purely from
         workload — the timeline is empty, nothing is ever injected."""
-        prob = EmergentNoisyNeighborDetection(pid="emergent-test")
+        prob = get_problem(
+            "emergent_contention_multi_hotel_res-detection-1")
         env = prob.create_environment(seed=11)
         prob.start_workload(env)
         prob.inject_fault(env)
@@ -50,7 +47,8 @@ class TestEmergentContention:
         env.close()
 
     def test_contention_recovers_between_bursts(self):
-        prob = EmergentNoisyNeighborDetection(pid="emergent-test")
+        prob = get_problem(
+            "emergent_contention_multi_hotel_res-detection-1")
         env = prob.create_environment(seed=11)
         prob.start_workload(env)
         prob.inject_fault(env)

@@ -86,7 +86,7 @@ class TestArmValidity:
         gen = ScenarioGenerator(seed)
         spec = gen.spec(index)
         prob = gen.problem(index)
-        sched = prob.build_schedule().validate()  # arm-time checks, env-free
+        sched = prob.scenario.timeline.validate()  # arm-time, env-free
         tags = {e.tag for e in sched.entries if e.tag}
         for entry in sched.entries:
             if isinstance(entry.trigger, AfterEvent):
@@ -212,18 +212,16 @@ class TestPoolCoverage:
         for index in range(0, self.N, 13):
             prob = gen.problem(index)
             env = prob.create_environment(seed=1)
-            armed = prob.build_schedule().arm(env)
+            armed = prob.scenario.timeline.arm(env)
             armed.cancel_pending()
             env.close()
 
     def test_get_problem_resolves_registered_and_unregistered(self):
-        import repro.problems.pool as pool
         pids = generated_pool(5, seed=3)
-        assert all(pid in pool.GENERATED_FACTORIES for pid in pids)
         assert get_problem(pids[0]).pid == pids[0]
-        # never-registered pid from another seed resolves via the recipe
+        # nothing is registered: a pid no pool call ever listed resolves
+        # via the recipe too
         cold_pid = ScenarioGenerator(4).spec(2).pid
-        assert cold_pid not in pool.GENERATED_FACTORIES
         assert get_problem(cold_pid).pid == cold_pid
 
     def test_doctored_pid_is_rejected(self):

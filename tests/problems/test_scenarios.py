@@ -213,10 +213,9 @@ class TestAggregateGradingAgreement:
 
     @pytest.mark.parametrize("pid,seed", FAMILIES)
     def test_grading_agrees_across_fidelities(self, pid, seed):
-        from repro.problems.scenarios import SCENARIO_FACTORIES
         results = {}
         for fidelity in ("per_request", "aggregate"):
-            prob = SCENARIO_FACTORIES[pid]()
+            prob = get_problem(pid)
             prob.fidelity = fidelity
             results[fidelity] = run_session(prob, seed=seed)
         pr, ag = results["per_request"], results["aggregate"]
