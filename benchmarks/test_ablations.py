@@ -1,4 +1,4 @@
-"""Ablations called out in DESIGN.md.
+"""Ablations called out in DESIGN.md (not paper claims).
 
 1. **Headroom/floor**: the oracle profile (perfect policy-following) vs the
    random profile (no planning, no commitment) bound what any LLM backend
@@ -7,14 +7,15 @@
    time to surface in telemetry; with zero soak, evidence is scarcer.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SEED, REDUCED_PIDS
-from repro.bench import BenchmarkRunner
+from benchmarks.conftest import BENCH_SEED
+from repro.agents import build_agent
+from repro.bench import REDUCED_PIDS, BenchmarkRunner
+from repro.core import Orchestrator
 from repro.problems import get_problem
 
 
-def test_ablation_oracle_vs_random(runner):
+def test_ablation_oracle_vs_random():
+    runner = BenchmarkRunner(max_steps=20, seed=BENCH_SEED)
     scores = {}
     for profile in ("oracle", "random"):
         wins = sum(runner.run_case(profile, pid).success
@@ -32,20 +33,15 @@ def test_ablation_oracle_vs_random(runner):
 
 def test_ablation_fault_soak():
     """Detection accuracy vs. how long the fault has been live."""
+    pids = ["revoke_auth_hotel_res-detection-1",
+            "misconfig_k8s_social_net-detection-1",
+            "network_loss_hotel_res-detection-1"]
     accuracy = {}
     for soak in (2.0, 30.0):
-        runner = BenchmarkRunner(max_steps=10, seed=BENCH_SEED)
         wins = 0
-        pids = ["revoke_auth_hotel_res-detection-1",
-                "misconfig_k8s_social_net-detection-1",
-                "network_loss_hotel_res-detection-1"]
         for pid in pids:
             problem = get_problem(pid)
             problem.fault_soak_seconds = soak
-            orch_case = runner.run_case("oracle", pid)
-            # re-run through a problem instance with modified soak
-            from repro.core import Orchestrator
-            from repro.agents import build_agent
             orch = Orchestrator(seed=BENCH_SEED)
             ctx = orch.init_problem(problem)
             agent = build_agent("oracle", *ctx, task_type="detection",
@@ -56,4 +52,3 @@ def test_ablation_fault_soak():
     print()
     print(f"  soak  2s: acc {accuracy[2.0]:.0%}   soak 30s: acc {accuracy[30.0]:.0%}")
     assert accuracy[30.0] >= accuracy[2.0]
-

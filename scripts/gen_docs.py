@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Generate the checked-in docs that mirror code-owned registries.
 
-Three files are generated (and committed, so readers need no tooling):
+Four files are generated (and committed, so readers need no tooling):
 
 * ``docs/api/actions.md`` — the Agent-Cloud Interface reference, rendered
   from the ``@action`` registry exactly as sessions render it for agents
@@ -14,7 +14,10 @@ Three files are generated (and committed, so readers need no tooling):
   ``repro.problems.scenario_pids()``: pid, hosted app(s), fidelity/rate,
   trigger kinds and the full fault timeline per scenario, plus the
   procedural generator's template space (axes × values, with sampled
-  example recipes from the documented seed-0 pool).
+  example recipes from the documented seed-0 pool);
+* ``docs/claims.md`` — what this reproduction asserts about the paper:
+  one row per ``repro.bench.claims.CLAIMS`` entry (id, paper section,
+  statement) beside the paper's own numbers from ``report.PAPER``.
 
 ``--check`` regenerates in memory and exits non-zero if the committed
 files are stale — the CI ``docs-check`` step runs exactly that, so the
@@ -33,6 +36,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
+from repro.bench.claims import CLAIMS  # noqa: E402
+from repro.bench.report import paper_values  # noqa: E402
 from repro.core import shell  # noqa: E402
 from repro.core.aci import registry_for  # noqa: E402
 from repro.core.problem import TASK_CLASSES  # noqa: E402
@@ -301,6 +306,35 @@ def render_scenarios_md() -> str:
     return "\n".join(out)
 
 
+def render_claims_md() -> str:
+    """The claims table: what ``benchmarks/test_claims.py`` asserts."""
+    out = [
+        GENERATED_BANNER,
+        "# What this reproduction claims",
+        "",
+        "One row per entry of `repro.bench.claims.CLAIMS`.  Each is a",
+        "predicate over the numbers of one evaluation run",
+        "(`repro.bench.run_experiments`); `pytest benchmarks/test_claims.py`",
+        "asserts all of them at `AIOPSLAB_BENCH_SEED` (default 0), and",
+        "`python -m repro make-report` prints a held/FAILED verdict per row",
+        "beside the measured tables.  The claims are *orderings* (who wins,",
+        "what is hard), not the paper's absolute numbers, which are quoted",
+        "for reference where the paper tabulates them.  How often each claim",
+        "holds across seeds is not yet recorded.",
+        "",
+    ]
+    for section in dict.fromkeys(claim.section for claim in CLAIMS):
+        out += [f"## {section}", ""]
+        paper = paper_values(section)
+        if paper:
+            out += [f"Paper (%) — {paper}.", ""]
+        out += ["| id | claim |", "|---|---|"]
+        out += [f"| `{claim.id}` | {claim.statement} |"
+                for claim in CLAIMS if claim.section == section]
+        out.append("")
+    return "\n".join(out)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check", action="store_true",
@@ -312,6 +346,7 @@ def main() -> None:
         REPO / "docs" / "api" / "actions.md": render_actions_md(),
         REPO / "docs" / "api" / "shell.md": render_shell_md(),
         REPO / "docs" / "scenarios.md": render_scenarios_md(),
+        REPO / "docs" / "claims.md": render_claims_md(),
     }
     stale = []
     for path, content in targets.items():

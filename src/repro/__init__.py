@@ -25,11 +25,11 @@ concurrency level::
     ...      for i, pid in enumerate(benchmark_pids())],
     ...     concurrency=8)
 
-The seed's ``init_problem`` → ``register_agent`` → ``start_problem`` flow
-still works as a thin shim over one implicit session and is deprecated.
+The paper's Example 2.3 flow — ``init_problem`` → ``register_agent`` →
+``start_problem`` — is a thin façade over one implicit session.
 """
 
-__version__ = "3.4.0"
+__version__ = "3.5.0"
 
 from repro.core import (
     ActionRegistry,

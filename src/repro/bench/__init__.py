@@ -1,31 +1,24 @@
-"""Benchmark harness: runs the 48-problem suite and regenerates every
-table and figure of the paper's evaluation section."""
+"""Benchmark harness: runs the paper's evaluation (§3), regenerates every
+table and figure, and states what the reproduction claims about them."""
 
-from repro.bench.runner import BenchmarkRunner, CaseResult
-from repro.bench.tables import (
-    table2_problem_pool,
-    table3_overall,
-    table4_by_task,
-    table5_commands,
-    render_table,
-)
+from repro.bench.runner import BenchmarkRunner, CaseResult, SuiteResults
 from repro.bench.figures import (
-    figure5_step_limit,
-    figure6_api_usage,
-    figure7_action_distribution,
+    command_counts, figure6_api_usage, figure7_action_distribution,
     render_series,
+)
+from repro.bench.tables import (
+    render_table, table2_problem_pool, table3_overall, table4_by_task,
+    table5_commands,
+)
+from repro.bench.claims import CLAIMS, Claim
+from repro.bench.report import (
+    REDUCED_PIDS, ExperimentReport, render_markdown, run_experiments,
 )
 
 __all__ = [
-    "BenchmarkRunner",
-    "CaseResult",
-    "table2_problem_pool",
-    "table3_overall",
-    "table4_by_task",
-    "table5_commands",
-    "render_table",
-    "figure5_step_limit",
-    "figure6_api_usage",
-    "figure7_action_distribution",
-    "render_series",
+    "BenchmarkRunner", "CaseResult", "SuiteResults",
+    "command_counts", "figure6_api_usage", "figure7_action_distribution",
+    "render_series", "render_table", "table2_problem_pool", "table3_overall",
+    "table4_by_task", "table5_commands", "CLAIMS", "Claim", "REDUCED_PIDS",
+    "ExperimentReport", "render_markdown", "run_experiments",
 ]

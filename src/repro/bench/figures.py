@@ -1,35 +1,62 @@
-"""Figure data generators: Figures 5, 6 and 7 of the evaluation."""
+"""Trajectory statistics: the numbers behind Figures 6–7 and Table 5.
+
+(Figure 5 is :meth:`BenchmarkRunner.sweep_step_limit`.)
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import re
+from collections import Counter
+from typing import Iterable, Sequence
 
-from repro.agents.registry import AGENT_NAMES
-from repro.bench.runner import BenchmarkRunner, SuiteResults
+from repro.bench.runner import CaseResult, SuiteResults
 
 
-def render_series(title: str, series: dict[str, dict], unit: str = "") -> str:
+def render_series(title: str, series: dict[str, dict]) -> str:
     """Text rendering for figure data (keys as the x-axis)."""
     lines = [title]
     for name, points in series.items():
         pts = "  ".join(f"{k}:{v:.3f}" if isinstance(v, float) else f"{k}:{v}"
                         for k, v in points.items())
-        lines.append(f"  {name:<18} {pts}{unit}")
+        lines.append(f"  {name:<18} {pts}")
     return "\n".join(lines)
 
 
-def figure5_step_limit(
-    runner: BenchmarkRunner,
-    limits: Sequence[int] = (3, 5, 10, 15, 20),
-    agents: Sequence[str] = AGENT_NAMES,
-    pids: Optional[Sequence[str]] = None,
-) -> dict[str, dict[int, float]]:
-    """Figure 5: accuracy vs. maximum allowed steps K."""
-    return runner.sweep_step_limit(limits=limits, agents=agents, pids=pids)
+#: in Figure 6's order (get_logs first: it wins ties for "most used")
+TELEMETRY_APIS = ("get_logs", "get_metrics", "get_traces")
 
 
-#: Figure 6 buckets
-_F6_BUCKETS = ("get_logs", "get_metrics", "get_traces", "Others", "K8S")
+def classify(step) -> tuple[str, str]:
+    """``(kind, shell command text)`` of one trajectory step — the single
+    reading of a step that Figures 6–7 and Table 5 bucket differently.
+
+    Kinds: ``submit``, the three telemetry APIs, ``kubectl get``,
+    ``kubectl other``, ``helm``, ``shell`` (any other ``exec_shell``) and
+    ``other`` (invalid or unknown actions).
+    """
+    if step.action_name != "exec_shell":
+        direct = step.action_name in ("submit", *TELEMETRY_APIS)
+        return (step.action_name if direct else "other"), ""
+    command = str(step.action_args[0]) if step.action_args else ""
+    if step.shell_command == "kubectl":
+        verb = "get" if " get " in f" {command} " else "other"
+        return f"kubectl {verb}", command
+    return ("helm" if step.shell_command == "helm" else "shell"), command
+
+
+def _mix(cases: Iterable[CaseResult], bucket_of: dict[str, str],
+         buckets: Sequence[str]) -> dict[str, float]:
+    """Percent of ``cases``' steps per bucket (unmapped kinds: ``Others``)."""
+    counts = Counter(bucket_of.get(classify(step)[0], "Others")
+                     for case in cases for step in case.session.steps)
+    total = sum(counts.values())
+    return {b: (100.0 * counts[b] / total if total else 0.0) for b in buckets}
+
+
+#: Figure 6 buckets, and the step kinds that fall in each
+_F6_BUCKETS = (*TELEMETRY_APIS, "Others", "K8S")
+_F6 = {**{api: api for api in TELEMETRY_APIS},
+       "kubectl get": "K8S", "kubectl other": "K8S", "helm": "K8S"}
 
 
 def figure6_api_usage(results: SuiteResults,
@@ -40,58 +67,37 @@ def figure6_api_usage(results: SuiteResults,
     ``K8S`` is exec_shell with a kubectl/helm command; ``Others`` is
     everything else (submit, invalid actions, other shell commands).
     """
-    out: dict[str, dict[str, float]] = {}
-    for agent in agents:
-        counts = {b: 0 for b in _F6_BUCKETS}
-        total = 0
-        for case in results.for_agent(agent):
-            for step in case.session.steps:
-                total += 1
-                if step.action_name in ("get_logs", "get_metrics", "get_traces"):
-                    counts[step.action_name] += 1
-                elif step.action_name == "exec_shell" and \
-                        step.shell_command in ("kubectl", "helm"):
-                    counts["K8S"] += 1
-                else:
-                    counts["Others"] += 1
-        out[agent] = {
-            b: (100.0 * counts[b] / total if total else 0.0)
-            for b in _F6_BUCKETS
-        }
-    return out
+    return {agent: _mix(results.select(agent), _F6, _F6_BUCKETS)
+            for agent in agents}
 
 
-#: Figure 7 buckets
+#: Figure 7 buckets, and the step kinds that fall in each
 _F7_BUCKETS = ("Submit", "kubectl get", "kubectl other", "get_logs",
                "get_traces", "get_metrics", "Others")
-
-
-def _f7_bucket(step) -> str:
-    if step.action_name == "submit":
-        return "Submit"
-    if step.action_name in ("get_logs", "get_traces", "get_metrics"):
-        return step.action_name
-    if step.action_name == "exec_shell" and step.shell_command == "kubectl":
-        args = str(step.action_args[0]) if step.action_args else ""
-        return "kubectl get" if " get " in f" {args} " else "kubectl other"
-    return "Others"
+_F7 = {**{b: b for b in _F7_BUCKETS}, "submit": "Submit"}
 
 
 def figure7_action_distribution(results: SuiteResults
                                 ) -> dict[str, dict[str, float]]:
     """Figure 7: action distribution split by case outcome."""
-    out: dict[str, dict[str, float]] = {}
-    for label, want_success in (("successful", True), ("failure", False)):
-        counts = {b: 0 for b in _F7_BUCKETS}
-        total = 0
-        for case in results.cases:
-            if case.success != want_success:
-                continue
-            for step in case.session.steps:
-                counts[_f7_bucket(step)] += 1
-                total += 1
-        out[label] = {
-            b: (100.0 * counts[b] / total if total else 0.0)
-            for b in _F7_BUCKETS
-        }
+    return {label: _mix((c for c in results.cases if c.success == outcome),
+                        _F7, _F7_BUCKETS)
+            for label, outcome in (("successful", True), ("failure", False))}
+
+
+#: the commands the paper tabulates in Table 5
+TABLE5_COMMANDS = ("find", "echo", "py", "awk", "mongo", "grep", "ls", "cat", "ip")
+
+
+def command_counts(results: SuiteResults,
+                   agents: Sequence[str] = ("react", "flash")
+                   ) -> dict[str, dict[str, int]]:
+    """Table 5: occurrences of (non-kubectl) system commands per agent."""
+    out = {}
+    for agent in agents:
+        words = Counter(
+            word for case in results.select(agent)
+            for step in case.session.steps
+            for word in re.findall(r"[a-z]+", classify(step)[1]))
+        out[agent] = {c: words[c] for c in TABLE5_COMMANDS}
     return out

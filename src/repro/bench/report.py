@@ -1,7 +1,9 @@
-"""EXPERIMENTS.md generator: runs the evaluation and renders paper-vs-measured.
+"""The paper's evaluation, stated once: what is run and how it is reported.
 
-Used by ``python -m repro make-report`` — the checked-in EXPERIMENTS.md is
-produced by exactly this code, so the numbers are regenerable.
+:func:`run_experiments` is the only spelling of the evaluation (suite,
+baselines, Figure-5 sweep, Noop probe); the ``benchmarks/`` harness,
+``python -m repro make-report`` and ``examples/run_benchmark.py`` all call
+it and print :func:`render_markdown` of what it returns.
 """
 
 from __future__ import annotations
@@ -11,173 +13,175 @@ from typing import Optional, Sequence
 
 from repro.agents.registry import AGENT_NAMES
 from repro.baselines import run_baseline_suite
+from repro.bench.claims import CLAIMS
 from repro.bench.figures import (
-    figure5_step_limit, figure6_api_usage, figure7_action_distribution,
-    render_series,
+    figure6_api_usage, figure7_action_distribution, render_series,
 )
 from repro.bench.runner import BenchmarkRunner, SuiteResults
 from repro.bench.tables import (
     render_table, table2_problem_pool, table3_overall, table4_by_task,
     table5_commands,
 )
-from repro.problems import list_problems, noop_pids
+from repro.problems import noop_pids
 
-#: the paper's headline numbers, for the side-by-side (Table 3 / Table 4)
+#: one problem per fault family — the reduced pool Figure 5 sweeps (and the
+#: ablations in ``benchmarks/`` run on)
+REDUCED_PIDS = (
+    "auth_missing_hotel_res-detection-1",
+    "misconfig_k8s_social_net-detection-1",
+    "revoke_auth_hotel_res-localization-1",
+    "user_unregistered_hotel_res-localization-1",
+    "buggy_app_image_hotel_res-analysis-1",
+    "scale_pod_zero_social_net-analysis-1",
+    "assign_to_non_existent_node_social_net-mitigation-1",
+    "misconfig_k8s_social_net-mitigation-1",
+    "network_loss_hotel_res-detection-1",
+    "pod_failure_hotel_res-localization-1",
+    "revoke_auth_hotel_res-mitigation-1",
+    "auth_missing_hotel_res-analysis-1",
+)
+
+#: the paper's headline numbers (percent), keyed by how each row is
+#: measured here: (paper section, label, task, k) →
+#: ``SuiteResults.accuracy(agent, task, at=k)``
 PAPER = {
-    "overall_acc": {"gpt-4-w-shell": 49.15, "gpt-3.5-w-shell": 15.25,
-                    "react": 55.93, "flash": 59.32},
-    "detection_acc": {"gpt-4-w-shell": 69.23, "gpt-3.5-w-shell": 23.07,
-                      "react": 76.92, "flash": 100.0, "mksmc": 15.38},
-    "localization_acc1": {"gpt-4-w-shell": 61.54, "gpt-3.5-w-shell": 30.77,
-                          "react": 53.85, "flash": 46.15,
-                          "pdiagnose": 15.38, "rmlad": 7.69},
-    "localization_acc3": {"gpt-4-w-shell": 61.54, "gpt-3.5-w-shell": 30.77,
-                          "react": 69.23, "flash": 61.54},
-    "rca_acc": {"gpt-4-w-shell": 40.90, "gpt-3.5-w-shell": 9.09,
-                "react": 45.45, "flash": 36.36},
-    "mitigation_acc": {"gpt-4-w-shell": 27.27, "gpt-3.5-w-shell": 0.0,
-                       "react": 36.36, "flash": 54.55},
+    ("Table 3", "Overall accuracy", None, 1): {
+        "gpt-4-w-shell": 49.15, "gpt-3.5-w-shell": 15.25,
+        "react": 55.93, "flash": 59.32},
+    ("Table 4a", "Detection accuracy", "detection", 1): {
+        "gpt-4-w-shell": 69.23, "gpt-3.5-w-shell": 23.07,
+        "react": 76.92, "flash": 100.0, "mksmc": 15.38},
+    ("Table 4b", "Localization acc@1", "localization", 1): {
+        "gpt-4-w-shell": 61.54, "gpt-3.5-w-shell": 30.77,
+        "react": 53.85, "flash": 46.15, "pdiagnose": 15.38, "rmlad": 7.69},
+    ("Table 4b", "Localization acc@3", "localization", 3): {
+        "gpt-4-w-shell": 61.54, "gpt-3.5-w-shell": 30.77,
+        "react": 69.23, "flash": 61.54},
+    ("Table 4c", "RCA accuracy", "analysis", 1): {
+        "gpt-4-w-shell": 40.90, "gpt-3.5-w-shell": 9.09,
+        "react": 45.45, "flash": 36.36},
+    ("Table 4d", "Mitigation accuracy", "mitigation", 1): {
+        "gpt-4-w-shell": 27.27, "gpt-3.5-w-shell": 0.0,
+        "react": 36.36, "flash": 54.55},
 }
+
+
+def paper_values(section: str) -> str:
+    """The paper's numbers for one table, as ``docs/claims.md`` quotes them."""
+    return "; ".join(
+        f"{label}: " + ", ".join(f"{name.upper()} {value:g}"
+                                 for name, value in row.items())
+        for (sec, label, _, _), row in PAPER.items() if sec == section)
 
 
 @dataclass
 class ExperimentReport:
-    """All artifacts of one full evaluation run."""
+    """All artifacts of one evaluation run."""
 
     seed: int
     results: SuiteResults
     baselines: dict[str, dict[str, float]]
     figure5: dict[str, dict[int, float]]
     noop_outcome: dict[str, bool]
+    #: the subset the run was restricted to (``None`` = the full pool)
+    pids: Optional[Sequence[str]] = None
 
 
-def run_experiments(seed: int = 0,
-                    figure5_pids: Optional[Sequence[str]] = None,
+def run_experiments(runner: BenchmarkRunner,
+                    pids: Optional[Sequence[str]] = None,
                     verbose: bool = False) -> ExperimentReport:
-    """Run every experiment (suite, baselines, sweeps, noop probes)."""
-    runner = BenchmarkRunner(max_steps=20, seed=seed)
-    results = runner.run_suite(verbose=verbose)
-    baselines = {
-        name: run_baseline_suite(name, seed=seed)
+    """Run the paper's evaluation: the agent suite, the three non-LLM
+    baselines, the Figure-5 step-limit sweep over :data:`REDUCED_PIDS`
+    and the §3.6.4 Noop probe.
+
+    ``runner`` carries seed, step limit and concurrency.  ``pids``
+    restricts the suite and the sweep to a subset (a smoke run); the
+    baselines are whole-task batch algorithms and are then skipped.
+    """
+    results = runner.run_suite(pids=pids, verbose=verbose)
+    baselines = {} if pids is not None else {
+        name: run_baseline_suite(name, seed=runner.seed)
         for name in ("mksmc", "pdiagnose", "rmlad")
     }
-    figure5 = figure5_step_limit(
-        runner, limits=(3, 5, 10, 15, 20),
-        pids=figure5_pids or list_problems()[:12],
-    )
+    figure5 = runner.sweep_step_limit(
+        pids=REDUCED_PIDS if pids is None else pids)
     noop_outcome = {
         agent: all(runner.run_case(agent, pid).success
                    for pid in noop_pids())
         for agent in AGENT_NAMES
     }
-    return ExperimentReport(seed=seed, results=results, baselines=baselines,
-                            figure5=figure5, noop_outcome=noop_outcome)
-
-
-def _measured_acc(results: SuiteResults, agent: str,
-                  task: Optional[str] = None, at: int = 1) -> float:
-    cases = results.for_task(task, agent) if task else results.for_agent(agent)
-    if not cases:
-        return 0.0
-    if task == "localization":
-        key = f"success@{at}"
-        return 100.0 * sum(c.details.get(key, c.success)
-                           for c in cases) / len(cases)
-    if task == "analysis":
-        sub = sum(c.details.get("subtasks_correct", 2 * int(c.success))
-                  for c in cases)
-        return 100.0 * sub / (2 * len(cases))
-    return 100.0 * sum(c.success for c in cases) / len(cases)
+    return ExperimentReport(seed=runner.seed, results=results,
+                            baselines=baselines, figure5=figure5,
+                            noop_outcome=noop_outcome, pids=pids)
 
 
 def _comparison_table(report: ExperimentReport) -> str:
     rows = []
-    specs = [
-        ("Overall accuracy", "overall_acc", None, 1),
-        ("Detection accuracy", "detection_acc", "detection", 1),
-        ("Localization acc@1", "localization_acc1", "localization", 1),
-        ("Localization acc@3", "localization_acc3", "localization", 3),
-        ("RCA accuracy", "rca_acc", "analysis", 1),
-        ("Mitigation accuracy", "mitigation_acc", "mitigation", 1),
-    ]
-    for label, paper_key, task, at in specs:
-        for agent in AGENT_NAMES:
-            paper_value = PAPER[paper_key].get(agent)
-            if paper_value is None:
-                continue
-            measured = _measured_acc(report.results, agent, task, at)
-            rows.append([label, agent.upper(), f"{paper_value:.1f}%",
-                         f"{measured:.1f}%"])
-    for name in ("mksmc", "pdiagnose", "rmlad"):
-        info = report.baselines[name]
-        key = "detection_acc" if info["task"] == "detection" \
-            else "localization_acc1"
-        paper_value = PAPER[key].get(name)
-        if paper_value is not None:
-            rows.append([
-                "Detection accuracy" if info["task"] == "detection"
-                else "Localization acc@1",
-                name.upper(), f"{paper_value:.1f}%",
-                f"{100 * info['accuracy']:.1f}%",
-            ])
+    for (_, label, task, at), row in PAPER.items():
+        for name, paper in row.items():
+            if name in report.baselines:
+                measured = report.baselines[name]["accuracy"]
+            elif name in AGENT_NAMES:
+                measured = report.results.accuracy(name, task, at=at)
+            else:
+                continue            # a baseline this (subset) run skipped
+            rows.append([label, name.upper(), f"{paper:.1f}%",
+                         f"{measured:.1%}"])
     return render_table(["Metric", "Agent", "Paper", "Measured (this repo)"],
                         rows)
 
 
+def _verdicts(report: ExperimentReport) -> str:
+    if report.pids is not None:
+        return (f"Not evaluated: this run covers {len(report.pids)} problems; "
+                "the claims are about the full pool.")
+    return "\n".join(
+        f"- [{'held' if claim.check(report) else 'FAILED'}] `{claim.id}` "
+        f"({claim.section}): {claim.statement}" for claim in CLAIMS)
+
+
+def _fenced(title: str, series: dict) -> str:
+    return "```\n" + render_series(title, series) + "\n```"
+
+
+_INTRO = """# EXPERIMENTS — paper vs. measured
+
+Every number below regenerates with
+``python -m repro make-report --seed {seed}``; the claims in the last
+section are asserted, at ``AIOPSLAB_BENCH_SEED`` (default 0), by
+``pytest benchmarks/test_claims.py``.
+
+The substrate is a simulator and each task has only 11–13 problems, so what
+is checked is the *orderings* (who wins, what is hard) listed under "Shape
+targets" below, not the per-cell accuracies.  Each verdict is for this run's
+seed only: how often a claim holds across seeds is not yet recorded.
+"""
+
+
 def render_markdown(report: ExperimentReport) -> str:
     """The full EXPERIMENTS.md content."""
-    parts: list[str] = []
-    parts.append(
-        "# EXPERIMENTS — paper vs. measured\n\n"
-        "Every number below regenerates with\n"
-        f"``python -m repro make-report --seed {report.seed}`` (tables) and\n"
-        "``pytest benchmarks/ --benchmark-only`` (assertion-checked shape "
-        "targets).\n\n"
-        "The substrate is a simulator and each task has only 11–13 problems, "
-        "so per-cell\naccuracies carry ~±8% seed noise; the claims to check "
-        "are the *orderings*\n(who wins, what is hard), which are asserted "
-        "by the benchmark harness.\n")
-    parts.append("## Headline comparison (Tables 3 & 4)\n")
-    parts.append(_comparison_table(report))
-    parts.append("\n\n## Table 2 — problem pool\n")
-    parts.append(render_table(*table2_problem_pool()))
-    parts.append("\n\n## Table 3 — overall (measured)\n")
-    parts.append(render_table(*table3_overall(report.results)))
-    for task, (headers, rows) in table4_by_task(
-            report.results, baselines=report.baselines).items():
-        parts.append(f"\n\n## Table 4 — {task} (measured)\n")
-        parts.append(render_table(headers, rows))
-    parts.append("\n\n## Table 5 — system command occurrences (measured)\n")
-    parts.append(render_table(*table5_commands(report.results)))
-    parts.append("\n\n## Figure 5 — accuracy vs step limit (measured)\n")
-    parts.append("```\n" + render_series("accuracy @ K", report.figure5)
-                 + "\n```")
-    parts.append("\n\n## Figure 6 — % of actions by API (measured)\n")
-    parts.append("```\n" + render_series(
-        "action mix", figure6_api_usage(report.results)) + "\n```")
-    parts.append("\n\n## Figure 7 — action distribution by outcome (measured)\n")
-    parts.append("```\n" + render_series(
-        "by outcome", figure7_action_distribution(report.results)) + "\n```")
-    parts.append("\n\n## §3.6.4 — Noop false-positive probe\n")
-    for agent, ok in report.noop_outcome.items():
-        verdict = "correct (reports healthy)" if ok else "FALSE POSITIVE"
-        parts.append(f"- {agent}: {verdict}")
-    parts.append(
-        "\n\nPaper: only GPT-4-W-SHELL identifies the healthy system; the "
-        "others\nmisinterpret normal workload activity as a fault.\n")
-    parts.append(
-        "\n## Shape targets asserted by benchmarks/\n\n"
-        "- FLASH answers every detection problem; all LLM agents beat MKSMC.\n"
-        "- LLM agents beat PDiagnose and RMLAD on localization; "
-        "acc@3 ≥ acc@1 for list submitters.\n"
-        "- RCA accuracy ≤ 60% for every agent; GPT-3.5 worst.\n"
-        "- Mitigation: GPT-3.5 repairs nothing; FLASH leads.\n"
-        "- GPT-3.5 takes the most steps; FLASH is slowest per problem; "
-        "ReAct emits the most output tokens.\n"
-        "- get_logs is the dominant telemetry API; FLASH never calls "
-        "get_traces (Figure 6).\n"
-        "- Successful cases submit more and graze metrics/traces less "
-        "(Figure 7).\n"
-        "- Structured agents improve with larger step limits; GPT-3.5 "
-        "plateaus (Figure 5).\n")
-    return "\n".join(parts) + "\n"
+    results = report.results
+    sections = [
+        ("Headline comparison (Tables 3 & 4)", _comparison_table(report)),
+        ("Table 2 — problem pool", render_table(*table2_problem_pool())),
+        ("Table 3 — overall (measured)",
+         render_table(*table3_overall(results))),
+        *((f"Table 4 — {task} (measured)", render_table(*table))
+          for task, table in table4_by_task(
+              results, baselines=report.baselines).items()),
+        ("Table 5 — system command occurrences (measured)",
+         render_table(*table5_commands(results))),
+        ("Figure 5 — accuracy vs step limit (measured)",
+         _fenced("accuracy @ K", report.figure5)),
+        ("Figure 6 — % of actions by API (measured)",
+         _fenced("action mix", figure6_api_usage(results))),
+        ("Figure 7 — action distribution by outcome (measured)",
+         _fenced("by outcome", figure7_action_distribution(results))),
+        ("§3.6.4 — Noop false-positive probe", "\n".join(
+            f"- {agent}: "
+            + ("correct (reports healthy)" if ok else "FALSE POSITIVE")
+            for agent, ok in report.noop_outcome.items())),
+        ("Shape targets — `repro.bench.claims.CLAIMS`", _verdicts(report)),
+    ]
+    return _INTRO.format(seed=report.seed) + "".join(
+        f"\n## {title}\n\n{body}\n" for title, body in sections)

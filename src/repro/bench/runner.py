@@ -8,6 +8,7 @@ processes — produces results bit-identical to the serial in-process run.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
@@ -21,7 +22,7 @@ from repro.core.batch import (
 )
 from repro.core.env import EnvSnapshot
 from repro.core.session import Session
-from repro.problems import benchmark_pids
+from repro.problems import benchmark_pids, get_problem
 
 _SUMMARY_KEYS = ("pid", "task_type", "agent", "success", "duration_s",
                  "steps", "input_tokens", "output_tokens")
@@ -42,27 +43,50 @@ class CaseResult:
     details: dict[str, Any]
     session: Session
 
+    @property
+    def tokens(self) -> int:
+        return self.input_tokens + self.output_tokens
+
 
 @dataclass
 class SuiteResults:
-    """All cases of one benchmark run."""
+    """All cases of one benchmark run — and the one place their numbers
+    are computed (the tables only format what these return)."""
 
     cases: list[CaseResult] = field(default_factory=list)
 
-    def for_agent(self, agent: str) -> list[CaseResult]:
-        return [c for c in self.cases if c.agent == agent]
+    def select(self, agent: Optional[str] = None,
+               task: Optional[str] = None) -> list[CaseResult]:
+        return [c for c in self.cases
+                if agent in (None, c.agent) and task in (None, c.task_type)]
 
-    def for_task(self, task: str, agent: Optional[str] = None) -> list[CaseResult]:
-        out = [c for c in self.cases if c.task_type == task]
-        if agent is not None:
-            out = [c for c in out if c.agent == agent]
-        return out
+    def accuracy(self, agent: str, task: Optional[str] = None,
+                 at: int = 1) -> float:
+        """Fraction of ``agent``'s cases answered correctly (0 if none).
 
-    def accuracy(self, agent: str, task: Optional[str] = None) -> float:
-        cases = self.for_task(task, agent) if task else self.for_agent(agent)
+        Per task the paper's grading applies: localization counts
+        ``success@at`` (top-``at`` of a submitted list), analysis counts
+        correct sub-answers out of two per problem; everything else — and
+        the overall figure over all tasks — counts case success.
+        """
+        cases = self.select(agent, task)
         if not cases:
             return 0.0
+        if task == "localization":
+            return sum(c.details.get(f"success@{at}", c.success)
+                       for c in cases) / len(cases)
+        if task == "analysis":
+            return sum(c.details.get("subtasks_correct", 2 * int(c.success))
+                       for c in cases) / (2 * len(cases))
         return sum(c.success for c in cases) / len(cases)
+
+    def mean(self, field_name: str, agent: str,
+             task: Optional[str] = None) -> float:
+        """Per-case mean of one numeric :class:`CaseResult` field."""
+        cases = self.select(agent, task)
+        if not cases:
+            return 0.0
+        return sum(getattr(c, field_name) for c in cases) / len(cases)
 
 
 class BenchmarkRunner:
@@ -73,13 +97,12 @@ class BenchmarkRunner:
     max_steps:
         Step limit per session (paper default 20; Figure 5 sweeps it).
     seed:
-        Root seed; case seeds derive from (seed, agent, pid) so every case
-        is independently reproducible — at any concurrency level.
+        Root seed; case seeds derive from (seed, agent, pid), never from
+        the scheduler, so every case is independently reproducible.
     concurrency:
         Number of worker processes that cases (and grid cells) fan out
         over; the default 1 runs them serially in this process.  Results
-        are independent of this value — every case seed derives from
-        (seed, agent, pid), never from the scheduler.
+        are independent of this value.
     """
 
     def __init__(self, max_steps: int = 20, seed: int = 0,
@@ -89,7 +112,6 @@ class BenchmarkRunner:
         self.concurrency = concurrency
 
     def _case_seed(self, agent: str, pid: str) -> int:
-        import hashlib
         digest = hashlib.sha256(f"{self.seed}:{agent}:{pid}".encode()).digest()
         return int.from_bytes(digest[:4], "little")
 
@@ -153,11 +175,8 @@ class BenchmarkRunner:
         verbose: bool = False,
         concurrency: Optional[int] = None,
     ) -> SuiteResults:
-        """Run every agent on every problem (288 cases at paper scale
-        counting the two non-LLM localization/detection baselines).
-
-        ``concurrency`` overrides the runner default for this call.
-        """
+        """Run every agent on every problem (4 × 48 cases at paper scale);
+        ``concurrency`` overrides the runner default for this call."""
         pid_list = list(pids) if pids is not None else benchmark_pids()
         specs = [self._case_spec(agent, pid)
                  for agent in agents for pid in pid_list]
@@ -173,7 +192,6 @@ class BenchmarkRunner:
         :meth:`sweep_grid` amortizes across every cell — the one-time
         setup cost replaces per-cell deploy + warmup + soak.
         """
-        from repro.problems import get_problem
         problem = get_problem(pid)
         env = problem.prepare(self.seed if env_seed is None else env_seed)
         snapshot = env.snapshot(extras=problem)

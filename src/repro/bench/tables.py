@@ -1,11 +1,15 @@
-"""Table formatters: regenerate Tables 2, 3, 4 and 5 from suite results."""
+"""Table formatters: Tables 2, 3, 4 and 5 from suite results.
+
+Formatting only — every number comes from :class:`SuiteResults`
+(accuracies, means) or :mod:`repro.bench.figures` (command counts).
+"""
 
 from __future__ import annotations
 
-import re
 from typing import Optional, Sequence
 
 from repro.agents.registry import AGENT_NAMES, registration_loc
+from repro.bench.figures import TABLE5_COMMANDS, command_counts
 from repro.bench.runner import SuiteResults
 from repro.core.problem import TASK_CLASSES
 from repro.faults.library import FAULT_LIBRARY
@@ -31,9 +35,6 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
     return "\n".join(out)
 
 
-# ---------------------------------------------------------------------------
-# Table 2
-# ---------------------------------------------------------------------------
 def table2_problem_pool() -> tuple[list[str], list[list[object]]]:
     """Fault inventory with per-fault problem counts (Table 2)."""
     pool = benchmark_pids()
@@ -51,34 +52,20 @@ def table2_problem_pool() -> tuple[list[str], list[list[object]]]:
     return headers, rows
 
 
-# ---------------------------------------------------------------------------
-# Table 3
-# ---------------------------------------------------------------------------
 def table3_overall(results: SuiteResults,
                    agents: Sequence[str] = AGENT_NAMES
                    ) -> tuple[list[str], list[list[object]]]:
     """Overall performance: LoC, time, steps, tokens, accuracy (Table 3)."""
     headers = ["Agent", "LoC", "Time (s)", "# Steps", "Tokens", "Acc."]
-    rows: list[list[object]] = []
-    for agent in agents:
-        cases = results.for_agent(agent)
-        if not cases:
-            continue
-        n = len(cases)
-        time_avg = sum(c.duration_s for c in cases) / n
-        steps_avg = sum(c.steps for c in cases) / n
-        tokens_avg = sum(c.input_tokens + c.output_tokens for c in cases) / n
-        acc = results.accuracy(agent)
-        rows.append([
-            agent.upper(), registration_loc(agent), f"{time_avg:.2f}",
-            f"{steps_avg:.2f}", f"{tokens_avg:,.1f}", f"{acc:.2%}",
-        ])
+    rows = [[agent.upper(), registration_loc(agent),
+             f"{results.mean('duration_s', agent):.2f}",
+             f"{results.mean('steps', agent):.2f}",
+             f"{results.mean('tokens', agent):,.1f}",
+             f"{results.accuracy(agent):.2%}"]
+            for agent in agents if results.select(agent)]
     return headers, rows
 
 
-# ---------------------------------------------------------------------------
-# Table 4
-# ---------------------------------------------------------------------------
 def table4_by_task(results: SuiteResults,
                    agents: Sequence[str] = AGENT_NAMES,
                    baselines: Optional[dict[str, dict[str, float]]] = None
@@ -86,83 +73,37 @@ def table4_by_task(results: SuiteResults,
     """Per-task performance tables (Table 4a–d).
 
     ``baselines`` maps baseline name → {"task": ..., "accuracy": ...,
-    "accuracy@1": ..., "time_s": ...} rows for MKSMC/PDiagnose/RMLAD.
+    "time_s": ...} rows for MKSMC/PDiagnose/RMLAD.  Localization shows
+    acc@3 and acc@1; the other tasks one accuracy.
     """
     out: dict[str, tuple[list[str], list[list[object]]]] = {}
     for task in TASK_CLASSES:
-        if task == "localization":
-            headers = ["Agent", "Acc.@3", "Acc.@1", "Time (s)", "# Steps",
-                       "Input", "Output"]
-        else:
-            headers = ["Agent", "Accuracy", "Time (s)", "# Steps",
-                       "Input", "Output"]
-        rows: list[list[object]] = []
-        for agent in agents:
-            cases = results.for_task(task, agent)
-            if not cases:
-                continue
-            n = len(cases)
-            time_avg = sum(c.duration_s for c in cases) / n
-            steps_avg = sum(c.steps for c in cases) / n
-            in_avg = sum(c.input_tokens for c in cases) / n
-            out_avg = sum(c.output_tokens for c in cases) / n
-            if task == "localization":
-                acc3 = sum(c.details.get("success@3", c.success)
-                           for c in cases) / n
-                acc1 = sum(c.details.get("success@1", c.success)
-                           for c in cases) / n
-                rows.append([agent.upper(), f"{acc3:.2%}", f"{acc1:.2%}",
-                             f"{time_avg:.2f}", f"{steps_avg:.2f}",
-                             f"{in_avg:,.1f}", f"{out_avg:,.1f}"])
-            elif task == "analysis":
-                # graded over 2 sub-answers per problem (22 total)
-                sub = sum(c.details.get("subtasks_correct",
-                                        2 * int(c.success)) for c in cases)
-                acc = sub / (2 * n)
-                rows.append([agent.upper(), f"{acc:.2%}", f"{time_avg:.2f}",
-                             f"{steps_avg:.2f}", f"{in_avg:,.1f}",
-                             f"{out_avg:,.1f}"])
-            else:
-                acc = results.accuracy(agent, task)
-                rows.append([agent.upper(), f"{acc:.2%}", f"{time_avg:.2f}",
-                             f"{steps_avg:.2f}", f"{in_avg:,.1f}",
-                             f"{out_avg:,.1f}"])
+        top_k = task == "localization"
+        ks = (3, 1) if top_k else (1,)
+        headers = ["Agent", *(["Acc.@3", "Acc.@1"] if top_k else ["Accuracy"]),
+                   "Time (s)", "# Steps", "Input", "Output"]
+        rows: list[list[object]] = [
+            [agent.upper(),
+             *(f"{results.accuracy(agent, task, at=k):.2%}" for k in ks),
+             f"{results.mean('duration_s', agent, task):.2f}",
+             f"{results.mean('steps', agent, task):.2f}",
+             f"{results.mean('input_tokens', agent, task):,.1f}",
+             f"{results.mean('output_tokens', agent, task):,.1f}"]
+            for agent in agents if results.select(agent, task)]
         for name, info in (baselines or {}).items():
             if info.get("task") != task:
                 continue
-            if task == "localization":
-                rows.append([name.upper(), f"{info['accuracy']:.2%}",
-                             f"{info.get('accuracy@1', info['accuracy']):.2%}",
-                             f"{info.get('time_s', 0):.2f}", "N/A", "N/A", "N/A"])
-            else:
-                rows.append([name.upper(), f"{info['accuracy']:.2%}",
-                             f"{info.get('time_s', 0):.2f}", "N/A", "N/A", "N/A"])
+            # single-answer methods: one accuracy in every column, as the paper
+            rows.append([name.upper(), *[f"{info['accuracy']:.2%}"] * len(ks),
+                         f"{info.get('time_s', 0):.2f}", "N/A", "N/A", "N/A"])
         out[task] = (headers, rows)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Table 5
-# ---------------------------------------------------------------------------
-#: the commands the paper tabulates
-TABLE5_COMMANDS = ("find", "echo", "py", "awk", "mongo", "grep", "ls", "cat", "ip")
 
 
 def table5_commands(results: SuiteResults,
                     agents: Sequence[str] = ("react", "flash")
                     ) -> tuple[list[str], list[list[object]]]:
     """Occurrences of (non-kubectl) system commands per agent (Table 5)."""
-    headers = ["Agent"] + list(TABLE5_COMMANDS)
-    rows: list[list[object]] = []
-    for agent in agents:
-        counts = {c: 0 for c in TABLE5_COMMANDS}
-        for case in results.for_agent(agent):
-            for step in case.session.steps:
-                if step.action_name != "exec_shell" or not step.action_args:
-                    continue
-                command = str(step.action_args[0])
-                for word in re.findall(r"[a-z]+", command):
-                    if word in counts:
-                        counts[word] += 1
-        rows.append([agent.upper()] + [counts[c] for c in TABLE5_COMMANDS])
-    return headers, rows
+    counts = command_counts(results, agents)
+    return (["Agent", *TABLE5_COMMANDS],
+            [[agent.upper(), *counts[agent].values()] for agent in agents])

@@ -78,9 +78,9 @@ def _cmd_run_benchmark(args) -> int:
 
 
 def _cmd_make_report(args) -> int:
-    from repro.bench.report import render_markdown, run_experiments
+    from repro.bench import BenchmarkRunner, render_markdown, run_experiments
 
-    report = run_experiments(seed=args.seed, verbose=True)
+    report = run_experiments(BenchmarkRunner(seed=args.seed), verbose=True)
     markdown = render_markdown(report)
     if args.output:
         with open(args.output, "w") as f:

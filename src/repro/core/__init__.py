@@ -10,9 +10,9 @@
   Analysis / Mitigation) — the ⟨T, C, S⟩ tuple of §2.1.
 * :class:`Orchestrator` — session management, v2: ``create_session(problem,
   agent, seed=...)`` returns a :class:`SessionHandle` owning its own
-  environment; ``await handle.run(max_steps)`` drives the loop.  The seed's
-  ``init_problem`` → ``register_agent`` → ``start_problem`` flow remains as
-  a back-compat shim.
+  environment; ``await handle.run(max_steps)`` drives the loop.  The
+  paper's Example 2.3 flow (``init_problem`` → ``register_agent`` →
+  ``start_problem``) is a façade over one implicit handle.
 * :func:`run_sessions_sync` — the batch executor: run independent
   :class:`SessionSpec`\\ s serially or over a process pool with
   deterministic, spec-ordered results.
@@ -25,7 +25,7 @@ from repro.core.env import (
     FIDELITY_TIERS,
 )
 from repro.core.actions import ActionRegistry, ActionSpec, Observation, action
-from repro.core.aci import TaskActions, extract_api_docs, registry_for
+from repro.core.aci import TaskActions, registry_for
 from repro.core.problem import (
     Problem,
     DetectionTask,
@@ -68,7 +68,6 @@ __all__ = [
     "Observation",
     "action",
     "TaskActions",
-    "extract_api_docs",
     "registry_for",
     "Problem",
     "DetectionTask",

@@ -247,14 +247,3 @@ def registry_for(task_type: str = "",
     if actions_cls is TaskActions:
         return DEFAULT_REGISTRY.for_task(task_type)
     return ActionRegistry.from_class(actions_cls, task_type=task_type)
-
-
-def extract_api_docs(actions_cls: type = TaskActions,
-                     task_type: str = "") -> str:
-    """Build the API documentation block shared with the agent as context.
-
-    .. deprecated:: 2.0
-        Thin wrapper kept for the seed API; docs are now auto-rendered from
-        the action registry — use ``registry_for(task).render_docs()``.
-    """
-    return registry_for(task_type, actions_cls).render_docs()

@@ -14,7 +14,7 @@ reflecting over that class.  This module replaces both mechanisms:
   ``startswith``, ``str()``) that call sites written against bare strings
   keep working.
 * :class:`ActionRegistry` — the set of actions exposed to one session,
-  with auto-rendered API docs (superseding ``extract_api_docs``).
+  with auto-rendered API docs.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ v2 is session-centric: :meth:`Orchestrator.create_session` returns a
 :class:`SessionHandle` that owns its environment, action registry, and
 trajectory, so any number of sessions can run concurrently from one
 Orchestrator (the batch executor in :mod:`repro.core.batch` fans them out).
-The seed's ``init_problem`` → ``register_agent`` → ``start_problem`` flow
-is kept as a thin back-compat shim over one implicit handle.
+The paper's Example 2.3 onboarding flow (``init_problem`` →
+``register_agent`` → ``start_problem``) is a thin façade over one implicit
+handle.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ class Orchestrator:
         handle = orch.create_session(problem, agent, seed=7)
         result = await handle.run(max_steps=10)      # or handle.run_sync()
 
-    Seed usage (kept as a back-compat shim over one implicit handle)::
+    The paper's Example 2.3 flow (a façade over one implicit handle)::
 
         orch = Orchestrator()
         prob_desc, instructs, apis = orch.init_problem(problem)
@@ -266,7 +267,7 @@ class Orchestrator:
         self.step_env_seconds = step_env_seconds
         self.handles: list[SessionHandle] = []
         self.sessions: list[Session] = []
-        # back-compat shim state (the seed's one-problem-at-a-time flow)
+        # the Example 2.3 façade's one-problem-at-a-time state
         self._shim_handle: Optional[SessionHandle] = None
         self._shim_agent: Any = None
         self._shim_agent_name: str = "agent"
@@ -312,15 +313,14 @@ class Orchestrator:
         handle.close()
 
     # ------------------------------------------------------------------
-    # seed API (back-compat shim)
+    # the paper's Example 2.3 façade
     # ------------------------------------------------------------------
     def init_problem(self, problem: Union[Problem, str]) -> SessionContext:
         """Set the problem up and return the context shared with the agent.
 
-        .. deprecated:: 2.0
-            Shim over :meth:`create_session`; the returned
-            :class:`SessionContext` still unpacks as the seed's
-            ``(description, instructions, api_docs)`` tuple.
+        A :meth:`create_session` on the one implicit handle; the returned
+        :class:`SessionContext` unpacks as the paper's
+        ``(description, instructions, api_docs)`` tuple.
         """
         replaced = self._shim_handle
         self._shim_handle = self.create_session(problem)
@@ -336,7 +336,7 @@ class Orchestrator:
         return self._shim_handle.context
 
     def register_agent(self, agent: Any, name: str = "agent") -> None:
-        """Register the agent for the shim flow (see :meth:`init_problem`)."""
+        """Register the agent for the façade flow (see :meth:`init_problem`)."""
         if not hasattr(agent, "get_action"):
             raise TypeError("agent must implement get_action(state) -> str")
         self._shim_agent = agent
@@ -345,7 +345,7 @@ class Orchestrator:
             self._shim_handle.bind_agent(agent, name)
 
     async def start_problem(self, max_steps: int = 20) -> dict:
-        """Run the shim session loop and return the evaluation results dict."""
+        """Run the façade's session loop and return the evaluation results dict."""
         handle = self._shim_handle
         if handle is None:
             raise RuntimeError("call init_problem() before start_problem()")
@@ -368,7 +368,7 @@ class Orchestrator:
         """
         return run_coroutine_sync(self.start_problem(max_steps=max_steps))
 
-    # -- shim attribute views (seed code reads these off the instance) ---
+    # -- views of the implicit handle (examples read these) ---------------
     @property
     def problem(self) -> Optional[Problem]:
         return self._shim_handle.problem if self._shim_handle else None
@@ -380,18 +380,6 @@ class Orchestrator:
     @property
     def actions(self) -> Optional[TaskActions]:
         return self._shim_handle.actions if self._shim_handle else None
-
-    @property
-    def agent(self) -> Any:
-        if self._shim_handle is not None and self._shim_handle.agent is not None:
-            return self._shim_handle.agent
-        return self._shim_agent
-
-    @property
-    def agent_name(self) -> str:
-        if self._shim_handle is not None and self._shim_handle.agent is not None:
-            return self._shim_handle.agent_name
-        return self._shim_agent_name
 
     @property
     def session(self) -> Optional[Session]:

@@ -15,13 +15,6 @@ from typing import Any, Sequence
 
 _CALL_RE = re.compile(r"^\s*(\w+)\s*\((.*)\)\s*$", re.DOTALL)
 
-#: the default action surface — kept in sync with the full TaskActions
-#: registry (asserted by tests) so the deprecated extract_api_docs() /
-#: parse_action() defaults stay consistent; sessions pass their registry's
-#: names instead, so per-task surfaces parse correctly
-VALID_ACTIONS = ("get_logs", "get_metrics", "get_traces", "exec_shell",
-                 "restart_service", "submit")
-
 
 @dataclass
 class ParsedAction:
@@ -36,14 +29,12 @@ class ActionParseError(ValueError):
     """Raised when the agent's output is not a valid ACI call."""
 
 
-def parse_action(text: str,
-                 valid_actions: Sequence[str] = VALID_ACTIONS) -> ParsedAction:
+def parse_action(text: str, valid_actions: Sequence[str]) -> ParsedAction:
     """Parse one action string; raises :class:`ActionParseError` with an
     agent-readable message on failure.
 
     ``valid_actions`` is the session's action surface (an
-    :class:`~repro.core.actions.ActionRegistry`'s names); the default is the
-    seed's fixed five-action tuple for back compatibility.
+    :class:`~repro.core.actions.ActionRegistry`'s names).
     """
     if not text or not text.strip():
         raise ActionParseError(
@@ -85,8 +76,7 @@ def parse_action(text: str,
     return ParsedAction(name=name, args=args, kwargs=kwargs)
 
 
-def _extract_call_line(text: str,
-                       valid_actions: Sequence[str] = VALID_ACTIONS) -> str:
+def _extract_call_line(text: str, valid_actions: Sequence[str]) -> str:
     """Pull the API call out of surrounding prose (ReAct-style output)."""
     text = text.strip()
     # strip markdown fences

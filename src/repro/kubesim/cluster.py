@@ -378,6 +378,7 @@ class Cluster:
             raise InvalidAction(f'pod "{pod.name}" already exists')
         self._mark_dirty(pod.namespace)
         pod.meta.uid = self._next_uid()
+        pod.ip = self._next_ip()
         pod.meta.creation_time = self.clock.now
         pod.start_time = self.clock.now
         self.pods[key] = pod

@@ -56,6 +56,7 @@ class DeploymentController:
                     owner=dep.name,
                 )
                 pod.meta.uid = self.cluster._next_uid()
+                pod.ip = self.cluster._next_ip()
                 pod.meta.creation_time = self.cluster.clock.now
                 pod.start_time = self.cluster.clock.now
                 self.cluster.pods[(pod.namespace, pod.name)] = pod
@@ -113,7 +114,7 @@ class EndpointsController:
                 if sp.target_port in pod.container_ports():
                     out.append(
                         EndpointAddress(
-                            ip=f"10.244.0.{(hash(pod.name) % 250) + 2}",
+                            ip=pod.ip,
                             pod_name=pod.name,
                             port=sp.target_port,
                         )

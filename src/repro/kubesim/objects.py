@@ -76,6 +76,7 @@ class Pod:
     # -- status ---------------------------------------------------------
     phase: PodPhase = PodPhase.PENDING
     bound_node: Optional[str] = None         # where the scheduler put it
+    ip: str = ""                             # pod network address (Cluster._next_ip)
     ready: bool = False
     restart_count: int = 0
     crash_looping: bool = False

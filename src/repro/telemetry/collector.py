@@ -265,10 +265,10 @@ class _PodMetricsSource:
 
     def __call__(self, namespace: str) -> list[tuple[str, float, float]]:
         metrics = self.collector.metrics
+        cpu = metrics.snapshot_latest("cpu_usage")
+        mem = metrics.snapshot_latest("memory_usage")
         rows = []
         for pod in self.cluster.pods_in(namespace):
             svc = self.collector.qualify(namespace, pod.owner or pod.name)
-            cpu = metrics.snapshot_latest("cpu_usage").get(svc, 0.0)
-            mem = metrics.snapshot_latest("memory_usage").get(svc, 0.0)
-            rows.append((pod.name, cpu, mem))
+            rows.append((pod.name, cpu.get(svc, 0.0), mem.get(svc, 0.0)))
         return rows

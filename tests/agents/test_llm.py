@@ -88,13 +88,14 @@ class TestDecide:
         assert not nxt.startswith("Error")
 
     def test_format_errors_produce_invalid_calls(self):
+        from repro.core.aci import DEFAULT_REGISTRY
         from repro.core.parser import ActionParseError, parse_action
         llm = make_llm("gpt-4-w-shell", seed=1, format_error_rate=1.0)
         bad = 0
         for _ in range(10):
             text = llm.decide("Session started.").text
             try:
-                parse_action(text)
+                parse_action(text, DEFAULT_REGISTRY.names())
             except ActionParseError:
                 bad += 1
         assert bad >= 3  # some corruption modes still parse (prose wrapper)

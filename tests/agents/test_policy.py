@@ -177,9 +177,10 @@ class TestPlanning:
         assert p.next_action() == "submit()"
 
     def test_flail_action_valid(self, policy):
+        from repro.core.aci import DEFAULT_REGISTRY
         from repro.core.parser import parse_action
-        for _ in range(10):
-            parse_action(policy.flail_action())  # must always parse
+        for _ in range(10):  # must always parse
+            parse_action(policy.flail_action(), DEFAULT_REGISTRY.names())
 
     def test_no_traces_profile_never_plans_traces(self):
         p = DiagnosticPolicy("localization", RngStream(0, "t"),

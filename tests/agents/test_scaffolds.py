@@ -82,10 +82,12 @@ class TestReactScaffold:
         assert "previous call failed" in out
 
     def test_action_parses_through_orchestrator_parser(self):
+        from repro.core.aci import registry_for
         from repro.core.parser import parse_action
         agent = ReactAgent(DESC, INSTR, APIS, "detection",
                            profile="oracle", seed=1)
-        parsed = parse_action(get_action(agent, "Session started."))
+        parsed = parse_action(get_action(agent, "Session started."),
+                              registry_for("detection").names())
         assert parsed.name in ("get_logs", "get_metrics", "get_traces",
                                "exec_shell", "submit")
 

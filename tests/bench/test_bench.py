@@ -40,9 +40,10 @@ class TestRunner:
         for agent in ("gpt-4-w-shell", "flash"):
             assert 0.0 <= results.accuracy(agent) <= 1.0
 
-    def test_for_task_filter(self, results):
-        det = results.for_task("detection")
-        assert all(c.task_type == "detection" for c in det)
+    def test_select_filters(self, results):
+        det = results.select(task="detection")
+        assert det and all(c.task_type == "detection" for c in det)
+        assert len(results.select("flash", "detection")) == 1
 
     def test_case_seeds_reproducible(self):
         r = BenchmarkRunner(max_steps=10, seed=9)

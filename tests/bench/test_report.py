@@ -1,6 +1,5 @@
-from repro.bench.report import (
-    ExperimentReport, PAPER, _measured_acc, render_markdown,
-)
+from repro.bench.claims import CLAIMS
+from repro.bench.report import ExperimentReport, PAPER, render_markdown
 from repro.bench.runner import CaseResult, SuiteResults
 from repro.core.session import Session, Step
 
@@ -42,28 +41,29 @@ def fake_report():
             "rmlad": {"task": "localization", "accuracy": 0.05,
                       "accuracy@1": 0.05, "time_s": 0.1},
         },
-        figure5={"flash": {3: 0.3, 20: 0.6}},
+        figure5={agent: {3: 0.3, 10: 0.5, 20: 0.6}
+                 for agent in ("gpt-4-w-shell", "gpt-3.5-w-shell", "react",
+                               "flash")},
         noop_outcome={"gpt-4-w-shell": True, "gpt-3.5-w-shell": False,
                       "react": False, "flash": False},
     )
 
 
-class TestMeasuredAcc:
+class TestAccuracy:
     def test_overall(self):
         report = fake_report()
-        assert _measured_acc(report.results, "flash") == 100.0 * 3 / 4
+        assert report.results.accuracy("flash") == 3 / 4
 
     def test_analysis_uses_subtasks(self):
         report = fake_report()
-        assert _measured_acc(report.results, "react", "analysis") == 50.0
+        assert report.results.accuracy("react", "analysis") == 0.5
 
     def test_localization_at_k(self):
         report = fake_report()
-        assert _measured_acc(report.results, "react", "localization",
-                             at=3) == 100.0
+        assert report.results.accuracy("react", "localization", at=3) == 1.0
 
     def test_missing_agent_zero(self):
-        assert _measured_acc(SuiteResults(), "nobody") == 0.0
+        assert SuiteResults().accuracy("nobody") == 0.0
 
 
 class TestRenderMarkdown:
@@ -84,6 +84,21 @@ class TestRenderMarkdown:
         text = render_markdown(fake_report())
         assert "gpt-4-w-shell: correct" in text
         assert "flash: FALSE POSITIVE" in text
+
+    def test_every_claim_gets_a_verdict(self):
+        report = fake_report()
+        text = render_markdown(report)
+        for claim in CLAIMS:
+            verdict = "held" if claim.check(report) else "FAILED"
+            assert f"- [{verdict}] `{claim.id}` ({claim.section}): " \
+                   f"{claim.statement}" in text
+
+    def test_subset_run_is_not_judged(self):
+        report = fake_report()
+        report.pids = ["d-1"]
+        report.baselines = {}
+        text = render_markdown(report)
+        assert "Not evaluated" in text and "[held]" not in text
 
     def test_paper_reference_numbers_complete(self):
         for key, values in PAPER.items():

@@ -30,6 +30,11 @@ from repro.telemetry import TelemetryCollector
 from repro.workload import ConstantRate, WorkloadDriver
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: multi-minute example runs (deselect with -m 'not slow')")
+
+
 class DeployedApp:
     """A deployed app bundle used across tests."""
 

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.apps import HotelReservation
-from repro.core.aci import SubmissionReceived, TaskActions, extract_api_docs
+from repro.core.aci import SubmissionReceived, TaskActions, registry_for
 from repro.core.env import CloudEnvironment
 
 
@@ -87,15 +87,15 @@ class TestExecAndSubmit:
 
 class TestApiDocs:
     def test_docs_cover_every_action(self):
-        docs = extract_api_docs()
+        docs = registry_for().render_docs()
         for api in ("get_logs", "get_metrics", "get_traces", "exec_shell",
                     "submit"):
             assert api + "(" in docs
 
     def test_docs_include_signatures_and_args(self):
-        docs = extract_api_docs()
+        docs = registry_for().render_docs()
         assert "namespace:" in docs
         assert "Args:" in docs
 
     def test_private_methods_excluded(self):
-        assert "_investigate" not in extract_api_docs()
+        assert "_investigate" not in registry_for().render_docs()

@@ -9,7 +9,6 @@ from repro.apps import HotelReservation
 from repro.core.aci import (
     DEFAULT_REGISTRY,
     TaskActions,
-    extract_api_docs,
     registry_for,
 )
 from repro.core.actions import ActionRegistry, Observation, action
@@ -44,8 +43,8 @@ class TestRegistry:
         assert DEFAULT_REGISTRY.render_docs() == \
             legacy_extract_api_docs(TaskActions)
 
-    def test_extract_api_docs_back_compat_wrapper(self):
-        assert extract_api_docs() == DEFAULT_REGISTRY.render_docs()
+    def test_unfiltered_surface_renders_the_default_registry(self):
+        assert registry_for().render_docs() == DEFAULT_REGISTRY.render_docs()
 
     def test_registry_contains_and_get(self):
         assert "get_logs" in DEFAULT_REGISTRY
@@ -56,11 +55,14 @@ class TestRegistry:
         names = DEFAULT_REGISTRY.names()
         assert list(names) == sorted(names)
 
-    def test_parser_default_surface_matches_registry(self):
-        """The deprecated extract_api_docs()/parse_action() defaults must
-        advertise and accept the same action set."""
-        from repro.core.parser import VALID_ACTIONS
-        assert set(VALID_ACTIONS) == set(DEFAULT_REGISTRY.names())
+    def test_parser_accepts_exactly_the_registry_surface(self):
+        """What the docs advertise is what ``parse_action`` accepts."""
+        from repro.core.parser import ActionParseError, parse_action
+        names = DEFAULT_REGISTRY.names()
+        for name in names:
+            assert parse_action(f"{name}()", names).name == name
+        with pytest.raises(ActionParseError):
+            parse_action("restart_service()", registry_for("detection").names())
 
     def test_subclass_added_public_method_registered(self):
         """v1 extension pattern: add a plain public method to a TaskActions
@@ -102,7 +104,7 @@ class TestPerTaskSurfaces:
 
         reg = ActionRegistry.from_class(LegacyActions)
         assert set(reg.names()) == {"probe"}
-        docs = extract_api_docs(LegacyActions)
+        docs = registry_for(actions_cls=LegacyActions).render_docs()
         assert "probe(target: str)" in docs and "Probe a target." in docs
         assert "_helper" not in docs
 

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.parser import ActionParseError, parse_action
+from functools import partial
+
+from repro.core import parser
+from repro.core.aci import DEFAULT_REGISTRY
+from repro.core.parser import ActionParseError
+
+parse_action = partial(parser.parse_action,
+                       valid_actions=DEFAULT_REGISTRY.names())
 
 
 class TestValidActions:

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import HotelReservation
 from repro.core.actions import Observation
 from repro.core.env import CloudEnvironment
-from repro.core.parser import VALID_ACTIONS, ActionParseError, parse_action
+from repro.core.aci import DEFAULT_REGISTRY
+from repro.core.parser import ActionParseError, parse_action
 from repro.core.shell import FILE_TOOLS, HELM_VERBS, ShellExecutor, ALLOWED_BINARIES
 from repro.kubesim.grammar import SHELL_OPERATORS
 from repro.kubesim.kubectl import KIND_BY_SPELLING, VERBS
@@ -156,7 +157,7 @@ def test_same_seed_same_transcript(sequence):
 action_texts = st.one_of(
     st.text(max_size=80),
     st.builds(lambda name, args: f"{name}({', '.join(args)})",
-              st.sampled_from([*VALID_ACTIONS, "nope", ""]),
+              st.sampled_from([*DEFAULT_REGISTRY.names(), "nope", ""]),
               st.lists(st.one_of(
                   json_values.map(repr), json_values.map(json.dumps),
                   st.sampled_from(["ns=", "x=1", "{[]: 1}", "{{}}", "(", ")",
@@ -170,8 +171,8 @@ action_texts = st.one_of(
 @settings(max_examples=500)
 def test_parse_action_raises_only_parse_errors(text):
     try:
-        parsed = parse_action(text)
+        parsed = parse_action(text, DEFAULT_REGISTRY.names())
     except ActionParseError as e:
         assert str(e).startswith("Error:")
     else:
-        assert parsed.name in VALID_ACTIONS
+        assert parsed.name in DEFAULT_REGISTRY

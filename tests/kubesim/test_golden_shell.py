@@ -1,9 +1,11 @@
 """Pinned ``exec_shell`` outputs: a golden transcript of well-formed commands.
 
 ``golden_shell.txt`` was recorded at commit 90814e3 (the last commit with
-per-verb parsers) by running this file as a script; the test replays the
-same commands against the same seeded environment and requires the
-transcript to be byte-identical.  It covers every verb x every kind x every
+per-verb parsers) by running this file as a script, and re-recorded once
+since: when endpoint addresses became the pods' own counter-assigned IPs
+instead of ``hash(pod.name)``.  The test replays the same commands against
+the same seeded environment and requires the transcript to be
+byte-identical.  It covers every verb x every kind x every
 target spelling, the flag spellings agents use, the 14 command shapes the
 in-repo agents and ``bench_e2e`` emit, helm, and the file tools.
 
@@ -213,26 +215,36 @@ def render() -> str:
             + _transcript(PLANE_COMMANDS, resource_coupling=True))
 
 
-def _render_in_subprocess() -> str:
-    """Endpoint addresses are derived from ``hash(pod.name)``, so the
-    transcript is rendered under a pinned ``PYTHONHASHSEED``."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = {**os.environ, "PYTHONHASHSEED": "0",
-           "PYTHONPATH": os.pathsep.join(
-               [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run(
-        [sys.executable, __file__, "--print"], env=env, check=True,
-        capture_output=True, text=True).stdout
-
-
 def test_golden_transcript_is_byte_identical():
     assert len(COMMANDS) + len(PLANE_COMMANDS) >= 80
-    assert _render_in_subprocess() == GOLDEN.read_text()
+    assert render() == GOLDEN.read_text()
+
+
+def test_endpoints_independent_of_hash_seed():
+    """Agent-visible text must not depend on the process hash seed."""
+    script = (
+        "from repro.kubesim import Cluster, Kubectl\n"
+        "from repro.simcore import SimClock\n"
+        "from tests.kubesim.test_cluster import make_deployment, make_service\n"
+        "c = Cluster(clock=SimClock(), seed=3)\n"
+        "c.create_namespace('app')\n"
+        "c.create_deployment(make_deployment(name='web', ns='app', replicas=3))\n"
+        "c.create_service(make_service(name='web', ns='app'))\n"
+        "print(Kubectl(c).run('kubectl get endpoints -n app'))\n")
+    repo = Path(__file__).resolve().parents[2]
+    path = os.pathsep.join(
+        [str(repo / "src"), str(repo),
+         *filter(None, [os.environ.get("PYTHONPATH")])])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+        ).stdout
+        for seed in ("1", "2")]
+    assert b"10.244." in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":
-    if "--print" in sys.argv:
-        sys.stdout.write(render())
-    else:
-        GOLDEN.write_text(_render_in_subprocess())
-        print(f"wrote {GOLDEN}")
+    GOLDEN.write_text(render())
+    print(f"wrote {GOLDEN}")

@@ -1,8 +1,9 @@
 """Generated docs must match the registries they document.
 
 `scripts/gen_docs.py` renders `docs/api/actions.md` from the `@action`
-registry, `docs/api/shell.md` from the `exec_shell` grammar tables and
-`docs/scenarios.md` from the scenario pool; all three are committed.  This
+registry, `docs/api/shell.md` from the `exec_shell` grammar tables,
+`docs/scenarios.md` from the scenario pool and `docs/claims.md` from the
+`CLAIMS` table; all four are committed.  This
 test (and the CI `docs-check` step, which runs `gen_docs.py --check`) fails
 when any of them is stale.
 """
@@ -56,6 +57,13 @@ class TestGeneratedDocs:
         assert path.exists(), "run: PYTHONPATH=src python scripts/gen_docs.py"
         assert path.read_text() == gen.render_scenarios_md(), \
             "docs/scenarios.md is stale — regenerate with scripts/gen_docs.py"
+
+    def test_claims_table_is_current(self):
+        gen = _gen_docs()
+        path = REPO / "docs" / "claims.md"
+        assert path.exists(), "run: PYTHONPATH=src python scripts/gen_docs.py"
+        assert path.read_text() == gen.render_claims_md(), \
+            "docs/claims.md is stale — regenerate with scripts/gen_docs.py"
 
     def test_catalog_lists_every_scenario(self):
         from repro.problems import scenario_pids

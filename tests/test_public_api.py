@@ -5,7 +5,7 @@ import repro
 
 class TestPublicApi:
     def test_version(self):
-        assert repro.__version__ == "3.4.0"
+        assert repro.__version__ == "3.5.0"
 
     def test_paper_example_imports(self):
         """Example 2.1 of the paper imports these names directly."""
