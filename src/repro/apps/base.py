@@ -53,8 +53,10 @@ class App:
         raise NotImplementedError
 
     def workload_mix(self) -> dict[str, float]:
-        """Operation name → sampling weight for the workload generator."""
-        raise NotImplementedError
+        """Operation name → sampling weight for the workload generator, in
+        :meth:`build_operations` order (the order fixes the driver's
+        draws)."""
+        return {op.name: op.weight for op in self.build_operations().values()}
 
     def default_values(self) -> dict[str, Any]:
         """Helm values; ``mongo_credentials`` maps backend service →

@@ -111,6 +111,3 @@ class HotelReservation(App):
             ],
         )
         return {op.name: op for op in (search, recommend, reserve, login)}
-
-    def workload_mix(self) -> dict[str, float]:
-        return {"search_hotel": 0.6, "recommend": 0.3, "reserve": 0.05, "login": 0.05}

@@ -131,7 +131,3 @@ class SocialNetwork(App):
             ],
         )
         return {op.name: op for op in (compose, read_home, read_user)}
-
-    def workload_mix(self) -> dict[str, float]:
-        return {"compose_post": 0.1, "read_home_timeline": 0.6,
-                "read_user_timeline": 0.3}

@@ -85,8 +85,8 @@ class PDiagnose:
         durations: dict[str, list[float]] = {}
         baselines: dict[str, list[float]] = {}
         for trace in collector.traces.query():
+            bucket = durations if trace.start >= since else baselines
             for span in trace.spans:
-                bucket = durations if span.start >= since else baselines
                 bucket.setdefault(span.service, []).append(span.duration_ms)
         for svc, obs in durations.items():
             ref = baselines.get(svc)

@@ -384,12 +384,12 @@ SCENARIOS: tuple[Scenario, ...] = (
         pid="load_triggered_scale_zero_social_net-localization-1",
         task="localization",
         apps=(AppSpec(SocialNetwork, policy=SpikeRate(
-            base=60.0, spike_factor=4.0, at=45.0, duration=30.0)),),
+            base=60.0, spike_factor=3.0, at=45.0, duration=30.0)),),
         target="compose-post-service",
         timeline=FaultSchedule.load_triggered(
             MetricAbove("nginx-web-server", "request_rate", 90.0),
             "ScalePod", ("compose-post-service",)),
-        doc="""A one-off traffic spike (4× at t=45) trips a request-rate watch on
+        doc="""A one-off traffic spike (3× at t=45) trips a request-rate watch on
         the SocialNetwork frontend, and the overload "takes down" compose-post
         (scaled to zero) — localize the service that failed under load.
         """),

@@ -14,7 +14,10 @@ grounding and neither looks at the state again:
 A request-path fault is therefore written here and nowhere else: what a
 hop checks, and in which order, is :func:`resolve` and :func:`gates`; what
 a failure writes to the logs, and who is blamed for it, is
-:func:`handler_log` and :func:`caller_log`.
+:func:`handler_log` and :func:`caller_log`.  The same goes for what every
+request writes whether or not anything fails: a span's name is
+:attr:`Hop.operation`, resolved once here, and the two noise lines a hop
+that ended OK may log are :func:`warn_noise` and :func:`info_noise`.
 """
 
 from __future__ import annotations
@@ -56,11 +59,13 @@ class Hop:
     ready endpoint).  An entered hop spends ``lognormal(mu, sigma)`` ms
     (node pressure already folded into ``mu``) and fails with ``handler``
     if the callee's own application logic rejects the call; otherwise it
-    calls ``children`` in order, stopping at the first failure.
+    calls ``children`` in order, stopping at the first failure.  Its span
+    (and any failure stub standing in for it) is named ``operation``.
     """
 
     service: str
     command: str
+    operation: str
     mu: float
     sigma: float
     p_drop: float
@@ -146,6 +151,7 @@ def resolve(rt: "ServiceRuntime", op: Operation) -> Plan:
                 for e in edges if e.callee in rt.services)
         return Hop(
             service=svc.name, command=command,
+            operation=f"{op.name}/{command}",
             mu=math.log(max(svc.base_latency_ms * rt._mult(svc), 0.1)),
             sigma=svc.latency_sigma,
             # nothing sits between the client and the entry service
@@ -187,3 +193,15 @@ def caller_log(child: Hop, failure: RpcError) -> tuple[str, str]:
     the caller on ``error_services`` and ends its fan-out."""
     return ("ERROR",
             f"failed to call {child.service}.{child.command}: {failure.message}")
+
+
+def warn_noise(hop: Hop) -> tuple[str, str]:
+    """``(level, message)`` of the benign transient WARN an entered hop
+    that ended OK may log — background noise, blamed on nobody."""
+    return "WARN", f"slow {hop.command} request: retrying idempotent call once"
+
+
+def info_noise(hop: Hop, total_ms: float) -> tuple[str, str]:
+    """``(level, message)`` of the sampled INFO line an entered hop that
+    ended OK after ``total_ms`` (its subtree included) may log."""
+    return "INFO", f"{hop.operation} handled in {total_ms:.1f}ms"

@@ -9,7 +9,7 @@ with a closed-form probability and per-service latency moments.
 
 :func:`compile_profile` enumerates those branches.  It reads nothing but
 the plan — the same plan ``ServiceRuntime.execute`` walks one request at a
-time, with the same gate order and the same two log/attribution rules
+time, with the same gate order, span names and log rules
 (:mod:`repro.services.plan`) — so the tiers agree by construction and
 equal plans compile equal profiles, which is what lets
 :class:`ProfileStore` share them across sessions keyed by the plan itself.
@@ -79,13 +79,10 @@ class Outcome:
     client_fail: bool
     #: deterministic log lines this branch emits, in emission order
     logs: tuple[tuple[str, str, str], ...]
-    #: entered nodes that finished with no failure (noise-log eligible)
-    noise_eligible: int
-    #: the noise-eligible (service, command, mean subtree ms) sites —
-    #: exactly the entered spans that ended OK, so exemplar WARN/INFO
-    #: noise lines carry the same command/latency text per-request
-    #: execution would emit there
-    noise_sites: tuple[tuple[str, str, float], ...]
+    #: the noise-log eligible (hop, mean subtree ms) sites in span order —
+    #: exactly the entered hops that ended OK, so exemplar WARN/INFO
+    #: noise lines are worded as per-request execution words them there
+    noise_sites: tuple[tuple[Hop, float], ...]
     #: end-to-end latency moments (sum of entered services' lognormals)
     mean_ms: float
     var_ms: float
@@ -192,7 +189,8 @@ class _Branch:
         self.hop_fails: dict[str, int] = {}
         self.logs: list[tuple[str, str, str]] = []
         self.error_services: list[str] = []
-        self.noise = 0
+        #: (span index, hop) of every entered hop that ended OK
+        self.noise: list[tuple[int, Hop]] = []
         self.failure: Optional[RpcError] = None
 
     def clone(self) -> "_Branch":
@@ -203,7 +201,7 @@ class _Branch:
         b.hop_fails = dict(self.hop_fails)
         b.logs = list(self.logs)
         b.error_services = list(self.error_services)
-        b.noise = self.noise
+        b.noise = list(self.noise)
         return b
 
 
@@ -211,12 +209,12 @@ def _bump(d: dict[str, int], key: str, by: int = 1) -> None:
     d[key] = d.get(key, 0) + by
 
 
-def _fail_edge(branch: _Branch, op_name: str, child: Hop, caller: str,
+def _fail_edge(branch: _Branch, child: Hop, caller: str,
                caller_idx: int, hop_err: RpcError) -> None:
     """A call into ``child`` failed before the callee executed: emit the
     fixed-cost error stub and let the caller observe the failure."""
     branch.spans.append(SpanNode(
-        service=child.service, operation=f"{op_name}/{child.command}",
+        service=child.service, operation=child.operation,
         parent=caller_idx, entered=False, status="ERROR",
         error_message=hop_err.message, const_ms=HOP_FAIL_MS,
     ))
@@ -238,14 +236,14 @@ def _propagate(branch: _Branch, child: Hop, caller: str,
     _bump(branch.error_visits, caller)
 
 
-def _enter(op_name: str, hop: Hop, branch: _Branch,
+def _enter(hop: Hop, branch: _Branch,
            parent_idx: int) -> tuple[Optional[_Branch], list[_Branch]]:
     """Symbolically execute an entered ``hop``; returns (success branch |
     None, failure branches) — ``ServiceRuntime._walk`` with every coin
     flip forked instead of drawn."""
     idx = len(branch.spans)
     branch.spans.append(SpanNode(
-        service=hop.service, operation=f"{op_name}/{hop.command}",
+        service=hop.service, operation=hop.operation,
         parent=parent_idx, entered=True, mu=hop.mu, sigma=hop.sigma,
     ))
     _bump(branch.visits, hop.service)
@@ -267,23 +265,23 @@ def _enter(op_name: str, hop: Hop, branch: _Branch,
         for p, gate_err in gates(child):
             failed = branch.clone()
             failed.prob *= p
-            _fail_edge(failed, op_name, child, hop.service, idx, gate_err)
+            _fail_edge(failed, child, hop.service, idx, gate_err)
             failures.append(failed)
             branch.prob *= (1.0 - p)
             if branch.prob <= 0.0:  # p == 1: no surviving path
                 return None, failures
         if child.blocked is not None:
-            _fail_edge(branch, op_name, child, hop.service, idx, child.blocked)
+            _fail_edge(branch, child, hop.service, idx, child.blocked)
             failures.append(branch)
             return None, failures
-        sub_ok, sub_failures = _enter(op_name, child, branch, idx)
+        sub_ok, sub_failures = _enter(child, branch, idx)
         for fb in sub_failures:
             _propagate(fb, child, hop.service, idx)
         failures.extend(sub_failures)
         if sub_ok is None:
             return None, failures
         branch = sub_ok
-    branch.noise += 1
+    branch.noise.append((idx, hop))
     return branch, failures
 
 
@@ -314,10 +312,8 @@ def _finalize(entry: str, branch: _Branch, ok: bool) -> Outcome:
     for i in range(len(spans) - 1, 0, -1):
         if spans[i].entered and spans[i].parent >= 0:
             subtree_mean[spans[i].parent] += subtree_mean[i]
-    noise_sites = tuple(
-        (sn.service, sn.operation.split("/", 1)[-1], subtree_mean[i])
-        for i, sn in enumerate(spans) if sn.entered and sn.status == "OK"
-    )
+    noise_sites = tuple((hop, subtree_mean[i])
+                        for i, hop in sorted(branch.noise))
     return Outcome(
         prob=branch.prob,
         ok=ok,
@@ -328,7 +324,6 @@ def _finalize(entry: str, branch: _Branch, ok: bool) -> Outcome:
         hop_fail_counts=branch.hop_fails,
         client_fail=False,
         logs=tuple(branch.logs),
-        noise_eligible=branch.noise,
         noise_sites=noise_sites,
         mean_ms=mean,
         var_ms=var,
@@ -344,7 +339,7 @@ def compile_profile(plan: Plan) -> PathProfile:
             prob=1.0, ok=False, error=root.blocked,
             error_services=(root.service,),
             visit_counts={}, error_visit_counts={}, hop_fail_counts={},
-            client_fail=True, logs=(), noise_eligible=0, noise_sites=(),
+            client_fail=True, logs=(), noise_sites=(),
             mean_ms=CLIENT_FAIL_MS, var_ms=0.0,
             spans=[SpanNode(service=CLIENT, operation=plan.op_name,
                             parent=-1, entered=False, status="ERROR",
@@ -353,7 +348,7 @@ def compile_profile(plan: Plan) -> PathProfile:
         )
         return PathProfile(plan.op_name, root.service, [outcome], [1.0])
 
-    success, failures = _enter(plan.op_name, root, _Branch(1.0), -1)
+    success, failures = _enter(root, _Branch(1.0), -1)
     outcomes = [_finalize(root.service, fb, ok=False) for fb in failures]
     if success is not None and success.prob > 0.0:
         outcomes.append(_finalize(root.service, success, ok=True))

@@ -21,6 +21,11 @@ one deterministic batch stream, and shares compiled profiles across
 sessions through :data:`repro.services.profile.SHARED_PROFILES`, keyed by
 the plan itself so a mutated session can never observe a co-tenant's
 stale profile.
+
+Both write one trace shape, a list of span rows handed to
+``TraceStore.record`` (``execute`` appends a row per hop as it walks, the
+aggregate path copies an outcome's span skeleton), and account requests
+through one call, ``TelemetryCollector.record_requests``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ from repro.services.plan import (
     caller_log,
     gates,
     handler_log,
+    info_noise,
     resolve,
+    warn_noise,
 )
 from repro.services.profile import (
     SHARED_PROFILES,
@@ -54,7 +61,7 @@ from repro.services.profile import (
     compile_profile,
 )
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.traces import Span, Trace
+from repro.telemetry.traces import Span
 
 #: ``(caller, callee) -> (user, password) | None``; None means the caller has
 #: no credentials configured for that backend (AuthenticationMissing).
@@ -246,8 +253,12 @@ class ServiceRuntime:
             return 0.0
         return self.resources.overload_p(self.namespace, service)
 
-    def _account(self, service: str, count: int = 1) -> None:
-        """Push offered demand to the resource plane (no-op off-plane)."""
+    def _record(self, service: str, count: int, errors: int,
+                latencies: Sequence[float]) -> None:
+        """Account ``count`` requests of ``service`` — with the collector,
+        and as offered demand on the resource plane (when attached)."""
+        self.collector.record_requests(self._q(service), count, errors,
+                                       latencies)
         if self.resources is not None:
             self.resources.account(self.namespace, service, count)
 
@@ -260,61 +271,50 @@ class ServiceRuntime:
         if op is None:
             raise KeyError(f"unknown operation {op_name!r}")
         root = self._plan_for(op).root
-        trace = Trace(trace_id=self.collector.traces.new_trace_id())
+        spans: list[Span] = []
         if root.blocked is not None:
             # The client (workload generator) observes the frontend down.
-            self._stub_span(trace, None, CLIENT, op.name, CLIENT_FAIL_MS,
-                            root.blocked, root.service)
-            self.collector.record_trace(trace)
+            self._stub(spans, -1, CLIENT, op.name, CLIENT_FAIL_MS,
+                       root.blocked, root.service)
+            trace = self.collector.traces.record(self.clock.now, spans)
             return RequestResult(op.name, False, CLIENT_FAIL_MS, root.blocked,
                                  trace.trace_id, [root.service])
 
         error_services: list[str] = []
-        latency, error = self._walk(root, op.name, trace, None, error_services)
-        self.collector.record_trace(trace)
+        latency, error = self._walk(root, spans, -1, error_services)
+        trace = self.collector.traces.record(self.clock.now, spans)
         ok = error is None
         if not ok and root.service not in error_services:
             error_services.append(root.service)
         return RequestResult(op.name, ok, latency, error, trace.trace_id,
                              error_services)
 
-    def _stub_span(self, trace: Trace, parent_id: Optional[str], service: str,
-                   operation: str, cost_ms: float, failure: RpcError,
-                   record_as: str) -> None:
+    def _stub(self, spans: list[Span], parent: int, service: str,
+              operation: str, cost_ms: float, failure: RpcError,
+              record_as: str) -> None:
         """The fixed-cost error span of a call whose callee never ran,
         accounted as one failed request of ``record_as``."""
-        trace.spans.append(Span(
-            span_id=self.collector.traces.new_span_id(),
-            trace_id=trace.trace_id, parent_id=parent_id,
-            service=service, operation=operation,
-            start=self.clock.now, duration_ms=cost_ms,
-            status="ERROR", error_message=failure.message,
-        ))
-        self.collector.record_request(self._q(record_as), cost_ms, error=True)
-        self._account(record_as)
+        spans.append(Span(parent, service, operation, cost_ms,
+                          "ERROR", failure.message))
+        self._record(record_as, 1, 1, (cost_ms,))
 
     def _walk(
         self,
         hop: Hop,
-        op_name: str,
-        trace: Trace,
-        parent_id: Optional[str],
+        spans: list[Span],
+        parent: int,
         error_services: list[str],
     ) -> tuple[float, Optional[RpcError]]:
-        """Execute an entered ``hop``; returns (latency, error).
+        """Execute an entered ``hop``, appending its span and its subtree's
+        to ``spans``; returns (latency, error).
 
         Draw order, per entered hop: its service time; per child in order
         one bernoulli per gate (network drop, then shed — only those with
         a non-zero probability) until one fires; after the children, iff
         nothing failed, the WARN then the INFO noise coin."""
         rng = self.rng
-        span = Span(
-            span_id=self.collector.traces.new_span_id(),
-            trace_id=trace.trace_id, parent_id=parent_id,
-            service=hop.service, operation=f"{op_name}/{hop.command}",
-            start=self.clock.now, duration_ms=0.0,
-        )
-        trace.spans.append(span)
+        index = len(spans)
+        spans.append(None)  # this hop's row, filled in once it returns
         total = rng.lognormal(hop.mu, hop.sigma)
         failure = hop.handler
         if failure is not None:
@@ -331,32 +331,27 @@ class ServiceRuntime:
                         failure = gate_err
                         break
                 if failure is not None:
-                    self._stub_span(trace, span.span_id, child.service,
-                                    f"{op_name}/{child.command}", HOP_FAIL_MS,
-                                    failure, child.service)
+                    self._stub(spans, index, child.service, child.operation,
+                               HOP_FAIL_MS, failure, child.service)
                 else:
                     child_latency, failure = self._walk(
-                        child, op_name, trace, span.span_id, error_services)
+                        child, spans, index, error_services)
                     total += child_latency
                 if failure is not None:
                     self._log(hop.service, *caller_log(child, failure))
                     error_services.append(hop.service)
                     break
 
-        if failure is None and rng.bernoulli(self.NOISE_WARN):
-            self._log(hop.service, "WARN",
-                      f"slow {hop.command} request: retrying idempotent call once")
-        if failure is None and rng.bernoulli(self.INFO_SAMPLE):
-            self._log(hop.service, "INFO",
-                      f"{op_name}/{hop.command} handled in {total:.1f}ms")
-
-        span.duration_ms = total
-        if failure is not None:
-            span.status = "ERROR"
-            span.error_message = failure.message
-        self.collector.record_request(self._q(hop.service), total,
-                                      error=failure is not None)
-        self._account(hop.service)
+        if failure is None:
+            if rng.bernoulli(self.NOISE_WARN):
+                self._log(hop.service, *warn_noise(hop))
+            if rng.bernoulli(self.INFO_SAMPLE):
+                self._log(hop.service, *info_noise(hop, total))
+            spans[index] = Span(parent, hop.service, hop.operation, total)
+        else:
+            spans[index] = Span(parent, hop.service, hop.operation, total,
+                                "ERROR", failure.message)
+        self._record(hop.service, 1, int(failure is not None), (total,))
         return total, failure
 
     # ------------------------------------------------------------------
@@ -595,7 +590,7 @@ class ServiceRuntime:
             return entry
 
         noise_pool = 0
-        noise_sites: tuple[tuple[str, str, float], ...] = ()
+        noise_sites: tuple[tuple[Hop, float], ...] = ()
         for oi, (outcome, k) in enumerate(zip(profile.outcomes, counts)):
             k = int(k)
             if k == 0:
@@ -612,7 +607,7 @@ class ServiceRuntime:
             if total is None:  # var == 0: deterministic sum
                 total = k * outcome.mean_ms
             batch.latency_sum_ms += total
-            noise_pool += k * outcome.noise_eligible
+            noise_pool += k * len(outcome.noise_sites)
             if outcome.noise_sites and not noise_sites:
                 noise_sites = outcome.noise_sites
             # per-service request accounting (counts are exact)
@@ -646,17 +641,13 @@ class ServiceRuntime:
             warns = rng.binomial(noise_pool, self.NOISE_WARN)
             infos = rng.binomial(noise_pool, self.INFO_SAMPLE)
             for i in range(min(warns, self.BATCH_NOISE_EXEMPLARS)):
-                svc_name, command, _ = noise_sites[i % len(noise_sites)]
-                self._log(svc_name, "WARN",
-                          f"slow {command} request: "
-                          f"retrying idempotent call once")
+                hop, _ = noise_sites[i % len(noise_sites)]
+                self._log(hop.service, *warn_noise(hop))
             for i in range(min(infos, self.BATCH_NOISE_EXEMPLARS)):
-                svc_name, command, site_mean = noise_sites[i % len(noise_sites)]
-                self._log(svc_name, "INFO",
-                          f"{op.name}/{command} handled in {site_mean:.1f}ms")
+                hop, site_mean = noise_sites[i % len(noise_sites)]
+                self._log(hop.service, *info_noise(hop, site_mean))
         for s, (count, errors, lats) in bulk.items():
-            self.collector.record_request_bulk(self._q(s), count, errors, lats)
-            self._account(s, count)
+            self._record(s, count, errors, lats)
 
     def _emit_exemplars(
         self,
@@ -677,24 +668,17 @@ class ServiceRuntime:
             return
         kernel = self._kernel_for(outcome)
         durations = kernel.sample(rng.generator, n_ex)
-        spans = outcome.spans
+        skeleton = outcome.spans
         now = self.clock.now
         traces = self.collector.traces
         for j in range(n_full):
-            row = durations[j]
-            trace = Trace(trace_id=traces.new_trace_id())
-            span_ids = traces.new_span_ids(len(spans))
-            for i, sn in enumerate(spans):
-                trace.spans.append(Span(
-                    span_id=span_ids[i], trace_id=trace.trace_id,
-                    parent_id=span_ids[sn.parent] if sn.parent >= 0 else None,
-                    service=sn.service, operation=sn.operation,
-                    start=now, duration_ms=float(row[i]),
-                    status=sn.status, error_message=sn.error_message,
-                ))
-            self.collector.record_trace(trace)
+            row = durations[j].tolist()
+            trace = traces.record(now, [
+                Span(sn.parent, sn.service, sn.operation, ms, sn.status,
+                     sn.error_message)
+                for sn, ms in zip(skeleton, row)])
             batch.exemplars.append(RequestResult(
-                op.name, outcome.ok, float(row[0]), outcome.error,
+                op.name, outcome.ok, row[0], outcome.error,
                 trace.trace_id, list(outcome.error_services)))
         for j in range(n_full, n_ex):
             batch.exemplars.append(RequestResult(
@@ -703,4 +687,4 @@ class ServiceRuntime:
         # per-service latency exemplars: one column slice per entered span
         # hands all n_ex subtree samples to the collector at once
         for i in kernel.entered_idx:
-            bulk_entry(spans[i].service)[2].extend(durations[:, i].tolist())
+            bulk_entry(skeleton[i].service)[2].extend(durations[:, i].tolist())

@@ -14,12 +14,12 @@ never collide in the metric store, the baseline RNG or a metric watch.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.simcore import RngStream, SimClock
 from repro.telemetry.logs import LogStore
 from repro.telemetry.metrics import MetricStore
-from repro.telemetry.traces import Trace, TraceStore
+from repro.telemetry.traces import TraceStore
 from repro.telemetry.watch import MetricWatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,35 +143,20 @@ class TelemetryCollector:
                  level: str, message: str) -> None:
         self.logs.emit(self.clock.now, namespace, service, pod, level, message)
 
-    def record_trace(self, trace: Trace) -> None:
-        self.traces.add(trace)
+    def record_requests(self, service: str, count: int, errors: int,
+                        latencies: Iterable[float]) -> None:
+        """Account ``count`` requests, ``errors`` of them failed, under a
+        (qualified) service name.
 
-    def record_request(self, service: str, latency_ms: float, error: bool) -> None:
-        """Account one request under a (qualified) service name."""
-        self._window_requests[service] += 1
-        if error:
-            self._window_errors[service] += 1
-        self._window_latencies[service].append(latency_ms)
-
-    def record_request_bulk(
-        self, service: str, count: int, errors: int = 0,
-        latencies=(),
-    ) -> None:
-        """Aggregate-mode sink: account ``count`` requests in one call.
-
-        Counts feed ``request_rate``/``error_rate`` exactly as ``count``
-        individual :meth:`record_request` calls would; ``latencies`` is a
-        *bounded exemplar sample* of the batch (not all ``count`` values),
-        so scrape percentiles in aggregate mode are estimates from a small
-        reservoir rather than the full population.
+        Counts feed ``request_rate``/``error_rate``; ``latencies`` feed the
+        scrape percentiles — every request's latency on the per-request
+        tier, a *bounded exemplar sample* of the batch on the aggregate
+        tier (so its percentiles are reservoir estimates).
         """
-        if count <= 0:
-            return
-        self._window_requests[service] += int(count)
+        self._window_requests[service] += count
         if errors:
-            self._window_errors[service] += int(errors)
-        if latencies:
-            self._window_latencies[service].extend(latencies)
+            self._window_errors[service] += errors
+        self._window_latencies[service].extend(latencies)
 
     # -- scraping ---------------------------------------------------------
     def _baseline(self, service: str) -> tuple[float, float]:
@@ -245,7 +230,7 @@ class TelemetryCollector:
 
     # -- adapters for kubectl ----------------------------------------------
     def kubectl_log_source(self, namespace: str, pod: str, tail: int) -> str:
-        return self.logs.tail(namespace, pod, tail)
+        return self.logs.tail(namespace, tail, pod=pod)
 
     def kubectl_metrics_source(self, cluster: "Cluster"):
         """Build the ``kubectl top pods`` callback bound to ``cluster``."""

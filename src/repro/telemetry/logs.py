@@ -77,13 +77,11 @@ class LogStore:
             out.append(r)
         return out
 
-    def tail(self, namespace: str, pod: str, n: int = 50) -> str:
-        """Last ``n`` rendered lines for one pod (the ``kubectl logs`` view)."""
-        records = self.query(namespace=namespace, pod=pod)
-        return "\n".join(r.render() for r in records[-n:])
-
-    def tail_service(self, namespace: str, service: str, n: int = 50) -> str:
-        records = self.query(namespace=namespace, service=service)
+    def tail(self, namespace: str, n: int = 50, service: Optional[str] = None,
+             pod: Optional[str] = None) -> str:
+        """Last ``n`` rendered lines of a service or a pod (the ``kubectl
+        logs`` view)."""
+        records = self.query(namespace=namespace, service=service, pod=pod)
         return "\n".join(r.render() for r in records[-n:])
 
     def error_counts(self, namespace: str,

@@ -68,9 +68,6 @@ class MetricStore:
     def services(self) -> list[str]:
         return sorted({s for s, _ in self._series})
 
-    def metrics_for(self, service: str) -> list[str]:
-        return sorted(m for s, m in self._series if s == service)
-
     def matrix(
         self,
         services: list[str],

@@ -1,78 +1,71 @@
-"""Jaeger-style distributed traces."""
+"""Jaeger-style distributed traces, stored as numbered lists of span rows.
+
+A trace is a number, a start time and its spans as rows in the order the
+request entered them: the root first, every parent before its children,
+each row naming its parent by list index.  Nothing else is stored — every
+id is derived from the trace's number and a row's position when the trace
+is read or rendered: the trace is ``trace-{number:08x}``, span ``i`` is
+``span-{number + 1 + i:08x}``, and every span starts when the trace did.
+:meth:`TraceStore.record`, the one way a trace enters the store, hands out
+numbers by advancing a plain-int counter by ``1 + len(spans)`` — one id for
+the trace and one per span, the sequence the exported ids have always
+followed.
+"""
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass
-class Span:
-    """One timed unit of work in a trace."""
+class Span(NamedTuple):
+    """One timed unit of work: a row of its trace."""
 
-    span_id: str
-    trace_id: str
-    parent_id: Optional[str]
+    parent: int                 # index of the parent row; -1 for the root
     service: str
     operation: str
-    start: float
     duration_ms: float
     status: str = "OK"          # OK | ERROR
     error_message: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "spanID": self.span_id,
-            "traceID": self.trace_id,
-            "parentSpanID": self.parent_id,
-            "serviceName": self.service,
-            "operationName": self.operation,
-            "startTime": self.start,
-            "durationMs": self.duration_ms,
-            "status": self.status,
-            "error": self.error_message,
-        }
 
+class Trace(NamedTuple):
+    """A full request trace: a numbered list of span rows."""
 
-@dataclass
-class Trace:
-    """A full request trace (a tree of spans)."""
-
-    trace_id: str
-    spans: list[Span] = field(default_factory=list)
+    number: int
+    start: float
+    spans: list[Span]
 
     @property
-    def root(self) -> Optional[Span]:
-        for s in self.spans:
-            if s.parent_id is None:
-                return s
-        return self.spans[0] if self.spans else None
+    def trace_id(self) -> str:
+        return f"trace-{self.number:08x}"
+
+    @property
+    def span_ids(self) -> list[str]:
+        first = self.number + 1
+        return [f"span-{first + i:08x}" for i in range(len(self.spans))]
+
+    @property
+    def root(self) -> Span:
+        return self.spans[0]
 
     @property
     def has_error(self) -> bool:
         return any(s.status == "ERROR" for s in self.spans)
 
-    def error_services(self) -> list[str]:
-        """Services with error spans, deepest (most likely root cause) first."""
-        depth: dict[str, int] = {}
-        by_id = {s.span_id: s for s in self.spans}
-
-        def depth_of(s: Span) -> int:
-            d = 0
-            cur = s
-            while cur.parent_id and cur.parent_id in by_id:
-                cur = by_id[cur.parent_id]
-                d += 1
-            return d
-
-        for s in self.spans:
-            if s.status == "ERROR":
-                depth[s.service] = max(depth.get(s.service, -1), depth_of(s))
-        return [svc for svc, _ in sorted(depth.items(), key=lambda kv: -kv[1])]
-
     def to_dict(self) -> dict:
-        return {"traceID": self.trace_id, "spans": [s.to_dict() for s in self.spans]}
+        trace_id, start, ids = self.trace_id, self.start, self.span_ids
+        return {"traceID": trace_id, "spans": [{
+            "spanID": ids[i],
+            "traceID": trace_id,
+            "parentSpanID": ids[parent] if parent >= 0 else None,
+            "serviceName": service,
+            "operationName": operation,
+            "startTime": start,
+            "durationMs": duration_ms,
+            "status": status,
+            "error": error_message,
+        } for i, (parent, service, operation, duration_ms, status,
+                  error_message) in enumerate(self.spans)]}
 
 
 class TraceStore:
@@ -81,45 +74,27 @@ class TraceStore:
     def __init__(self, capacity: int = 50_000) -> None:
         self.capacity = capacity
         self._traces: list[Trace] = []
-        self._id_counter = itertools.count(1)
+        #: the next trace's number (a plain int, so the store pickles)
+        self._next = 1
 
     def __len__(self) -> int:
         return len(self._traces)
 
-    def new_trace_id(self) -> str:
-        return f"trace-{next(self._id_counter):08x}"
-
-    def new_span_id(self) -> str:
-        return f"span-{next(self._id_counter):08x}"
-
-    def new_span_ids(self, n: int) -> list[str]:
-        """``n`` fresh span ids in one call (the batched-exemplar path —
-        same counter, same format, one method dispatch)."""
-        counter = self._id_counter
-        return [f"span-{next(counter):08x}" for _ in range(n)]
-
-    def add(self, trace: Trace) -> None:
+    def record(self, start: float, spans: list[Span]) -> Trace:
+        """Number ``spans`` (root first, parents before children) as one
+        trace started at ``start`` and store it."""
+        trace = Trace(self._next, start, spans)
+        self._next += 1 + len(spans)
         self._traces.append(trace)
         if len(self._traces) > self.capacity:
             del self._traces[: self.capacity // 10]
+        return trace
 
-    def query(
-        self, since: Optional[float] = None, until: Optional[float] = None,
-        only_errors: bool = False,
-    ) -> list[Trace]:
-        out = []
-        for tr in self._traces:
-            root = tr.root
-            if root is None:
-                continue
-            if since is not None and root.start < since:
-                continue
-            if until is not None and root.start > until:
-                continue
-            if only_errors and not tr.has_error:
-                continue
-            out.append(tr)
-        return out
+    def query(self, since: Optional[float] = None,
+              until: Optional[float] = None) -> list[Trace]:
+        return [tr for tr in self._traces
+                if (since is None or tr.start >= since)
+                and (until is None or tr.start <= until)]
 
     def error_rate_by_service(
         self, since: Optional[float] = None

@@ -38,6 +38,16 @@ class TestTopologies:
             for op in bundle.app.workload_mix():
                 assert op in bundle.app.operations
 
+    def test_workload_mix_values_and_order(self):
+        """The mix is read off ``Operation.weight``; its order fixes the
+        driver's ``rng.choice`` draws, so both are pinned."""
+        assert list(HotelReservation().workload_mix().items()) == [
+            ("search_hotel", 0.6), ("recommend", 0.3), ("reserve", 0.05),
+            ("login", 0.05)]
+        assert list(SocialNetwork().workload_mix().items()) == [
+            ("compose_post", 0.1), ("read_home_timeline", 0.6),
+            ("read_user_timeline", 0.3)]
+
     def test_frontend_url_shape(self, hotel):
         assert hotel.app.frontend_url == \
             "http://frontend.test-hotel-reservation.svc.cluster.local:5000"

@@ -6,6 +6,8 @@ pending trigger chains all resume exactly where the snapshot was taken.
 That property is what lets warm benchmark workers amortize one prepared
 environment across a whole sweep grid (see ``run_grid``)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,16 @@ class TestForkDeterminism:
                 (sg.requests, sg.errors, sg.latency_sum_ms)
         fork.close()
         fresh.close()
+
+    def test_snapshot_holds_no_itertools_state(self):
+        """Pickling an ``itertools`` object is deprecated (3.12) and
+        removed (3.14): no counter in the simulation may be one."""
+        env = get_problem("revoke_auth_hotel_res-localization-1").prepare(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            payload = env.snapshot().payload
+        env.close()
+        assert b"itertools" not in payload
 
     def test_fork_owns_a_fresh_export_root(self):
         origin = CloudEnvironment(HotelReservation, seed=1, workload_rate=10)

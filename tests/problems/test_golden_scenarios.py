@@ -5,10 +5,14 @@ catalog (the commit before ``SCENARIOS`` became a table of records): for
 the 24 hand-written pids and 21 generated ones — three per trigger shape
 from ``ScenarioGenerator(0)`` — what the agent is told, what the
 environment hosts, the timeline, and where the simulation stands 60 s
-after ``prepare``.  Re-record (only for an *intended* behaviour change)
+after ``prepare``.  It was re-recorded once since, for one row:
+``load_triggered_scale_zero_social_net-localization-1`` spiked to 4× (240
+requests a tick, over the per-request cap of 200) and now spikes to 3×.
+Re-record (only for an *intended* behaviour change)
 with ``PYTHONPATH=src python tests/problems/test_golden_scenarios.py``.
 """
 
+import inspect
 import json
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from repro.problems import (
 )
 from repro.problems.generator import SHAPES
 from repro.problems.scenarios import SCENARIOS
+from repro.workload.driver import WorkloadDriver
 
 GOLDEN = Path(__file__).with_name("golden_scenarios.json")
 ENV_SEED = 4
@@ -113,6 +118,25 @@ class TestTableValidity:
                 assert "ground truth" in row.doc
             if row.expected == "no":
                 assert not injects
+
+    @pytest.mark.parametrize(
+        "row", [row for row in SCENARIOS if row.fidelity == "per_request"],
+        ids=lambda row: row.pid)
+    def test_per_request_load_fits_the_tick_cap(self, row):
+        """A per-request driver serves at most ``max_requests_per_tick``
+        requests a second; a row offering more would pin a clipped load.
+        Every rate the row can put on a per-request app, sampled each
+        second over ten virtual minutes (warm-up, soak, the timeline and a
+        full session), stays within the driver's default cap."""
+        cap = inspect.signature(WorkloadDriver).parameters[
+            "max_requests_per_tick"].default
+        policies = [spec.build_policy() for spec in row.apps
+                    if (spec.fidelity or row.fidelity) == "per_request"]
+        policies += [e.policy for e in row.timeline.entries
+                     if e.kind == "set_rate"]
+        for policy in policies:
+            assert max(policy.rate(float(t)) for t in range(600)) <= cap, \
+                policy
 
 
 class TestRowsAreSharedValues:

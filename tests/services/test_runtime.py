@@ -74,7 +74,8 @@ class TestMongoFaultPath:
         trace = [t for t in hotel.collector.traces.query()
                  if t.trace_id == result.trace_id][0]
         assert trace.has_error
-        assert "mongodb-geo" in trace.error_services()
+        assert any(s.service == "mongodb-geo" and s.status == "ERROR"
+                   for s in trace.spans)
 
 
 class TestConnectivityFaultPath:

@@ -42,13 +42,15 @@ class TestLogStore:
         store = LogStore()
         for i in range(10):
             emit(store, pod="p", msg=f"line{i}")
-        text = store.tail("ns", "p", n=3)
+        text = store.tail("ns", n=3, pod="p")
         assert "line9" in text and "line6" not in text
 
     def test_tail_service(self):
         store = LogStore()
         emit(store, svc="geo", msg="hello-geo")
-        assert "hello-geo" in store.tail_service("ns", "geo")
+        emit(store, svc="rate", msg="hello-rate")
+        text = store.tail("ns", service="geo")
+        assert "hello-geo" in text and "hello-rate" not in text
 
     def test_error_counts(self):
         store = LogStore()

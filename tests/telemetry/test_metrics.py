@@ -40,12 +40,6 @@ class TestMetricStore:
         store.record(0.0, "a", "cpu_usage", 1.0)
         assert store.services() == ["a", "b"]
 
-    def test_metrics_for(self):
-        store = MetricStore()
-        store.record(0.0, "a", "cpu_usage", 1.0)
-        store.record(0.0, "a", "error_rate", 0.0)
-        assert store.metrics_for("a") == ["cpu_usage", "error_rate"]
-
     def test_snapshot_latest(self):
         store = MetricStore()
         store.record(0.0, "a", "cpu_usage", 1.0)

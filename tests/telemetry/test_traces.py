@@ -1,24 +1,15 @@
-from repro.telemetry.traces import Span, Trace, TraceStore
+from repro.telemetry.traces import Span, TraceStore
 
 
 def make_trace(store, services_status, start=0.0):
-    """Build a linear trace: first service is root, each child nested."""
-    trace = Trace(trace_id=store.new_trace_id())
-    parent = None
-    for svc, status in services_status:
-        span = Span(
-            span_id=store.new_span_id(), trace_id=trace.trace_id,
-            parent_id=parent, service=svc, operation="op",
-            start=start, duration_ms=1.0, status=status,
-        )
-        trace.spans.append(span)
-        parent = span.span_id
-    store.add(trace)
-    return trace
+    """Record a linear trace: first service is root, each child nested."""
+    return store.record(start, [
+        Span(i - 1, svc, "op", 1.0, status)
+        for i, (svc, status) in enumerate(services_status)])
 
 
 class TestTrace:
-    def test_root_is_parentless_span(self):
+    def test_root_is_first_span(self):
         store = TraceStore()
         trace = make_trace(store, [("a", "OK"), ("b", "OK")])
         assert trace.root.service == "a"
@@ -28,12 +19,6 @@ class TestTrace:
         trace = make_trace(store, [("a", "OK"), ("b", "ERROR")])
         assert trace.has_error
 
-    def test_error_services_deepest_first(self):
-        store = TraceStore()
-        trace = make_trace(store, [("a", "ERROR"), ("b", "ERROR"),
-                                   ("c", "ERROR")])
-        assert trace.error_services() == ["c", "b", "a"]
-
     def test_to_dict_roundtrip_fields(self):
         store = TraceStore()
         trace = make_trace(store, [("a", "OK")])
@@ -41,12 +26,32 @@ class TestTrace:
         assert d["traceID"] == trace.trace_id
         assert d["spans"][0]["serviceName"] == "a"
 
+    def test_ids_derive_from_number_and_position(self):
+        store = TraceStore()
+        make_trace(store, [("a", "OK")])
+        trace = make_trace(store, [("a", "OK"), ("b", "OK"), ("c", "OK")],
+                           start=7.5)
+        d = trace.to_dict()
+        assert d["traceID"] == "trace-00000003"
+        assert [s["spanID"] for s in d["spans"]] == \
+            ["span-00000004", "span-00000005", "span-00000006"]
+        assert [s["parentSpanID"] for s in d["spans"]] == \
+            [None, "span-00000004", "span-00000005"]
+        assert {s["startTime"] for s in d["spans"]} == {7.5}
+
 
 class TestTraceStore:
     def test_ids_unique(self):
         store = TraceStore()
-        ids = {store.new_trace_id() for _ in range(100)}
+        ids = {make_trace(store, [("a", "OK")] * (i % 3 + 1)).trace_id
+               for i in range(100)}
         assert len(ids) == 100
+
+    def test_counter_advances_by_one_plus_spans(self):
+        store = TraceStore()
+        first = make_trace(store, [("a", "OK"), ("b", "OK")])
+        second = make_trace(store, [("a", "OK")])
+        assert (first.number, second.number) == (1, 4)
 
     def test_query_time_window(self):
         store = TraceStore()
@@ -54,12 +59,6 @@ class TestTraceStore:
         make_trace(store, [("a", "OK")], start=10.0)
         assert len(store.query(since=5.0)) == 1
         assert len(store.query(until=5.0)) == 1
-
-    def test_query_only_errors(self):
-        store = TraceStore()
-        make_trace(store, [("a", "OK")])
-        make_trace(store, [("a", "ERROR")])
-        assert len(store.query(only_errors=True)) == 1
 
     def test_error_rate_by_service(self):
         store = TraceStore()
