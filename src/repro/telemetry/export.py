@@ -2,17 +2,21 @@
 
 The ACI returns *paths* from ``get_logs``/``get_metrics``/``get_traces``
 (like the paper's Example 2.2, which saves traces and returns the
-directory); this module writes those files.
+directory); this module writes those files.  ``traces.json`` and
+``all.jsonl`` are the text ``json``'s ``dumps`` would write, rendered from
+rows; the oracle test (``tests/telemetry/test_render_exact.py``) is the
+reference.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
 from typing import Optional
 
 from repro.telemetry.collector import TelemetryCollector
+from repro.telemetry.logs import render_jsonl
+from repro.telemetry.traces import render_traces
 
 
 class TelemetryExporter:
@@ -34,6 +38,8 @@ class TelemetryExporter:
                     since: Optional[float] = None) -> Path:
         out_dir = self.root / "logs"
         out_dir.mkdir(parents=True, exist_ok=True)
+        for stale in out_dir.glob("*.log"):  # another namespace's or window's
+            stale.unlink()
         records = self.collector.logs.query(namespace=namespace, since=since)
         by_service: dict[str, list] = {}
         for r in records:
@@ -42,12 +48,7 @@ class TelemetryExporter:
             (out_dir / f"{service}.log").write_text(
                 "\n".join(r.render() for r in recs) + "\n"
             )
-        with (out_dir / "all.jsonl").open("w") as f:
-            for r in records:
-                f.write(json.dumps({
-                    "time": r.time, "namespace": r.namespace, "service": r.service,
-                    "pod": r.pod, "level": r.level, "message": r.message,
-                }) + "\n")
+        (out_dir / "all.jsonl").write_text(render_jsonl(records))
         return out_dir
 
     def export_metrics(self, since: Optional[float] = None) -> Path:
@@ -72,9 +73,8 @@ class TelemetryExporter:
     def export_traces(self, since: Optional[float] = None) -> Path:
         out_dir = self.root / "traces"
         out_dir.mkdir(parents=True, exist_ok=True)
-        traces = self.collector.traces.query(since=since)
-        payload = {"data": [t.to_dict() for t in traces]}
-        (out_dir / "traces.json").write_text(json.dumps(payload, indent=1))
+        (out_dir / "traces.json").write_text(
+            render_traces(self.collector.traces.query(since=since)))
         return out_dir
 
     def export_all(self, namespace: str, since: Optional[float] = None) -> Path:

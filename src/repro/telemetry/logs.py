@@ -1,9 +1,17 @@
-"""Structured application logs (the Filebeat/Logstash pipeline equivalent)."""
+"""Structured application logs (the Filebeat/Logstash pipeline equivalent).
+
+``all.jsonl`` (:func:`render_jsonl`) is the text ``json``'s ``dumps`` would
+write, rendered from rows; the oracle test is the reference.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Optional
+
+from repro.telemetry.traces import json_number
 
 
 @dataclass
@@ -23,6 +31,17 @@ class LogRecord:
         secs = self.time - mins * 60
         ts = f"2026-06-12T10:{mins % 60:02d}:{secs:06.3f}Z"
         return f"{ts} {self.level:<5} [{self.service}] {self.message}"
+
+
+def render_jsonl(records: Iterable[LogRecord]) -> str:
+    """Each record's fields as one line of ``dumps`` with default options."""
+    quote = cache(encode_basestring_ascii)
+    return "".join([
+        '{"time": %s, "namespace": %s, "service": %s, "pod": %s, '
+        '"level": %s, "message": %s}\n' % (
+            json_number(r.time), quote(r.namespace), quote(r.service),
+            quote(r.pod), quote(r.level), quote(r.message))
+        for r in records])
 
 
 class LogStore:

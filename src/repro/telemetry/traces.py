@@ -9,12 +9,15 @@ is read or rendered: the trace is ``trace-{number:08x}``, span ``i`` is
 :meth:`TraceStore.record`, the one way a trace enters the store, hands out
 numbers by advancing a plain-int counter by ``1 + len(spans)`` — one id for
 the trace and one per span, the sequence the exported ids have always
-followed.
+followed.  ``traces.json`` (:func:`render_traces`) is the text ``json``'s
+``dumps`` would write, rendered from rows; the oracle test is the reference.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple, Optional
 
 
 class Span(NamedTuple):
@@ -40,11 +43,6 @@ class Trace(NamedTuple):
         return f"trace-{self.number:08x}"
 
     @property
-    def span_ids(self) -> list[str]:
-        first = self.number + 1
-        return [f"span-{first + i:08x}" for i in range(len(self.spans))]
-
-    @property
     def root(self) -> Span:
         return self.spans[0]
 
@@ -52,20 +50,39 @@ class Trace(NamedTuple):
     def has_error(self) -> bool:
         return any(s.status == "ERROR" for s in self.spans)
 
-    def to_dict(self) -> dict:
-        trace_id, start, ids = self.trace_id, self.start, self.span_ids
-        return {"traceID": trace_id, "spans": [{
-            "spanID": ids[i],
-            "traceID": trace_id,
-            "parentSpanID": ids[parent] if parent >= 0 else None,
-            "serviceName": service,
-            "operationName": operation,
-            "startTime": start,
-            "durationMs": duration_ms,
-            "status": status,
-            "error": error_message,
-        } for i, (parent, service, operation, duration_ms, status,
-                  error_message) in enumerate(self.spans)]}
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TRACE = '  {\n   "traceID": "%s",\n   "spans": [\n%s\n   ]\n  }'
+_SPAN = ('    {\n     "spanID": "span-%08x",\n     "traceID": "%s",\n'
+         '     "parentSpanID": %s,\n     "serviceName": %s,\n'
+         '     "operationName": %s,\n     "startTime": %s,\n'
+         '     "durationMs": %s,\n     "status": %s,\n     "error": %s\n    }')
+
+
+def json_number(x: float) -> str:
+    """``x`` as ``json`` writes it: the float or int repr (a numpy float
+    renders as a plain one), NaN and the infinities spelled JSON's way."""
+    text = float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def render_traces(traces: Iterable[Trace]) -> str:
+    """``{"data": [...]}`` as ``json``'s ``dumps`` writes it with a
+    one-space indent: one template per trace and per span (a trace has at
+    least one span), each string encoded once per call."""
+    quote, out = cache(encode_basestring_ascii), []
+    for number, start, spans in traces:
+        first, trace_id = number + 1, f"trace-{number:08x}"
+        begin = json_number(start)
+        out.append(_TRACE % (trace_id, ",\n".join([_SPAN % (
+            first + i, trace_id,
+            f'"span-{first + parent:08x}"' if parent >= 0 else "null",
+            quote(service), quote(operation), begin, json_number(ms),
+            quote(status), quote(error))
+            for i, (parent, service, operation, ms, status, error)
+            in enumerate(spans)])))
+    return '{\n "data": [\n%s\n ]\n}' % ",\n".join(out) if out \
+        else '{\n "data": []\n}'
 
 
 class TraceStore:

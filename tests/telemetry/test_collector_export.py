@@ -1,5 +1,8 @@
 import json
+from pathlib import Path
 
+from repro.core.aci import TaskActions
+from repro.problems import get_problem
 from repro.telemetry import TelemetryExporter
 
 
@@ -68,6 +71,34 @@ class TestExporter:
         payload = json.loads((out / "traces.json").read_text())
         assert payload["data"], "expected at least one trace"
         assert "spans" in payload["data"][0]
+
+    def test_export_traces_window(self, hotel, tmp_path):
+        hotel.driver.run_events(10)
+        everything = hotel.collector.traces.query()
+        cutoff = everything[len(everything) // 2].start
+        exporter = TelemetryExporter(hotel.collector, tmp_path)
+        out = exporter.export_traces(since=cutoff)
+        data = json.loads((out / "traces.json").read_text())["data"]
+        assert [d["traceID"] for d in data] == \
+            [t.trace_id for t in everything if t.start >= cutoff]
+        assert 0 < len(data) < len(everything)
+
+    def test_export_traces_empty_window(self, hotel, tmp_path):
+        hotel.driver.run_events(5)
+        exporter = TelemetryExporter(hotel.collector, tmp_path)
+        out = exporter.export_traces(since=hotel.clock.now + 1.0)
+        assert (out / "traces.json").read_text() == '{\n "data": []\n}'
+
+    def test_get_logs_directory_holds_only_that_namespace(self):
+        env = get_problem("noisy_neighbor_multi_hotel_res-detection-1") \
+            .prepare(4)
+        aci = TaskActions(env)
+        aci.get_logs("test-hotel-reservation", "all")
+        [path] = aci.get_logs("test-social-network", "all").artifacts
+        written = {p.stem for p in Path(path).glob("*.log")}
+        seen = env.collector.logs.services_seen("test-social-network")
+        env.close()
+        assert written == seen
 
     def test_export_all_creates_tree(self, hotel, tmp_path):
         hotel.driver.run_events(5)

@@ -1,4 +1,6 @@
-from repro.telemetry.traces import Span, TraceStore
+import json
+
+from repro.telemetry.traces import Span, TraceStore, render_traces
 
 
 def make_trace(store, services_status, start=0.0):
@@ -6,6 +8,12 @@ def make_trace(store, services_status, start=0.0):
     return store.record(start, [
         Span(i - 1, svc, "op", 1.0, status)
         for i, (svc, status) in enumerate(services_status)])
+
+
+def rendered(trace):
+    """The trace as ``traces.json`` holds it, parsed back."""
+    [d] = json.loads(render_traces([trace]))["data"]
+    return d
 
 
 class TestTrace:
@@ -22,7 +30,7 @@ class TestTrace:
     def test_to_dict_roundtrip_fields(self):
         store = TraceStore()
         trace = make_trace(store, [("a", "OK")])
-        d = trace.to_dict()
+        d = rendered(trace)
         assert d["traceID"] == trace.trace_id
         assert d["spans"][0]["serviceName"] == "a"
 
@@ -31,7 +39,7 @@ class TestTrace:
         make_trace(store, [("a", "OK")])
         trace = make_trace(store, [("a", "OK"), ("b", "OK"), ("c", "OK")],
                            start=7.5)
-        d = trace.to_dict()
+        d = rendered(trace)
         assert d["traceID"] == "trace-00000003"
         assert [s["spanID"] for s in d["spans"]] == \
             ["span-00000004", "span-00000005", "span-00000006"]
