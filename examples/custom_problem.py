@@ -2,9 +2,9 @@
 
 Shows the extensibility story the paper emphasizes:
 
-1. a **multi-fault mitigation problem** — two faults injected concurrently
-   into different services (revoked Mongo auth + a deployment scaled to
-   zero), with the stock whole-system health oracle;
+1. a **multi-fault mitigation problem** — two faults in different
+   services (revoked Mongo auth, then a deployment scaled to zero) as a
+   two-entry fault timeline, with the stock whole-system health oracle;
 2. a **custom evaluation metric** added on top of the task's defaults.
 
 Run:  python examples/custom_problem.py
@@ -14,30 +14,28 @@ import asyncio
 
 from repro.agents import build_agent
 from repro.core import MitigationTask, Orchestrator
-from repro.faults import VirtFaultInjector
+from repro.faults import FaultSchedule
 
 
 class DoubleFaultMitigation(MitigationTask):
     """Two concurrent faults: the agent must repair both to pass.
 
-    The evaluator inherits MitigationTask's whole-system health check, so
-    fixing only one fault still fails — exactly the §2.1 semantics.
+    The problem's ``timeline`` replaces the base class's single injection:
+    auth is revoked as the soak starts, the recommendation pods are scaled
+    to zero 30 s later, and the agent starts 15 s after that.  The base
+    class arms the timeline and recovers both faults.  The evaluator
+    inherits MitigationTask's whole-system health check, so fixing only
+    one fault still fails — exactly the §2.1 semantics.
     """
+
+    fault_soak_seconds = 45.0
 
     def __init__(self):
         super().__init__("RevokeAuth", target="mongodb-geo",
                          pid="double_fault_hotel_res-mitigation-custom")
-        self.second_target = "recommendation"
-
-    def inject_fault(self, env):
-        super().inject_fault(env)  # revoke_auth on mongodb-geo
-        self._virt = VirtFaultInjector(env.app)
-        self._virt._inject([self.second_target], "scale_pod_zero")
-        env.advance(15.0)
-
-    def recover_fault(self, env):
-        super().recover_fault(env)
-        self._virt.recover_all()
+        self.timeline = (FaultSchedule()
+                         .inject(0.0, "RevokeAuth", ("mongodb-geo",))
+                         .inject(30.0, "ScalePod", ("recommendation",)))
 
     def eval(self, soln, trace, duration, env=None):
         res = super().eval(soln, trace, duration, env=env)

@@ -3,6 +3,13 @@
 Users define new problems exactly like the paper's Example 2.1: subclass a
 task interface, point it at an app, a fault and a target, and give the
 expected solution.
+
+A problem's preparation is plain values: the environment's inputs and a
+``timeline`` (a :class:`~repro.faults.schedule.FaultSchedule`).  A paper
+problem's timeline injects its fault into its target as it is armed, a
+Noop problem's is empty and a scenario's is its record's.
+``inject_fault`` arms the timeline — the one path from a fault to the
+environment — and ``recover_fault`` tears it down.
 """
 
 from __future__ import annotations
@@ -12,11 +19,7 @@ from typing import Any, Optional
 from repro.apps import APP_CLASSES
 from repro.core.env import CloudEnvironment
 from repro.core.evaluator import system_healthy
-from repro.faults import (
-    INJECTOR_CLASSES as _INJECTOR_CLASSES,
-    FaultSpec,
-    get_fault_spec,
-)
+from repro.faults import ArmedSchedule, FaultSchedule, FaultSpec, get_fault_spec
 
 
 class Problem:
@@ -69,8 +72,11 @@ class Problem:
         self.target = target
         self.ans: Any = target
         self.pid = pid or self._default_pid()
+        #: what ``inject_fault`` arms: the fault into the target at +0
+        self.timeline = FaultSchedule() if self.spec is None else \
+            FaultSchedule().inject(0.0, self.spec.name, (target,))
+        self.armed: Optional[ArmedSchedule] = None
         self.injected_at: Optional[float] = None
-        self._injector = None
 
     def _default_pid(self) -> str:
         fault_key = self.spec.fault_key if self.spec else "noop"
@@ -90,14 +96,12 @@ class Problem:
         env.advance(self.warmup_seconds)
 
     def inject_fault(self, env: CloudEnvironment) -> None:
-        """Inject the fault and let it soak so telemetry shows it."""
-        if self.spec is None:
-            self.injected_at = env.clock.now
-            env.advance(self.fault_soak_seconds)
-            return
-        injector_cls = _INJECTOR_CLASSES[self.spec.injector]
-        self._injector = injector_cls(env.app)
-        self._injector._inject([self.target], self.spec.fault_key)
+        """Arm the timeline and soak so telemetry shows the fault.
+
+        An entry at +0 is queued ahead of the soak's first tick, so it
+        lands before any request of the soak runs; later entries fire
+        during the soak or mid-session."""
+        self.armed = self.timeline.arm(env)
         self.injected_at = env.clock.now
         env.advance(self.fault_soak_seconds)
 
@@ -111,9 +115,11 @@ class Problem:
         return env
 
     def recover_fault(self, env: CloudEnvironment) -> None:
-        """Oracle recovery (used for cleanup and for testing solvability)."""
-        if self._injector is not None:
-            self._injector.recover_all()
+        """Oracle recovery (used for cleanup and for testing solvability):
+        cancel what has not fired, undo what has."""
+        if self.armed is not None:
+            self.armed.cancel_pending()
+            self.armed.recover_all()
 
     # ------------------------------------------------------------------
     # the I in C: information shared with the agent

@@ -28,7 +28,6 @@ from repro.faults.schedule import (
     ArmedSchedule,
     FaultSchedule,
     TimelineEntry,
-    resolve_fault_spec,
 )
 from repro.faults.triggers import (
     AfterEvent,
@@ -45,7 +44,6 @@ __all__ = [
     "ArmedSchedule",
     "FaultSchedule",
     "TimelineEntry",
-    "resolve_fault_spec",
     "Trigger",
     "AtTime",
     "MetricTrigger",

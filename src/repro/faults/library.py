@@ -125,8 +125,10 @@ FAULT_LIBRARY: tuple[FaultSpec, ...] = (
 
 
 def get_fault_spec(name_or_number: str | int) -> FaultSpec:
-    """Look a fault up by its Table-2 number or name."""
+    """Look a fault up by its Table-2 number, its name or its non-empty
+    injector ``fault_key``."""
     for spec in FAULT_LIBRARY:
-        if spec.number == name_or_number or spec.name == name_or_number:
+        if spec.number == name_or_number or spec.name == name_or_number \
+                or (spec.fault_key and spec.fault_key == name_or_number):
             return spec
     raise KeyError(f"no fault {name_or_number!r} in the library")

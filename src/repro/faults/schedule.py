@@ -38,12 +38,15 @@ Builders cover the paper-motivated shapes:
 * :meth:`FaultSchedule.when` / :meth:`FaultSchedule.after` — condition-
   triggered and chained entries ("inject network_loss on the frontend once
   p99 > 800 ms for 30 s, then cascade to geo when error rate crosses 5/s");
-* :meth:`FaultSchedule.every_crossing` — a **repeating** condition-
-  triggered entry: the armed watch re-arms itself after each firing
+  ``when(..., repeat=N)`` makes the entry **repeat**: the armed watch
+  re-arms itself after each firing
   (:meth:`~repro.telemetry.watch.MetricWatch.rearm`) and waits for the
   signal to drop back across the threshold before it may fire again, so
   the entry fires once per threshold *crossing* — the auto-remediation
   loop shape (inject/recover driven by telemetry).
+
+Every entry is checked when it is built — by a builder or by hand — not
+when it fires (see :class:`TimelineEntry`).
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.faults.base import FaultInjector
 from repro.faults.functional import ApplicationFaultInjector, VirtFaultInjector
-from repro.faults.library import FAULT_LIBRARY, FaultSpec, get_fault_spec
+from repro.faults.library import FaultSpec, get_fault_spec
 from repro.faults.symptomatic import SymptomaticFaultInjector
 from repro.faults.triggers import (
     AfterEvent,
@@ -77,17 +80,6 @@ INJECTOR_CLASSES: dict[str, type[FaultInjector]] = {
     "app": ApplicationFaultInjector,
     "symptomatic": SymptomaticFaultInjector,
 }
-
-
-def resolve_fault_spec(fault: str | int) -> FaultSpec:
-    """Resolve a fault by Table-2 number, name, or injector ``fault_key``."""
-    try:
-        return get_fault_spec(fault)
-    except KeyError:
-        for spec in FAULT_LIBRARY:
-            if spec.fault_key and spec.fault_key == fault:
-                return spec
-        raise
 
 
 @dataclass(frozen=True)
@@ -114,6 +106,12 @@ class TimelineEntry:
     dedicated ``faults/flap`` stream derived from the environment seed,
     so a timeline with flapping entries is exactly reproducible and a
     timeline without them draws nothing new.
+
+    Construction checks the entry whole: a known ``kind``, a rate policy
+    for ``set_rate``, and for ``inject``/``recover`` a library fault with
+    an injector (``KeyError`` for an unknown fault) and at least one
+    target — so a bad entry fails where it is written, never where it
+    fires.
     """
 
     trigger: Trigger
@@ -129,6 +127,21 @@ class TimelineEntry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trigger", as_trigger(self.trigger))
+        if self.kind == "set_rate":
+            if not callable(getattr(self.policy, "rate", None)):
+                raise TypeError(
+                    f"a set_rate entry needs a RatePolicy, got {self.policy!r}")
+        elif self.kind in ("inject", "recover"):
+            spec = get_fault_spec(self.fault)  # KeyError on unknown faults
+            if spec.injector not in INJECTOR_CLASSES:
+                raise ValueError(
+                    f"fault {spec.name!r} has no injector "
+                    f"(injector={spec.injector!r}) and cannot be scheduled")
+            if not self.targets:
+                raise ValueError(
+                    f"an {self.kind} entry needs at least one target")
+        else:
+            raise ValueError(f"unknown timeline kind {self.kind!r}")
         if self.repeat < 0:
             raise ValueError(f"repeat must be >= 0, got {self.repeat}")
         if self.repeat != 1 and not isinstance(self.trigger, MetricTrigger):
@@ -164,11 +177,7 @@ class FaultSchedule:
 
     def __init__(self, entries: Sequence[TimelineEntry] = ()) -> None:
         self.entries: list[TimelineEntry] = []
-        for entry in entries:  # pre-built entries get the builders' checks
-            if entry.kind in ("inject", "recover"):
-                self._check_injectable(entry.fault)
-            elif entry.kind != "set_rate":
-                raise ValueError(f"unknown timeline kind {entry.kind!r}")
+        for entry in entries:
             self._add(entry)
 
     # -- chainable builders --------------------------------------------
@@ -183,22 +192,12 @@ class FaultSchedule:
             key=lambda e: (0, e.at) if e.at is not None else (1, 0.0))
         return self
 
-    @staticmethod
-    def _check_injectable(fault: str | int) -> None:
-        """Fail at build time, not event-fire time, for bad faults."""
-        spec = resolve_fault_spec(fault)  # raises KeyError on unknown
-        if spec.injector not in INJECTOR_CLASSES:
-            raise ValueError(
-                f"fault {spec.name!r} has no injector "
-                f"(injector={spec.injector!r}) and cannot be scheduled")
-
     def inject(self, at: float | Trigger, fault: str | int,
                targets: Sequence[str], *, tag: str = "",
                namespace: str = "") -> "FaultSchedule":
         """Inject ``fault`` into ``targets`` when ``at`` trips (seconds
         after arming, or any :class:`Trigger`).  ``namespace`` picks the
         app acted on in a multi-app environment."""
-        self._check_injectable(fault)
         return self._add(TimelineEntry(as_trigger(at), "inject", fault,
                                        tuple(targets), tag=tag,
                                        namespace=namespace))
@@ -207,7 +206,6 @@ class FaultSchedule:
                 targets: Sequence[str], *, tag: str = "",
                 namespace: str = "") -> "FaultSchedule":
         """Recover ``fault`` on ``targets`` when ``at`` trips."""
-        self._check_injectable(fault)
         return self._add(TimelineEntry(as_trigger(at), "recover", fault,
                                        tuple(targets), tag=tag,
                                        namespace=namespace))
@@ -234,11 +232,14 @@ class FaultSchedule:
         The trigger may watch one app while the entry acts on another
         (``trigger.namespace`` vs ``namespace``).  ``repeat`` allows the
         entry to fire at up to that many threshold crossings (0 =
-        unlimited) by re-arming the underlying watch after each firing.
+        unlimited) by re-arming the underlying watch after each firing;
+        a re-armed watch must see one non-satisfying scrape before it may
+        fire again.  ``fire_probability`` < 1 makes the loop *flap* — some
+        crossings silently skip — and ``jitter_s`` smears each firing's
+        onset by a seeded uniform delay; see :class:`TimelineEntry`.
         """
         if kind not in ("inject", "recover"):
             raise ValueError(f"when() supports inject/recover, got {kind!r}")
-        self._check_injectable(fault)
         return self._add(TimelineEntry(trigger, kind, fault, tuple(targets),
                                        tag=tag, namespace=namespace,
                                        repeat=repeat,
@@ -290,39 +291,6 @@ class FaultSchedule:
             sched.inject(at, fault, targets)
         return sched
 
-    @classmethod
-    def load_triggered(cls, trigger: MetricTrigger, fault: str | int,
-                       targets: Sequence[str], *,
-                       namespace: str = "") -> "FaultSchedule":
-        """A single fault that lands once the system crosses a telemetry
-        threshold — the "fires because the system is already degraded"
-        shape.  In a multi-app environment the watched metric
-        (``trigger.namespace``) and the faulted app (``namespace``) may
-        differ — the noisy-neighbor shape."""
-        return cls().when(trigger, fault, targets, namespace=namespace)
-
-    @classmethod
-    def every_crossing(cls, trigger: MetricTrigger, fault: str | int,
-                       targets: Sequence[str], *, kind: str = "inject",
-                       namespace: str = "", max_fires: int = 0,
-                       tag: str = "", fire_probability: float = 1.0,
-                       jitter_s: float = 0.0) -> "FaultSchedule":
-        """A repeating condition-triggered entry: fire ``kind`` every time
-        the threshold is *crossed* (the armed watch re-arms after each
-        firing and must see one non-satisfying scrape before it can fire
-        again).  ``max_fires`` caps the loop (0 = unlimited).  This is the
-        first schedule shape built on
-        :meth:`~repro.telemetry.watch.MetricWatch.rearm` — composed in
-        pairs it expresses telemetry-driven inject/recover loops
-        (auto-remediation storylines).  ``fire_probability`` < 1 makes the
-        loop *flap* — some crossings silently skip — and ``jitter_s``
-        smears each firing's onset by a seeded uniform delay; see
-        :class:`TimelineEntry`."""
-        return cls().when(trigger, fault, targets, kind=kind, tag=tag,
-                          namespace=namespace, repeat=max_fires,
-                          fire_probability=fire_probability,
-                          jitter_s=jitter_s)
-
     # -- properties ----------------------------------------------------
     @property
     def duration(self) -> float:
@@ -359,9 +327,9 @@ class FaultSchedule:
         """Run arm-time timeline validation without an environment:
         AfterEvent tags must resolve to an entry, acyclically.  Returns
         ``self`` so it chains; raises ``ValueError`` with the same
-        messages :meth:`arm` would.  (Per-trigger invariants — negative
-        delays/offsets/sustains, empty tags — are rejected even earlier,
-        at trigger construction.)"""
+        messages :meth:`arm` would.  (Per-trigger and per-entry
+        invariants — negative delays/offsets/sustains, empty tags, unknown
+        faults or kinds — are rejected even earlier, at construction.)"""
         self._validate_chains()
         return self
 
@@ -421,8 +389,8 @@ class ArmedSchedule:
       the pre-trigger behavior;
     * metric entries register a :class:`MetricWatch` with the collector
       (scrape-time evaluation, under the watched namespace's *qualified*
-      metric name) **and** attach it to the queue, so span planners count
-      the pending trigger as live activity.  Entries with ``repeat != 1``
+      metric name) — the one registry of live watches; span planners stay
+      scrape-bounded without it.  Entries with ``repeat != 1``
       re-arm their watch from the firing callback, with crossing
       semantics (``require_clear``), until the repeat budget is spent or
       the schedule is torn down;
@@ -468,7 +436,6 @@ class ArmedSchedule:
                     require_clear=entry.repeat != 1,
                 )
                 watch.callback = _WatchAction(self, entry, watch)
-                env.queue.attach_watch(watch)
                 env.collector.add_watch(watch)
                 self.watches.append(watch)
             elif isinstance(trigger, AfterEvent):
@@ -539,7 +506,7 @@ class ArmedSchedule:
             ns = entry.namespace or self.env.namespace
             self.env.driver_for(ns).policy = entry.policy
         else:
-            spec = resolve_fault_spec(entry.fault)
+            spec = get_fault_spec(entry.fault)
             injector = self._injector_for(spec, entry)
             if entry.kind == "inject":
                 if entry.repeat != 1 \
@@ -561,9 +528,9 @@ class ArmedSchedule:
     def _fire_watched(self, entry: TimelineEntry, watch: MetricWatch) -> None:
         """Fire a metric-triggered entry and, for repeating entries,
         re-arm the watch while the repeat budget allows and the schedule
-        has not been torn down.  ``rearm`` re-registers with both the
-        queue and the collector, and ``require_clear`` makes the next
-        firing wait for a fresh threshold crossing.
+        has not been torn down.  ``rearm`` re-registers with the
+        collector, and ``require_clear`` makes the next firing wait for a
+        fresh threshold crossing.
 
         Probabilistic flapping hooks in here: a crossing is skipped with
         ``1 - fire_probability`` (it still counts against ``repeat`` and

@@ -16,8 +16,8 @@ hand-written rows — from the axes that table samples by hand:
   via the delayed/flapping/cascade shapes), telemetry thresholds
   (:class:`~repro.faults.triggers.MetricAbove` with sustain windows),
   event chains (:class:`~repro.faults.triggers.AfterEvent` relapse
-  loops) and repeating crossings
-  (:meth:`~repro.faults.schedule.FaultSchedule.every_crossing`);
+  loops) and repeating crossings (``repeat`` on
+  :meth:`~repro.faults.schedule.FaultSchedule.when`);
 * **rate policy** — :class:`~repro.workload.policies.ConstantRate` /
   :class:`~repro.workload.policies.BurstRate` /
   :class:`~repro.workload.policies.SpikeRate` /

@@ -22,7 +22,7 @@ works:
   watch on one app's telemetry fires faults into the other: noisy
   neighbor, shared-backend contention cascades, and a telemetry-driven
   cross-app **auto-remediation loop** built on repeating triggers
-  (:meth:`~repro.faults.schedule.FaultSchedule.every_crossing` /
+  (``repeat`` on :meth:`~repro.faults.schedule.FaultSchedule.when` /
   :meth:`~repro.telemetry.watch.MetricWatch.rearm`);
 * **resource-plane** — incidents with *no injected fault at all*: the
   :class:`~repro.kubesim.resources.ResourcePlane` makes co-tenancy
@@ -57,7 +57,7 @@ from repro.core.problem import (
     MitigationTask,
     Problem,
 )
-from repro.faults.schedule import ArmedSchedule, FaultSchedule
+from repro.faults.schedule import FaultSchedule
 from repro.faults.triggers import MetricAbove
 from repro.kubesim import HpaPolicy, NodeSpec
 from repro.workload.policies import BurstRate, SpikeRate
@@ -110,11 +110,10 @@ class Scenario:
 class ScenarioProblem(Problem):
     """The one interpreter of :class:`Scenario` records.
 
-    Arming the record's timeline replaces the immediate injection of the
-    base class; the armed schedule is kept so teardown can cancel what
-    hasn't fired and recover what has.  ``fidelity`` stays assignable per
-    instance (the grading-agreement tests run every scenario family at
-    both execution tiers).
+    The record's ``timeline`` is the problem's timeline, armed and torn
+    down by the base class like every problem's.  ``fidelity`` stays
+    assignable per instance (the grading-agreement tests run every
+    scenario family at both execution tiers).
 
     The agent's problem description leads with the primary app (existing
     scaffolds parse the first ``namespace "..."`` they see) and then
@@ -131,7 +130,7 @@ class ScenarioProblem(Problem):
         self.scenario = scenario
         self.fidelity = scenario.fidelity
         self.workload_rate = scenario.apps[0].workload_rate
-        self.armed: Optional[ArmedSchedule] = None
+        self.timeline = scenario.timeline
 
     def create_environment(self, seed: int = 0) -> CloudEnvironment:
         s = self.scenario
@@ -139,18 +138,6 @@ class ScenarioProblem(Problem):
                                 resource_coupling=s.resource_coupling,
                                 node_specs=s.node_specs,
                                 autoscale=s.autoscale)
-
-    def inject_fault(self, env: CloudEnvironment) -> None:
-        """Arm the timeline and soak; later entries fire mid-session."""
-        self.armed = self.scenario.timeline.arm(env)
-        self.injected_at = env.clock.now
-        env.advance(self.fault_soak_seconds)
-
-    def recover_fault(self, env: CloudEnvironment) -> None:
-        """Oracle teardown: stop the timeline, undo live injections."""
-        if self.armed is not None:
-            self.armed.cancel_pending()
-            self.armed.recover_all()
 
     def problem_description(self, env: CloudEnvironment) -> str:
         desc = super().problem_description(env)
@@ -220,7 +207,7 @@ _NOISY_NEIGHBOR = Scenario(
               base=40.0, burst_factor=5.0, interval=45.0,
               burst_duration=15.0))),
     target="search", expected="yes",
-    timeline=FaultSchedule.load_triggered(
+    timeline=FaultSchedule().when(
         MetricAbove("nginx-web-server", "request_rate", 150.0,
                     namespace=SOCIAL_NS),
         "NetworkLoss", ("search",), namespace=HOTEL_NS),
@@ -298,7 +285,7 @@ SCENARIOS: tuple[Scenario, ...] = (
             base=60.0, burst_factor=3.0, interval=45.0,
             burst_duration=15.0)),),
         target="search", expected="yes",
-        timeline=FaultSchedule.load_triggered(
+        timeline=FaultSchedule().when(
             MetricAbove("frontend", "request_rate", 90.0),
             "NetworkLoss", ("search",)),
         doc="""The fault fires *because* the system is loaded: recurring traffic
@@ -386,7 +373,7 @@ SCENARIOS: tuple[Scenario, ...] = (
         apps=(AppSpec(SocialNetwork, policy=SpikeRate(
             base=60.0, spike_factor=3.0, at=45.0, duration=30.0)),),
         target="compose-post-service",
-        timeline=FaultSchedule.load_triggered(
+        timeline=FaultSchedule().when(
             MetricAbove("nginx-web-server", "request_rate", 90.0),
             "ScalePod", ("compose-post-service",)),
         doc="""A one-off traffic spike (3× at t=45) trips a request-rate watch on
@@ -438,19 +425,18 @@ SCENARIOS: tuple[Scenario, ...] = (
                   base=40.0, burst_factor=4.0, interval=45.0,
                   burst_duration=15.0))),
         target="compose-post-service", expected="yes",
-        timeline=(FaultSchedule
-                  .every_crossing(
-                      MetricAbove("frontend", "request_rate", 120.0,
-                                  namespace=HOTEL_NS),
-                      "NetworkLoss", ("compose-post-service",),
-                      namespace=SOCIAL_NS, tag="interference")
+        timeline=(FaultSchedule()
+                  .when(MetricAbove("frontend", "request_rate", 120.0,
+                                    namespace=HOTEL_NS),
+                        "NetworkLoss", ("compose-post-service",),
+                        namespace=SOCIAL_NS, tag="interference", repeat=0)
                   .when(MetricAbove("nginx-web-server", "error_rate", 0.5,
                                     sustain_s=5.0, namespace=SOCIAL_NS),
                         "NetworkLoss", ("compose-post-service",),
                         kind="recover", namespace=SOCIAL_NS, repeat=0)),
         doc="""The auto-remediation loop — the first schedule built on repeating
-        triggers (:meth:`FaultSchedule.every_crossing`, which re-arms its
-        :class:`~repro.telemetry.watch.MetricWatch` after every firing):
+        triggers (``repeat=0`` on :meth:`FaultSchedule.when`, which re-arms
+        its :class:`~repro.telemetry.watch.MetricWatch` after every firing):
 
         * every time the co-hosted HotelReservation neighbor's burst pushes
           its frontend past 120 req/s, packet loss lands on SocialNetwork's
@@ -472,7 +458,7 @@ SCENARIOS: tuple[Scenario, ...] = (
                   base=400.0, burst_factor=5.0, interval=45.0,
                   burst_duration=15.0))),
         fidelity="aggregate",
-        timeline=FaultSchedule.load_triggered(
+        timeline=FaultSchedule().when(
             MetricAbove("nginx-web-server", "request_rate", 1500.0,
                         namespace=SOCIAL_NS),
             "NetworkLoss", ("search",), namespace=HOTEL_NS),

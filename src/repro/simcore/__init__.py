@@ -8,7 +8,7 @@ milliseconds of wall time.
 """
 
 from repro.simcore.clock import SimClock
-from repro.simcore.events import EventQueue, RecurringEvent, ScheduledEvent, Watch
+from repro.simcore.events import EventQueue, RecurringEvent, ScheduledEvent
 from repro.simcore.rng import RngStream, derive_seed
 from repro.simcore.errors import (
     SimError,
@@ -22,7 +22,6 @@ __all__ = [
     "EventQueue",
     "RecurringEvent",
     "ScheduledEvent",
-    "Watch",
     "RngStream",
     "derive_seed",
     "SimError",

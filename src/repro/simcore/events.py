@@ -4,6 +4,12 @@ Workload arrival ticks, telemetry scrapes, periodic controller resync and
 scheduled fault timelines are all :class:`ScheduledEvent`\\ s on one queue
 over the shared :class:`SimClock`, so virtual time jumps from event to
 event instead of being ticked through.
+
+Metric watches (``repro.telemetry.watch``) are not queue entries: they
+have no fire time — the telemetry collector evaluates them at scrape time
+and keeps the one registry of live watches — and span planners need no
+count of them, because the aggregate driver never coalesces a span past
+the next scrape.
 """
 
 from __future__ import annotations
@@ -46,55 +52,6 @@ class ScheduledEvent:
             self.cancelled = True
             if self.queue is not None:
                 self.queue._note_cancelled(self)
-
-
-class Watch:
-    """A pending, externally-evaluated condition attached to a queue.
-
-    Unlike a :class:`ScheduledEvent`, a watch has no fire *time*: something
-    else (the telemetry collector, at scrape time) evaluates its condition
-    and calls :meth:`resolve` when it trips.  Registering the watch on the
-    :class:`EventQueue` makes it count as live activity, so planners that
-    coalesce or fast-forward spans (the aggregate workload driver, the idle
-    fast-forward) know the environment still has a pending trigger and must
-    not plan past the next evaluation point (the next telemetry scrape).
-
-    Lifecycle: pending → fired (via :meth:`resolve`) or cancelled (via
-    :meth:`cancel`); :meth:`rearm` returns a fired/cancelled watch to
-    pending and re-registers it — the re-arm hook repeating triggers use.
-    """
-
-    def __init__(self, label: str = "") -> None:
-        self.label = label
-        self.cancelled = False
-        self.fired = False
-        self.queue: Optional["EventQueue"] = None
-
-    @property
-    def pending(self) -> bool:
-        return not self.fired and not self.cancelled
-
-    def cancel(self) -> None:
-        """Withdraw the watch; cancelling a fired/cancelled watch is a no-op."""
-        if self.pending:
-            self.cancelled = True
-            if self.queue is not None:
-                self.queue._watch_done(self)
-
-    def resolve(self) -> None:
-        """Mark the condition as tripped (called by the evaluator)."""
-        if self.pending:
-            self.fired = True
-            if self.queue is not None:
-                self.queue._watch_done(self)
-
-    def rearm(self) -> None:
-        """Reset to pending and re-register on the queue it was attached to."""
-        if not self.pending:
-            self.fired = False
-            self.cancelled = False
-            if self.queue is not None:
-                self.queue.attach_watch(self)
 
 
 class RecurringEvent:
@@ -171,36 +128,9 @@ class EventQueue:
         #: idle fast-forwarding and aggregate-span planning where only a
         #: passive resync remains scheduled
         self._live_nonpassive = 0
-        #: pending externally-evaluated conditions (see :class:`Watch`) —
-        #: timeless, so they never appear in ``next_active_time``; planners
-        #: consult ``pending_watch_count`` instead and bound their spans by
-        #: the next evaluation point (the next telemetry scrape)
-        self._watches: list[Watch] = []
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
-
-    # -- watch registry ------------------------------------------------
-    def attach_watch(self, watch: Watch) -> Watch:
-        """Register a pending :class:`Watch` as live queue activity."""
-        if not watch.pending:
-            raise ValueError(f"cannot attach a resolved watch {watch.label!r}")
-        watch.queue = self
-        if watch not in self._watches:
-            self._watches.append(watch)
-        return watch
-
-    def _watch_done(self, watch: Watch) -> None:
-        try:
-            self._watches.remove(watch)
-        except ValueError:
-            pass
-
-    @property
-    def pending_watch_count(self) -> int:
-        """Number of live watches — nonzero means a trigger may still fire
-        at any future scrape, so span planners must stay scrape-bounded."""
-        return len(self._watches)
 
     # -- cancellation bookkeeping --------------------------------------
     def _note_cancelled(self, ev: ScheduledEvent) -> None:

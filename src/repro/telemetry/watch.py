@@ -16,18 +16,18 @@ comparable across execution fidelities — ``per_request`` and ``aggregate``
 runs scrape at the same timestamps, so a watch on an exact-count metric
 (request/error rates) fires at the same simulated time in both.
 
-Watches subclass :class:`repro.simcore.Watch` so they can be registered on
-the environment's :class:`~repro.simcore.events.EventQueue` as live
-activity: a pending watch keeps span planners (idle fast-forward, the
-aggregate driver) from coalescing past the next scrape — the earliest
-point the condition could possibly be evaluated.
+A watch keeps its own lifecycle — pending until it fires or is cancelled,
+and back to pending on :meth:`MetricWatch.rearm` — and the collector's
+list is the one registry of live watches
+(:meth:`~repro.telemetry.collector.TelemetryCollector.pending_watches`).
+Nothing else needs to know a watch is pending: span planners never
+coalesce past the next scrape, the earliest point a condition could
+possibly be evaluated.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
-
-from repro.simcore.events import Watch
 
 #: metrics whose scrape values come from a bounded exemplar reservoir in
 #: aggregate mode (not exact counts) — a pending watch on one of these
@@ -36,7 +36,7 @@ from repro.simcore.events import Watch
 TAIL_METRICS = ("latency_p50_ms", "latency_p99_ms")
 
 
-class MetricWatch(Watch):
+class MetricWatch:
     """One threshold condition over a ``(service, metric)`` series.
 
     Parameters
@@ -75,7 +75,7 @@ class MetricWatch(Watch):
     ) -> None:
         if sustain_s < 0:
             raise ValueError(f"sustain_s must be >= 0, got {sustain_s}")
-        super().__init__(label=label or f"watch.{service}.{metric}")
+        self.label = label or f"watch.{service}.{metric}"
         self.service = service
         self.metric = metric
         self.threshold = threshold
@@ -83,6 +83,9 @@ class MetricWatch(Watch):
         self.sustain_s = sustain_s
         self.callback = callback
         self.require_clear = require_clear
+        #: pending until the watch fires or is cancelled
+        self.fired = False
+        self.cancelled = False
         #: scrape timestamp at which the condition started holding
         self.satisfied_since: Optional[float] = None
         #: scrape timestamp at which the watch (last) fired
@@ -96,6 +99,15 @@ class MetricWatch(Watch):
         #: the collector evaluating this watch (set by ``add_watch``) so
         #: ``rearm`` can re-register after the post-fire sweep dropped it
         self.collector = None
+
+    @property
+    def pending(self) -> bool:
+        return not self.fired and not self.cancelled
+
+    def cancel(self) -> None:
+        """Withdraw the watch; cancelling a fired/cancelled watch is a no-op."""
+        if self.pending:
+            self.cancelled = True
 
     @property
     def needs_tail(self) -> bool:
@@ -125,22 +137,22 @@ class MetricWatch(Watch):
             return False
         self.fired_at = now
         self.fire_count += 1
-        self.resolve()
+        self.fired = True
         if self.callback is not None:
             self.callback()
         return True
 
     def rearm(self) -> None:
-        """Reset fire/sustain state so the condition can trip again,
-        re-registering with both the queue and the collector (the
-        collector sweeps resolved watches after each scrape).  With
+        """Return to pending with fresh fire/sustain state so the
+        condition can trip again, re-registering with the collector (which
+        sweeps resolved watches after each scrape).  With
         ``require_clear`` the rearmed watch first waits for a scrape at
         which the condition does *not* hold (crossing semantics)."""
         self.satisfied_since = None
         self.fired_at = None
         if self.require_clear:
             self._blocked = True
-        super().rearm()
+        self.fired = self.cancelled = False
         if self.collector is not None:
             self.collector.add_watch(self)
 

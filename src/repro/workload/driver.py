@@ -268,12 +268,13 @@ class WorkloadDriver:
         next scrape due time, the policy's ``next_change(now)`` hint
         (falling back to one-second steps for continuously-varying
         policies without one), and the next queued non-passive event
-        (which may swap the policy mid-run).  The scrape bound doubles as
-        the trigger bound: a pending :class:`~repro.simcore.events.Watch`
-        (metric-triggered timeline entry) can only be evaluated — and can
-        only fire — at a scrape, so no span ever coalesces past the
-        earliest possible watch evaluation, and triggers land within one
-        scrape interval of where per-request fidelity lands them.
+        (which may swap the policy mid-run).  The scrape bound is
+        unconditional and doubles as the trigger bound: a pending
+        :class:`~repro.telemetry.watch.MetricWatch` (metric-triggered
+        timeline entry) can only be evaluated — and can only fire — at a
+        scrape, so no span ever coalesces past the earliest possible watch
+        evaluation, and triggers land within one scrape interval of where
+        per-request fidelity lands them.
 
         The span's request count uses the same ``rate·span + carry``
         accumulator arithmetic as the per-request tick, billed at
@@ -297,12 +298,6 @@ class WorkloadDriver:
         span_end = min(end, next_scrape)
         change = self._change_hint(now) if self._change_hint else None
         span_end = min(span_end, now + 1.0 if change is None else change)
-        if self.queue.pending_watch_count:
-            # redundant with the unconditional scrape bound above today,
-            # but load-bearing if that bound is ever relaxed: a pending
-            # watch is evaluable no earlier than the next scrape, and no
-            # span may coalesce past its earliest possible evaluation
-            span_end = min(span_end, next_scrape)
         next_event = self.queue.next_active_time()
         if next_event is not None and next_event > now:
             span_end = min(span_end, next_event)

@@ -10,9 +10,9 @@ from tests.faults.test_repeating import BURSTY, bursty_env
 
 
 def flap_schedule(fire_probability=1.0, jitter_s=0.0):
-    return FaultSchedule.every_crossing(
+    return FaultSchedule().when(
         MetricAbove("frontend", "request_rate", 100.0),
-        "NetworkLoss", ("search",),
+        "NetworkLoss", ("search",), repeat=0,
         fire_probability=fire_probability, jitter_s=jitter_s)
 
 

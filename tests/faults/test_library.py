@@ -14,6 +14,13 @@ class TestFaultLibrary:
         assert get_fault_spec(2).name == "TargetPortMisconfig"
         assert get_fault_spec("RevokeAuth").number == 3
 
+    def test_lookup_by_name_number_and_fault_key(self):
+        assert get_fault_spec("RevokeAuth").fault_key == "revoke_auth"
+        assert get_fault_spec(3).fault_key == "revoke_auth"
+        assert get_fault_spec("revoke_auth").name == "RevokeAuth"
+        with pytest.raises(KeyError):
+            get_fault_spec("")  # Noop's empty fault_key is not a spelling
+
     def test_lookup_missing(self):
         with pytest.raises(KeyError):
             get_fault_spec("NoSuchFault")

@@ -1,4 +1,4 @@
-"""Repeating triggers: ``FaultSchedule.every_crossing`` + ``MetricWatch.rearm``.
+"""Repeating triggers: ``FaultSchedule.when(..., repeat=N)`` + ``MetricWatch.rearm``.
 
 The first schedule shape built on watch re-arming: an armed metric entry
 whose watch re-arms itself after each firing, with crossing semantics
@@ -29,9 +29,9 @@ def bursty_env(seed=4, fidelity="per_request"):
 
 
 def crossing_schedule(max_fires=0):
-    return FaultSchedule.every_crossing(
+    return FaultSchedule().when(
         MetricAbove("frontend", "request_rate", 100.0),
-        "NetworkLoss", ("search",), max_fires=max_fires)
+        "NetworkLoss", ("search",), repeat=max_fires)
 
 
 class TestWatchRequireClear:
@@ -120,10 +120,9 @@ class TestEveryCrossing:
         on load crossings, a second repeating entry recovers on the error
         crossings the first one causes."""
         env = bursty_env()
-        armed = (FaultSchedule
-                 .every_crossing(
-                     MetricAbove("frontend", "request_rate", 100.0),
-                     "NetworkLoss", ("search",))
+        armed = (FaultSchedule()
+                 .when(MetricAbove("frontend", "request_rate", 100.0),
+                       "NetworkLoss", ("search",), repeat=0)
                  .when(MetricAbove("frontend", "error_rate", 0.5,
                                    sustain_s=5.0),
                        "NetworkLoss", ("search",), kind="recover",
@@ -139,9 +138,9 @@ class TestEveryCrossing:
 
 class TestRepeatingAggregateParity:
     """A repeating trigger must fire at the same simulated times (± one
-    scrape interval) under per_request and aggregate fidelity — the
-    rearmed watch stays attached to the queue, so aggregate spans never
-    coalesce past its next possible evaluation."""
+    scrape interval) under per_request and aggregate fidelity — aggregate
+    spans never coalesce past the next scrape, the rearmed watch's next
+    possible evaluation."""
 
     def _fire_times(self, fidelity, seed):
         env = bursty_env(seed=seed, fidelity=fidelity)

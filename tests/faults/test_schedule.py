@@ -8,24 +8,13 @@ from hypothesis import strategies as st
 
 from repro.apps import HotelReservation
 from repro.core import CloudEnvironment
-from repro.faults import FaultSchedule, resolve_fault_spec
+from repro.faults import FaultSchedule
 from repro.workload import BurstRate, ConstantRate
 
 
 @pytest.fixture
 def env():
     return CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
-
-
-class TestResolveFaultSpec:
-    def test_by_name_number_and_key(self):
-        assert resolve_fault_spec("RevokeAuth").fault_key == "revoke_auth"
-        assert resolve_fault_spec(3).fault_key == "revoke_auth"
-        assert resolve_fault_spec("revoke_auth").name == "RevokeAuth"
-
-    def test_unknown_fault_raises(self):
-        with pytest.raises(KeyError):
-            resolve_fault_spec("NoSuchFault")
 
 
 class TestBuilders:
@@ -80,6 +69,20 @@ class TestBuilders:
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             FaultSchedule().set_rate(-1.0, ConstantRate(0.0))
+
+    def test_entry_checked_where_written_not_where_it_fires(self):
+        """A set_rate without a policy used to arm cleanly and crash the
+        driver's next tick; every entry, built by a builder or by hand,
+        now fails at construction."""
+        from repro.faults import TimelineEntry
+        with pytest.raises(TypeError, match="RatePolicy"):
+            FaultSchedule([TimelineEntry(5.0, "set_rate")])
+        with pytest.raises(TypeError, match="RatePolicy"):
+            FaultSchedule().set_rate(5.0, None)
+        with pytest.raises(ValueError, match="at least one target"):
+            FaultSchedule().inject(5.0, "RevokeAuth", ())
+        with pytest.raises(ValueError, match="no injector"):
+            TimelineEntry(5.0, "recover", "Noop", ("geo",))
 
 
 class TestArmedSchedule:
@@ -241,11 +244,11 @@ class TestTriggers:
                        "PodFailure", ("recommendation",))
                  ).arm(env)
         assert armed.pending == 2
-        assert env.queue.pending_watch_count == 1
+        assert len(env.collector.pending_watches()) == 1
         env.advance(30.0)
         times = dict((d, t) for t, d in armed.log)
         assert times["inject PodFailure -> ['recommendation']"] == 10.0
-        assert env.queue.pending_watch_count == 0
+        assert len(env.collector.pending_watches()) == 0
 
     def test_after_event_chains_off_metric_trigger(self, env):
         """AfterEvent anchors to the upstream entry's *firing*, even when
@@ -273,7 +276,7 @@ class TestTriggers:
         env.advance(3.0)          # nothing fired yet
         armed.cancel_pending()
         assert armed.pending == 0
-        assert env.queue.pending_watch_count == 0
+        assert len(env.collector.pending_watches()) == 0
         env.advance(60.0)
         assert armed.log == []
         assert env.driver.stats.errors == 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.agents.registry import build_agent_for
 from repro.core import Orchestrator
-from repro.faults.schedule import resolve_fault_spec
+from repro.faults import get_fault_spec
 from repro.faults.triggers import AfterEvent, MetricTrigger
 from repro.problems import (
     ScenarioGenerator,
@@ -120,7 +120,7 @@ class TestArmValidity:
         if spec.task == "localization":
             assert injects[0].targets == (spec.target,)
         if spec.task == "mitigation":
-            assert 4 in resolve_fault_spec(spec.fault).task_levels
+            assert 4 in get_fault_spec(spec.fault).task_levels
         # hosted app set: 1-3 apps, distinct namespaces
         keys = [spec.app_name] + [n[0] for n in spec.neighbors]
         assert 1 <= len(keys) <= 3

@@ -582,7 +582,6 @@ class TestAdaptiveTailReservoir:
             env.runtime.BATCH_TRACE_EXEMPLARS_TAIL = tail_exemplars
         watch = MetricWatch("frontend", "latency_p99_ms", self.THRESHOLD,
                             sustain_s=self.SUSTAIN)
-        env.queue.attach_watch(watch)
         env.collector.add_watch(watch)
         env.driver.run_events(60.0)
         env.close()

@@ -99,51 +99,6 @@ class TestEventQueue:
         assert len(queue) == 0
 
 
-class TestWatchRegistry:
-    """Watches: timeless pending conditions counted as queue activity."""
-
-    def test_attach_and_resolve(self, queue):
-        from repro.simcore import Watch
-        w = Watch(label="w")
-        queue.attach_watch(w)
-        assert queue.pending_watch_count == 1
-        assert w.pending
-        w.resolve()
-        assert w.fired and not w.pending
-        assert queue.pending_watch_count == 0
-
-    def test_cancel_detaches(self, queue):
-        from repro.simcore import Watch
-        w = queue.attach_watch(Watch())
-        w.cancel()
-        assert queue.pending_watch_count == 0
-        w.cancel()   # idempotent
-        w.resolve()  # resolving a cancelled watch is a no-op
-        assert not w.fired
-
-    def test_rearm_reregisters(self, queue):
-        from repro.simcore import Watch
-        w = queue.attach_watch(Watch())
-        w.resolve()
-        assert queue.pending_watch_count == 0
-        w.rearm()
-        assert w.pending
-        assert queue.pending_watch_count == 1
-
-    def test_attach_resolved_watch_rejected(self, queue):
-        from repro.simcore import Watch
-        w = Watch()
-        w.resolve()
-        with pytest.raises(ValueError, match="resolved watch"):
-            queue.attach_watch(w)
-
-    def test_watches_never_enter_next_active_time(self, queue):
-        """Watches have no fire time; planners read pending_watch_count."""
-        from repro.simcore import Watch
-        queue.attach_watch(Watch())
-        assert queue.next_active_time() is None
-
-
 class TestCancellationCompaction:
     """Cancelled events must not accumulate in the heap forever."""
 
