@@ -15,7 +15,9 @@ one statement of fault semantics); two execution tiers consume it:
   equivalent, orders of magnitude faster.
 
 Both fetch the plan through one per-runtime cache keyed on cheap state
-counters (:meth:`ServiceRuntime._profile_key`).  The aggregate path
+counters (:meth:`ServiceRuntime._profile_key`); a request never moves
+that key, so the per-request driver checks it once per op per tick
+(:meth:`ServiceRuntime.holding_plans`).  The aggregate path
 samples through fused numpy kernels (:mod:`repro.services.vectorized`) on
 one deterministic batch stream, and shares compiled profiles across
 sessions through :data:`repro.services.profile.SHARED_PROFILES`, keyed by
@@ -31,8 +33,9 @@ through one call, ``TelemetryCollector.record_requests``.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.simcore import ResourceNotFound, RngStream, SimClock
 from repro.kubesim.cluster import Cluster
@@ -177,6 +180,8 @@ class ServiceRuntime:
         #: op name -> (this runtime's counter key, the plan resolved under
         #: it): the one validity cache both tiers fetch through
         self._plans: dict[str, tuple[tuple, Plan]] = {}
+        #: op name -> plan handed out inside ``holding_plans`` (else None)
+        self._held: Optional[dict[str, Plan]] = None
         #: op name -> the cached plan's compiled PathProfile (possibly
         #: shared with co-tenant runtimes via the cross-session store);
         #: dropped whenever the plan is re-resolved
@@ -447,17 +452,31 @@ class ServiceRuntime:
             else self.resources.fingerprint(self.namespace),
         )
 
+    @contextmanager
+    def holding_plans(self) -> Iterator[None]:
+        """Key each op's plan once for the block: sound while only requests
+        run in it, as they never write what ``resolve`` reads."""
+        self._held = {}
+        try:
+            yield
+        finally:
+            self._held = None
+
     def _plan_for(self, op: Operation) -> Plan:
         """The plan for ``op`` under the current state: re-resolved (and
-        its compiled profile dropped) exactly when the counter key moves."""
+        its compiled profile dropped) exactly when the counter key moves;
+        inside :meth:`holding_plans`, the plan already handed out."""
+        held = self._held
+        if held is not None and op.name in held:
+            return held[op.name]
         key = self._profile_key(op)
         cached = self._plans.get(op.name)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        plan = resolve(self, op)
-        self._plans[op.name] = (key, plan)
-        self._profiles.pop(op.name, None)
-        return plan
+        if cached is None or cached[0] != key:
+            cached = self._plans[op.name] = (key, resolve(self, op))
+            self._profiles.pop(op.name, None)
+        if held is not None:
+            held[op.name] = cached[1]
+        return cached[1]
 
     def _profile_for(self, op: Operation) -> PathProfile:
         """The compiled profile of ``op``'s current plan — per-runtime

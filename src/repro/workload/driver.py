@@ -11,6 +11,11 @@ runs the queue once; :meth:`WorkloadDriver.run_events` bundles the two
 for standalone drivers, which lazily own a private queue on the
 runtime's clock.
 
+A per-request tick picks its operations first (one draw each from a CDF
+built once, as ``Generator.choice(p=)`` builds it per call), then runs them
+holding the runtime's plans; the streams are separate, so this is
+bit-identical to one ``choice`` + ``execute`` per request.
+
 The kernel's per-tick arithmetic is bit-identical to the reference
 1-second tick loop — same :class:`WorkloadStats`, RNG draw order and
 scrape timestamps for any window sequence.  That reference loop lives
@@ -20,9 +25,13 @@ only as a private fixture inside
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.simcore import EventQueue, RngStream
 from repro.services.runtime import RequestResult, ServiceRuntime
@@ -103,9 +112,21 @@ class WorkloadDriver:
         self.rng = RngStream(seed, rng_stream)
         self.stats = WorkloadStats()
         self.max_requests_per_tick = max_requests_per_tick
-        self._ops = list(mix)
+        for op, w in mix.items():
+            if op not in runtime.operations:
+                raise ValueError(f"workload mix names unknown operation {op!r}")
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"workload mix weight {op!r}: {w!r} is not "
+                                 "finite and >= 0")
         total = sum(mix.values())
+        if not 0 < total < math.inf:
+            raise ValueError(f"workload mix weights sum to {total!r}: {mix!r}")
+        self._ops = list(mix)
         self._weights = [w / total for w in mix.values()]
+        # the CDF Generator.choice(p=) rebuilds on every call, built once
+        cdf = np.asarray(self._weights, float).cumsum()
+        cdf /= cdf[-1]
+        self._cdf: list[float] = cdf.tolist()
         self._carry = 0.0
         self._warned_clipping = False
         self._last_scrape = runtime.clock.now
@@ -133,18 +154,23 @@ class WorkloadDriver:
     # ------------------------------------------------------------------
     # shared per-request work
     # ------------------------------------------------------------------
-    def _issue_one(self) -> RequestResult:
-        op = self.rng.choice(self._ops, p=self._weights)
-        result = self.runtime.execute(op)
-        self.stats.requests += 1
-        self.stats.latency_sum_ms += result.latency_ms
-        self.stats.per_operation[op] = self.stats.per_operation.get(op, 0) + 1
-        if not result.ok:
-            self.stats.errors += 1
-        self.recent_results.append(result)
-        if len(self.recent_results) > 500:
-            del self.recent_results[:250]
-        return result
+    def _issue(self, n: int) -> None:
+        """Issue one tick's ``n`` requests: pick all ``n`` operations, then
+        execute them with the runtime holding its plans."""
+        gen, cdf, ops = self.rng.generator, self._cdf, self._ops
+        names = [ops[bisect_right(cdf, gen.random())] for _ in range(n)]
+        stats, recent = self.stats, self.recent_results
+        with self.runtime.holding_plans():
+            for op in names:
+                result = self.runtime.execute(op)
+                stats.requests += 1
+                stats.latency_sum_ms += result.latency_ms
+                stats.per_operation[op] = stats.per_operation.get(op, 0) + 1
+                if not result.ok:
+                    stats.errors += 1
+                recent.append(result)
+                if len(recent) > 500:
+                    del recent[:250]
 
     def _scrape(self) -> None:
         self.runtime.collector.scrape(
@@ -222,8 +248,7 @@ class WorkloadDriver:
                 f"use fidelity=\"aggregate\" (no per-tick cap), or raise "
                 f"max_requests_per_tick.",
                 RuntimeWarning, stacklevel=2)
-        for _ in range(min(n, self.max_requests_per_tick)):
-            self._issue_one()
+        self._issue(min(n, self.max_requests_per_tick))
         self._schedule_next_tick(now + step)
 
     def _schedule_next_tick(self, at: float) -> None:

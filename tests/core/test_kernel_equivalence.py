@@ -47,8 +47,7 @@ def legacy_run_for(driver, seconds: float):
         want = driver.policy.rate(t) * step + driver._carry
         n = int(want)
         driver._carry = want - n
-        for _ in range(min(n, driver.max_requests_per_tick)):
-            driver._issue_one()
+        driver._issue(min(n, driver.max_requests_per_tick))
         clock.advance(step)
         if clock.now - driver._last_scrape >= driver.scrape_interval:
             driver._scrape()

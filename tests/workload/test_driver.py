@@ -1,7 +1,14 @@
+import math
+from contextlib import nullcontext
+
+import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from repro.core import CloudEnvironment
 from repro.apps import HotelReservation
+from repro.services.runtime import RequestResult
+from repro.simcore import SimClock
 from repro.workload import BurstRate, ConstantRate, DiurnalRate, \
     WorkloadDriver, Wrk
 
@@ -39,6 +46,19 @@ class TestWorkloadDriver:
     def test_empty_mix_rejected(self, hotel):
         with pytest.raises(ValueError):
             WorkloadDriver(hotel.runtime, {}, ConstantRate(1))
+
+    @pytest.mark.parametrize("mix, entry", [
+        ({"search_hotel": -1.0, "login": 2.0}, "search_hotel"),
+        ({"search_hotel": math.nan, "login": 1.0}, "search_hotel"),
+        ({"search_hotel": 1.0, "login": math.inf}, "login"),
+        ({"search_hotel": 0.0}, "search_hotel"),
+        ({"search_hotel": 1e308, "login": 1e308}, "inf"),
+        ({"nope": 1.0}, "nope"),
+    ])
+    def test_bad_mix_rejected_at_construction(self, hotel, mix, entry):
+        """A bad mix fails where it is written, not at the first tick."""
+        with pytest.raises(ValueError, match=entry):
+            WorkloadDriver(hotel.runtime, mix, ConstantRate(1))
 
     def test_scrape_happens_during_run(self, hotel):
         hotel.driver.run_events(12)  # default scrape interval 5s
@@ -79,6 +99,42 @@ class TestWorkloadDriver:
     def test_recent_results_bounded(self, hotel):
         hotel.driver.run_events(30)
         assert len(hotel.driver.recent_results) <= 500
+
+
+class _RecordingRuntime:
+    """Just enough runtime for a driver: records the ops it executes."""
+
+    def __init__(self, ops):
+        self.operations = dict.fromkeys(ops)
+        self.clock = SimClock()
+        self.executed: list[str] = []
+
+    def holding_plans(self):
+        return nullcontext()
+
+    def execute(self, op):
+        self.executed.append(op)
+        return RequestResult(op, True, 1.0)
+
+
+class TestOperationPick:
+    @given(weights=st.lists(st.sampled_from([0.0, 1e-12, 1.0])
+                            | st.floats(1e-12, 1e6), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32), n=st.integers(0, 40))
+    def test_cdf_pick_matches_generator_choice(self, weights, seed, n):
+        """A tick's picks equal ``n`` ``Generator.choice(len(ops), p=)``
+        draws — the same ops and the same generator state after."""
+        assume(sum(weights) > 0)
+        ops = [f"op{i}" for i in range(len(weights))]
+        runtime = _RecordingRuntime(ops)
+        driver = WorkloadDriver(runtime, dict(zip(ops, weights)), seed=seed)
+        reference = np.random.default_rng(driver.rng.seed)
+        p = [w / sum(weights) for w in weights]
+        expected = [ops[reference.choice(len(ops), p=p)] for _ in range(n)]
+        driver._issue(n)
+        assert runtime.executed == expected
+        assert driver.rng.generator.bit_generator.state \
+            == reference.bit_generator.state
 
 
 class TestAggregateMode:
