@@ -87,8 +87,9 @@ class TaskActions:
             return Observation.error(
                 f"Error: Your service/namespace does not exist: {service}",
                 namespace=ns, service=service)
-        text = self.env.collector.logs.tail(ns, int(tail), service=service)
-        if not text:
+        n = int(tail)
+        text = self.env.collector.logs.tail(ns, n, service=service)
+        if not text and n:  # tail=0 asks for no lines, not "none yet"
             return Observation(
                 f"Saved logs to {path}. Service {service} has produced "
                 f"no log lines yet.",

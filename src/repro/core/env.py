@@ -359,9 +359,11 @@ class CloudEnvironment:
         """Release the environment's on-disk footprint.
 
         Cancels the recurring resync event and removes the telemetry
-        export directory *if this environment created it* (a caller-
-        provided ``export_root`` is the caller's to manage).  Idempotent;
-        the in-memory simulation stays usable for post-mortem inspection.
+        export directory *if this environment created it*, unwritten
+        exports and all.  A caller-provided ``export_root`` is the
+        caller's to manage: its staged exports are written into it first.
+        Idempotent; the in-memory simulation stays usable for post-mortem
+        inspection.
         """
         if self.closed:
             return
@@ -371,7 +373,10 @@ class CloudEnvironment:
         if self._rollup is not None:
             self._rollup.cancel()
         if self._owns_export_root:
+            self.exporter._staged.clear()
             shutil.rmtree(self.export_root, ignore_errors=True)
+        else:
+            self.exporter.materialize()
 
 
 class EnvSnapshot:

@@ -110,7 +110,8 @@ class SessionHandle:
         The in-memory trajectory (:attr:`session`) and :attr:`result` stay
         available, but exported telemetry *files* (the paths recorded in
         step ``artifacts``) live under the environment's temp export root
-        and are removed with it — read them before closing, or pass an
+        and are removed with it — read them through the shell or call
+        ``env.exporter.materialize()`` before closing, or pass an
         ``export_root`` you own to keep them."""
         self.env.close()
 

@@ -152,6 +152,7 @@ class ShellExecutor:
     # -- read-only file tools over exported telemetry --------------------------
     def _run_file_tool(self, binary: str, argv: list[str]) -> str:
         """cat/ls/grep/head/tail restricted to the telemetry export root."""
+        self.env.exporter.materialize()  # staged exports become files here
         root = self.env.exporter.root.resolve()
         flags, files, tail = extract_flags(argv, FILE_TOOLS[binary])
         files += tail

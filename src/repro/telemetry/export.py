@@ -2,7 +2,14 @@
 
 The ACI returns *paths* from ``get_logs``/``get_metrics``/``get_traces``
 (like the paper's Example 2.2, which saves traces and returns the
-directory); this module writes those files.  ``traces.json`` and
+directory); this module writes those files.  An export is *staged*: the
+call creates and returns the directory and captures its window as plain
+data — the immutable log and trace rows the store's query returned, and
+each metric series' sample count — and :meth:`TelemetryExporter.materialize`
+writes the files later, byte for byte what writing them at stage time
+would have written, because the stores only ever append.  The shell's
+file tools, ``export_all`` and closing an environment with a caller-owned
+export root materialize; nothing else reads the files.  ``traces.json`` and
 ``all.jsonl`` are the text ``json``'s ``dumps`` would write, rendered from
 rows; the oracle test (``tests/telemetry/test_render_exact.py``) is the
 reference.
@@ -15,12 +22,50 @@ from pathlib import Path
 from typing import Optional
 
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.logs import render_jsonl
-from repro.telemetry.traces import render_traces
+from repro.telemetry.logs import LogRecord, render_jsonl
+from repro.telemetry.metrics import MetricStore
+from repro.telemetry.traces import Trace, render_traces
+
+
+def _write_logs(out_dir: Path, records: list[LogRecord]) -> None:
+    for stale in out_dir.glob("*.log"):  # another namespace's or window's
+        stale.unlink()
+    by_service: dict[str, list] = {}
+    for r in records:
+        by_service.setdefault(r.service, []).append(r)
+    for service, recs in by_service.items():
+        (out_dir / f"{service}.log").write_text(
+            "\n".join(r.render() for r in recs) + "\n"
+        )
+    (out_dir / "all.jsonl").write_text(render_jsonl(records))
+
+
+def _write_metrics(out_dir: Path, store: MetricStore, since: Optional[float],
+                   counts: dict[tuple[str, str], int]) -> None:
+    for metric in store.STANDARD_METRICS:
+        rows = []
+        for svc in store.services():
+            n = counts.get((svc, metric))
+            if n is None:  # no such series when staged
+                continue
+            series = store.series(svc, metric)
+            rows.extend((float(ti), svc, float(vi))
+                        for ti, vi in zip(series.times[:n], series.values[:n])
+                        if since is None or ti >= since)
+        rows.sort()
+        with (out_dir / f"{metric}.csv").open("w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["time", "service", "value"])
+            writer.writerows(rows)
+
+
+def _write_traces(out_dir: Path, traces: list[Trace]) -> None:
+    (out_dir / "traces.json").write_text(render_traces(traces))
 
 
 class TelemetryExporter:
-    """Writes the collector's stores to a directory tree.
+    """Stages the collector's stores for a directory tree and writes them
+    on :meth:`materialize`.
 
     Layout::
 
@@ -28,57 +73,52 @@ class TelemetryExporter:
         <root>/logs/all.jsonl           structured records
         <root>/metrics/<metric>.csv     time,service,value rows
         <root>/traces/traces.json       Jaeger-style JSON
+
+    Each kind holds at most one staged export; staging it again replaces
+    the earlier one, as writing it again would have replaced the files.
     """
 
     def __init__(self, collector: TelemetryCollector, root: str | Path) -> None:
         self.collector = collector
         self.root = Path(root)
+        #: kind → (writer, captured window) not yet written
+        self._staged: dict[str, tuple] = {}
+
+    def _stage(self, kind: str, writer, *window) -> Path:
+        out_dir = self.root / kind
+        out_dir.mkdir(parents=True, exist_ok=True)
+        self._staged[kind] = (writer, window)
+        return out_dir
 
     def export_logs(self, namespace: str,
                     since: Optional[float] = None) -> Path:
-        out_dir = self.root / "logs"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for stale in out_dir.glob("*.log"):  # another namespace's or window's
-            stale.unlink()
-        records = self.collector.logs.query(namespace=namespace, since=since)
-        by_service: dict[str, list] = {}
-        for r in records:
-            by_service.setdefault(r.service, []).append(r)
-        for service, recs in by_service.items():
-            (out_dir / f"{service}.log").write_text(
-                "\n".join(r.render() for r in recs) + "\n"
-            )
-        (out_dir / "all.jsonl").write_text(render_jsonl(records))
-        return out_dir
+        return self._stage("logs", _write_logs, self.collector.logs.query(
+            namespace=namespace, since=since))
 
     def export_metrics(self, since: Optional[float] = None) -> Path:
-        out_dir = self.root / "metrics"
-        out_dir.mkdir(parents=True, exist_ok=True)
+        # sample counts, not ``until=now``: another namespace may scrape at
+        # this same instant after the stage
         store = self.collector.metrics
-        for metric in store.STANDARD_METRICS:
-            rows = []
-            for svc in store.services():
-                series = store.series(svc, metric)
-                if series is None:
-                    continue
-                t, v = series.window(since=since)
-                rows.extend((float(ti), svc, float(vi)) for ti, vi in zip(t, v))
-            rows.sort()
-            with (out_dir / f"{metric}.csv").open("w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["time", "service", "value"])
-                writer.writerows(rows)
-        return out_dir
+        counts = {(svc, metric): len(series.times)
+                  for svc in store.services()
+                  for metric in store.STANDARD_METRICS
+                  if (series := store.series(svc, metric)) is not None}
+        return self._stage("metrics", _write_metrics, store, since, counts)
 
     def export_traces(self, since: Optional[float] = None) -> Path:
-        out_dir = self.root / "traces"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "traces.json").write_text(
-            render_traces(self.collector.traces.query(since=since)))
-        return out_dir
+        return self._stage("traces", _write_traces,
+                           self.collector.traces.query(since=since))
 
     def export_all(self, namespace: str, since: Optional[float] = None) -> Path:
         self.export_logs(namespace, since)
         self.export_metrics(since)
         self.export_traces(since)
+        self.materialize()
         return self.root
+
+    def materialize(self) -> None:
+        """Write every staged export's files, as of the moment it was
+        staged.  Idempotent: what is written is no longer staged."""
+        staged, self._staged = self._staged, {}
+        for kind, (writer, window) in staged.items():
+            writer(self.root / kind, *window)

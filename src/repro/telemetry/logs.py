@@ -6,17 +6,15 @@ write, rendered from rows; the oracle test is the reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from repro.telemetry.traces import json_number
 
 
-@dataclass
-class LogRecord:
-    """One structured log line from a pod."""
+class LogRecord(NamedTuple):
+    """One structured log line from a pod: an immutable row."""
 
     time: float
     namespace: str
@@ -54,18 +52,17 @@ class LogStore:
     def __len__(self) -> int:
         return len(self._records)
 
-    def append(self, record: LogRecord) -> None:
-        self._records.append(record)
-        if len(self._records) > self.capacity:
-            # Drop the oldest 10% in one slice to amortize the cost.
-            del self._records[: self.capacity // 10]
-
     def emit(
         self, time: float, namespace: str, service: str, pod: str,
         level: str, message: str,
     ) -> LogRecord:
-        rec = LogRecord(time, namespace, service, pod, level, message)
-        self.append(rec)
+        rec = tuple.__new__(
+            LogRecord, (time, namespace, service, pod, level, message))
+        records = self._records
+        records.append(rec)
+        if len(records) > self.capacity:
+            # Drop the oldest 10% in one slice to amortize the cost.
+            del records[: self.capacity // 10]
         return rec
 
     # -- queries ---------------------------------------------------------
@@ -99,9 +96,13 @@ class LogStore:
     def tail(self, namespace: str, n: int = 50, service: Optional[str] = None,
              pod: Optional[str] = None) -> str:
         """Last ``n`` rendered lines of a service or a pod (the ``kubectl
-        logs`` view)."""
+        logs --tail`` view: 0 gives no lines, a negative ``n`` every line)."""
+        if n == 0:
+            return ""
         records = self.query(namespace=namespace, service=service, pod=pod)
-        return "\n".join(r.render() for r in records[-n:])
+        if n > 0:
+            records = records[-n:]
+        return "\n".join(r.render() for r in records)
 
     def error_counts(self, namespace: str,
                      since: Optional[float] = None) -> dict[str, int]:

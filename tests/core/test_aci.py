@@ -47,6 +47,35 @@ class TestGetLogs:
         assert out.startswith("Error: Your service/namespace does not exist")
 
 
+class TestLogTail:
+    """kubectl's ``--tail``: 0 gives no lines, a negative value every line."""
+
+    def _busiest_pod(self, env):
+        records = env.collector.logs.query(namespace=env.namespace)
+        pods = [r.pod for r in records]
+        pod = max(set(pods), key=pods.count)
+        return pod, [r.render() for r in records if r.pod == pod]
+
+    def test_kubectl_logs_tail_zero_is_empty(self, env, actions):
+        pod, lines = self._busiest_pod(env)
+        assert len(lines) > 1
+        out = actions.exec_shell(
+            f"kubectl logs {pod} -n {env.namespace} --tail=0")
+        assert out == ""
+
+    def test_kubectl_logs_negative_tail_is_every_line(self, env, actions):
+        pod, lines = self._busiest_pod(env)
+        out = actions.exec_shell(
+            f"kubectl logs {pod} -n {env.namespace} --tail=-1")
+        assert out.splitlines() == lines
+
+    def test_get_logs_tail_zero_returns_no_lines(self, env, actions):
+        assert actions.get_logs(env.namespace, "frontend").payload["lines"]
+        out = actions.get_logs(env.namespace, "frontend", tail=0)
+        assert out.payload["lines"] == []
+        assert "no log lines yet" not in out
+
+
 class TestGetMetricsTraces:
     def test_metrics_snapshot(self, env, actions):
         out = actions.get_metrics(env.namespace, 5)

@@ -50,6 +50,7 @@ class TestExporter:
         hotel.driver.run_events(20)
         exporter = TelemetryExporter(hotel.collector, tmp_path)
         out = exporter.export_logs(hotel.app.namespace)
+        exporter.materialize()
         assert (out / "all.jsonl").exists()
         # structured lines parse back
         lines = (out / "all.jsonl").read_text().splitlines()
@@ -60,6 +61,7 @@ class TestExporter:
         hotel.collector.scrape(hotel.cluster, hotel.app.namespace)
         exporter = TelemetryExporter(hotel.collector, tmp_path)
         out = exporter.export_metrics()
+        exporter.materialize()
         csv_text = (out / "cpu_usage.csv").read_text()
         assert csv_text.startswith("time,service,value")
         assert "frontend" in csv_text
@@ -68,6 +70,7 @@ class TestExporter:
         hotel.driver.run_events(5)
         exporter = TelemetryExporter(hotel.collector, tmp_path)
         out = exporter.export_traces()
+        exporter.materialize()
         payload = json.loads((out / "traces.json").read_text())
         assert payload["data"], "expected at least one trace"
         assert "spans" in payload["data"][0]
@@ -78,6 +81,7 @@ class TestExporter:
         cutoff = everything[len(everything) // 2].start
         exporter = TelemetryExporter(hotel.collector, tmp_path)
         out = exporter.export_traces(since=cutoff)
+        exporter.materialize()
         data = json.loads((out / "traces.json").read_text())["data"]
         assert [d["traceID"] for d in data] == \
             [t.trace_id for t in everything if t.start >= cutoff]
@@ -87,6 +91,7 @@ class TestExporter:
         hotel.driver.run_events(5)
         exporter = TelemetryExporter(hotel.collector, tmp_path)
         out = exporter.export_traces(since=hotel.clock.now + 1.0)
+        exporter.materialize()
         assert (out / "traces.json").read_text() == '{\n "data": []\n}'
 
     def test_get_logs_directory_holds_only_that_namespace(self):
@@ -95,6 +100,7 @@ class TestExporter:
         aci = TaskActions(env)
         aci.get_logs("test-hotel-reservation", "all")
         [path] = aci.get_logs("test-social-network", "all").artifacts
+        env.exporter.materialize()
         written = {p.stem for p in Path(path).glob("*.log")}
         seen = env.collector.logs.services_seen("test-social-network")
         env.close()
@@ -111,9 +117,15 @@ class TestExporter:
 
     def test_export_since_filters(self, hotel, tmp_path):
         hotel.driver.run_events(10)
-        cutoff = hotel.clock.now
+        records = hotel.collector.logs.query(namespace=hotel.app.namespace)
+        times = sorted({r.time for r in records})
+        cutoff = times[len(times) // 2]
+        assert any(r.time < cutoff for r in records)
+        assert any(r.time >= cutoff for r in records)
         exporter = TelemetryExporter(hotel.collector, tmp_path)
         out = exporter.export_logs(hotel.app.namespace, since=cutoff)
-        lines = (out / "all.jsonl").read_text().splitlines() \
-            if (out / "all.jsonl").exists() else []
-        assert all(json.loads(l)["time"] >= cutoff for l in lines)
+        exporter.materialize()
+        assert (out / "all.jsonl").exists()
+        lines = (out / "all.jsonl").read_text().splitlines()
+        assert [json.loads(l) for l in lines] == \
+            [r._asdict() for r in records if r.time >= cutoff]
