@@ -234,12 +234,9 @@ class CloudEnvironment:
         self.exporter = TelemetryExporter(self.collector, root)
         self._resync = self.queue.schedule_every(
             resync_interval, self.cluster.resync, label="controller.resync",
-            passive=True,  # a converged-cluster resync can't affect workload
         ) if resync_interval > 0 else None
         # the plane's rollup tick is only scheduled when something reads
-        # it, so seed environments run an unchanged event sequence; it is
-        # never passive — a rollup can shift latency multipliers or make
-        # the autoscaler rescale, both workload-visible
+        # it, so seed environments run an unchanged event sequence
         self._rollup = self.queue.schedule_every(
             resource_interval, self._resource_tick, label="resources.rollup",
         ) if plane_active and resource_interval > 0 else None

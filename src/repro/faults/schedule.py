@@ -65,7 +65,6 @@ from repro.faults.triggers import (
     Trigger,
     as_trigger,
 )
-from repro.simcore import RngStream
 from repro.telemetry.watch import MetricWatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,16 +96,6 @@ class TimelineEntry:
     allowed across watch re-arms — ``1`` is the historical fire-once,
     ``0`` means unlimited (fire at every threshold crossing).
 
-    ``fire_probability`` / ``jitter_s`` (metric-triggered entries only)
-    make repeating entries *flap* probabilistically: each threshold
-    crossing fires with ``fire_probability`` (a skipped crossing still
-    consumes the crossing — the watch re-arms and waits for the next
-    one), and a firing entry's action lands a seeded-uniform
-    ``[0, jitter_s)`` seconds after the crossing.  Both draw from one
-    dedicated ``faults/flap`` stream derived from the environment seed,
-    so a timeline with flapping entries is exactly reproducible and a
-    timeline without them draws nothing new.
-
     Construction checks the entry whole: a known ``kind``, a rate policy
     for ``set_rate``, and for ``inject``/``recover`` a library fault with
     an injector (``KeyError`` for an unknown fault) and at least one
@@ -122,8 +111,6 @@ class TimelineEntry:
     tag: str = ""
     namespace: str = ""
     repeat: int = 1
-    fire_probability: float = 1.0
-    jitter_s: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trigger", as_trigger(self.trigger))
@@ -148,17 +135,6 @@ class TimelineEntry:
             raise ValueError(
                 "repeat is only meaningful for metric-triggered entries "
                 f"(got repeat={self.repeat} on {self.trigger.describe()})")
-        if not 0.0 < self.fire_probability <= 1.0:
-            raise ValueError(
-                f"fire_probability must be in (0, 1], "
-                f"got {self.fire_probability}")
-        if self.jitter_s < 0.0:
-            raise ValueError(f"jitter_s must be >= 0, got {self.jitter_s}")
-        if (self.fire_probability != 1.0 or self.jitter_s > 0.0) \
-                and not isinstance(self.trigger, MetricTrigger):
-            raise ValueError(
-                "fire_probability/jitter_s are only meaningful for "
-                f"metric-triggered entries (on {self.trigger.describe()})")
 
     @property
     def at(self) -> Optional[float]:
@@ -222,8 +198,7 @@ class FaultSchedule:
     def when(self, trigger: Trigger, fault: str | int,
              targets: Sequence[str], *, kind: str = "inject",
              tag: str = "", namespace: str = "",
-             repeat: int = 1, fire_probability: float = 1.0,
-             jitter_s: float = 0.0) -> "FaultSchedule":
+             repeat: int = 1) -> "FaultSchedule":
         """Condition-triggered entry: fire ``kind`` when ``trigger`` trips.
 
         Sugar for ``inject``/``recover`` with an explicit trigger — reads
@@ -234,17 +209,13 @@ class FaultSchedule:
         entry to fire at up to that many threshold crossings (0 =
         unlimited) by re-arming the underlying watch after each firing;
         a re-armed watch must see one non-satisfying scrape before it may
-        fire again.  ``fire_probability`` < 1 makes the loop *flap* — some
-        crossings silently skip — and ``jitter_s`` smears each firing's
-        onset by a seeded uniform delay; see :class:`TimelineEntry`.
+        fire again.
         """
         if kind not in ("inject", "recover"):
             raise ValueError(f"when() supports inject/recover, got {kind!r}")
         return self._add(TimelineEntry(trigger, kind, fault, tuple(targets),
                                        tag=tag, namespace=namespace,
-                                       repeat=repeat,
-                                       fire_probability=fire_probability,
-                                       jitter_s=jitter_s))
+                                       repeat=repeat))
 
     def after(self, tag: str, fault: str | int, targets: Sequence[str], *,
               delay: float = 0.0, kind: str = "inject",
@@ -411,13 +382,6 @@ class ArmedSchedule:
         self.log: list[tuple[float, str]] = []
         #: set by cancel_pending so repeating watches stop re-arming
         self._torn_down = False
-        #: seeded stream for probabilistic flapping (fire_probability /
-        #: jitter_s); created only when an entry opts in, so ordinary
-        #: timelines draw nothing new from any stream
-        self._flap_rng: Optional[RngStream] = RngStream(
-            env.seed, "faults/flap",
-        ) if any(e.fire_probability < 1.0 or e.jitter_s > 0.0
-                 for e in schedule.entries) else None
         for entry in schedule.entries:
             trigger = entry.trigger
             if isinstance(trigger, AtTime):
@@ -530,29 +494,8 @@ class ArmedSchedule:
         re-arm the watch while the repeat budget allows and the schedule
         has not been torn down.  ``rearm`` re-registers with the
         collector, and ``require_clear`` makes the next firing wait for a
-        fresh threshold crossing.
-
-        Probabilistic flapping hooks in here: a crossing is skipped with
-        ``1 - fire_probability`` (it still counts against ``repeat`` and
-        still requires a fresh crossing before the next chance), and a
-        non-zero ``jitter_s`` defers the action by a seeded uniform
-        delay rather than firing at scrape time."""
-        fires = True
-        if entry.fire_probability < 1.0:
-            fires = self._flap_rng.bernoulli(entry.fire_probability)
-        if fires:
-            if entry.jitter_s > 0.0:
-                delay = self._flap_rng.uniform(0.0, entry.jitter_s)
-                self.events.append(self.env.queue.schedule_at(
-                    self.env.clock.now + delay,
-                    _EntryAction(self, entry),
-                    label=f"fault.{entry.kind}.jitter",
-                ))
-            else:
-                self._fire(entry)
-        else:
-            self.log.append((self.env.clock.now,
-                             f"{entry.describe()} (crossing skipped)"))
+        fresh threshold crossing."""
+        self._fire(entry)
         if self._torn_down or entry.repeat == 1:
             return
         if entry.repeat == 0 or watch.fire_count < entry.repeat:

@@ -10,10 +10,10 @@ machines themselves:
    its ``base_latency_ms``, so 1 ms of busy time per request at 1 rps is
    1 millicore — see :attr:`~repro.services.model.Microservice.
    busy_mcores_per_rps`).
-2. **Rollup** — :meth:`ResourcePlane.rollup` (a recurring passive event
-   on the environment's queue, same 5 s cadence as telemetry scrapes)
-   converts windowed request counts into per-service demand, spreads each
-   service's demand evenly over its running pods, and sums per node:
+2. **Rollup** — :meth:`ResourcePlane.rollup` (a recurring event on the
+   environment's queue, same 5 s cadence as telemetry scrapes) converts
+   windowed request counts into per-service demand, spreads each service's
+   demand evenly over its running pods, and sums per node:
    ``U(node) = Σ pod demand share / cpu_capacity``.
 3. **Pressure curve** — an overcommitted node degrades *every* co-located
    pod.  The documented curve (:func:`pressure_multiplier`) leaves

@@ -35,10 +35,6 @@ class ScheduledEvent:
     label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
     fired: bool = field(default=False, compare=False)
-    #: a passive action provably does not mutate workload/driver state
-    #: (e.g. a converged-cluster resync), so idle fast-forwarding may
-    #: plan across its fire time; it still fires at that time
-    passive: bool = field(default=False, compare=False)
     #: back-reference so cancellation can trigger lazy heap compaction
     queue: Optional["EventQueue"] = field(default=None, compare=False,
                                           repr=False)
@@ -65,13 +61,11 @@ class RecurringEvent:
     """
 
     def __init__(self, queue: "EventQueue", action: Callable[[], Any],
-                 interval: float, label: str = "",
-                 passive: bool = False) -> None:
+                 interval: float, label: str = "") -> None:
         self.queue = queue
         self.action = action
         self.interval = interval
         self.label = label
-        self.passive = passive
         self.cancelled = False
         self.fired = 0
         #: the currently scheduled occurrence
@@ -84,8 +78,7 @@ class RecurringEvent:
         self.action()
         if not self.cancelled:
             self.event = self.queue.schedule_in(
-                self.interval, self._fire, label=self.label,
-                passive=self.passive)
+                self.interval, self._fire, label=self.label)
 
     def cancel(self) -> None:
         self.cancelled = True
@@ -123,19 +116,12 @@ class EventQueue:
         #: environment snapshots
         self._seq = 0
         self._cancelled = 0
-        #: live (not cancelled, not fired) non-passive events — lets
-        #: ``next_active_time`` answer None in O(1), the common case for
-        #: idle fast-forwarding and aggregate-span planning where only a
-        #: passive resync remains scheduled
-        self._live_nonpassive = 0
 
     def __len__(self) -> int:
         return len(self._heap) - self._cancelled
 
     # -- cancellation bookkeeping --------------------------------------
     def _note_cancelled(self, ev: ScheduledEvent) -> None:
-        if not ev.passive:
-            self._live_nonpassive -= 1
         self._cancelled += 1
         if self._cancelled * 2 > len(self._heap) \
                 and len(self._heap) >= self._COMPACT_MIN:
@@ -155,7 +141,6 @@ class EventQueue:
     # -- scheduling ----------------------------------------------------
     def schedule_at(
         self, time: float, action: Callable[[], Any], label: str = "",
-        passive: bool = False,
     ) -> ScheduledEvent:
         """Schedule ``action`` at absolute virtual time ``time``."""
         if time < self.clock.now:
@@ -165,37 +150,29 @@ class EventQueue:
         seq = self._seq
         self._seq += 1
         ev = ScheduledEvent(time=time, seq=seq, action=action,
-                            label=label, passive=passive, queue=self)
+                            label=label, queue=self)
         heapq.heappush(self._heap, ev)
-        if not passive:
-            self._live_nonpassive += 1
         return ev
 
     def schedule_in(
         self, delay: float, action: Callable[[], Any], label: str = "",
-        passive: bool = False,
     ) -> ScheduledEvent:
         """Schedule ``action`` ``delay`` seconds from now."""
-        return self.schedule_at(self.clock.now + delay, action, label=label,
-                                passive=passive)
+        return self.schedule_at(self.clock.now + delay, action, label=label)
 
     def schedule_every(
         self, interval: float, action: Callable[[], Any], label: str = "",
-        first_at: Optional[float] = None, passive: bool = False,
     ) -> RecurringEvent:
         """Schedule ``action`` every ``interval`` virtual seconds.
 
-        The first occurrence fires at ``first_at`` (default: one interval
-        from now); each firing schedules the next.  Returns a
-        :class:`RecurringEvent` whose ``cancel()`` stops the series.
+        The first occurrence fires one interval from now; each firing
+        schedules the next.  Returns a :class:`RecurringEvent` whose
+        ``cancel()`` stops the series.
         """
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        handle = RecurringEvent(self, action, interval, label=label,
-                                passive=passive)
-        start = self.clock.now + interval if first_at is None else first_at
-        handle.event = self.schedule_at(start, handle._fire, label=label,
-                                        passive=passive)
+        handle = RecurringEvent(self, action, interval, label=label)
+        handle.event = self.schedule_in(interval, handle._fire, label=label)
         return handle
 
     # -- execution -----------------------------------------------------
@@ -205,37 +182,20 @@ class EventQueue:
             self._pop_cancelled_head()
         return self._heap[0].time if self._heap else None
 
-    def next_active_time(self) -> Optional[float]:
-        """Timestamp of the next live **non-passive** event, if any.
-
-        The idle fast-forward uses this as its planning horizon: passive
-        events (converged-cluster resyncs) cannot change what the workload
-        would do, so skipping *past* their fire time is safe — they still
-        fire at it.  O(1) when no live non-passive event exists (the
-        common planning case); otherwise a linear scan — the queue holds
-        a handful of live entries (tick chain + timelines), not thousands.
-        """
-        if self._live_nonpassive <= 0:
-            return None
-        times = [e.time for e in self._heap
-                 if not e.cancelled and not e.passive]
-        return min(times) if times else None
-
     def step(self) -> Optional[ScheduledEvent]:
         """Pop and fire the next live event, advancing the clock to it.
 
         An overdue event (scheduled before ``clock.now`` — possible when
         something advanced the shared clock without running the queue,
-        e.g. the legacy ``run_for`` tick loop) fires immediately at the
-        current time rather than moving the clock backwards."""
+        e.g. a reference tick loop that moves the clock directly) fires
+        immediately at the current time rather than moving the clock
+        backwards."""
         while self._heap:
             if self._heap[0].cancelled:
                 self._pop_cancelled_head()
                 continue
             ev = heapq.heappop(self._heap)
             ev.fired = True
-            if not ev.passive:
-                self._live_nonpassive -= 1
             if ev.time > self.clock.now:
                 self.clock.advance_to(ev.time)
             ev.action()
@@ -257,9 +217,3 @@ class EventQueue:
         if self.clock.now < t:
             self.clock.advance_to(t)
         return fired
-
-    def run_for(self, seconds: float) -> int:
-        """Fire every event in the next ``seconds`` of virtual time."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        return self.run_until(self.clock.now + seconds)

@@ -2,9 +2,11 @@
 
 Everything runs on the event kernel: arrival ticks are
 :class:`~repro.simcore.events.ScheduledEvent`\\ s on the environment's
-:class:`~repro.simcore.events.EventQueue`, interleaved with telemetry,
-controller-resync and fault-timeline events, and provably idle spans are
-fast-forwarded instead of ticked through.  An environment calls
+:class:`~repro.simcore.events.EventQueue`, interleaved with
+controller-resync, resource-rollup and fault-timeline events.  A
+per-request window ticks once per virtual second, whatever the rate;
+an aggregate window coalesces spans up to the next scrape, policy
+change or queued event.  An environment calls
 :meth:`WorkloadDriver.begin_window` on each of its drivers (a multi-app
 environment hosts one driver per app, all on the shared queue) and then
 runs the queue once; :meth:`WorkloadDriver.run_events` bundles the two
@@ -102,8 +104,6 @@ class WorkloadDriver:
         self.runtime = runtime
         self.mode = mode
         self._policy: RatePolicy = policy or ConstantRate(100.0)
-        self._zero_hint: Optional[Callable[[float], Optional[float]]] = \
-            getattr(self._policy, "zero_until", None)
         self._change_hint: Optional[Callable[[float], Optional[float]]] = \
             getattr(self._policy, "next_change", None)
         self._span_hint: Optional[Callable[[float, float], float]] = \
@@ -137,7 +137,7 @@ class WorkloadDriver:
         self._window_end = runtime.clock.now
 
     # ------------------------------------------------------------------
-    # policy (kept a property so the idle-span hint stays in sync when a
+    # policy (kept a property so the span hints stay in sync when a
     # scheduled rate-change event swaps the policy mid-run)
     # ------------------------------------------------------------------
     @property
@@ -147,7 +147,6 @@ class WorkloadDriver:
     @policy.setter
     def policy(self, policy: RatePolicy) -> None:
         self._policy = policy
-        self._zero_hint = getattr(policy, "zero_until", None)
         self._change_hint = getattr(policy, "next_change", None)
         self._span_hint = getattr(policy, "span_rate", None)
 
@@ -219,7 +218,7 @@ class WorkloadDriver:
 
     def _tick(self) -> None:
         """One arrival tick: scrape if due, issue this second's load, and
-        schedule the next boundary (fast-forwarding idle spans)."""
+        schedule the next tick one second later (or at the window end)."""
         clock = self.runtime.clock
         now = clock.now
         end = self._window_end
@@ -249,38 +248,7 @@ class WorkloadDriver:
                 f"max_requests_per_tick.",
                 RuntimeWarning, stacklevel=2)
         self._issue(min(n, self.max_requests_per_tick))
-        self._schedule_next_tick(now + step)
-
-    def _schedule_next_tick(self, at: float) -> None:
-        """Schedule the next tick, skipping boundaries that are provably
-        no-ops: while the policy's rate is exactly zero no requests arrive
-        and the carry cannot change, so only boundaries where a scrape is
-        due (or the window/zero-span ends) need an event.  Boundary times
-        are walked with the same float additions the legacy loop performs,
-        keeping scrape timestamps bit-identical.
-
-        The walk never passes a queued event: any event may mutate the
-        driver (a ``set_rate`` timeline entry swaps the policy), so the
-        zero-rate proof only holds up to the next event's fire time — the
-        tick resumes at the first boundary at or after it.  Pending metric
-        watches need no extra cap: they can only fire at a scrape, and the
-        walk already stops at every scrape-due boundary."""
-        end = self._window_end
-        if self._zero_hint is not None and at < end:
-            horizon = self._zero_hint(at)
-            if horizon is not None and horizon > at:
-                next_event = self.queue.next_active_time()
-                b = at
-                while b < end \
-                        and not (b - self._last_scrape >= self.scrape_interval):
-                    if next_event is not None and b >= next_event:
-                        break
-                    nb = b + min(1.0, end - b)
-                    if nb > horizon:
-                        break
-                    b = nb
-                at = b
-        self.queue.schedule_at(at, self._tick, label="workload.tick")
+        self.queue.schedule_at(now + step, self._tick, label="workload.tick")
 
     # ------------------------------------------------------------------
     # aggregate mode: coalesced spans over execute_many
@@ -292,9 +260,9 @@ class WorkloadDriver:
         A span runs from ``now`` to the earliest of: the window end, the
         next scrape due time, the policy's ``next_change(now)`` hint
         (falling back to one-second steps for continuously-varying
-        policies without one), and the next queued non-passive event
-        (which may swap the policy mid-run).  The scrape bound is
-        unconditional and doubles as the trigger bound: a pending
+        policies without one), and the next queued event (which may swap
+        the policy mid-run).  The scrape bound is unconditional and
+        doubles as the trigger bound: a pending
         :class:`~repro.telemetry.watch.MetricWatch` (metric-triggered
         timeline entry) can only be evaluated — and can only fire — at a
         scrape, so no span ever coalesces past the earliest possible watch
@@ -323,7 +291,7 @@ class WorkloadDriver:
         span_end = min(end, next_scrape)
         change = self._change_hint(now) if self._change_hint else None
         span_end = min(span_end, now + 1.0 if change is None else change)
-        next_event = self.queue.next_active_time()
+        next_event = self.queue.peek_time()
         if next_event is not None and next_event > now:
             span_end = min(span_end, next_event)
         if span_end <= now:  # scrape was just overdue-adjacent; take a step

@@ -10,16 +10,8 @@ from typing import Protocol, Sequence
 class RatePolicy(Protocol):
     """Maps virtual time to an offered request rate (req/s).
 
-    Policies may additionally implement two optional hints:
-
-    ``zero_until(t) -> float | None``
-        If the rate is *exactly* zero everywhere on ``[t, u)`` return
-        ``u`` (``math.inf`` for "forever"), else ``None``.  The event
-        kernel uses this to fast-forward across provably idle spans
-        instead of evaluating every tick; a policy without the hint is
-        simply never fast-forwarded.  Because the kernel trusts the hint
-        bit-for-bit, implementations must be conservative about float
-        rounding near span edges (shrink, never stretch).
+    Policies may additionally implement two optional hints, both read
+    only by the aggregate workload driver:
 
     ``next_change(t) -> float | None``
         The earliest time strictly after ``t`` at which the rate *may*
@@ -57,9 +49,6 @@ class ConstantRate:
             raise ValueError(f"rate must be >= 0, got {self.rps}")
         return self.rps
 
-    def zero_until(self, t: float) -> float | None:
-        return math.inf if self.rps == 0 else None
-
     def next_change(self, t: float) -> float | None:
         return math.inf
 
@@ -90,11 +79,6 @@ class DiurnalRate:
     #: piecewise-linear approximation knots per period (aggregate mode)
     segments: int = 96
 
-    #: phase margin (radians) shaved off both ends of the zero span so
-    #: float rounding near the sin crossings can never make the hint
-    #: claim zero where ``rate`` evaluates non-zero
-    _ZERO_PHASE_MARGIN = 1e-6
-
     def __post_init__(self) -> None:
         if self.segments < 1:
             raise ValueError(
@@ -124,27 +108,6 @@ class DiurnalRate:
         frac = (t - lo) / h
         return (1.0 - frac) * self.rate(lo) + frac * self.rate(hi)
 
-    def zero_until(self, t: float) -> float | None:
-        """Night clipping: with ``amplitude > 1`` the clamped rate is
-        exactly 0 while ``sin`` is below ``-1/amplitude`` — a piecewise
-        zero span once per period the kernel can fast-forward across."""
-        if self.base == 0:
-            return math.inf
-        if self.base < 0:  # clamp inverts: zero where sin is *high*; no hint
-            return None
-        if self.amplitude <= 1.0:  # never clamps (negative A: no hint)
-            return None
-        two_pi = 2.0 * math.pi
-        theta = math.asin(1.0 / self.amplitude)
-        lo = math.pi + theta + self._ZERO_PHASE_MARGIN
-        hi = two_pi - theta - self._ZERO_PHASE_MARGIN
-        if lo >= hi:
-            return None
-        x = (t % self.period) / self.period * two_pi
-        if lo <= x < hi:
-            return t + (hi - x) * self.period / two_pi
-        return None
-
 
 @dataclass(frozen=True)
 class BurstRate:
@@ -162,22 +125,6 @@ class BurstRate:
     def rate(self, t: float) -> float:
         phase = t % self.interval
         return self.base * (self.burst_factor if phase < self.burst_duration else 1.0)
-
-    def _boundary_margin(self) -> float:
-        """Float modulo isn't linear, so a span end computed as
-        ``t + (boundary - phase)`` can land an ulp past the true phase
-        boundary; shrinking hints by this margin keeps them sound."""
-        return 1e-9 * max(self.interval, 1.0)
-
-    def zero_until(self, t: float) -> float | None:
-        if self.base == 0:
-            return math.inf
-        if self.burst_factor == 0:
-            phase = t % self.interval
-            if phase < self.burst_duration:
-                u = t + (self.burst_duration - phase) - self._boundary_margin()
-                return u if u > t else None
-        return None
 
     def next_change(self, t: float) -> float | None:
         phase = t % self.interval
@@ -199,16 +146,6 @@ class SpikeRate:
         if self.at <= t < self.at + self.duration:
             return self.base * self.spike_factor
         return self.base
-
-    def zero_until(self, t: float) -> float | None:
-        if self.base != 0:
-            return None
-        # base 0: idle except (possibly) during the spike window
-        if t < self.at:
-            return self.at
-        if t < self.at + self.duration:
-            return None if self.spike_factor != 0 else math.inf
-        return math.inf
 
     def next_change(self, t: float) -> float | None:
         if t < self.at:
@@ -232,14 +169,6 @@ class ReplayTrace:
             else:
                 break
         return current
-
-    def zero_until(self, t: float) -> float | None:
-        if self.rate(t) != 0.0:
-            return None
-        for ts, r in self.points:
-            if ts > t and r != 0.0:
-                return ts
-        return math.inf
 
     def next_change(self, t: float) -> float | None:
         for ts, _ in self.points:

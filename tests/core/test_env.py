@@ -1,7 +1,9 @@
 import pytest
 
 from repro.apps import HotelReservation, SocialNetwork
-from repro.core import CloudEnvironment
+from repro.core import AppSpec, CloudEnvironment
+from repro.telemetry.metrics import MetricStore
+from repro.workload import BurstRate, DiurnalRate
 
 
 class TestCloudEnvironment:
@@ -91,6 +93,56 @@ class TestEnvironmentKernel:
         env2 = CloudEnvironment(HotelReservation, seed=1, workload_rate=30,
                                 resync_interval=0.0)
         assert env2._resync is None
+
+
+class TestConvergedResyncIsInert:
+    """A resync of a converged cluster changes nothing a run shows.
+
+    The resync sits on the queue like any other event, so the aggregate
+    driver bounds its spans by it; it fires every 30 s from t = 0, on the
+    5 s scrape grid where every span already ends, so it never cuts one.
+    The per-request driver ticks once per second whatever is queued.
+    Either way, stats and every scraped series equal a run without it.
+    """
+
+    #: irregular, like agent think times: window ends fall off the grid
+    WINDOWS = [30.0, 3.7, 5.0, 0.4, 12.3, 1.0, 17.77, 0.0, 8.25, 45.0]
+
+    def _run(self, build, resync_interval):
+        env = build(resync_interval)
+        for w in self.WINDOWS:
+            env.advance(w)
+        stats = [(d.stats.requests, d.stats.errors, d.stats.latency_sum_ms,
+                  d.stats.per_operation) for d in env.drivers]
+        metrics = env.collector.metrics
+        series = {(svc, m): [a.tolist() for a in s.window()]
+                  for svc in metrics.services()
+                  for m in MetricStore.STANDARD_METRICS
+                  if (s := metrics.series(svc, m)) is not None}
+        fired = env._resync.fired if env._resync is not None else 0
+        env.close()
+        return stats, series, fired
+
+    def _assert_inert(self, build):
+        with_resync = self._run(build, 30.0)
+        without = self._run(build, 0.0)
+        assert with_resync[2] == 4 and without[2] == 0
+        assert with_resync[0] == without[0]
+        assert with_resync[1] == without[1]
+
+    def test_two_app_aggregate(self):
+        self._assert_inert(lambda resync: CloudEnvironment([
+            AppSpec(HotelReservation,
+                    policy=DiurnalRate(base=60, amplitude=0.5, period=240.0)),
+            AppSpec(SocialNetwork,
+                    policy=BurstRate(base=40, burst_factor=3.0, interval=90.0,
+                                     burst_duration=20.0)),
+        ], seed=11, fidelity="aggregate", resync_interval=resync))
+
+    def test_per_request(self):
+        self._assert_inert(lambda resync: CloudEnvironment(
+            HotelReservation, seed=11, workload_rate=45,
+            resync_interval=resync))
 
 
 class TestEnvironmentClose:

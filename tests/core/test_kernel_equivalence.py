@@ -199,21 +199,6 @@ class TestKernelRobustness:
         assert env._resync.fired == 30
         assert env.driver.stats.requests == 0
 
-    def test_idle_span_schedules_scrapes_and_resyncs_only(self):
-        """Idle spans are skipped, not ticked: over 100 000 idle virtual
-        seconds the queue schedules one event per scrape and per resync
-        (a tick loop would need 100 000) — the host-independent form of
-        "the kernel beats the tick loop on an idle window"."""
-        env = CloudEnvironment(HotelReservation, seed=0,
-                               policy=ConstantRate(0.0))
-        env.driver.scrape_interval = 300.0
-        scheduled_before = env.queue._seq
-        env.advance(100_000.0)
-        scheduled = env.queue._seq - scheduled_before
-        scrapes = len(scrape_series(env)[0])
-        assert scrapes == 333
-        assert scheduled <= scrapes + env._resync.fired + 8
-
 
 class TestTriggerFidelityEquivalence:
     """Metric-triggered timeline entries must fire at the same simulated

@@ -1,7 +1,5 @@
 """FaultSchedule: timelines armed on the environment's event kernel."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,17 +150,13 @@ class TestArmedSchedule:
         assert armed.log[0][0] == 40.0
 
     def test_zero_rate_fast_forward_still_fires_timeline(self):
-        """Timeline events land inside fast-forwarded idle spans."""
+        """Timeline events land inside zero-rate spans."""
         env = CloudEnvironment(HotelReservation, seed=1,
                                policy=ConstantRate(0.0))
         armed = FaultSchedule.delayed("RevokeAuth", ("mongodb-geo",),
                                       333.3).arm(env)
         env.advance(1000.0)
         assert [t for t, _ in armed.log] == [333.3]
-
-    def test_infinite_horizon_hint(self):
-        assert ConstantRate(0.0).zero_until(0.0) == math.inf
-        assert ConstantRate(10.0).zero_until(0.0) is None
 
 
 class TestTriggers:

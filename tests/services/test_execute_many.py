@@ -578,6 +578,9 @@ class TestAdaptiveTailReservoir:
         from repro.telemetry import MetricWatch
         env = CloudEnvironment(HotelReservation, seed=seed,
                                workload_rate=300, fidelity=fidelity)
+        # the per-request tier must serve the full 300 rps, not the
+        # default 200-per-tick cap, so both tiers see the same load
+        env.driver.max_requests_per_tick = 300
         if tail_exemplars is not None:
             env.runtime.BATCH_TRACE_EXEMPLARS_TAIL = tail_exemplars
         watch = MetricWatch("frontend", "latency_p99_ms", self.THRESHOLD,

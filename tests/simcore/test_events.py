@@ -83,11 +83,11 @@ class TestEventQueue:
         queue.run_until(5.0)
         assert fired == ["outer", "inner"]
 
-    def test_run_for_relative_window(self, queue):
+    def test_run_until_relative_window(self, queue):
         queue.clock.advance(10.0)
         fired = []
         queue.schedule_at(12.0, lambda: fired.append("x"))
-        assert queue.run_for(5.0) == 1
+        assert queue.run_until(queue.clock.now + 5.0) == 1
         assert queue.clock.now == 15.0
 
     def test_cancel_after_fire_is_noop(self, queue):
@@ -155,13 +155,6 @@ class TestScheduleEvery:
         queue.schedule_every(10.0, lambda: fired.append(queue.clock.now))
         queue.run_until(35.0)
         assert fired == [10.0, 20.0, 30.0]
-
-    def test_first_at_override(self, queue):
-        fired = []
-        queue.schedule_every(10.0, lambda: fired.append(queue.clock.now),
-                             first_at=3.0)
-        queue.run_until(25.0)
-        assert fired == [3.0, 13.0, 23.0]
 
     def test_cancel_stops_series(self, queue):
         fired = []

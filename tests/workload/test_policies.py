@@ -8,17 +8,6 @@ from repro.workload import (
 )
 
 
-def assert_sound_zero_hint(policy, t, samples=200):
-    """A zero_until horizon claims rate == 0.0 on the whole of [t, u)."""
-    u = policy.zero_until(t)
-    assert u is not None and u > t
-    end = min(u, t + 1e6)
-    for i in range(samples):
-        ti = t + (end - t) * i / samples
-        assert policy.rate(ti) == 0.0, f"hint claimed zero at t={ti}"
-    return u
-
-
 class TestConstantRate:
     def test_constant(self):
         policy = ConstantRate(50.0)
@@ -48,42 +37,6 @@ class TestDiurnalRate:
     def test_bounded_by_amplitude(self, t):
         policy = DiurnalRate(base=100, amplitude=0.3, period=3600)
         assert 70.0 - 1e-6 <= policy.rate(t) <= 130.0 + 1e-6
-
-    def test_zero_hint_none_when_never_clamped(self):
-        assert DiurnalRate(base=100, amplitude=0.5).zero_until(0) is None
-        assert DiurnalRate(base=100, amplitude=1.0).zero_until(0) is None
-
-    def test_zero_hint_forever_when_base_zero(self):
-        assert DiurnalRate(base=0, amplitude=2.0).zero_until(5) == math.inf
-
-    def test_zero_hint_none_for_negative_base(self):
-        """base < 0 inverts the clamp (rate is positive exactly where the
-        sin term is low) — the hint must not claim those spans idle."""
-        policy = DiurnalRate(base=-40, amplitude=1.6, period=120.0)
-        for t in range(0, 120, 5):
-            u = policy.zero_until(float(t))
-            assert u is None or policy.rate(t) == 0.0
-
-    def test_zero_hint_covers_the_night_clip(self):
-        policy = DiurnalRate(base=100, amplitude=2.0, period=1200.0)
-        # sin <= -1/2 on phase [7π/6, 11π/6] → t in [700, 1100)
-        t = 800.0
-        assert policy.rate(t) == 0.0
-        u = assert_sound_zero_hint(policy, t)
-        assert u == pytest.approx(1100.0, abs=1.0)
-        # just past the horizon the rate comes back within a few seconds
-        assert policy.rate(u + 5.0) > 0.0
-
-    @given(st.floats(min_value=0, max_value=5000.0))
-    @settings(max_examples=100)
-    def test_zero_hint_is_sound_everywhere(self, t):
-        """Property: wherever the hint claims a span, rate is exactly 0."""
-        policy = DiurnalRate(base=60, amplitude=1.5, period=777.7)
-        u = policy.zero_until(t)
-        if u is not None:
-            for i in range(20):
-                ti = t + (min(u, t + 1e5) - t) * i / 20
-                assert policy.rate(ti) == 0.0
 
 
 class TestNextChangeHints:
@@ -172,18 +125,6 @@ class TestBurstRate:
         policy = BurstRate(base=10, burst_factor=4, interval=100,
                            burst_duration=10)
         assert policy.rate(105) == 40.0
-
-    def test_zero_hint_forever_when_base_zero(self):
-        assert BurstRate(base=0).zero_until(7.0) == math.inf
-
-    def test_zero_hint_inside_dead_burst(self):
-        """burst_factor 0 models a recurring total outage window."""
-        policy = BurstRate(base=50, burst_factor=0.0, interval=100,
-                           burst_duration=10)
-        assert policy.rate(5.0) == 0.0
-        u = assert_sound_zero_hint(policy, 5.0)
-        assert u == pytest.approx(10.0, abs=0.01)
-        assert policy.zero_until(50.0) is None  # outside the burst
 
 
 class TestSpikeRate:
