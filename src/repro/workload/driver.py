@@ -261,8 +261,9 @@ class WorkloadDriver:
         next scrape due time, the policy's ``next_change(now)`` hint
         (falling back to one-second steps for continuously-varying
         policies without one), and the next queued event (which may swap
-        the policy mid-run).  The scrape bound is unconditional and
-        doubles as the trigger bound: a pending
+        the policy mid-run; at the default intervals the controller
+        resync fires on the scrape grid, so it never cuts a span short).  The scrape bound is
+        unconditional and doubles as the trigger bound: a pending
         :class:`~repro.telemetry.watch.MetricWatch` (metric-triggered
         timeline entry) can only be evaluated — and can only fire — at a
         scrape, so no span ever coalesces past the earliest possible watch
