@@ -13,6 +13,8 @@ per-problem results unchanged while the environment gains scheduled fault
 timelines.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,51 @@ class TestKernelRobustness:
         env.advance(900.0)
         assert env._resync.fired == 30
         assert env.driver.stats.requests == 0
+
+    @staticmethod
+    def _scheduled_labels(env, seconds):
+        """Advance ``env`` and count the events queued, by label."""
+        labels = Counter()
+        schedule_at = env.queue.schedule_at
+
+        def counting(t, action, label=""):
+            labels[label] += 1
+            return schedule_at(t, action, label=label)
+
+        env.queue.schedule_at = counting
+        env.advance(seconds)
+        del env.queue.schedule_at
+        return labels
+
+    def test_idle_span_schedules_scrapes_and_resyncs_only(self):
+        """An idle span is ticked like any other: over 10 000 idle virtual
+        seconds the per-request tier queues one tick per second, each
+        running its scrape check, plus the resyncs, and serves nothing."""
+        env = CloudEnvironment(HotelReservation, seed=0,
+                               policy=ConstantRate(0.0))
+        env.driver.scrape_interval = 300.0
+        labels = self._scheduled_labels(env, 10_000.0)
+        assert len(scrape_series(env)[0]) == 33
+        assert env._resync.fired == 333
+        assert labels == {"workload.tick": 10_001,
+                          "controller.resync": 333}
+        assert env.driver.stats.requests == 0
+        env.close()
+
+    def test_idle_aggregate_span_ends_at_every_queued_event(self):
+        """On the aggregate tier an idle window is one span per queued
+        boundary: the 30 s resyncs cut the 300 s scrape intervals, so the
+        driver queues one span per resync plus the first and the last."""
+        env = CloudEnvironment(HotelReservation, seed=0,
+                               policy=ConstantRate(0.0),
+                               fidelity="aggregate")
+        env.driver.scrape_interval = 300.0
+        labels = self._scheduled_labels(env, 10_000.0)
+        assert len(scrape_series(env)[0]) == 33
+        assert labels == {"workload.batch": 333 + 2,
+                          "controller.resync": 333}
+        assert env.driver.stats.requests == 0
+        env.close()
 
 
 class TestTriggerFidelityEquivalence:

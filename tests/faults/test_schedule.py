@@ -1,5 +1,7 @@
 """FaultSchedule: timelines armed on the environment's event kernel."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +159,23 @@ class TestArmedSchedule:
                                       333.3).arm(env)
         env.advance(1000.0)
         assert [t for t, _ in armed.log] == [333.3]
+
+    def test_infinite_horizon_hint(self):
+        """A constant policy announces an infinite horizon whatever its
+        rate, so the aggregate tier covers a zero-rate window in
+        queue-bounded spans, serves nothing and still fires the
+        timeline on time."""
+        assert ConstantRate(0.0).next_change(0.0) == math.inf
+        assert ConstantRate(10.0).next_change(0.0) == math.inf
+        env = CloudEnvironment(HotelReservation, seed=1,
+                               policy=ConstantRate(0.0),
+                               fidelity="aggregate")
+        armed = FaultSchedule.delayed("RevokeAuth", ("mongodb-geo",),
+                                      333.3).arm(env)
+        env.advance(1000.0)
+        assert [t for t, _ in armed.log] == [333.3]
+        assert env.driver.stats.requests == 0
+        env.close()
 
 
 class TestTriggers:

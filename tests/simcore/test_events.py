@@ -83,7 +83,7 @@ class TestEventQueue:
         queue.run_until(5.0)
         assert fired == ["outer", "inner"]
 
-    def test_run_until_relative_window(self, queue):
+    def test_run_for_relative_window(self, queue):
         queue.clock.advance(10.0)
         fired = []
         queue.schedule_at(12.0, lambda: fired.append("x"))
@@ -155,6 +155,13 @@ class TestScheduleEvery:
         queue.schedule_every(10.0, lambda: fired.append(queue.clock.now))
         queue.run_until(35.0)
         assert fired == [10.0, 20.0, 30.0]
+
+    def test_first_firing_is_one_interval_from_now(self, queue):
+        queue.clock.advance(3.0)
+        fired = []
+        queue.schedule_every(10.0, lambda: fired.append(queue.clock.now))
+        queue.run_until(25.0)
+        assert fired == [13.0, 23.0]
 
     def test_cancel_stops_series(self, queue):
         fired = []

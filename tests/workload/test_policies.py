@@ -8,6 +8,21 @@ from repro.workload import (
 )
 
 
+def assert_sound_zero_hint(policy, t, samples=200):
+    """The span the aggregate driver coalesces from ``t`` (up to
+    ``next_change(t)``) is billed at zero, and rate is 0.0 across it."""
+    u = policy.next_change(t)
+    assert u is not None and u > t
+    end = min(u, t + 1e6)
+    span_rate = getattr(policy, "span_rate", None)
+    billed = span_rate(t, end) if span_rate else policy.rate(t)
+    assert billed == 0.0, f"span [{t}, {end}) billed at {billed}"
+    for i in range(samples):
+        ti = t + (end - t) * i / samples
+        assert policy.rate(ti) == 0.0, f"span billed zero at t={ti}"
+    return u
+
+
 class TestConstantRate:
     def test_constant(self):
         policy = ConstantRate(50.0)
@@ -37,6 +52,54 @@ class TestDiurnalRate:
     def test_bounded_by_amplitude(self, t):
         policy = DiurnalRate(base=100, amplitude=0.3, period=3600)
         assert 70.0 - 1e-6 <= policy.rate(t) <= 130.0 + 1e-6
+
+    def test_zero_hint_none_when_never_clamped(self):
+        """amplitude <= 1 never clamps, so no span is billed at zero."""
+        for amplitude in (0.5, 1.0):
+            policy = DiurnalRate(base=100, amplitude=amplitude)
+            h = policy.period / policy.segments
+            for k in range(policy.segments):
+                assert policy.span_rate(k * h, (k + 1) * h) > 0.0
+
+    def test_zero_hint_forever_when_base_zero(self):
+        policy = DiurnalRate(base=0, amplitude=2.0)
+        t = 5.0
+        for _ in range(policy.segments + 1):
+            t = assert_sound_zero_hint(policy, t, samples=10)
+
+    def test_zero_hint_none_for_negative_base(self):
+        """base < 0 inverts the clamp (rate is positive exactly where the
+        sin term is low); the spans there must not be billed idle."""
+        policy = DiurnalRate(base=-40, amplitude=1.6, period=120.0)
+        for t in range(0, 120, 5):
+            low = math.sin(2 * math.pi * t / 120.0) < -1 / 1.6
+            assert (policy.rate(t) > 0.0) == low
+            if low:
+                assert policy.span_rate(t, policy.next_change(t)) > 0.0
+
+    def test_zero_hint_covers_the_night_clip(self):
+        policy = DiurnalRate(base=100, amplitude=2.0, period=1200.0)
+        # sin <= -1/2 on phase [7π/6, 11π/6] → t in [700, 1100)
+        t = 800.0
+        assert policy.rate(t) == 0.0
+        # the driver's spans from t stay billed at zero up to the clip end
+        while policy.span_rate(t, policy.next_change(t)) == 0.0:
+            t = assert_sound_zero_hint(policy, t)
+        # ...within one 12.5 s segment: the knot at 1100 sits on the clamp
+        # crossing, where rounding leaves a sliver of rate (~1e-13)
+        assert 1100.0 - 12.5 <= t < 1100.0
+        # just past the clip the rate comes back within a few seconds
+        assert policy.rate(1105.0) > 0.0
+
+    @given(st.floats(min_value=0, max_value=5000.0))
+    @settings(max_examples=100)
+    def test_zero_hint_is_sound_everywhere(self, t):
+        """Property: wherever a span is billed at zero, rate is exactly 0."""
+        policy = DiurnalRate(base=60, amplitude=1.5, period=777.7)
+        u = policy.next_change(t)
+        if policy.span_rate(t, u) == 0.0:
+            for i in range(20):
+                assert policy.rate(t + (u - t) * i / 20) == 0.0
 
 
 class TestNextChangeHints:
@@ -126,6 +189,21 @@ class TestBurstRate:
                            burst_duration=10)
         assert policy.rate(105) == 40.0
 
+    def test_zero_hint_forever_when_base_zero(self):
+        policy = BurstRate(base=0)
+        t = 7.0
+        for _ in range(10):
+            t = assert_sound_zero_hint(policy, t)
+
+    def test_zero_hint_inside_dead_burst(self):
+        """burst_factor 0 models a recurring total outage window."""
+        policy = BurstRate(base=50, burst_factor=0.0, interval=100,
+                           burst_duration=10)
+        assert policy.rate(5.0) == 0.0
+        u = assert_sound_zero_hint(policy, 5.0)
+        assert u == pytest.approx(10.0, abs=0.01)
+        assert policy.rate(50.0) == 50.0  # outside the burst
+
 
 class TestSpikeRate:
     def test_spike_only_in_window(self):
@@ -150,3 +228,11 @@ class TestReplayTrace:
 
     def test_empty_trace(self):
         assert ReplayTrace().rate(100) == 0.0
+
+    def test_zero_segment_is_one_span(self):
+        """A recorded outage is one zero-billed span up to the next
+        point, wherever inside it the driver starts."""
+        policy = ReplayTrace(points=[(0, 50), (10, 0), (30, 20)])
+        for t in (10.0, 12.5, 29.9):
+            assert assert_sound_zero_hint(policy, t) == 30.0
+        assert policy.rate(30.0) == 20.0
