@@ -83,12 +83,3 @@ class FaultInjector:
                 method = getattr(self, f"recover_{record.fault_name}")
                 method(record.targets, record)
                 record.active = False
-
-    # -- shared helpers -----------------------------------------------------
-    def _restamp(self, deployment_name: str) -> None:
-        """Recreate a deployment's pods from its (possibly edited) template."""
-        dep = self.cluster.get_deployment(self.namespace, deployment_name)
-        for pod in self.cluster.pods_for_deployment(dep):
-            del self.cluster.pods[(pod.namespace, pod.name)]
-        dep.generation += 1
-        self.cluster.reconcile()

@@ -77,7 +77,7 @@ class VirtFaultInjector(FaultInjector):
             dep = self.cluster.get_deployment(self.namespace, name)
             saved[name] = dep.template.node_name
             dep.template.node_name = self.NONEXISTENT_NODE
-            self._restamp(name)
+            self.cluster.restamp_deployment(dep)
         record.saved_state["node_names"] = saved
 
     def recover_assign_to_non_existent_node(self, targets: list[str],
@@ -86,7 +86,7 @@ class VirtFaultInjector(FaultInjector):
         for name in targets:
             dep = self.cluster.get_deployment(self.namespace, name)
             dep.template.node_name = saved.get(name)
-            self._restamp(name)
+            self.cluster.restamp_deployment(dep)
 
     # -- Fault 1: AuthenticationMissing --------------------------------------
     def inject_auth_missing(self, targets: list[str],
@@ -203,7 +203,7 @@ class ApplicationFaultInjector(FaultInjector):
             dep = self.cluster.get_deployment(self.namespace, name)
             for c in dep.template.containers:
                 c.image = buggy
-            self._restamp(name)
+            self.cluster.restamp_deployment(dep)
         record.saved_state["images"] = saved
 
     def recover_buggy_app_image(self, targets: list[str],
@@ -218,4 +218,4 @@ class ApplicationFaultInjector(FaultInjector):
             dep = self.cluster.get_deployment(self.namespace, name)
             for c in dep.template.containers:
                 c.image = original
-            self._restamp(name)
+            self.cluster.restamp_deployment(dep)

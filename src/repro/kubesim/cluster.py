@@ -22,85 +22,61 @@ from repro.kubesim.controllers import DeploymentController, EndpointsController
 
 
 class _VersionedDict(dict):
-    """A dict that counts membership mutations, globally and per namespace.
+    """A dict that counts its membership mutations in ``version``.
 
-    The cluster's sorted per-namespace object views are derived caches
-    keyed on the global ``version``, so every mutation site (controllers,
-    faults, helm, kubectl) invalidates them without having to know they
-    exist.  Keys are ``(namespace, name)`` tuples; :meth:`ns_version`
-    additionally gives a per-namespace fingerprint component, so one
-    app's profile cache is not invalidated by membership churn in a
-    co-hosted app's namespace (multi-app environments share the cluster).
-    Bulk mutators that can't attribute a namespace bump a shared epoch
-    that is folded into every per-namespace readout.
+    The cluster's sorted per-namespace object views and the runtimes' plan
+    keys are derived from these dicts, so every mutation site
+    (controllers, faults, helm, kubectl) invalidates them without having
+    to know they exist.
     """
 
-    __slots__ = ("version", "_ns_counts", "_bulk_epoch")
+    __slots__ = ("version",)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.version = 0
-        self._ns_counts: dict[str, int] = {}
-        self._bulk_epoch = 0
-
-    def _bump(self, key) -> None:
-        self.version += 1
-        if isinstance(key, tuple) and key:
-            ns = key[0]
-            self._ns_counts[ns] = self._ns_counts.get(ns, 0) + 1
-        else:
-            self._bulk_epoch += 1
-
-    def ns_version(self, namespace: str) -> tuple[int, int]:
-        """Per-namespace mutation fingerprint (count, bulk epoch)."""
-        return (self._ns_counts.get(namespace, 0), self._bulk_epoch)
 
     def __setitem__(self, key, value) -> None:
         super().__setitem__(key, value)
-        self._bump(key)
+        self.version += 1
 
     def __delitem__(self, key) -> None:
         super().__delitem__(key)
-        self._bump(key)
+        self.version += 1
 
     def pop(self, *args):
-        self._bump(args[0] if args else None)
+        self.version += 1
         return super().pop(*args)
 
     def popitem(self):
         self.version += 1
-        self._bulk_epoch += 1
         return super().popitem()
 
     def clear(self) -> None:
         self.version += 1
-        self._bulk_epoch += 1
         super().clear()
 
     def update(self, *args, **kwargs) -> None:
         self.version += 1
-        self._bulk_epoch += 1
         super().update(*args, **kwargs)
 
     def setdefault(self, key, default=None):
-        self._bump(key)
+        self.version += 1
         return super().setdefault(key, default)
 
     def __ior__(self, other):
         self.version += 1
-        self._bulk_epoch += 1
         return super().__ior__(other)
 
     def __reduce__(self):
         """Rebuild through ``__setstate__`` rather than per-item
-        ``__setitem__`` (which would read the version slots before
-        pickle restores them) — and restore the exact counters, so a
-        snapshotted cluster's derived-cache fingerprints stay valid."""
-        state = (dict(self), self.version, self._ns_counts, self._bulk_epoch)
-        return (self.__class__, (), state)
+        ``__setitem__`` (which would read the version slot before pickle
+        restores it) — and restore the exact counter, so a snapshotted
+        cluster's derived-cache keys stay valid."""
+        return (self.__class__, (), (dict(self), self.version))
 
     def __setstate__(self, state) -> None:
-        items, self.version, self._ns_counts, self._bulk_epoch = state
+        items, self.version = state
         dict.update(self, items)
 
 
@@ -151,20 +127,14 @@ class Cluster:
         self.autoscalers: list = []
         #: monotonic mutation counter: bumped by every mutating CRUD
         #: method *and* by every ``reconcile()`` run, so derived caches
-        #: (path profiles, log pod attribution) can fingerprint cluster
-        #: state cheaply — including in-place object edits, which always
-        #: go through a reconcile.  A converged-cluster ``resync`` skips
-        #: reconcile and therefore does not bump it.
+        #: (plan keys, log pod attribution) can key on cluster state
+        #: cheaply — including in-place object edits, which always go
+        #: through a reconcile.  One cluster-wide counter: every pod,
+        #: deployment or service CRUD reconciles, and a reconcile touches
+        #: every namespace, so scoping it per namespace would save no
+        #: re-resolve.  A converged-cluster ``resync`` skips reconcile and
+        #: therefore does not bump it.
         self.state_version = 0
-        #: per-namespace CRUD-mutation counters (see ``state_version_for``)
-        self._ns_marks: dict[str, int] = {}
-        #: cluster-global epoch: bumped by every ``reconcile()`` run and by
-        #: namespace-less mutations (node add/remove) — in-place object
-        #: edits bypass CRUD but always reconcile, so folding this epoch
-        #: into every namespace's fingerprint keeps per-app profile caches
-        #: conservatively correct (they may recompile on another app's
-        #: reconcile, but can never serve a stale profile)
-        self._reconcile_version = 0
         #: set by mutating CRUD methods, cleared by reconcile(); lets the
         #: periodic resync event skip converged clusters in O(1)
         self._dirty = True
@@ -185,32 +155,10 @@ class Cluster:
     # ------------------------------------------------------------------
     # bookkeeping helpers
     # ------------------------------------------------------------------
-    def _mark_dirty(self, namespace: Optional[str] = None) -> None:
-        """Flag unreconciled state and bump the mutation counters.
-
-        ``namespace`` attributes the mutation for per-app fingerprints;
-        namespace-less mutations (nodes) bump the cluster-global epoch
-        instead, since they can affect scheduling everywhere.
-        """
+    def _mark_dirty(self) -> None:
+        """Flag unreconciled state and bump the mutation counter."""
         self._dirty = True
         self.state_version += 1
-        if namespace is not None:
-            self._ns_marks[namespace] = self._ns_marks.get(namespace, 0) + 1
-        else:
-            self._reconcile_version += 1
-
-    def state_version_for(self, namespace: str) -> tuple[int, int]:
-        """Per-namespace state fingerprint: (namespace CRUD marks,
-        cluster-global reconcile epoch).
-
-        Changes whenever anything that could affect ``namespace``'s
-        request execution changed: CRUD in the namespace itself, any
-        reconcile (in-place edits always reconcile), or a namespace-less
-        mutation.  CRUD-only mutations in *other* namespaces (secrets,
-        configmaps — anything that doesn't trigger a reconcile) leave it
-        untouched, which is what keys profile caches per app.
-        """
-        return (self._ns_marks.get(namespace, 0), self._reconcile_version)
 
     def _next_uid(self) -> str:
         n = self._uid_counter
@@ -250,14 +198,14 @@ class Cluster:
     # namespaces & nodes
     # ------------------------------------------------------------------
     def create_namespace(self, name: str) -> None:
-        self._mark_dirty(name)
+        self._mark_dirty()
         self.namespaces.add(name)
 
     def delete_namespace(self, name: str) -> None:
         """Delete a namespace and everything inside it."""
         if name not in self.namespaces:
             raise ResourceNotFound("Namespace", name)
-        self._mark_dirty(name)
+        self._mark_dirty()
         self.namespaces.discard(name)
         for store in (
             self.pods,
@@ -300,7 +248,7 @@ class Cluster:
         key = (dep.namespace, dep.name)
         if key in self.deployments:
             raise InvalidAction(f'deployment "{dep.name}" already exists')
-        self._mark_dirty(dep.namespace)
+        self._mark_dirty()
         dep.meta.uid = self._next_uid()
         dep.meta.creation_time = self.clock.now
         self.deployments[key] = dep
@@ -319,7 +267,7 @@ class Cluster:
 
     def delete_deployment(self, namespace: str, name: str) -> None:
         self.get_deployment(namespace, name)
-        self._mark_dirty(namespace)
+        self._mark_dirty()
         del self.deployments[(namespace, name)]
         self.reconcile()
 
@@ -327,7 +275,7 @@ class Cluster:
         if replicas < 0:
             raise InvalidAction(f"replicas must be >= 0, got {replicas}")
         dep = self.get_deployment(namespace, name)
-        self._mark_dirty(namespace)
+        self._mark_dirty()
         old = dep.replicas
         dep.replicas = replicas
         dep.generation += 1
@@ -339,12 +287,20 @@ class Cluster:
         self.reconcile()
         return dep
 
+    def restamp_deployment(self, dep: Deployment) -> None:
+        """Delete a deployment's pods so the controller recreates them from
+        the (just-edited) template — a simplified rolling update."""
+        for pod in self.pods_for_deployment(dep):
+            del self.pods[(pod.namespace, pod.name)]
+        dep.generation += 1
+        self.reconcile()
+
     def create_service(self, svc: Service) -> Service:
         self.require_namespace(svc.namespace)
         key = (svc.namespace, svc.name)
         if key in self.services:
             raise InvalidAction(f'service "{svc.name}" already exists')
-        self._mark_dirty(svc.namespace)
+        self._mark_dirty()
         svc.meta.uid = self._next_uid()
         svc.meta.creation_time = self.clock.now
         if not svc.cluster_ip:
@@ -361,7 +317,7 @@ class Cluster:
 
     def delete_service(self, namespace: str, name: str) -> None:
         self.get_service(namespace, name)
-        self._mark_dirty(namespace)
+        self._mark_dirty()
         del self.services[(namespace, name)]
         self.endpoints.pop((namespace, name), None)
 
@@ -376,7 +332,7 @@ class Cluster:
         key = (pod.namespace, pod.name)
         if key in self.pods:
             raise InvalidAction(f'pod "{pod.name}" already exists')
-        self._mark_dirty(pod.namespace)
+        self._mark_dirty()
         pod.meta.uid = self._next_uid()
         pod.ip = self._next_ip()
         pod.meta.creation_time = self.clock.now
@@ -394,13 +350,13 @@ class Cluster:
     def delete_pod(self, namespace: str, name: str) -> None:
         pod = self.get_pod(namespace, name)
         self.record_event(namespace, "Pod", name, "Killing", f"Stopping container {name}")
-        self._mark_dirty(namespace)
+        self._mark_dirty()
         del self.pods[(namespace, pod.name)]
         self.reconcile()
 
     def create_configmap(self, cm: ConfigMap) -> ConfigMap:
         self.require_namespace(cm.namespace)
-        self._mark_dirty(cm.namespace)
+        self._mark_dirty()
         cm.meta.uid = self._next_uid()
         cm.meta.creation_time = self.clock.now
         self.configmaps[(cm.namespace, cm.name)] = cm
@@ -414,7 +370,7 @@ class Cluster:
 
     def create_secret(self, s: Secret) -> Secret:
         self.require_namespace(s.namespace)
-        self._mark_dirty(s.namespace)
+        self._mark_dirty()
         s.meta.uid = self._next_uid()
         s.meta.creation_time = self.clock.now
         self.secrets[(s.namespace, s.name)] = s
@@ -496,7 +452,6 @@ class Cluster:
         counter still observes them.
         """
         self.state_version += 1
-        self._reconcile_version += 1
         for _ in range(rounds):
             changed = False
             changed |= self._deploy_ctrl.reconcile()

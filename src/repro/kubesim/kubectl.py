@@ -489,7 +489,7 @@ class Kubectl:
         return f"{kind.name}{kind.group}/{name} scaled"
 
     def _rollout_restart(self, ns, kind, name, flags, rest) -> str:
-        self._restamp_pods(self.cluster.get_deployment(ns, name))
+        self.cluster.restamp_deployment(self.cluster.get_deployment(ns, name))
         return f"{kind.name}{kind.group}/{name} restarted"
 
     def _patch(self, ns, kind, name, flags, rest) -> str:
@@ -522,20 +522,12 @@ class Kubectl:
         tmpl = (spec.get("template") or {}).get("spec") or {}
         if "nodeName" in tmpl:
             dep.template.node_name = tmpl["nodeName"] or None
-            self._restamp_pods(dep)
+            self.cluster.restamp_deployment(dep)
         for c_patch in tmpl.get("containers") or []:
             for c in dep.template.containers:
                 if c.name == c_patch.get("name") and c_patch.get("image"):
                     c.image = c_patch["image"]
-            self._restamp_pods(dep)
-        self.cluster.reconcile()
-
-    def _restamp_pods(self, dep: Deployment) -> None:
-        """Delete a deployment's pods so the controller recreates them from
-        the (just-updated) template — a simplified rolling update."""
-        for pod in self.cluster.pods_for_deployment(dep):
-            del self.cluster.pods[(pod.namespace, pod.name)]
-        dep.generation += 1
+            self.cluster.restamp_deployment(dep)
         self.cluster.reconcile()
 
     def _set_image(self, ns, kind, name, flags, rest) -> str:
@@ -550,5 +542,5 @@ class Kubectl:
             raise InvalidAction("no matching container found")
         for c in matched:
             c.image = images.get(c.name, images.get("*"))
-        self._restamp_pods(dep)
+        self.cluster.restamp_deployment(dep)
         return f"{kind.name}{kind.group}/{name} image updated"

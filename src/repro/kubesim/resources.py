@@ -25,9 +25,10 @@ machines themselves:
    quantized to steps of :data:`QUANT_STEP` so they change rarely: small
    demand jitter between rollups leaves resolved call plans (and the
    profiles compiled from them) valid, a real regime change does not
-   (the per-namespace :meth:`ResourcePlane.fingerprint` version is a
-   component of ``ServiceRuntime._profile_key``, the plan cache's key;
-   ``repro.services.plan.resolve`` is the one reader of the values).
+   (:attr:`ResourcePlane.version`, bumped only when a rollup changes a
+   quantized value, is a component of ``ServiceRuntime._profile_key``,
+   the plan cache's key; ``repro.services.plan.resolve`` is the one
+   reader of the values).
 
 The plane is **opt-in**: environments run with
 ``resource_coupling=False`` by default, in which case no runtime is
@@ -164,11 +165,10 @@ class ResourcePlane:
         self._multiplier: dict[tuple[str, str], float] = {}
         #: (namespace, service) -> quantized per-hop shed probability
         self._overload: dict[tuple[str, str], float] = {}
-        #: per-namespace fingerprint versions: bumped only when that
-        #: namespace's effective (multiplier, overload) map changes — the
-        #: profile-cache key component (quantization keeps this quiet
-        #: across steady-state rollups)
-        self._ns_versions: dict[str, int] = {}
+        #: bumped only when a rollup changes the effective (multiplier,
+        #: overload) maps — the plan-key component (quantization keeps
+        #: this quiet across steady-state rollups)
+        self.version = 0
         #: total rollups run (observability / benchmarks)
         self.rollups = 0
 
@@ -187,11 +187,6 @@ class ResourcePlane:
 
     def overload_p(self, namespace: str, service: str) -> float:
         return self._overload.get((namespace, service), 0.0)
-
-    def fingerprint(self, namespace: str) -> int:
-        """Profile-cache key component: bumps exactly when ``namespace``'s
-        effective degradation parameters change at a rollup."""
-        return self._ns_versions.get(namespace, 0)
 
     def utilization_of(self, namespace: str, service: str,
                        replicas: int) -> float:
@@ -305,17 +300,11 @@ class ResourcePlane:
                 if p > 0.0:
                     overload[key] = p
 
-        # 4. bump per-namespace fingerprints only on effective change
-        changed: set[str] = set()
-        for d_new, d_old in ((multiplier, self._multiplier),
-                             (overload, self._overload)):
-            for key in set(d_new) | set(d_old):
-                if d_new.get(key) != d_old.get(key):
-                    changed.add(key[0])
+        # 4. bump the version only on effective change
+        if multiplier != self._multiplier or overload != self._overload:
+            self.version += 1
         self._multiplier = multiplier
         self._overload = overload
-        for ns in changed:
-            self._ns_versions[ns] = self._ns_versions.get(ns, 0) + 1
 
     # -- kubectl adapters --------------------------------------------------
     def kubectl_node_metrics_source(self):

@@ -114,8 +114,8 @@ class ProfileStore:
     observe a co-tenant's stale entry, and the stored outcomes are
     read-only after compilation.  Plans carry no namespace, so co-tenant
     apps of the same shape share entries too.
-    Entries are evicted LRU past ``maxsize``; access is lock-guarded
-    because batch sessions run in worker threads.  Process-pool workers
+    Entries are evicted LRU past ``maxsize``; access is lock-guarded so
+    that callers may share the store across threads.  Process-pool workers
     each own their (forked or fresh) copy — profiles never cross process
     boundaries.
     """

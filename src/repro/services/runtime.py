@@ -412,12 +412,16 @@ class ServiceRuntime:
         """Fingerprint of everything :func:`~repro.services.plan.resolve`
         reads — the validity key of the cached plan, for both tiers.
 
-        Cheap counters (cluster state/membership versions, backend
-        versions) catch every mutation that flows through cluster CRUD,
-        ``reconcile`` or a backend method; the value snapshots (resolved
-        credentials, images, ``network_loss``) additionally catch in-place
-        edits that bypass them (helm values surgery, direct template
-        pokes) — the ``_dirty``-style staleness bug class.
+        Cheap cluster-wide counters (cluster state and membership
+        versions, the resource plane's regime version, backend versions)
+        catch every mutation that flows through cluster CRUD,
+        ``reconcile``, a rollup or a backend method; the value snapshots
+        (resolved credentials, images, latencies, ``network_loss``)
+        additionally catch in-place edits that bypass them (helm values
+        surgery, direct template pokes) — the ``_dirty``-style staleness
+        bug class.  A co-tenant's mutation moves the counters too; the
+        re-resolve it costs returns an equal plan, whose profile the
+        shared store serves as-is.
         """
         involved, backend_edges = self._op_fingerprint_inputs(op)
         creds = tuple(
@@ -435,21 +439,15 @@ class ServiceRuntime:
             for s in involved
         )
         return (
-            self.cluster.state_version_for(self.namespace),
-            self.cluster.pods.ns_version(self.namespace),
-            self.cluster.services.ns_version(self.namespace),
+            self.cluster.state_version,
+            self.cluster.pods.version,
+            self.cluster.services.version,
+            0 if self.resources is None else self.resources.version,
             tuple(sorted(self.network_loss.items())),
             backend_versions,
             creds,
             images,
             latencies,
-            # resource-plane regime: node placement changes already flow
-            # through the versions above (reconcile bumps them); this
-            # catches rollups that shift any quantized multiplier / shed
-            # probability in this namespace.  Constant 0 when coupling is
-            # off, so seed profile keys are unchanged.
-            0 if self.resources is None
-            else self.resources.fingerprint(self.namespace),
         )
 
     @contextmanager

@@ -8,7 +8,8 @@ was removed: it advanced the clock without firing queue events, so fault
 timelines and resync stalled under it).  For any window sequence and
 fixed seed the two must produce the same ``WorkloadStats``, the same RNG
 draw order (hence bit-equal telemetry values) and the same scrape
-timestamps — this is what lets the 48-problem benchmark keep its
+timestamps, in idle windows as in loaded ones (the kernel ticks once per
+virtual second whatever the rate) — this is what lets the 48-problem benchmark keep its
 per-problem results unchanged while the environment gains scheduled fault
 timelines.
 """
@@ -107,8 +108,8 @@ class TestKernelEquivalence:
         assert kernel.driver.stats.errors > 0
         assert stats_key(kernel) == stats_key(legacy)
 
-    def test_zero_rate_fast_forward_equivalent(self):
-        """The idle fast-path skips boundaries but not scrapes."""
+    def test_zero_rate_window_equivalent(self):
+        """A zero-rate window serves nothing and still scrapes on time."""
         kernel, legacy = self._pair(seed=7, policy=ConstantRate(0.0))
         kernel.advance(1000.0)
         legacy_run_for(legacy.driver, 1000.0)
@@ -120,8 +121,8 @@ class TestKernelEquivalence:
         assert np.array_equal(tk, tl) and np.array_equal(vk, vl)
 
     def test_zero_rate_fractional_window_grid(self):
-        """Fast-forwarded boundary times must use the same float
-        accumulation as the loop even off the integer grid."""
+        """Idle boundary times must use the same float accumulation as
+        the loop even off the integer grid."""
         kernel, legacy = self._pair(seed=1, policy=ConstantRate(0.0))
         for w in [7.3, 93.1, 0.6, 55.55]:
             kernel.advance(w)
@@ -130,10 +131,10 @@ class TestKernelEquivalence:
         tl, _ = scrape_series(legacy)
         assert np.array_equal(tk, tl)
 
-    def test_diurnal_zero_hint_armed_equivalent(self):
+    def test_diurnal_night_clip_equivalent(self):
         """DiurnalRate with amplitude > 1 clips to zero for part of each
-        cycle; the kernel fast-forwards those spans via the new
-        ``zero_until`` hint and must stay bit-identical to the loop."""
+        cycle; the kernel must stay bit-identical to the loop across
+        those idle spans."""
         policy = DiurnalRate(base=40, amplitude=1.6, period=120.0)
         kernel, legacy = self._pair(seed=4, policy=policy)
         for w in [30.0, 47.3, 61.2, 0.9, 100.0, 33.33]:
@@ -145,8 +146,8 @@ class TestKernelEquivalence:
         tl, vl = scrape_series(legacy)
         assert np.array_equal(tk, tl) and np.array_equal(vk, vl)
 
-    def test_burst_zero_hint_armed_equivalent(self):
-        """burst_factor=0 makes every burst window a provably idle span."""
+    def test_zero_factor_burst_equivalent(self):
+        """burst_factor=0 makes every burst window an idle span."""
         policy = BurstRate(base=50, burst_factor=0.0, interval=40.0,
                            burst_duration=12.0)
         kernel, legacy = self._pair(seed=8, policy=policy)
@@ -179,9 +180,9 @@ class TestKernelRobustness:
         env.advance(10.0)                 # must not raise
         assert env.clock.now == 50.0
 
-    def test_fast_forward_respects_queued_rate_change(self):
-        """A set_rate-style event inside an idle span must not be skipped
-        over: load resumes at the first boundary after it fires."""
+    def test_queued_rate_change_applies_from_next_tick(self):
+        """A set_rate-style event inside an idle span takes effect at the
+        first boundary after it fires."""
         from repro.workload import ConstantRate as CR
         env = CloudEnvironment(HotelReservation, seed=1, policy=CR(0.0))
         env.queue.schedule_at(
@@ -190,9 +191,9 @@ class TestKernelRobustness:
         # boundaries 2..9 each issue 50 requests under the new policy
         assert env.driver.stats.requests == 400
 
-    def test_passive_resync_does_not_cap_fast_forward(self):
-        """The recurring resync is passive, so idle spans still skip whole
-        scrape intervals across its fire times (and it still fires)."""
+    def test_resync_fires_through_idle_window(self):
+        """The recurring resync fires on schedule through an idle window
+        whose scrape interval spans many resyncs."""
         env = CloudEnvironment(HotelReservation, seed=1,
                                policy=ConstantRate(0.0),
                                resync_interval=30.0)
@@ -282,9 +283,9 @@ class TestTriggerFidelityEquivalence:
         assert t_pr >= 10.0 + 15.0  # sustain window actually enforced
         assert abs(t_pr - t_ag) <= 5.0
 
-    def test_trigger_fires_in_fast_forwarded_idle_span(self):
-        """A pending watch must not be skipped by the idle fast-forward:
-        scrapes still run, so a metric trigger on a quiet system fires."""
+    def test_trigger_fires_in_idle_window(self):
+        """Scrapes run through an idle window, so a pending metric
+        trigger on a quiet system fires at the first scrape."""
         from repro.faults import FaultSchedule, MetricBelow
         env = CloudEnvironment(HotelReservation, seed=1,
                                policy=ConstantRate(0.0))

@@ -231,21 +231,25 @@ class TestMultiAppHealth:
 
 
 class TestPerAppProfileCache:
-    """execute_many profile fingerprints are keyed per app: CRUD-only
-    mutations in a co-hosted namespace do not invalidate this app's
-    compiled profiles (reconciling mutations conservatively do)."""
+    """execute_many plans are keyed on cluster-wide counters: a co-hosted
+    app's mutation re-resolves this app's plans, which costs one resolve
+    and no compile (an equal plan is served its shared profile), while a
+    mutation in this app's namespace recompiles."""
 
-    def test_neighbor_secret_crud_does_not_invalidate(self):
+    def test_neighbor_secret_crud_reresolves_an_equal_plan(self):
         from repro.kubesim.objects import ObjectMeta, Secret
         env = two_app_env()
         rt = env.app_for(HOTEL_NS).runtime
         rt.execute_many("search_hotel", 100)
-        compiles = rt.profile_stats["compiles"]
+        plan = rt._plans["search_hotel"][1]
+        profile = rt._profiles["search_hotel"]
         env.cluster.create_secret(Secret(
             meta=ObjectMeta(name="x", namespace=SOCIAL_NS),
             data={"k": "v"}))
         rt.execute_many("search_hotel", 100)
-        assert rt.profile_stats["compiles"] == compiles
+        replan = rt._plans["search_hotel"][1]
+        assert replan is not plan and replan == plan
+        assert rt._profiles["search_hotel"] is profile
         env.close()
 
     def test_own_namespace_mutation_still_invalidates(self):

@@ -151,7 +151,7 @@ class TestArmedSchedule:
         env.advance(20.0)
         assert armed.log[0][0] == 40.0
 
-    def test_zero_rate_fast_forward_still_fires_timeline(self):
+    def test_zero_rate_window_still_fires_timeline(self):
         """Timeline events land inside zero-rate spans."""
         env = CloudEnvironment(HotelReservation, seed=1,
                                policy=ConstantRate(0.0))

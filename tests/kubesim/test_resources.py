@@ -269,30 +269,30 @@ class TestRollup:
                 assert plane.multiplier_for("default", "web") == 1.0
                 assert plane.overload_p("default", "web") == 0.0
 
-    def test_fingerprint_bumps_only_on_regime_change(self):
+    def test_version_bumps_only_on_regime_change(self):
         clock, cluster, plane = self.make_plane()
-        assert plane.fingerprint("default") == 0
+        assert plane.version == 0
         # quiet rollups: no demand, no bump
         clock.advance(5.0)
         plane.rollup()
-        assert plane.fingerprint("default") == 0
+        assert plane.version == 0
         # overload regime: bump
         for _ in range(2500):
             plane.account("default", "web")
         clock.advance(5.0)
         plane.rollup()
-        v = plane.fingerprint("default")
+        v = plane.version
         assert v == 1
         # same regime next window: no churn
         for _ in range(2500):
             plane.account("default", "web")
         clock.advance(5.0)
         plane.rollup()
-        assert plane.fingerprint("default") == v
+        assert plane.version == v
         # back to idle: bump again
         clock.advance(5.0)
         plane.rollup()
-        assert plane.fingerprint("default") == v + 1
+        assert plane.version == v + 1
 
     def test_rollup_is_rng_free(self):
         """The plane draws no randomness — rolling up must not advance

@@ -211,11 +211,10 @@ class _Pressure:
     def overload_p(self, namespace, service):
         return 0.25 if service == "geo" else 0.0
 
+    version = 1
+
     def account(self, namespace, service, count=1):
         pass
-
-    def fingerprint(self, namespace):
-        return 1
 
 
 def _apply_shedding(d: Deployed) -> None:

@@ -5,14 +5,18 @@ never carries its held plans into the next one.  These tests pin both
 through real environments: a mutation between ticks shows on the next
 tick's first request, and no tick of any paper incident's preparation,
 a resource-coupled scenario or a two-app environment moves the key of
-any mix operation.
+any mix operation.  The key is made of cluster-wide counters, which is
+sound because ``resolve`` is a pure, RNG-free function of what it reads:
+moving a counter without changing that state resolves equal plans.
 """
 
 import pytest
 
 from repro.apps import HotelReservation
 from repro.core import CloudEnvironment
+from repro.kubesim.objects import ObjectMeta, Secret
 from repro.problems import benchmark_pids, get_problem, noop_pids
+from repro.services.plan import resolve
 from repro.workload import WorkloadDriver
 from tests.services.test_execute_many import MUTATIONS, OP
 from tests.telemetry.test_golden_export import ENV_SEED, PIDS as GOLDEN_PIDS
@@ -85,3 +89,35 @@ class TestHeldPlans:
         env.advance(30.0)
         env.close()
         assert sum(ticks) > 0
+
+    @pytest.mark.parametrize("pid", HOLD_PIDS)
+    def test_counter_bump_resolves_equal_plans(self, pid):
+        """Bump the cluster's counters without touching anything
+        ``resolve`` reads (a converged reconcile, a secret in the last
+        hosted namespace): every mix op of every hosted app resolves an
+        equal plan, and no RNG stream moves."""
+        env = get_problem(pid).prepare(ENV_SEED)
+
+        def streams():
+            rngs = [env.cluster.rng, env.collector.rng]
+            for driver in env.drivers:
+                rt = driver.runtime
+                rngs += [rt.rng, driver.rng]
+                if rt._batch_rng is not None:
+                    rngs.append(rt._batch_rng)
+            return [r.generator.bit_generator.state for r in rngs]
+
+        def plans():
+            return [resolve(d.runtime, d.runtime.operations[name])
+                    for d in env.drivers for name in d._ops]
+
+        before, states = plans(), streams()
+        version = env.cluster.state_version
+        env.cluster.reconcile()
+        env.cluster.create_secret(Secret(
+            meta=ObjectMeta(name="unread", namespace=env.apps[-1].namespace),
+            data={"k": "v"}))
+        assert env.cluster.state_version > version
+        assert plans() == before
+        assert streams() == states
+        env.close()
