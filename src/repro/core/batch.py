@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -43,7 +43,6 @@ class SessionSpec:
     agent_name: str = "agent"
     seed: int = 0
     max_steps: int = 20
-    metadata: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass

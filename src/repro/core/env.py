@@ -160,7 +160,6 @@ class CloudEnvironment:
             raise ValueError(
                 f"hosted apps must live in distinct namespaces, "
                 f"got {namespaces}")
-        self.app_specs: list[AppSpec] = specs
         self.seed = seed
         self.fidelity = fidelity
         self.clock = SimClock()

@@ -4,12 +4,13 @@ Users define new problems exactly like the paper's Example 2.1: subclass a
 task interface, point it at an app, a fault and a target, and give the
 expected solution.
 
-A problem's preparation is plain values: the environment's inputs and a
-``timeline`` (a :class:`~repro.faults.schedule.FaultSchedule`).  A paper
-problem's timeline injects its fault into its target as it is armed, a
-Noop problem's is empty and a scenario's is its record's.
-``inject_fault`` arms the timeline — the one path from a fault to the
-environment — and ``recover_fault`` tears it down.
+A problem's preparation is plain values: the environment's inputs
+(``apps``, ``fidelity``, the resource-plane fields) and a ``timeline`` (a
+:class:`~repro.faults.schedule.FaultSchedule`).  A paper problem's
+timeline injects its fault into its target as it is armed, a Noop
+problem's is empty and a scenario record copies its values onto a task
+class.  ``inject_fault`` arms the timeline — the one path from a fault to
+the environment — and ``recover_fault`` tears it down.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.apps import APP_CLASSES
-from repro.core.env import CloudEnvironment
+from repro.core.env import AppSpec, CloudEnvironment
 from repro.core.evaluator import system_healthy
 from repro.faults import ArmedSchedule, FaultSchedule, FaultSpec, get_fault_spec
+from repro.kubesim import HpaPolicy, NodeSpec
 
 
 class Problem:
@@ -42,12 +44,17 @@ class Problem:
     warmup_seconds: float = 30.0
     #: seconds of faulty traffic before the agent is engaged
     fault_soak_seconds: float = 30.0
+    #: the primary app's rate, copied into ``apps`` by ``__init__``
     workload_rate: float = 60.0
     #: request-execution fidelity tier (see repro.core.env.FIDELITY_TIERS):
     #: every benchmark problem stays "per_request" (bit-identical results);
     #: detection/localization-style problems whose grading reads only
     #: aggregate telemetry may opt into "aggregate" for high-rate runs.
     fidelity: str = "per_request"
+    #: resource-plane inputs, passed to :class:`CloudEnvironment` as is
+    resource_coupling: bool = False
+    node_specs: Optional[tuple[NodeSpec, ...]] = None
+    autoscale: Optional[tuple[HpaPolicy, ...]] = None
 
     def __init__(
         self,
@@ -72,6 +79,9 @@ class Problem:
         self.target = target
         self.ans: Any = target
         self.pid = pid or self._default_pid()
+        #: the hosted applications, first = the primary app graded on
+        self.apps: tuple[AppSpec, ...] = (
+            AppSpec(self.app_cls, workload_rate=self.workload_rate),)
         #: what ``inject_fault`` arms: the fault into the target at +0
         self.timeline = FaultSchedule() if self.spec is None else \
             FaultSchedule().inject(0.0, self.spec.name, (target,))
@@ -87,9 +97,10 @@ class Problem:
     # lifecycle (called by the Orchestrator)
     # ------------------------------------------------------------------
     def create_environment(self, seed: int = 0) -> CloudEnvironment:
-        return CloudEnvironment(self.app_cls, seed=seed,
-                                workload_rate=self.workload_rate,
-                                fidelity=self.fidelity)
+        return CloudEnvironment(self.apps, seed=seed, fidelity=self.fidelity,
+                                resource_coupling=self.resource_coupling,
+                                node_specs=self.node_specs,
+                                autoscale=self.autoscale)
 
     def start_workload(self, env: CloudEnvironment) -> None:
         """Warm the system up with healthy traffic."""
@@ -125,7 +136,14 @@ class Problem:
     # the I in C: information shared with the agent
     # ------------------------------------------------------------------
     def problem_description(self, env: CloudEnvironment) -> str:
+        """The primary app first (agent scaffolds parse the first
+        ``namespace "..."`` they see), then each co-hosted app."""
         services = ", ".join(sorted(env.app.services))
+        neighbors = "".join(
+            f"A second application ({a.name}) is co-hosted on the same "
+            f'cluster in namespace "{a.namespace}" '
+            f"(services: {', '.join(sorted(a.services))}).\n"
+            for a in env.apps[1:])
         return (
             f"You are an AIOps agent operating the {self.app_name} "
             f"microservice application deployed in Kubernetes namespace "
@@ -133,6 +151,7 @@ class Problem:
             f"Services: {services}.\n"
             f"A live workload is running against the frontend "
             f"({env.app.frontend_url}).\n"
+            f"{neighbors}"
             f"Task: {self.task_instructions()}"
         )
 

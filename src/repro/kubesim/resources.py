@@ -155,8 +155,6 @@ class ResourcePlane:
         #: (namespace, service) -> requests offered since the last rollup
         self._window: dict[tuple[str, str], int] = {}
         self._window_started: float = clock.now
-        #: (namespace, service) -> offered rps at the last rollup
-        self._rate: dict[tuple[str, str], float] = {}
         #: (namespace, service) -> CPU demand (mcores) at the last rollup
         self._demand: dict[tuple[str, str], float] = {}
         #: node name -> NodeUsage at the last rollup
@@ -238,8 +236,7 @@ class ResourcePlane:
         window = max(now - self._window_started, 1e-9)
         self.rollups += 1
 
-        # 1. per-service offered rps and CPU demand
-        rate: dict[tuple[str, str], float] = {}
+        # 1. per-service CPU demand from the offered rps
         demand: dict[tuple[str, str], float] = {}
         for key in sorted(self._window):
             ns, svc_name = key
@@ -247,10 +244,7 @@ class ResourcePlane:
             svc = rt.services.get(svc_name) if rt is not None else None
             if svc is None:
                 continue
-            rps = self._window[key] / window
-            rate[key] = rps
-            demand[key] = rps * svc.busy_mcores_per_rps
-        self._rate = rate
+            demand[key] = self._window[key] / window * svc.busy_mcores_per_rps
         self._demand = demand
         self._window = {}
         self._window_started = now

@@ -2,9 +2,9 @@
 
 The hand-written scenario pool is two dozen rows; this module turns
 scenario diversity into a *dimension of scale* by composing valid,
-gradable :class:`~repro.problems.scenarios.Scenario` records — run by the
-same :class:`~repro.problems.scenarios.ScenarioProblem` as the
-hand-written rows — from the axes that table samples by hand:
+gradable :class:`~repro.problems.scenarios.Scenario` records — turned into
+problems by the same :meth:`~repro.problems.scenarios.Scenario.problem` as
+the hand-written rows — from the axes that table samples by hand:
 
 * **hosted app set** — 1–3 applications (the primary app under test plus
   co-tenant neighbors, including second-tenant clones of the stock apps
@@ -66,10 +66,11 @@ from typing import Optional, Sequence
 
 from repro.apps import APP_CLASSES
 from repro.core.env import AppSpec
+from repro.core.problem import Problem
 from repro.faults.library import FAULT_LIBRARY, FaultSpec
 from repro.faults.schedule import FaultSchedule
 from repro.faults.triggers import MetricAbove
-from repro.problems.scenarios import Scenario, ScenarioProblem
+from repro.problems.scenarios import GRADABLE_TASKS, Scenario
 from repro.workload.policies import (
     BurstRate,
     ConstantRate,
@@ -224,8 +225,8 @@ def describe_timeline(spec: GeneratedSpec) -> list[str]:
 
 
 def scenario_for(spec: GeneratedSpec) -> Scenario:
-    """The recipe as the record :class:`ScenarioProblem` runs: primary app
-    first, then the co-tenants, all driven purely by ``spec``."""
+    """The recipe as a :class:`Scenario` record: primary app first, then
+    the co-tenants, all driven purely by ``spec``."""
     apps = [AppSpec(APP_CLASSES[spec.app_name], workload_rate=spec.rate,
                     policy=build_policy(spec.policy, spec.policy_params))]
     for key, kind, *params in spec.neighbors:
@@ -274,7 +275,7 @@ class ScenarioGenerator:
         return [s.pid for s in self.specs(n)]
 
     def problem(self, index: int,
-                fidelity: Optional[str] = None) -> ScenarioProblem:
+                fidelity: Optional[str] = None) -> Problem:
         scenario = scenario_for(self.spec(index))
         if fidelity is not None:
             scenario = replace(scenario, fidelity=fidelity)
@@ -438,7 +439,7 @@ def is_generated_pid(pid: str) -> bool:
     return _GEN_PID_RE.match(pid) is not None
 
 
-def problem_for_pid(pid: str) -> ScenarioProblem:
+def problem_for_pid(pid: str) -> Problem:
     """Rebuild a generated problem from its pid alone.
 
     The pid's ``gen<seed>x<index>`` prefix names the recipe; the rest of
@@ -464,7 +465,7 @@ def template_space() -> dict[str, tuple[str, ...]]:
     social = sorted(s.name for s in _eligible_faults("SocialNetwork",
                                                      "detection"))
     return {
-        "task": ("detection", "localization", "mitigation"),
+        "task": GRADABLE_TASKS,
         "trigger shape": SHAPES,
         "primary app": ("HotelReservation", "SocialNetwork"),
         "hosted apps": ("1", "2", "3 (second-tenant clones)"),

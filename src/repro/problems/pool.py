@@ -27,11 +27,12 @@ stem prefix ``gen<seed>x<index>_`` and resolve through
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.apps import APP_CLASSES
 from repro.core.problem import TASK_CLASSES, Problem
-from repro.faults.library import FAULT_LIBRARY, FaultSpec
+from repro.faults.library import FAULT_LIBRARY
 from repro.problems.generator import (
     generated_pool,
     is_generated_pid,
@@ -41,18 +42,6 @@ from repro.problems.scenarios import SCENARIOS
 
 #: Table-2 task level (1-4) -> task name
 _LEVEL_TO_TASK = dict(enumerate(TASK_CLASSES, start=1))
-
-
-def _make_factory(task: str, spec: FaultSpec, target: Optional[str],
-                  app_name: str, pid: str) -> Callable[[], Problem]:
-    cls = TASK_CLASSES[task]
-
-    def factory() -> Problem:
-        return cls(spec.number if spec.injector != "none" else "Noop",
-                   target=target, app_name=app_name, pid=pid)
-
-    factory.__name__ = f"make_{pid.replace('-', '_')}"
-    return factory
 
 
 def _build() -> tuple[dict[str, Callable[[], Problem]], list[str], list[str]]:
@@ -69,8 +58,10 @@ def _build() -> tuple[dict[str, Callable[[], Problem]], list[str], list[str]]:
                 for i, target in enumerate(targets, start=1):
                     pid = (f"{spec.fault_key or 'noop'}"
                            f"_{APP_CLASSES[app_name].short_name}-{task}-{i}")
-                    factories[pid] = _make_factory(task, spec, target,
-                                                   app_name, pid)
+                    factories[pid] = partial(
+                        TASK_CLASSES[task],
+                        spec.number if spec.injector != "none" else "Noop",
+                        target=target, app_name=app_name, pid=pid)
                     if spec.injector == "none":
                         noop.append(pid)
                     else:

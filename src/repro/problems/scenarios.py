@@ -32,8 +32,8 @@ works:
   demand — the timeline is empty and the machines are the incident.
 
 A scenario is a *value*: one frozen :class:`Scenario` record says what is
-hosted, what unfolds and what the right answer is, and one
-:class:`ScenarioProblem` interprets any record.  The hand-written catalog
+hosted, what unfolds and what the right answer is, and
+:meth:`Scenario.problem` copies it onto a task class.  The hand-written catalog
 is the :data:`SCENARIOS` table below — adding a scenario is adding a row —
 and :mod:`repro.problems.generator` composes further records procedurally.
 Scenarios span both applications (HotelReservation and SocialNetwork),
@@ -50,13 +50,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.apps import HotelReservation, SocialNetwork
-from repro.core.env import FIDELITY_TIERS, AppSpec, CloudEnvironment
-from repro.core.problem import (
-    DetectionTask,
-    LocalizationTask,
-    MitigationTask,
-    Problem,
-)
+from repro.core.env import FIDELITY_TIERS, AppSpec
+from repro.core.problem import TASK_CLASSES, Problem
 from repro.faults.schedule import FaultSchedule
 from repro.faults.triggers import MetricAbove
 from repro.kubesim import HpaPolicy, NodeSpec
@@ -67,11 +62,16 @@ HOTEL_NS = HotelReservation.namespace
 SOCIAL_NS = SocialNetwork.namespace
 
 
+#: the tasks a record can pose: analysis grades against a library fault's
+#: RCA labels, which a timeline of several faults (or none) does not have
+GRADABLE_TASKS = ("detection", "localization", "mitigation")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One scenario, stated once: the ⟨T, C, S⟩ tuple as data.
 
-    ``task`` is a key of :data:`~repro.core.problem.TASK_CLASSES`.
+    ``task`` is one of :data:`GRADABLE_TASKS`.
     ``apps`` are the hosted applications, first = the primary app the task
     is graded on (its ``workload_rate`` is the scenario's nominal rate); a
     timeline entry or metric trigger may name any hosted namespace.
@@ -96,77 +96,35 @@ class Scenario:
     doc: str = ""
 
     def __post_init__(self) -> None:
+        if self.task not in GRADABLE_TASKS:
+            raise ValueError(
+                f"task must be one of {GRADABLE_TASKS}, got {self.task!r}")
+        if not self.apps:
+            raise ValueError("a scenario hosts at least one app")
         if self.fidelity not in FIDELITY_TIERS:
             raise ValueError(
                 f"fidelity must be one of {FIDELITY_TIERS}, "
                 f"got {self.fidelity!r}")
         object.__setattr__(self, "doc", inspect.cleandoc(self.doc))
 
-    def problem(self) -> "ScenarioProblem":
-        """A fresh problem instance (problems are single-use)."""
-        return _PROBLEM_CLASSES[self.task](self)
-
-
-class ScenarioProblem(Problem):
-    """The one interpreter of :class:`Scenario` records.
-
-    The record's ``timeline`` is the problem's timeline, armed and torn
-    down by the base class like every problem's.  ``fidelity`` stays
-    assignable per instance (the grading-agreement tests run every
-    scenario family at both execution tiers).
-
-    The agent's problem description leads with the primary app (existing
-    scaffolds parse the first ``namespace "..."`` they see) and then
-    introduces the co-hosted neighbors, whose namespaces the ACI and
-    kubectl can inspect too.
-    """
-
-    def __init__(self, scenario: Scenario) -> None:
-        super().__init__(None, target=scenario.target or None,
-                         app_name=scenario.apps[0].app_cls.__name__,
-                         pid=scenario.pid)
-        if scenario.expected is not None:
-            self.ans = scenario.expected
-        self.scenario = scenario
-        self.fidelity = scenario.fidelity
-        self.workload_rate = scenario.apps[0].workload_rate
-        self.timeline = scenario.timeline
-
-    def create_environment(self, seed: int = 0) -> CloudEnvironment:
-        s = self.scenario
-        return CloudEnvironment(s.apps, seed=seed, fidelity=self.fidelity,
-                                resource_coupling=s.resource_coupling,
-                                node_specs=s.node_specs,
-                                autoscale=s.autoscale)
-
-    def problem_description(self, env: CloudEnvironment) -> str:
-        desc = super().problem_description(env)
-        neighbors = env.apps[1:]
-        if not neighbors:
-            return desc
-        extra = "\n".join(
-            f"A second application ({a.name}) is co-hosted on the same "
-            f'cluster in namespace "{a.namespace}" '
-            f"(services: {', '.join(sorted(a.services))})."
-            for a in neighbors)
-        head, sep, tail = desc.partition("Task: ")
-        return f"{head}{extra}\n{sep}{tail}" if sep else f"{desc}\n{extra}"
-
-
-class ScenarioDetection(ScenarioProblem, DetectionTask):
-    """Level 1: the record's ``expected`` says whether it is an incident."""
-
-
-class ScenarioLocalization(ScenarioProblem, LocalizationTask):
-    """Level 2: ground truth is the record's ``target``."""
-
-
-class ScenarioMitigation(ScenarioProblem, MitigationTask):
-    """Level 4: graded by the whole-system health check."""
-
-
-_PROBLEM_CLASSES = {cls.task_type: cls for cls in (
-    ScenarioDetection, ScenarioLocalization, ScenarioMitigation)}
+    def problem(self) -> Problem:
+        """A fresh problem instance (problems are single-use): the task
+        class with the record's values in place of the paper defaults.
+        ``fidelity`` stays assignable per instance."""
+        primary = self.apps[0]
+        prob = TASK_CLASSES[self.task](
+            None, target=self.target or None,
+            app_name=primary.app_cls.__name__, pid=self.pid)
+        if self.expected is not None:
+            prob.ans = self.expected
+        prob.workload_rate = primary.workload_rate
+        prob.apps = self.apps
+        prob.fidelity = self.fidelity
+        prob.resource_coupling = self.resource_coupling
+        prob.node_specs = self.node_specs
+        prob.autoscale = self.autoscale
+        prob.timeline = self.timeline
+        return prob
 
 
 # ---------------------------------------------------------------------------

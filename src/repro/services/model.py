@@ -25,11 +25,6 @@ class Microservice:
         The simulated store for database/cache kinds.
     base_latency_ms / latency_sigma:
         Lognormal per-hop service time parameters.
-    credentials:
-        For stateless services that talk to a database: the
-        ``{backend_service: (username, password)}`` map rendered from helm
-        values.  ``None`` credentials model the *AuthenticationMissing*
-        fault.
     """
 
     name: str
@@ -39,7 +34,6 @@ class Microservice:
     backend: Optional[MongoBackend | CacheBackend] = None
     base_latency_ms: float = 2.0
     latency_sigma: float = 0.3
-    credentials: dict[str, Optional[tuple[str, str]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.image:

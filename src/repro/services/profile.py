@@ -107,8 +107,10 @@ class ProfileStore:
     """Cross-session cache of compiled profiles, keyed by the plan.
 
     One store (:data:`SHARED_PROFILES`) is shared by every runtime in the
-    process, so a 4-agents × 48-problems suite compiles each (op, state)
-    profile once instead of once per session.  Safety comes from the key,
+    process.  Only the aggregate tier reads it — a per-request plan fetch
+    never does, so the paper problems make no lookups — and there a
+    session reuses each (op, state) profile an earlier aggregate-tier
+    session in the process compiled.  Safety comes from the key,
     not from invalidation: the plan is :func:`compile_profile`'s only
     input, so a mutated session resolves a different plan and can never
     observe a co-tenant's stale entry, and the stored outcomes are

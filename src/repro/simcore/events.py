@@ -35,19 +35,14 @@ class ScheduledEvent:
     label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
     fired: bool = field(default=False, compare=False)
-    #: back-reference so cancellation can trigger lazy heap compaction
-    queue: Optional["EventQueue"] = field(default=None, compare=False,
-                                          repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the queue skips it when popped.
 
-        Cancelling an event that already fired (or was already cancelled)
-        is a no-op, so teardown code can blanket-cancel a timeline."""
-        if not self.cancelled and not self.fired:
+        Cancelling an event that already fired is a no-op, so teardown
+        code can blanket-cancel a timeline."""
+        if not self.fired:
             self.cancelled = True
-            if self.queue is not None:
-                self.queue._note_cancelled(self)
 
 
 class RecurringEvent:
@@ -89,10 +84,10 @@ class RecurringEvent:
 class EventQueue:
     """Min-heap of :class:`ScheduledEvent` driven by a shared :class:`SimClock`.
 
-    Cancelled events stay in the heap until popped, but the queue compacts
-    itself whenever they outnumber the live entries, so long-lived queues
-    with churny timelines (flapping faults, rescheduled scrapes) don't
-    accumulate dead weight.
+    A cancelled event stays in the heap until it reaches the head, where
+    :meth:`peek_time` and :meth:`step` drop it.  Only teardown cancels —
+    ``CloudEnvironment.close`` and ``ArmedSchedule.cancel_pending`` — so
+    dead entries never pile up on a running queue.
 
     Example
     -------
@@ -106,37 +101,16 @@ class EventQueue:
     ['a']
     """
 
-    #: below this heap size compaction isn't worth the heapify
-    _COMPACT_MIN = 16
-
     def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self._heap: list[ScheduledEvent] = []
         #: plain int (not itertools.count) so queue state pickles for
         #: environment snapshots
         self._seq = 0
-        self._cancelled = 0
 
     def __len__(self) -> int:
-        return len(self._heap) - self._cancelled
-
-    # -- cancellation bookkeeping --------------------------------------
-    def _note_cancelled(self, ev: ScheduledEvent) -> None:
-        self._cancelled += 1
-        if self._cancelled * 2 > len(self._heap) \
-                and len(self._heap) >= self._COMPACT_MIN:
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors."""
-        self._heap = [e for e in self._heap if not e.cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-
-    def _pop_cancelled_head(self) -> None:
-        heapq.heappop(self._heap)
-        if self._cancelled:
-            self._cancelled -= 1
+        """The number of live (not cancelled) events."""
+        return sum(not e.cancelled for e in self._heap)
 
     # -- scheduling ----------------------------------------------------
     def schedule_at(
@@ -149,8 +123,7 @@ class EventQueue:
             )
         seq = self._seq
         self._seq += 1
-        ev = ScheduledEvent(time=time, seq=seq, action=action,
-                            label=label, queue=self)
+        ev = ScheduledEvent(time=time, seq=seq, action=action, label=label)
         heapq.heappush(self._heap, ev)
         return ev
 
@@ -179,7 +152,7 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty."""
         while self._heap and self._heap[0].cancelled:
-            self._pop_cancelled_head()
+            heapq.heappop(self._heap)
         return self._heap[0].time if self._heap else None
 
     def step(self) -> Optional[ScheduledEvent]:
@@ -192,7 +165,7 @@ class EventQueue:
         backwards."""
         while self._heap:
             if self._heap[0].cancelled:
-                self._pop_cancelled_head()
+                heapq.heappop(self._heap)
                 continue
             ev = heapq.heappop(self._heap)
             ev.fired = True

@@ -86,7 +86,7 @@ class TestArmValidity:
         gen = ScenarioGenerator(seed)
         spec = gen.spec(index)
         prob = gen.problem(index)
-        sched = prob.scenario.timeline.validate()  # arm-time, env-free
+        sched = prob.timeline.validate()  # arm-time, env-free
         tags = {e.tag for e in sched.entries if e.tag}
         for entry in sched.entries:
             if isinstance(entry.trigger, AfterEvent):
@@ -212,7 +212,7 @@ class TestPoolCoverage:
         for index in range(0, self.N, 13):
             prob = gen.problem(index)
             env = prob.create_environment(seed=1)
-            armed = prob.scenario.timeline.arm(env)
+            armed = prob.timeline.arm(env)
             armed.cancel_pending()
             env.close()
 

@@ -51,7 +51,7 @@ def capture(pid: str) -> dict:
         "hpa": [repr(p) for p in env.autoscaler.policies],
         "resource_coupling": env.resource_coupling,
         "timeline": [f"{e.trigger.describe()}: {e.describe()}"
-                     for e in prob.scenario.timeline.entries],
+                     for e in prob.timeline.entries],
     }
     prob.start_workload(env)
     prob.inject_fault(env)

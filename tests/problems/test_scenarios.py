@@ -3,13 +3,17 @@
 import pytest
 
 from repro.agents.registry import build_agent_for
+from repro.apps import HotelReservation
 from repro.core import Orchestrator
+from repro.core.env import AppSpec
+from repro.faults import FaultSchedule
 from repro.problems import (
     benchmark_pids,
     get_problem,
     list_problems,
     scenario_pids,
 )
+from repro.problems.scenarios import Scenario
 
 
 def run_session(prob, agent_name="gpt-4-w-shell", seed=11, max_steps=12):
@@ -287,3 +291,39 @@ class TestMultiAppScenarios:
         assert prob.armed.log, "cross-app trigger must fire at scale"
         assert env.driver.stats.errors > 0
         env.close()
+
+
+class TestScenarioRecord:
+    """A record is values on a task class: it states only what a task
+    class can grade, and a one-app record restating a paper problem
+    prepares the paper problem's environment."""
+
+    def test_rejects_ungradable_task_and_empty_apps(self):
+        hotel = (AppSpec(HotelReservation),)
+        for task in ("analysis", "triage"):
+            with pytest.raises(ValueError, match="task"):
+                Scenario(pid="x_hotel_res-detection-1", task=task,
+                         apps=hotel, target="geo")
+        with pytest.raises(ValueError, match="app"):
+            Scenario(pid="x_hotel_res-detection-1", task="detection",
+                     apps=(), target="geo")
+
+    def test_one_app_record_equals_paper_problem(self):
+        pid = "revoke_auth_hotel_res-detection-1"
+        record = Scenario(
+            pid=pid, task="detection",
+            apps=(AppSpec(HotelReservation, workload_rate=60.0),),
+            target="mongodb-geo", expected="yes", fidelity="per_request",
+            timeline=FaultSchedule().inject(0.0, "RevokeAuth",
+                                            ("mongodb-geo",)))
+        seen = []
+        for prob in (record.problem(), get_problem(pid)):
+            env = prob.prepare(4)
+            env.advance(30.0)
+            c = env.collector
+            seen.append((prob.problem_description(env), prob.ans,
+                         env.driver.stats, prob.armed.log,
+                         c.metrics._series, c.logs._records, len(c.traces)))
+            env.close()
+        assert seen[0] == seen[1]
+        assert seen[0][2].errors > 0

@@ -100,17 +100,22 @@ class TestEventQueue:
 
 
 class TestCancellationCompaction:
-    """Cancelled events must not accumulate in the heap forever."""
+    """Cancelled events never fire, ``len`` counts only live events, and a
+    cancelled entry leaves the heap once it reaches the head."""
 
     def test_heap_compacts_when_cancelled_majority(self, queue):
-        events = [queue.schedule_at(float(i + 1), lambda: None)
+        fired = []
+        events = [queue.schedule_at(float(i + 1), lambda i=i: fired.append(i))
                   for i in range(100)]
         for ev in events[:60]:
             ev.cancel()
-        # more than half the heap was cancelled -> it must have compacted
-        # at least once (without compaction all 100 entries would remain)
-        assert len(queue._heap) <= 50
         assert len(queue) == 40
+        # the 60 cancelled entries head the heap: the first peek drops them
+        assert queue.peek_time() == 61.0
+        assert len(queue._heap) == 40
+        queue.run_until(100.0)
+        assert fired == list(range(60, 100))
+        assert len(queue._heap) == 0
 
     def test_small_heaps_skip_compaction(self, queue):
         events = [queue.schedule_at(float(i + 1), lambda: None)
@@ -139,14 +144,20 @@ class TestCancellationCompaction:
         assert len(queue) == 19
 
     def test_churny_timeline_stays_bounded(self, queue):
-        """Schedule/cancel cycles (flapping timelines) keep the heap small."""
+        """Schedule/cancel cycles leave nothing behind once the clock
+        passes them: each cancelled entry is dropped as it reaches the
+        head, and none of them fires."""
+        fired = []
         for round_ in range(50):
-            evs = [queue.schedule_at(round_ * 10.0 + i + 1, lambda: None)
+            start = queue.clock.now
+            evs = [queue.schedule_at(start + i + 1, lambda: fired.append(1))
                    for i in range(20)]
             for ev in evs:
                 ev.cancel()
-        assert len(queue) == 0
-        assert len(queue._heap) < 20
+            assert len(queue) == 0
+            assert queue.run_until(start + 25.0) == 0
+            assert len(queue._heap) == 0
+        assert fired == []
 
 
 class TestScheduleEvery:
