@@ -58,7 +58,7 @@ def _run_mksmc(pids: Optional[Sequence[str]], seed: int) -> dict[str, float]:
     for pid in pid_list:
         with _prepared_env(pid, seed) as (problem, env):
             services = sorted(env.app.services)
-            inject_t = problem.injected_at
+            inject_t = env.armed.armed_at
             t0 = time.perf_counter()
             detector = MKSMC(seed=seed)
             detector.fit(env.collector.metrics, services, until=inject_t)
@@ -82,7 +82,7 @@ def _run_localizer(algo, label: str, pids: Optional[Sequence[str]],
     elapsed = 0.0
     for pid in pid_list:
         with _prepared_env(pid, seed) as (problem, env):
-            inject_t = problem.injected_at
+            inject_t = env.armed.armed_at
             t0 = time.perf_counter()
             if isinstance(algo, RMLAD):
                 result = algo.localize(env.collector, env.namespace,

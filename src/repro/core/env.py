@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Type, Union
 
 from repro.apps.base import App
+from repro.faults.schedule import ArmedSchedule
 from repro.kubesim import Cluster, Helm, Kubectl
 from repro.kubesim.controllers import HorizontalAutoscaler, HpaPolicy
 from repro.kubesim.resources import NodeSpec, ResourcePlane
@@ -239,6 +240,8 @@ class CloudEnvironment:
         self._rollup = self.queue.schedule_every(
             resource_interval, self._resource_tick, label="resources.rollup",
         ) if plane_active and resource_interval > 0 else None
+        #: the timeline ``Problem.inject_fault`` armed here, None until then
+        self.armed: Optional[ArmedSchedule] = None
         self.closed = False
 
     def _resource_tick(self) -> None:
@@ -340,10 +343,10 @@ class CloudEnvironment:
         environment advanced to the same point — the property the
         kernel-equivalence suite pins.
 
-        ``extras`` rides along in the same graph, so anything in it that
-        references the environment (a :class:`~repro.core.problem.Problem`
-        holding an injector, an armed schedule handle) resolves to the
-        *forked* environment on rehydration — use
+        ``extras`` rides along in the same graph (a grid snapshot's is the
+        grading :class:`~repro.core.problem.Problem`, which holds no
+        reference to the environment); anything in it that does resolves
+        to the *forked* environment on rehydration — use
         :meth:`EnvSnapshot.fork_with_extras` to get it back.
         """
         payload = pickle.dumps({"env": self, "extras": extras},

@@ -104,12 +104,7 @@ class IncidentLifecycle:
     def run(self, agent_factory: AgentFactory) -> LifecycleResult:
         """Execute the lifecycle; a fresh agent is built per stage (the
         factory may share memory between them if it wants to)."""
-        detection = self.problems["detection"]
-        self.env = detection.prepare(self.seed)
-        # keep the single injection authoritative for every stage's oracle
-        for stage in STAGES[1:]:
-            self.problems[stage].injected_at = detection.injected_at
-
+        self.env = self.problems["detection"].prepare(self.seed)
         result = LifecycleResult(fault=self.fault_name, target=self.target)
         for stage in STAGES:
             stage_result = self._run_stage(stage, agent_factory)

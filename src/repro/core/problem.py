@@ -9,8 +9,9 @@ A problem's preparation is plain values: the environment's inputs
 :class:`~repro.faults.schedule.FaultSchedule`).  A paper problem's
 timeline injects its fault into its target as it is armed, a Noop
 problem's is empty and a scenario record copies its values onto a task
-class.  ``inject_fault`` arms the timeline — the one path from a fault to
-the environment — and ``recover_fault`` tears it down.
+class.  ``inject_fault`` arms the timeline onto ``env.armed`` — the one
+path from a fault to the environment — and ``recover_fault`` tears it
+down; a problem keeps no run state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Optional
 from repro.apps import APP_CLASSES
 from repro.core.env import AppSpec, CloudEnvironment
 from repro.core.evaluator import system_healthy
-from repro.faults import ArmedSchedule, FaultSchedule, FaultSpec, get_fault_spec
+from repro.faults import FaultSchedule, FaultSpec, get_fault_spec
 from repro.kubesim import HpaPolicy, NodeSpec
 
 
@@ -44,8 +45,6 @@ class Problem:
     warmup_seconds: float = 30.0
     #: seconds of faulty traffic before the agent is engaged
     fault_soak_seconds: float = 30.0
-    #: the primary app's rate, copied into ``apps`` by ``__init__``
-    workload_rate: float = 60.0
     #: request-execution fidelity tier (see repro.core.env.FIDELITY_TIERS):
     #: every benchmark problem stays "per_request" (bit-identical results);
     #: detection/localization-style problems whose grading reads only
@@ -80,13 +79,19 @@ class Problem:
         self.ans: Any = target
         self.pid = pid or self._default_pid()
         #: the hosted applications, first = the primary app graded on
-        self.apps: tuple[AppSpec, ...] = (
-            AppSpec(self.app_cls, workload_rate=self.workload_rate),)
+        self.apps: tuple[AppSpec, ...] = (AppSpec(self.app_cls),)
         #: what ``inject_fault`` arms: the fault into the target at +0
         self.timeline = FaultSchedule() if self.spec is None else \
             FaultSchedule().inject(0.0, self.spec.name, (target,))
-        self.armed: Optional[ArmedSchedule] = None
-        self.injected_at: Optional[float] = None
+
+    @property
+    def workload_rate(self) -> float:
+        """The primary app's rate, stated once on ``apps[0]``."""
+        return self.apps[0].workload_rate
+
+    def __init_subclass__(cls) -> None:
+        if "workload_rate" in vars(cls):  # would shadow the property
+            raise TypeError(f"{cls.__name__}: set the rate on apps[0]")
 
     def _default_pid(self) -> str:
         fault_key = self.spec.fault_key if self.spec else "noop"
@@ -112,8 +117,7 @@ class Problem:
         An entry at +0 is queued ahead of the soak's first tick, so it
         lands before any request of the soak runs; later entries fire
         during the soak or mid-session."""
-        self.armed = self.timeline.arm(env)
-        self.injected_at = env.clock.now
+        env.armed = self.timeline.arm(env)
         env.advance(self.fault_soak_seconds)
 
     def prepare(self, seed: int = 0) -> CloudEnvironment:
@@ -128,9 +132,9 @@ class Problem:
     def recover_fault(self, env: CloudEnvironment) -> None:
         """Oracle recovery (used for cleanup and for testing solvability):
         cancel what has not fired, undo what has."""
-        if self.armed is not None:
-            self.armed.cancel_pending()
-            self.armed.recover_all()
+        if env.armed is not None:
+            env.armed.cancel_pending()
+            env.armed.recover_all()
 
     # ------------------------------------------------------------------
     # the I in C: information shared with the agent

@@ -248,9 +248,8 @@ class ScenarioGenerator:
     ``spec(i)`` is a pure function of ``(seed, i)`` — recomputing it (in
     any order, in any process) yields byte-identical recipes, which is
     what lets the pid embed the recipe's coordinates instead of shipping
-    a registry.  ``problems are single-use`` semantics match the
-    hand-written pools: :meth:`problem` returns a fresh instance each
-    call.
+    a registry.  Like the hand-written pools, :meth:`problem` returns a
+    fresh instance each call.
     """
 
     def __init__(self, seed: int = 0) -> None:

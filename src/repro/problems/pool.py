@@ -114,7 +114,7 @@ def scenario_pids(n: Optional[int] = None, seed: int = 0) -> list[str]:
 
 
 def get_problem(pid: str) -> Problem:
-    """Instantiate a fresh problem for ``pid`` (problems are single-use).
+    """Instantiate a fresh problem for ``pid``.
 
     Resolution order: benchmark/noop factories, the hand-written
     scenario table, and — for ``gen<seed>x<index>_…`` pids — the

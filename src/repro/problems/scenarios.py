@@ -108,16 +108,14 @@ class Scenario:
         object.__setattr__(self, "doc", inspect.cleandoc(self.doc))
 
     def problem(self) -> Problem:
-        """A fresh problem instance (problems are single-use): the task
-        class with the record's values in place of the paper defaults.
-        ``fidelity`` stays assignable per instance."""
-        primary = self.apps[0]
+        """A fresh problem instance: the task class with the record's
+        values in place of the paper defaults.  ``fidelity`` stays
+        assignable per instance."""
         prob = TASK_CLASSES[self.task](
             None, target=self.target or None,
-            app_name=primary.app_cls.__name__, pid=self.pid)
+            app_name=self.apps[0].app_cls.__name__, pid=self.pid)
         if self.expected is not None:
             prob.ans = self.expected
-        prob.workload_rate = primary.workload_rate
         prob.apps = self.apps
         prob.fidelity = self.fidelity
         prob.resource_coupling = self.resource_coupling

@@ -151,3 +151,37 @@ class TestBaselineSuiteRunner:
         from repro.baselines import run_baseline_suite
         with pytest.raises(KeyError):
             run_baseline_suite("nope")
+
+
+def test_baselines_only_read_the_telemetry():
+    """Each algorithm, called as the suite runner calls it, leaves the
+    collector byte-identical — so one prepared environment can serve
+    every baseline."""
+    import hashlib
+    import pickle
+
+    from repro.problems import get_problem
+
+    env = get_problem("revoke_auth_hotel_res-localization-1").prepare(0)
+    env.advance(30.0)
+    collector, ns, inject_t = env.collector, env.namespace, env.armed.armed_at
+    services = sorted(env.app.services)
+
+    def digest():
+        return hashlib.sha256(pickle.dumps(collector)).hexdigest()
+
+    runs = {
+        "mksmc": lambda: MKSMC(seed=0).fit(
+            collector.metrics, services, until=inject_t).detect(
+            collector.metrics, services, since=inject_t),
+        "pdiagnose": lambda: PDiagnose().localize(collector, ns,
+                                                  since=inject_t),
+        "rmlad": lambda: RMLAD().localize(collector, ns,
+                                          healthy_until=inject_t,
+                                          observe_until=env.clock.now),
+    }
+    before = digest()
+    for name, run in runs.items():
+        run()
+        assert digest() == before, name
+    env.close()

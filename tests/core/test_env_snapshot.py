@@ -219,6 +219,20 @@ class TestSnapshotGrid:
             [(s, l) for s in (0, 1, 2) for l in (3, 5)]
         assert all(r["pid"] == self.PID for r in serial)
 
+    def test_fork_carries_its_armed_timeline(self):
+        """The armed timeline is run state of the environment: a fork
+        holds its own, and the co-captured problem recovers the fork."""
+        from repro.bench import BenchmarkRunner
+        from repro.core.evaluator import system_healthy
+        snapshot = BenchmarkRunner(seed=7).prepare_snapshot(self.PID)
+        fork, problem = snapshot.fork_with_extras()
+        assert fork.armed.env is fork
+        assert not system_healthy(fork)[0]
+        problem.recover_fault(fork)
+        healthy, reason = system_healthy(fork)
+        assert healthy, reason
+        fork.close()
+
     def test_grid_cell_requires_co_captured_problem(self):
         env = CloudEnvironment(HotelReservation, seed=1, workload_rate=10)
         snapshot = env.snapshot()  # no extras

@@ -2,6 +2,8 @@ import pytest
 
 from repro.agents import build_agent
 from repro.core import IncidentLifecycle
+from repro.core.evaluator import system_healthy
+from repro.core.lifecycle import STAGES
 
 
 def oracle_factory(stage, prob_desc, instructs, apis):
@@ -60,3 +62,27 @@ class TestLifecycle:
         text = result.summary()
         assert "incident: RevokeAuth @ mongodb-geo" in text
         assert "resolved: True" in text
+
+
+class _SubmitNo:
+    """Answers detection with "no" at once, so the lifecycle stops after
+    one stage on a still-faulty environment."""
+
+    name = "submit-no"
+
+    async def get_action(self, state):
+        return 'submit("no")'
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_any_stage_recovers_the_shared_environment(stage):
+    """The armed timeline lives on the shared environment, so every
+    stage's oracle recovery undoes the one injection."""
+    lifecycle = IncidentLifecycle("RevokeAuth", seed=5)
+    result = lifecycle.run(lambda *context: _SubmitNo())
+    assert [s.stage for s in result.stages] == ["detection"]
+    assert not system_healthy(lifecycle.env)[0]
+    lifecycle.problems[stage].recover_fault(lifecycle.env)
+    healthy, reason = system_healthy(lifecycle.env)
+    assert healthy, reason
+    lifecycle.env.close()

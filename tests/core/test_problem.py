@@ -1,8 +1,12 @@
+import pickle
+
 import pytest
 
+from repro.core.evaluator import system_healthy
 from repro.core.problem import (
     AnalysisTask, DetectionTask, LocalizationTask, MitigationTask,
 )
+from repro.problems import get_problem
 
 
 class TestProblemConstruction:
@@ -125,3 +129,38 @@ class TestMitigationEval:
         res = p.eval(None, None, 5.0, env=env)
         assert not res["success"]
         assert "scaled to zero" in res["reason"]
+
+
+class TestProblemIsADefinition:
+    """A problem is the ⟨T, C, S⟩ tuple: run state lives on the
+    environment it prepares, and each value is stated once."""
+
+    PID = "revoke_auth_hotel_res-mitigation-1"
+
+    def test_workload_rate_is_read_only_over_the_primary_app(self):
+        p = get_problem("revoke_auth_hotel_res-detection-1")
+        assert p.workload_rate == p.apps[0].workload_rate == 60.0
+        with pytest.raises(AttributeError):
+            p.workload_rate = 120.0
+        with pytest.raises(TypeError, match="apps"):
+            class Faster(DetectionTask):
+                workload_rate = 120.0
+        env = p.create_environment(seed=0)
+        assert env.driver.policy.rps == 60.0
+        env.close()
+
+    def test_one_instance_prepares_independent_environments(self):
+        p = get_problem(self.PID)
+        before = dict(vars(p))
+        pickled = pickle.dumps(p)
+        envs = [p.prepare(seed) for seed in (0, 1)]
+        for env in envs:
+            assert env.armed.env is env
+        p.recover_fault(envs[0])
+        assert vars(p) == before
+        assert pickle.dumps(p) == pickled
+        assert system_healthy(envs[0])[0]
+        healthy, reason = system_healthy(envs[1])
+        assert not healthy and "error rate" in reason
+        for env in envs:
+            env.close()

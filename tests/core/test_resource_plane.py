@@ -24,8 +24,8 @@ class TestEmergentContention:
         env = prob.create_environment(seed=11)
         prob.start_workload(env)
         prob.inject_fault(env)
-        assert prob.armed is not None
-        assert prob.armed.log == []      # empty timeline: nothing to fire
+        assert env.armed is not None
+        assert env.armed.log == []      # empty timeline: nothing to fire
 
         max_mult = 1.0
         max_shed = 0.0
@@ -43,7 +43,7 @@ class TestEmergentContention:
         assert env.driver_for(HOTEL_NS).stats.errors > 0
         assert env.driver_for(SOCIAL_NS).stats.errors > 0
         # still nothing injected
-        assert prob.armed.log == []
+        assert env.armed.log == []
         env.close()
 
     def test_contention_recovers_between_bursts(self):

@@ -57,8 +57,8 @@ def capture(pid: str) -> dict:
     prob.inject_fault(env)
     env.advance(60.0)
     record.update(
-        log=[[t, desc] for t, desc in prob.armed.log],
-        pending=prob.armed.pending,
+        log=[[t, desc] for t, desc in env.armed.log],
+        pending=env.armed.pending,
         state_version=env.cluster.state_version,
         stats=[[d.stats.requests, d.stats.errors, d.stats.latency_sum_ms]
                for d in env.drivers],
@@ -150,7 +150,7 @@ class TestRowsAreSharedValues:
     def _evolve(prob):
         env = prob.prepare(ENV_SEED)
         env.advance(45.0)
-        state = (prob.armed.log, env.cluster.state_version,
+        state = (env.armed.log, env.cluster.state_version,
                  [(d.stats.requests, d.stats.errors, d.stats.latency_sum_ms)
                   for d in env.drivers])
         env.close()

@@ -24,7 +24,7 @@ def run_session(prob, agent_name="gpt-4-w-shell", seed=11, max_steps=12):
     handle.bind_agent(agent, name=agent_name)
     result = handle.run_sync(max_steps=max_steps)
     orch.release(handle)
-    return result
+    return result, handle.env
 
 
 class TestScenarioRegistration:
@@ -83,11 +83,11 @@ class TestScenarioSessions:
         .scenario_pids()))
     def test_runs_end_to_end_via_create_session(self, pid):
         prob = get_problem(pid)
-        result = run_session(prob)
+        result, env = run_session(prob)
         assert result["pid"] == pid
         assert isinstance(result["success"], bool)
         assert result["steps"] >= 1
-        assert prob.armed is not None, "timeline must be armed"
+        assert env.armed is not None, "timeline must be armed"
 
     def test_timeline_fires_during_session(self):
         """The environment changes *while the agent works* — the dynamic
@@ -100,7 +100,8 @@ class TestScenarioSessions:
                                 seed=11)
         handle.bind_agent(agent, name="flash")
         handle.run_sync(max_steps=12)
-        fired_during_session = [t for t, _ in prob.armed.log if t > started]
+        fired_during_session = [t for t, _ in handle.env.armed.log
+                                if t > started]
         assert fired_during_session, \
             "at least one timeline entry must fire mid-session"
         orch.release(handle)
@@ -110,11 +111,11 @@ class TestScenarioSessions:
         env = prob.create_environment(seed=4)
         prob.start_workload(env)
         prob.inject_fault(env)
-        assert prob.armed.pending == 1
+        assert env.armed.pending == 1
         prob.recover_fault(env)
-        assert prob.armed.pending == 0
+        assert env.armed.pending == 0
         env.advance(60.0)
-        assert prob.armed.log == []
+        assert env.armed.log == []
         assert env.probe_error_rate(10.0) == 0.0
         env.close()
 
@@ -137,7 +138,7 @@ class TestConditionTriggeredScenarios:
         env = prob.create_environment(seed=4)
         prob.start_workload(env)       # bursts [0,15) [45,60) ...
         prob.inject_fault(env)         # arms at t=30, soaks to t=60
-        (t, desc), = prob.armed.log
+        (t, desc), = env.armed.log
         assert "NetworkLoss" in desc
         assert t == 50.0               # first scrape inside the t=45 burst
         assert env.driver.stats.errors > 0
@@ -150,7 +151,7 @@ class TestConditionTriggeredScenarios:
         env = prob.create_environment(seed=4)
         prob.start_workload(env)
         prob.inject_fault(env)
-        times = dict((d, t) for t, d in prob.armed.log)
+        times = dict((d, t) for t, d in env.armed.log)
         root = times["inject RevokeAuth -> ['mongodb-geo']"]
         cascade = times["inject PodFailure -> ['recommendation']"]
         assert cascade >= root + 10.0  # at least the sustain window later
@@ -162,8 +163,8 @@ class TestConditionTriggeredScenarios:
         prob.start_workload(env)
         prob.inject_fault(env)
         env.advance(120.0)
-        kinds = [d.split()[0] for _, d in prob.armed.log]
-        times = [t for t, _ in prob.armed.log]
+        kinds = [d.split()[0] for _, d in env.armed.log]
+        times = [t for t, _ in env.armed.log]
         assert kinds == ["inject", "recover", "inject"]
         assert times[1] == times[0] + 25.0
         assert times[2] == times[1] + 20.0
@@ -221,7 +222,7 @@ class TestAggregateGradingAgreement:
         for fidelity in ("per_request", "aggregate"):
             prob = get_problem(pid)
             prob.fidelity = fidelity
-            results[fidelity] = run_session(prob, seed=seed)
+            results[fidelity], _ = run_session(prob, seed=seed)
         pr, ag = results["per_request"], results["aggregate"]
         assert pr["success"] == ag["success"]
         assert pr["steps"] == ag["steps"]
@@ -237,7 +238,7 @@ class TestMultiAppScenarios:
         assert len(env.apps) == 2
         prob.start_workload(env)
         prob.inject_fault(env)
-        (t, desc), = prob.armed.log
+        (t, desc), = env.armed.log
         assert t == 50.0  # first scrape inside the neighbor's t=45 burst
         assert "@test-hotel-reservation" in desc
         # fault lives in the hotel app; the storming neighbor stays healthy
@@ -252,11 +253,11 @@ class TestMultiAppScenarios:
         prob.start_workload(env)
         prob.inject_fault(env)
         env.advance(150.0)
-        kinds = [d.split()[0] for _, d in prob.armed.log]
+        kinds = [d.split()[0] for _, d in env.armed.log]
         assert kinds.count("inject") >= 2, "storm must re-trigger interference"
         assert kinds.count("recover") >= 2, "remediation must re-fire too"
         prob.recover_fault(env)
-        assert prob.armed.pending == 0
+        assert env.armed.pending == 0
         env.close()
 
     def test_description_introduces_both_namespaces(self):
@@ -276,7 +277,7 @@ class TestMultiAppScenarios:
         prob.start_workload(env)
         prob.inject_fault(env)
         env.advance(60.0)
-        times = {d.split()[1]: t for t, d in prob.armed.log}
+        times = {d.split()[1]: t for t, d in env.armed.log}
         assert times["PodFailure"] == times["RevokeAuth"] + 30.0
         env.close()
 
@@ -288,7 +289,7 @@ class TestMultiAppScenarios:
         assert env.driver.stats.requests == pytest.approx(30_000, abs=100)
         prob.inject_fault(env)
         env.advance(30.0)
-        assert prob.armed.log, "cross-app trigger must fire at scale"
+        assert env.armed.log, "cross-app trigger must fire at scale"
         assert env.driver.stats.errors > 0
         env.close()
 
@@ -322,7 +323,7 @@ class TestScenarioRecord:
             env.advance(30.0)
             c = env.collector
             seen.append((prob.problem_description(env), prob.ans,
-                         env.driver.stats, prob.armed.log,
+                         env.driver.stats, env.armed.log,
                          c.metrics._series, c.logs._records, len(c.traces)))
             env.close()
         assert seen[0] == seen[1]
