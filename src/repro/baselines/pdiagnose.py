@@ -104,7 +104,8 @@ class PDiagnose:
         kpi = self._kpi_votes(collector, since)
         logs = self._log_votes(collector, namespace, since)
         traces = self._trace_votes(collector, since)
-        services = set(kpi) | set(logs) | set(traces)
+        # sorted, so equal votes rank by name and not by string hash order
+        services = sorted(set(kpi) | set(logs) | set(traces))
         votes = {
             svc: (self.kpi_weight * kpi.get(svc, 0.0)
                   + self.log_weight * logs.get(svc, 0.0)

@@ -115,6 +115,15 @@ class TestPDiagnose:
         result = zero.localize(hotel.collector, hotel.app.namespace, since=15.0)
         assert all(v == 0 for v in result.votes.values())
 
+    def test_equal_votes_rank_by_service_name(self, hotel):
+        """Ties never fall back to set order, which varies with the
+        process's string hash seed."""
+        hotel.driver.run_events(30)
+        zero = PDiagnose(kpi_weight=0, log_weight=0, trace_weight=0)
+        result = zero.localize(hotel.collector, hotel.app.namespace, since=15.0)
+        assert len(result.ranking) > 1
+        assert result.ranking == sorted(result.ranking)
+
 
 class TestBaselineSuiteRunner:
     def test_reduced_suite_row_shape(self):
