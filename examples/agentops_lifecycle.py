@@ -27,7 +27,11 @@ def main():
     for agent_name in ("oracle", "flash"):
         lifecycle = IncidentLifecycle("RevokeAuth", seed=11,
                                       max_steps_per_stage=20)
-        result = lifecycle.run(factory_for(agent_name))
+        try:
+            result = lifecycle.run(factory_for(agent_name))
+        finally:
+            if lifecycle.env is not None:
+                lifecycle.env.close()  # removes its telemetry export dir
         print(f"\n=== {agent_name} ===")
         print(result.summary())
 

@@ -14,6 +14,6 @@ they are batch algorithms, not agents.
 from repro.baselines.mksmc import MKSMC
 from repro.baselines.rmlad import RMLAD
 from repro.baselines.pdiagnose import PDiagnose
-from repro.baselines.runner import run_baseline_suite
+from repro.baselines.runner import run_baselines
 
-__all__ = ["MKSMC", "RMLAD", "PDiagnose", "run_baseline_suite"]
+__all__ = ["MKSMC", "RMLAD", "PDiagnose", "run_baselines"]

@@ -1,6 +1,6 @@
 """Trajectory statistics: the numbers behind Figures 6–7 and Table 5.
 
-(Figure 5 is :meth:`BenchmarkRunner.sweep_step_limit`.)
+(Figure 5 is :meth:`SuiteResults.step_limit_series`.)
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """The paper's evaluation, stated once: what is run and how it is reported.
 
 :func:`run_experiments` is the only spelling of the evaluation (suite,
-baselines, Figure-5 sweep, Noop probe); the ``benchmarks/`` harness,
+baselines, Figure 5, Noop probe); the ``benchmarks/`` harness,
 ``python -m repro make-report`` and ``examples/run_benchmark.py`` all call
-it and print :func:`render_markdown` of what it returns.
+it and print :func:`render_markdown` of what it returns.  It runs each
+session once — Figure 5 is read off the suite's cases — and prepares each
+baseline incident once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.agents.registry import AGENT_NAMES
-from repro.baselines import run_baseline_suite
+from repro.baselines import run_baselines
 from repro.bench.claims import CLAIMS
 from repro.bench.figures import (
     figure6_api_usage, figure7_action_distribution, render_series,
@@ -24,7 +26,7 @@ from repro.bench.tables import (
 )
 from repro.problems import noop_pids
 
-#: one problem per fault family — the reduced pool Figure 5 sweeps (and the
+#: one problem per fault family — the reduced pool Figure 5 plots (and the
 #: ablations in ``benchmarks/`` run on)
 REDUCED_PIDS = (
     "auth_missing_hotel_res-detection-1",
@@ -40,6 +42,9 @@ REDUCED_PIDS = (
     "revoke_auth_hotel_res-mitigation-1",
     "auth_missing_hotel_res-analysis-1",
 )
+
+#: Figure 5's step limits K
+FIGURE5_LIMITS = (3, 5, 10, 15, 20)
 
 #: the paper's headline numbers (percent), keyed by how each row is
 #: measured here: (paper section, label, task, k) →
@@ -91,25 +96,27 @@ def run_experiments(runner: BenchmarkRunner,
                     pids: Optional[Sequence[str]] = None,
                     verbose: bool = False) -> ExperimentReport:
     """Run the paper's evaluation: the agent suite, the three non-LLM
-    baselines, the Figure-5 step-limit sweep over :data:`REDUCED_PIDS`
-    and the §3.6.4 Noop probe.
+    baselines, Figure 5 over :data:`REDUCED_PIDS` and the §3.6.4 Noop
+    probe.
 
-    ``runner`` carries seed, step limit and concurrency.  ``pids``
-    restricts the suite and the sweep to a subset (a smoke run); the
-    baselines are whole-task batch algorithms and are then skipped.
+    ``runner`` carries seed, step limit and concurrency; Figure 5 is read
+    off the suite's own cases, so the step limit must reach
+    ``max(FIGURE5_LIMITS)``.  ``pids`` restricts the suite and Figure 5 to
+    a subset (a smoke run); the baselines are whole-task batch algorithms
+    and are then skipped.
     """
+    if runner.max_steps < max(FIGURE5_LIMITS):
+        raise ValueError(
+            f"Figure 5 reads limits up to {max(FIGURE5_LIMITS)} off the "
+            f"suite's runs; max_steps={runner.max_steps} is too short")
     results = runner.run_suite(pids=pids, verbose=verbose)
-    baselines = {} if pids is not None else {
-        name: run_baseline_suite(name, seed=runner.seed)
-        for name in ("mksmc", "pdiagnose", "rmlad")
-    }
-    figure5 = runner.sweep_step_limit(
-        pids=REDUCED_PIDS if pids is None else pids)
-    noop_outcome = {
-        agent: all(runner.run_case(agent, pid).success
-                   for pid in noop_pids())
-        for agent in AGENT_NAMES
-    }
+    baselines = {} if pids is not None else run_baselines(
+        ("mksmc", "pdiagnose", "rmlad"), seed=runner.seed)
+    figure5 = results.step_limit_series(
+        FIGURE5_LIMITS, pids=REDUCED_PIDS if pids is None else pids)
+    noop = runner.run_suite(pids=noop_pids())
+    noop_outcome = {agent: all(c.success for c in noop.select(agent))
+                    for agent in AGENT_NAMES}
     return ExperimentReport(seed=runner.seed, results=results,
                             baselines=baselines, figure5=figure5,
                             noop_outcome=noop_outcome, pids=pids)

@@ -88,6 +88,28 @@ class SuiteResults:
             return 0.0
         return sum(getattr(c, field_name) for c in cases) / len(cases)
 
+    def step_limit_series(self, limits: Sequence[int],
+                          pids: Optional[Iterable[str]] = None
+                          ) -> dict[str, dict[int, float]]:
+        """Figure 5: per agent, accuracy as a function of the step limit K.
+
+        A session is deterministic in its seed and the agent never learns
+        its budget, so a K-step run is the K-step prefix of any longer
+        one: it succeeds iff the long run did *and* submitted within K
+        steps (``SessionHandle.run``'s no-submission-within-the-limit
+        rule).  So every K up to the runs' own limit is read off these
+        cases, restricted to ``pids`` when given.
+        """
+        wanted = None if pids is None else set(pids)
+        out: dict[str, dict[int, float]] = {}
+        for agent in dict.fromkeys(c.agent for c in self.cases):
+            mine = [c for c in self.select(agent)
+                    if wanted is None or c.pid in wanted]
+            out[agent] = {limit: sum(c.success and c.steps <= limit
+                                     for c in mine) / max(len(mine), 1)
+                          for limit in limits}
+        return out
+
 
 class BenchmarkRunner:
     """Runs agents over the problem pool (the paper's 4 agents × 48 problems).
@@ -95,7 +117,8 @@ class BenchmarkRunner:
     Parameters
     ----------
     max_steps:
-        Step limit per session (paper default 20; Figure 5 sweeps it).
+        Step limit per session (paper default 20; Figure 5 reads the
+        limits up to it off the same runs).
     seed:
         Root seed; case seeds derive from (seed, agent, pid), never from
         the scheduler, so every case is independently reproducible.
@@ -227,31 +250,3 @@ class BenchmarkRunner:
             result["agent_seed"] = cell.seed
             result["max_steps"] = cell.max_steps
         return results
-
-    def sweep_step_limit(
-        self,
-        limits: Sequence[int] = (3, 5, 10, 15, 20),
-        agents: Sequence[str] = AGENT_NAMES,
-        pids: Optional[Iterable[str]] = None,
-        concurrency: Optional[int] = None,
-    ) -> dict[str, dict[int, float]]:
-        """Figure 5: accuracy as a function of the step limit K.
-
-        Each (agent, pid) runs **once**, at ``max(limits)``: a session is
-        deterministic in its seed and the agent never learns its budget,
-        so the K-step run is the K-step prefix of the long one — it
-        succeeds iff the long run did *and* submitted within K steps
-        (``SessionHandle.run``'s no-submission-within-the-limit rule).
-        """
-        pid_list = list(pids) if pids is not None else benchmark_pids()
-        specs = [self._case_spec(agent, pid, max_steps=max(limits))
-                 for agent in agents for pid in pid_list]
-        cases = iter(self._run_specs(specs, concurrency))
-        out: dict[str, dict[int, float]] = {}
-        for agent in agents:
-            mine = [next(cases) for _ in pid_list]
-            out[agent] = {
-                limit: sum(c.success and c.steps <= limit
-                           for c in mine) / len(pid_list)
-                for limit in limits}
-        return out

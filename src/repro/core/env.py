@@ -129,7 +129,7 @@ class CloudEnvironment:
         self,
         apps: Union[Type[App], Sequence[AppSpec]],
         seed: int = 0,
-        workload_rate: float = 60.0,
+        workload_rate: Optional[float] = None,
         policy: Optional[RatePolicy] = None,
         export_root: Optional[str | Path] = None,
         resync_interval: float = 30.0,
@@ -143,9 +143,11 @@ class CloudEnvironment:
             raise ValueError(
                 f"fidelity must be one of {FIDELITY_TIERS}, got {fidelity!r}")
         if isinstance(apps, type) and issubclass(apps, App):
-            specs = [AppSpec(apps, policy=policy, workload_rate=workload_rate)]
+            rate = {} if workload_rate is None \
+                else {"workload_rate": workload_rate}
+            specs = [AppSpec(apps, policy=policy, **rate)]
         else:
-            if policy is not None or workload_rate != 60.0:
+            if policy is not None or workload_rate is not None:
                 raise ValueError(
                     "workload_rate/policy configure the single-app form "
                     "only; with a spec list, set them per app on each "

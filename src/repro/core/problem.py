@@ -16,6 +16,8 @@ down; a problem keeps no run state.
 
 from __future__ import annotations
 
+import hashlib
+import pickle
 from typing import Any, Optional
 
 from repro.apps import APP_CLASSES
@@ -23,6 +25,14 @@ from repro.core.env import AppSpec, CloudEnvironment
 from repro.core.evaluator import system_healthy
 from repro.faults import FaultSchedule, FaultSpec, get_fault_spec
 from repro.kubesim import HpaPolicy, NodeSpec
+
+
+#: what :meth:`Problem.incident_key` digests
+_INCIDENT_FIELDS = ("apps", "fidelity", "resource_coupling", "node_specs",
+                    "autoscale", "timeline", "warmup_seconds",
+                    "fault_soak_seconds")
+_INCIDENT_STEPS = ("prepare", "create_environment", "start_workload",
+                   "inject_fault")
 
 
 class Problem:
@@ -128,6 +138,21 @@ class Problem:
         self.start_workload(env)
         self.inject_fault(env)
         return env
+
+    def incident_key(self) -> str:
+        """A digest of what :meth:`prepare` builds from: the definition
+        values and the preparation steps, by qualified name (so a subclass
+        that overrides one prepares its own incident).  The task pids of
+        one incident share it; the task and its answer are not part of it.
+
+        Computed on each call, never cached: a definition is a plain object
+        that may be edited.  Equal definitions that pickle differently get
+        different keys, which only costs a share, never a wrong one."""
+        values = tuple(getattr(self, name) for name in _INCIDENT_FIELDS)
+        steps = tuple(
+            (fn.__module__, fn.__qualname__)
+            for fn in (getattr(type(self), name) for name in _INCIDENT_STEPS))
+        return hashlib.sha256(pickle.dumps((values, steps))).hexdigest()
 
     def recover_fault(self, env: CloudEnvironment) -> None:
         """Oracle recovery (used for cleanup and for testing solvability):

@@ -70,7 +70,7 @@ class TestMksmcGrading:
                                    threshold=1.0)
 
         monkeypatch.setattr(runner, "MKSMC", NeverAnomalous)
-        row = runner.run_baseline_suite("mksmc", pids=[pid])
+        row = runner.run_baselines(["mksmc"], pids=[pid])["mksmc"]
         assert row["accuracy"] == accuracy
 
 
@@ -127,25 +127,27 @@ class TestPDiagnose:
 
 class TestBaselineSuiteRunner:
     def test_reduced_suite_row_shape(self):
-        from repro.baselines import run_baseline_suite
+        from repro.baselines import run_baselines
         from repro.problems import list_problems
-        row = run_baseline_suite("mksmc",
-                                 pids=list_problems("detection")[:2], seed=1)
+        row = run_baselines(["mksmc"],
+                            pids=list_problems("detection")[:2],
+                            seed=1)["mksmc"]
         assert row["task"] == "detection"
         assert 0.0 <= row["accuracy"] <= 1.0
         assert row["time_s"] >= 0
 
     def test_localizer_suite_reports_top1_and_top3(self):
-        from repro.baselines import run_baseline_suite
+        from repro.baselines import run_baselines
         from repro.problems import list_problems
-        row = run_baseline_suite("pdiagnose",
-                                 pids=list_problems("localization")[:2], seed=1)
-        assert row["accuracy@1"] <= row["accuracy"]
+        row = run_baselines(["pdiagnose"],
+                            pids=list_problems("localization")[:2],
+                            seed=1)["pdiagnose"]
+        assert row["accuracy@1"] <= row["accuracy@3"]
 
     def test_suite_leaves_no_export_dir_behind(self):
         import os
         import tempfile
-        from repro.baselines import run_baseline_suite
+        from repro.baselines import run_baselines
         from repro.problems import list_problems
 
         def export_dirs():
@@ -153,13 +155,46 @@ class TestBaselineSuiteRunner:
                     if name.startswith("aiopslab-")}
 
         before = export_dirs()
-        run_baseline_suite("mksmc", pids=list_problems("detection")[:1])
+        run_baselines(["mksmc", "pdiagnose", "rmlad"],
+                      pids=[list_problems("detection")[0],
+                            list_problems("localization")[0]])
         assert export_dirs() - before == set()
 
     def test_unknown_baseline(self):
-        from repro.baselines import run_baseline_suite
+        from repro.baselines import run_baselines
         with pytest.raises(KeyError):
-            run_baseline_suite("nope")
+            run_baselines(["nope"])
+
+    def test_prepares_each_incident_once(self, monkeypatch):
+        """Two incidents' detection and localization pids: two preparations,
+        and every row equals the one its algorithm makes alone."""
+        from repro.baselines import run_baselines
+        from repro.core.problem import Problem
+
+        pids = ["auth_missing_hotel_res-detection-1",
+                "auth_missing_hotel_res-localization-1",
+                "revoke_auth_hotel_res-detection-1",
+                "revoke_auth_hotel_res-localization-1"]
+        names = ("mksmc", "pdiagnose", "rmlad")
+        prepare = Problem.prepare
+        calls = []
+
+        def counting(self, seed=0):
+            calls.append(self.pid)
+            return prepare(self, seed)
+
+        monkeypatch.setattr(Problem, "prepare", counting)
+        grouped = run_baselines(names, pids=pids)
+        assert len(calls) == 2
+        alone = {name: run_baselines([name], pids=pids)[name]
+                 for name in names}
+        assert len(calls) == 2 + 2 * len(names)
+
+        def untimed(row):
+            return {k: v for k, v in row.items() if k != "time_s"}
+
+        assert {n: untimed(r) for n, r in grouped.items()} == \
+            {n: untimed(r) for n, r in alone.items()}
 
 
 def test_baselines_only_read_the_telemetry():

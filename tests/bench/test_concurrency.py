@@ -38,11 +38,12 @@ class TestConcurrencyDeterminism:
             [case_key(c) for c in fanout.cases]
 
     def test_sweep_step_limit_concurrent_identical(self):
-        kwargs = dict(limits=(2, 8), agents=("oracle",), pids=PIDS[:1])
-        serial = BenchmarkRunner(seed=4).sweep_step_limit(**kwargs)
-        fanout = BenchmarkRunner(seed=4, concurrency=4).sweep_step_limit(
-            **kwargs)
-        assert serial == fanout
+        kwargs = dict(agents=("oracle",), pids=PIDS[:1])
+        serial = BenchmarkRunner(max_steps=8, seed=4).run_suite(**kwargs)
+        fanout = BenchmarkRunner(max_steps=8, seed=4,
+                                 concurrency=4).run_suite(**kwargs)
+        assert serial.step_limit_series((2, 8)) == \
+            fanout.step_limit_series((2, 8))
 
     def test_verbose_streams_one_line_per_case(self, capsys):
         BenchmarkRunner(max_steps=6, seed=2, concurrency=2).run_suite(

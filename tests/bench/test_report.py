@@ -103,3 +103,39 @@ class TestRenderMarkdown:
     def test_paper_reference_numbers_complete(self):
         for key, values in PAPER.items():
             assert values, key
+
+
+class TestRunExperiments:
+    PIDS = ["revoke_auth_hotel_res-detection-1",
+            "misconfig_k8s_social_net-localization-1"]
+
+    def test_step_limit_below_figure5_rejected(self):
+        import pytest
+        from repro.bench import BenchmarkRunner, run_experiments
+        with pytest.raises(ValueError, match="max_steps=10"):
+            run_experiments(BenchmarkRunner(max_steps=10), pids=self.PIDS)
+
+    def test_smoke_run_runs_each_session_once(self, monkeypatch):
+        """The suite's cases plus the Noop probe, and nothing for
+        Figure 5: it is read off the suite."""
+        from repro.agents.registry import AGENT_NAMES
+        from repro.bench import BenchmarkRunner, run_experiments
+        from repro.bench import runner as bench_runner
+        from repro.bench.report import FIGURE5_LIMITS
+        from repro.problems import noop_pids
+
+        run_sessions_sync = bench_runner.run_sessions_sync
+        specs = []
+
+        def counting(batch, **kwargs):
+            specs.extend(batch)
+            return run_sessions_sync(batch, **kwargs)
+
+        monkeypatch.setattr(bench_runner, "run_sessions_sync", counting)
+        report = run_experiments(BenchmarkRunner(seed=1), pids=self.PIDS)
+        assert len(specs) == \
+            len(AGENT_NAMES) * (len(self.PIDS) + len(noop_pids())) == 16
+        assert report.baselines == {}
+        assert report.figure5 == report.results.step_limit_series(
+            FIGURE5_LIMITS)
+        assert set(report.noop_outcome) == set(AGENT_NAMES)

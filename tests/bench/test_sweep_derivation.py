@@ -1,4 +1,4 @@
-"""The step-limit sweep runs each (agent, pid) once and derives every K.
+"""Figure 5 runs each (agent, pid) once and derives every K.
 
 The reference is the sweep as it used to run: one cold session per
 (agent, pid, K).  It lives only here."""
@@ -13,7 +13,7 @@ LIMITS = (3, 6, 12)
 
 
 def test_derived_sweep_equals_cold_rerun_per_limit(monkeypatch):
-    runner = BenchmarkRunner(seed=4)
+    runner = BenchmarkRunner(max_steps=max(LIMITS), seed=4)
     sessions = []
     run_specs = runner._run_specs
 
@@ -22,7 +22,8 @@ def test_derived_sweep_equals_cold_rerun_per_limit(monkeypatch):
         return run_specs(specs, *args, **kwargs)
 
     monkeypatch.setattr(runner, "_run_specs", recording)
-    series = runner.sweep_step_limit(limits=LIMITS, agents=AGENTS, pids=PIDS)
+    series = runner.run_suite(agents=AGENTS, pids=PIDS).step_limit_series(
+        LIMITS)
     assert len(sessions) == len(AGENTS) * len(PIDS)
     assert {spec.max_steps for spec in sessions} == {max(LIMITS)}
 

@@ -61,6 +61,14 @@ class TestSingleAppWrapper:
         with pytest.raises(ValueError, match="distinct namespaces"):
             CloudEnvironment([AppSpec(HotelReservation),
                               AppSpec(HotelReservation)])
+        # the driver settings belong on each AppSpec: none is ignored,
+        # not even one equal to AppSpec's default rate
+        spec = [AppSpec(HotelReservation, workload_rate=1000.0)]
+        for driver_kwargs in ({"workload_rate": 60.0},
+                              {"workload_rate": 61.0},
+                              {"policy": ConstantRate(10.0)}):
+            with pytest.raises(ValueError, match="single-app form"):
+                CloudEnvironment(spec, **driver_kwargs)
 
 
 class TestTwoAppKernel:

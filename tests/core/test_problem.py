@@ -115,20 +115,26 @@ class TestMitigationEval:
     def test_healthy_after_oracle_recovery(self):
         p = MitigationTask(6, target="compose-post-service")
         env = p.create_environment(seed=2)
-        p.start_workload(env)
-        p.inject_fault(env)
-        p.recover_fault(env)
-        res = p.eval(None, None, 5.0, env=env)
-        assert res["success"], res["reason"]
+        try:
+            p.start_workload(env)
+            p.inject_fault(env)
+            p.recover_fault(env)
+            res = p.eval(None, None, 5.0, env=env)
+            assert res["success"], res["reason"]
+        finally:
+            env.close()
 
     def test_unhealthy_while_fault_active(self):
         p = MitigationTask(6, target="compose-post-service")
         env = p.create_environment(seed=2)
-        p.start_workload(env)
-        p.inject_fault(env)
-        res = p.eval(None, None, 5.0, env=env)
-        assert not res["success"]
-        assert "scaled to zero" in res["reason"]
+        try:
+            p.start_workload(env)
+            p.inject_fault(env)
+            res = p.eval(None, None, 5.0, env=env)
+            assert not res["success"]
+            assert "scaled to zero" in res["reason"]
+        finally:
+            env.close()
 
 
 class TestProblemIsADefinition:
@@ -164,3 +170,38 @@ class TestProblemIsADefinition:
         assert not healthy and "error rate" in reason
         for env in envs:
             env.close()
+
+
+class TestIncidentKey:
+    """What a problem prepares, as a digest: the task pids of one
+    incident share it, so the baselines prepare each incident once."""
+
+    def test_task_pids_of_one_incident_share_a_key(self):
+        from repro.problems import benchmark_pids, noop_pids, split_pid
+
+        keys: dict = {}
+        for pid in benchmark_pids() + noop_pids():
+            stem, _, index = split_pid(pid)
+            keys.setdefault((stem, index), set()).add(
+                get_problem(pid).incident_key())
+        assert len(keys) == 15      # 13 incidents + 2 Noop probes
+        assert all(len(shared) == 1 for shared in keys.values())
+        assert len(set().union(*keys.values())) == 15
+
+    def test_overriding_a_preparation_step_changes_the_key(self):
+        class LongerSoak(LocalizationTask):
+            def inject_fault(self, env):
+                super().inject_fault(env)
+                env.advance(10.0)
+
+        plain = LocalizationTask("RevokeAuth")
+        longer = LongerSoak("RevokeAuth")
+        assert LocalizationTask("RevokeAuth").incident_key() == \
+            plain.incident_key()
+        assert longer.incident_key() != plain.incident_key()
+
+    def test_assigning_a_value_changes_the_key(self):
+        p = get_problem("revoke_auth_hotel_res-detection-1")
+        before = p.incident_key()
+        p.fidelity = "aggregate"
+        assert p.incident_key() != before
