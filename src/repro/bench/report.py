@@ -1,11 +1,10 @@
 """The paper's evaluation, stated once: what is run and how it is reported.
 
 :func:`run_experiments` is the only spelling of the evaluation (suite,
-baselines, Figure 5, Noop probe); the ``benchmarks/`` harness,
-``python -m repro make-report`` and ``examples/run_benchmark.py`` all call
-it and print :func:`render_markdown` of what it returns.  It runs each
-session once — Figure 5 is read off the suite's cases — and prepares each
-baseline incident once.
+baselines, Figure 5, Noop probe), and runs each session and prepares each
+baseline incident once; the ``benchmarks/`` harness, ``python -m repro
+make-report`` and ``examples/run_benchmark.py`` all call it and print
+:func:`render_markdown` of what it returns.
 """
 
 from __future__ import annotations
@@ -96,19 +95,14 @@ def run_experiments(runner: BenchmarkRunner,
                     pids: Optional[Sequence[str]] = None,
                     verbose: bool = False) -> ExperimentReport:
     """Run the paper's evaluation: the agent suite, the three non-LLM
-    baselines, Figure 5 over :data:`REDUCED_PIDS` and the §3.6.4 Noop
-    probe.
-
-    ``runner`` carries seed, step limit and concurrency; Figure 5 is read
-    off the suite's own cases, so the step limit must reach
-    ``max(FIGURE5_LIMITS)``.  ``pids`` restricts the suite and Figure 5 to
-    a subset (a smoke run); the baselines are whole-task batch algorithms
-    and are then skipped.
+    baselines, Figure 5 over :data:`REDUCED_PIDS` (read off the suite's
+    cases, so ``runner.max_steps`` must reach every limit) and the §3.6.4
+    Noop probe.  ``runner`` carries seed, step limit and concurrency.
+    ``pids`` restricts the suite and Figure 5 to a subset (a smoke run);
+    the baselines are whole-task batch algorithms and are then skipped.
     """
     if runner.max_steps < max(FIGURE5_LIMITS):
-        raise ValueError(
-            f"Figure 5 reads limits up to {max(FIGURE5_LIMITS)} off the "
-            f"suite's runs; max_steps={runner.max_steps} is too short")
+        raise ValueError(f"Figure 5 needs max_steps >= {max(FIGURE5_LIMITS)}")
     results = runner.run_suite(pids=pids, verbose=verbose)
     baselines = {} if pids is not None else run_baselines(
         ("mksmc", "pdiagnose", "rmlad"), seed=runner.seed)

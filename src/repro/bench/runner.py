@@ -91,15 +91,11 @@ class SuiteResults:
     def step_limit_series(self, limits: Sequence[int],
                           pids: Optional[Iterable[str]] = None
                           ) -> dict[str, dict[int, float]]:
-        """Figure 5: per agent, accuracy as a function of the step limit K.
-
-        A session is deterministic in its seed and the agent never learns
-        its budget, so a K-step run is the K-step prefix of any longer
-        one: it succeeds iff the long run did *and* submitted within K
-        steps (``SessionHandle.run``'s no-submission-within-the-limit
-        rule).  So every K up to the runs' own limit is read off these
-        cases, restricted to ``pids`` when given.
-        """
+        """Figure 5: per agent, accuracy at each step limit K up to the
+        runs' own, over ``pids`` (default: all).  A session is deterministic
+        in its seed and the agent never learns its budget, so a K-step run
+        is the K-step prefix of a longer one: it succeeds iff the long run
+        did *and* submitted within K steps."""
         wanted = None if pids is None else set(pids)
         out: dict[str, dict[int, float]] = {}
         for agent in dict.fromkeys(c.agent for c in self.cases):

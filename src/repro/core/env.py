@@ -143,9 +143,8 @@ class CloudEnvironment:
             raise ValueError(
                 f"fidelity must be one of {FIDELITY_TIERS}, got {fidelity!r}")
         if isinstance(apps, type) and issubclass(apps, App):
-            rate = {} if workload_rate is None \
-                else {"workload_rate": workload_rate}
-            specs = [AppSpec(apps, policy=policy, **rate)]
+            specs = [AppSpec(apps, policy=policy) if workload_rate is None
+                     else AppSpec(apps, policy, workload_rate)]
         else:
             if policy is not None or workload_rate is not None:
                 raise ValueError(

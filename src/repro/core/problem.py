@@ -27,14 +27,6 @@ from repro.faults import FaultSchedule, FaultSpec, get_fault_spec
 from repro.kubesim import HpaPolicy, NodeSpec
 
 
-#: what :meth:`Problem.incident_key` digests
-_INCIDENT_FIELDS = ("apps", "fidelity", "resource_coupling", "node_specs",
-                    "autoscale", "timeline", "warmup_seconds",
-                    "fault_soak_seconds")
-_INCIDENT_STEPS = ("prepare", "create_environment", "start_workload",
-                   "inject_fault")
-
-
 class Problem:
     """Base problem: task ``T``, context ``C = ⟨E, I⟩`` and solution ``S``.
 
@@ -141,17 +133,17 @@ class Problem:
 
     def incident_key(self) -> str:
         """A digest of what :meth:`prepare` builds from: the definition
-        values and the preparation steps, by qualified name (so a subclass
-        that overrides one prepares its own incident).  The task pids of
-        one incident share it; the task and its answer are not part of it.
-
-        Computed on each call, never cached: a definition is a plain object
-        that may be edited.  Equal definitions that pickle differently get
-        different keys, which only costs a share, never a wrong one."""
-        values = tuple(getattr(self, name) for name in _INCIDENT_FIELDS)
-        steps = tuple(
-            (fn.__module__, fn.__qualname__)
-            for fn in (getattr(type(self), name) for name in _INCIDENT_STEPS))
+        values and the preparation steps by qualified name, so a subclass
+        that overrides a step prepares its own incident.  An incident's
+        task pids share it.  Read on each call, never cached: equal
+        definitions that pickle differently only miss a share."""
+        cls = type(self)
+        values = [getattr(self, name) for name in (
+            "apps", "fidelity", "resource_coupling", "node_specs",
+            "autoscale", "timeline", "warmup_seconds", "fault_soak_seconds")]
+        steps = [(fn.__module__, fn.__qualname__) for fn in (
+            cls.prepare, cls.create_environment, cls.start_workload,
+            cls.inject_fault)]
         return hashlib.sha256(pickle.dumps((values, steps))).hexdigest()
 
     def recover_fault(self, env: CloudEnvironment) -> None:

@@ -112,7 +112,7 @@ class TestRunExperiments:
     def test_step_limit_below_figure5_rejected(self):
         import pytest
         from repro.bench import BenchmarkRunner, run_experiments
-        with pytest.raises(ValueError, match="max_steps=10"):
+        with pytest.raises(ValueError, match="max_steps >= 20"):
             run_experiments(BenchmarkRunner(max_steps=10), pids=self.PIDS)
 
     def test_smoke_run_runs_each_session_once(self, monkeypatch):
