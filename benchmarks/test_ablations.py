@@ -44,10 +44,13 @@ def test_ablation_fault_soak():
             problem.fault_soak_seconds = soak
             orch = Orchestrator(seed=BENCH_SEED)
             ctx = orch.init_problem(problem)
-            agent = build_agent("oracle", *ctx, task_type="detection",
-                                seed=BENCH_SEED)
-            orch.register_agent(agent, "oracle")
-            wins += orch.run_problem(max_steps=10)["success"]
+            try:
+                agent = build_agent("oracle", *ctx, task_type="detection",
+                                    seed=BENCH_SEED)
+                orch.register_agent(agent, "oracle")
+                wins += orch.run_problem(max_steps=10)["success"]
+            finally:
+                orch.env.close()
         accuracy[soak] = wins / len(pids)
     print()
     print(f"  soak  2s: acc {accuracy[2.0]:.0%}   soak 30s: acc {accuracy[30.0]:.0%}")

@@ -53,9 +53,12 @@ def run_agent(name: str) -> None:
     problem = DoubleFaultMitigation()
     orch = Orchestrator(seed=7)
     ctx = orch.init_problem(problem)
-    agent = build_agent(name, *ctx, task_type="mitigation", seed=7)
-    orch.register_agent(agent, name=name)
-    results = asyncio.run(orch.start_problem(max_steps=25))
+    try:
+        agent = build_agent(name, *ctx, task_type="mitigation", seed=7)
+        orch.register_agent(agent, name=name)
+        results = asyncio.run(orch.start_problem(max_steps=25))
+    finally:
+        orch.env.close()  # removes its telemetry export dir
 
     print(f"\n=== {name} on the double-fault problem ===")
     print("\n".join(orch.session.transcript(max_obs_chars=100)

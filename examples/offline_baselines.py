@@ -20,37 +20,39 @@ from repro.faults import ApplicationFaultInjector
 
 
 def main():
-    env = CloudEnvironment(HotelReservation, seed=21, workload_rate=60,
-                           export_root=tempfile.mkdtemp(prefix="aiopslab-"))
+    # the exported files live until the block ends
+    with tempfile.TemporaryDirectory(prefix="aiopslab-") as export_root:
+        env = CloudEnvironment(HotelReservation, seed=21, workload_rate=60,
+                               export_root=export_root)
 
-    print("warming up with healthy traffic...")
-    env.advance(60)
-    inject_t = env.clock.now
+        print("warming up with healthy traffic...")
+        env.advance(60)
+        inject_t = env.clock.now
 
-    print("injecting revoke_auth on mongodb-geo...")
-    ApplicationFaultInjector(env.app)._inject(["mongodb-geo"], "revoke_auth")
-    env.advance(60)
+        print("injecting revoke_auth on mongodb-geo...")
+        ApplicationFaultInjector(env.app)._inject(["mongodb-geo"], "revoke_auth")
+        env.advance(60)
 
-    root = env.exporter.export_all(env.namespace)
-    print(f"telemetry exported to {root}\n")
+        root = env.exporter.export_all(env.namespace)
+        print(f"telemetry exported to {root}\n")
 
-    services = sorted(env.app.services)
+        services = sorted(env.app.services)
 
-    detector = MKSMC(seed=21)
-    detector.fit(env.collector.metrics, services, until=inject_t)
-    verdict = detector.detect(env.collector.metrics, services, since=inject_t)
-    print(f"MKSMC     anomalous={verdict.anomalous}  "
-          f"score={verdict.score:.2f}  threshold={verdict.threshold:.2f}")
+        detector = MKSMC(seed=21)
+        detector.fit(env.collector.metrics, services, until=inject_t)
+        verdict = detector.detect(env.collector.metrics, services, since=inject_t)
+        print(f"MKSMC     anomalous={verdict.anomalous}  "
+              f"score={verdict.score:.2f}  threshold={verdict.threshold:.2f}")
 
-    rmlad = RMLAD().localize(env.collector, env.namespace,
-                             healthy_until=inject_t,
-                             observe_until=env.clock.now)
-    print(f"RMLAD     top-3: {rmlad.top(3)}")
+        rmlad = RMLAD().localize(env.collector, env.namespace,
+                                 healthy_until=inject_t,
+                                 observe_until=env.clock.now)
+        print(f"RMLAD     top-3: {rmlad.top(3)}")
 
-    pdiag = PDiagnose().localize(env.collector, env.namespace, since=inject_t)
-    print(f"PDiagnose top-3: {pdiag.top(3)}")
+        pdiag = PDiagnose().localize(env.collector, env.namespace, since=inject_t)
+        print(f"PDiagnose top-3: {pdiag.top(3)}")
 
-    print("\nground truth: mongodb-geo (fault), geo (first symptom)")
+        print("\nground truth: mongodb-geo (fault), geo (first symptom)")
 
 
 if __name__ == "__main__":

@@ -46,10 +46,12 @@ def main():
     # a private environment; the handle's context carries the problem
     # description, interaction instructions, and registry-rendered API docs.
     handle = orch.create_session(K8STargetPortMisconf(), seed=42)
-
-    agent = Agent(*handle.context)
-    handle.bind_agent(agent, name="myAgent")
-    results = asyncio.run(handle.run(max_steps=10))
+    try:
+        agent = Agent(*handle.context)
+        handle.bind_agent(agent, name="myAgent")
+        results = asyncio.run(handle.run(max_steps=10))
+    finally:
+        orch.release(handle)  # removes its telemetry export dir
 
     print("=== trajectory ===")
     print(handle.session.transcript())

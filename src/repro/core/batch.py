@@ -139,6 +139,9 @@ def _run_spec(spec: SessionSpec, orch: Optional[Orchestrator] = None,
         outcome.result = handle.run_sync(max_steps=spec.max_steps)
     except Exception as e:  # isolate failures to their own case
         if fail_fast:
+            # the raise drops the outcome, so an untracked handle would
+            # leak its environment's export directory
+            release_handles = release_handles or orch is None
             raise
         outcome.error = e
     finally:

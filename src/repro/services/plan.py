@@ -137,6 +137,7 @@ def resolve(rt: "ServiceRuntime", op: Operation) -> Plan:
     multipliers, shed probabilities and ``network_loss`` on the request
     path.  Nothing is resolved below a hop that cannot be entered or whose
     handler fails — no request gets there."""
+    plane, ns = rt.resources, rt.namespace
 
     def hop(caller: Optional[Microservice], svc: Microservice,
             command: str, edges: list[CallEdge]) -> Hop:
@@ -149,14 +150,17 @@ def resolve(rt: "ServiceRuntime", op: Operation) -> Plan:
             children = tuple(
                 hop(svc, rt.services[e.callee], e.command, e.children)
                 for e in edges if e.callee in rt.services)
+        # node pressure (neutral when no resource plane is attached)
+        mult = 1.0 if plane is None else plane.multiplier_for(ns, svc.name)
+        shed = 0.0 if plane is None else plane.overload_p(ns, svc.name)
         return Hop(
             service=svc.name, command=command,
             operation=f"{op.name}/{command}",
-            mu=math.log(max(svc.base_latency_ms * rt._mult(svc), 0.1)),
+            mu=math.log(max(svc.base_latency_ms * mult, 0.1)),
             sigma=svc.latency_sigma,
             # nothing sits between the client and the entry service
             p_drop=rt.network_loss.get(svc.name, 0.0) if caller is not None else 0.0,
-            p_shed=rt._overload_p(svc.name) if caller is not None else 0.0,
+            p_shed=shed if caller is not None else 0.0,
             blocked=blocked, handler=handler, children=children,
         )
 

@@ -241,8 +241,9 @@ def _propagate(branch: _Branch, child: Hop, caller: str,
 def _enter(hop: Hop, branch: _Branch,
            parent_idx: int) -> tuple[Optional[_Branch], list[_Branch]]:
     """Symbolically execute an entered ``hop``; returns (success branch |
-    None, failure branches) — ``ServiceRuntime._walk`` with every coin
-    flip forked instead of drawn."""
+    None, failure branches) — the per-request walker
+    (``ServiceRuntime.execute``) with every coin flip forked instead of
+    drawn."""
     idx = len(branch.spans)
     branch.spans.append(SpanNode(
         service=hop.service, operation=hop.operation,

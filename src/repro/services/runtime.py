@@ -5,8 +5,8 @@ state into a :class:`~repro.services.plan.Plan` (``services/plan.py``, the
 one statement of fault semantics); two execution tiers consume it:
 
 * :meth:`ServiceRuntime.execute` — the per-request reference path: walks
-  the plan once per request, one RNG draw per decision, full-fidelity
-  telemetry.  Bit-identical to the seed.
+  the plan's rows (:func:`_row`) once per request, one RNG draw per
+  decision, full-fidelity telemetry.  Bit-identical to the seed.
 * :meth:`ServiceRuntime.execute_many` — the aggregate path: compiles the
   plan into a cached :class:`~repro.services.profile.PathProfile` and
   samples ``n`` requests' outcomes in O(outcome branches) —
@@ -27,12 +27,13 @@ stale profile.
 Both write one trace shape, a list of span rows handed to
 ``TraceStore.record`` (``execute`` appends a row per hop as it walks, the
 aggregate path copies an outcome's span skeleton), and account requests
-through one call, ``TelemetryCollector.record_requests``.
+through one call, ``TelemetryCollector.record_requests``, per batch or tick.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
@@ -75,6 +76,18 @@ def _default_credentials(caller: str, backend: str) -> tuple[str, str]:
     """Default open-access credentials; a module function (not a lambda)
     so runtimes pickle for environment snapshots."""
     return ("admin", "admin")
+
+
+def _row(hop: Hop) -> tuple:
+    """``hop``'s walker row: ``(service, operation, mu, sigma, handler,
+    handler_log line, kids, hop)``, a kid per child: ``(gates, blocked,
+    row)``.  Rejects a sigma numpy's lognormal would (sign bit, not NaN)."""
+    if hop.blocked is None and math.copysign(1.0, hop.sigma) < 0 \
+            and not math.isnan(hop.sigma):
+        raise ValueError("sigma < 0")
+    line = None if hop.handler is None else handler_log(hop.handler)
+    return (hop.service, hop.operation, hop.mu, hop.sigma, hop.handler, line,
+            tuple((gates(c), c.blocked, _row(c)) for c in hop.children), hop)
 
 
 @dataclass
@@ -178,10 +191,14 @@ class ServiceRuntime:
         #: ``execute`` calls — and per-request draws stay bit-identical.
         self._batch_rng: Optional[RngStream] = None
         #: op name -> (this runtime's counter key, the plan resolved under
-        #: it): the one validity cache both tiers fetch through
-        self._plans: dict[str, tuple[tuple, Plan]] = {}
-        #: op name -> plan handed out inside ``holding_plans`` (else None)
-        self._held: Optional[dict[str, Plan]] = None
+        #: it, its walker rows): the one validity cache both tiers fetch through
+        self._plans: dict[str, tuple[tuple, Plan, tuple]] = {}
+        #: op name -> entry handed out inside ``holding_plans`` (else None)
+        self._held: Optional[dict[str, tuple[tuple, Plan, tuple]]] = None
+        #: requests not yet accounted (:meth:`_flush`): service -> their
+        #: latencies in the order their hops finished, and -> failures
+        self._tick_latencies: dict[str, list[float]] = defaultdict(list)
+        self._tick_errors: dict[str, int] = {}
         #: op name -> the cached plan's compiled PathProfile (possibly
         #: shared with co-tenant runtimes via the cross-session store);
         #: dropped whenever the plan is re-resolved
@@ -234,36 +251,17 @@ class ServiceRuntime:
             self._pod_cache[service] = name
         return name
 
-    def _q(self, service: str) -> str:
-        """The collector's qualified metric key for one of this app's
-        services — bare in single-app environments, namespace-prefixed
-        for non-default namespaces in multi-app environments."""
-        return self.collector.qualify(self.namespace, service)
-
     def _log(self, service: str, level: str, message: str) -> None:
         self.collector.emit_log(
             self.namespace, service, self._pod_for(service), level, message
         )
 
-    def _mult(self, svc: Microservice) -> float:
-        """Effective latency multiplier from node CPU pressure (1.0 when
-        resource coupling is off — no plane attached)."""
-        if self.resources is None:
-            return 1.0
-        return self.resources.multiplier_for(self.namespace, svc.name)
-
-    def _overload_p(self, service: str) -> float:
-        """Per-hop ``ResourceExhausted`` shed probability (0.0 off-plane)."""
-        if self.resources is None:
-            return 0.0
-        return self.resources.overload_p(self.namespace, service)
-
     def _record(self, service: str, count: int, errors: int,
                 latencies: Sequence[float]) -> None:
         """Account ``count`` requests of ``service`` — with the collector,
         and as offered demand on the resource plane (when attached)."""
-        self.collector.record_requests(self._q(service), count, errors,
-                                       latencies)
+        self.collector.record_requests(
+            self.collector.qualify(self.namespace, service), count, errors, latencies)
         if self.resources is not None:
             self.resources.account(self.namespace, service, count)
 
@@ -271,93 +269,98 @@ class ServiceRuntime:
     # execution
     # ------------------------------------------------------------------
     def execute(self, op_name: str) -> RequestResult:
-        """Run one request for ``op_name`` through its resolved plan."""
+        """Run one request for ``op_name`` through its resolved plan's rows,
+        in one loop (a hop calling a child waits on ``stack``).  Draw order,
+        per entered hop: its service time; per child in order one bernoulli
+        per gate (network drop, then shed; non-zero ones only) until one
+        fires, overriding ``blocked``; after the children, iff nothing
+        failed, the WARN then the INFO noise coin.  Latencies are buffered
+        as hops end and accounted per tick (:meth:`_flush`)."""
         op = self.operations.get(op_name)
         if op is None:
             raise KeyError(f"unknown operation {op_name!r}")
-        root = self._plan_for(op).root
+        _, plan, row = self._plan_for(op)
+        latencies, errors = self._tick_latencies, self._tick_errors
         spans: list[Span] = []
+        error_services: list[str] = []
+        root = plan.root
         if root.blocked is not None:
             # The client (workload generator) observes the frontend down.
-            self._stub(spans, -1, CLIENT, op.name, CLIENT_FAIL_MS,
-                       root.blocked, root.service)
-            trace = self.collector.traces.record(self.clock.now, spans)
-            return RequestResult(op.name, False, CLIENT_FAIL_MS, root.blocked,
-                                 trace.trace_id, [root.service])
-
-        error_services: list[str] = []
-        latency, error = self._walk(root, spans, -1, error_services)
-        trace = self.collector.traces.record(self.clock.now, spans)
-        ok = error is None
-        if not ok and root.service not in error_services:
-            error_services.append(root.service)
-        return RequestResult(op.name, ok, latency, error, trace.trace_id,
-                             error_services)
-
-    def _stub(self, spans: list[Span], parent: int, service: str,
-              operation: str, cost_ms: float, failure: RpcError,
-              record_as: str) -> None:
-        """The fixed-cost error span of a call whose callee never ran,
-        accounted as one failed request of ``record_as``."""
-        spans.append(Span(parent, service, operation, cost_ms,
-                          "ERROR", failure.message))
-        self._record(record_as, 1, 1, (cost_ms,))
-
-    def _walk(
-        self,
-        hop: Hop,
-        spans: list[Span],
-        parent: int,
-        error_services: list[str],
-    ) -> tuple[float, Optional[RpcError]]:
-        """Execute an entered ``hop``, appending its span and its subtree's
-        to ``spans``; returns (latency, error).
-
-        Draw order, per entered hop: its service time; per child in order
-        one bernoulli per gate (network drop, then shed — only those with
-        a non-zero probability) until one fires; after the children, iff
-        nothing failed, the WARN then the INFO noise coin."""
-        rng = self.rng
-        index = len(spans)
-        spans.append(None)  # this hop's row, filled in once it returns
-        total = rng.lognormal(hop.mu, hop.sigma)
-        failure = hop.handler
-        if failure is not None:
-            line = handler_log(failure)
-            if line is not None:
-                self._log(hop.service, *line)
-                error_services.append(hop.service)
+            total, failure = CLIENT_FAIL_MS, root.blocked
+            spans.append(Span(-1, CLIENT, op.name, total, "ERROR", failure.message))
+            latencies[root.service].append(total)
+            errors[root.service] = errors.get(root.service, 0) + 1
         else:
-            # fan out to children
-            for child in hop.children:
-                failure = child.blocked
-                for p, gate_err in gates(child):
-                    if rng.bernoulli(p):
-                        failure = gate_err
-                        break
-                if failure is not None:
-                    self._stub(spans, index, child.service, child.operation,
-                               HOP_FAIL_MS, failure, child.service)
+            bernoulli, normal = self.rng.bernoulli, self.rng.generator.standard_normal
+            noise_warn, info_sample = self.NOISE_WARN, self.INFO_SAMPLE
+            log, exp, new = self._log, math.exp, tuple.__new__
+            stack, parent, entering = [], -1, True
+            while True:
+                if entering:
+                    service, operation, mu, sigma, failure, line, kids, hop = row
+                    index = len(spans)
+                    spans.append(None)  # this hop's row, filled in at its end
+                    total = exp(mu + sigma * normal())
+                    if line is not None:
+                        log(service, *line)
+                        error_services.append(service)
+                    kids = iter(kids)
+                if failure is None and (kid := next(kids, None)) is not None:
+                    gates, failure, row = kid
+                    for p, gate_err in gates:
+                        if bernoulli(p):
+                            failure = gate_err
+                            break
+                    if failure is None:
+                        stack.append((service, operation, hop, index, parent,
+                                      total, kids, row))
+                        parent, entering = index, True
+                        continue
+                    # the callee never ran: a fixed-cost stub
+                    spans.append(Span(index, row[0], row[1], HOP_FAIL_MS,
+                                      "ERROR", failure.message))
+                    latencies[row[0]].append(HOP_FAIL_MS)
+                    errors[row[0]] = errors.get(row[0], 0) + 1
+                    log(service, *caller_log(row[7], failure))
+                    error_services.append(service)
+                # the hop ends
+                if failure is None:
+                    if bernoulli(noise_warn):
+                        log(service, *warn_noise(hop))
+                    if bernoulli(info_sample):
+                        log(service, *info_noise(hop, total))
+                    spans[index] = new(Span, (parent, service, operation,
+                                              total, "OK", ""))
                 else:
-                    child_latency, failure = self._walk(
-                        child, spans, index, error_services)
-                    total += child_latency
-                if failure is not None:
-                    self._log(hop.service, *caller_log(child, failure))
-                    error_services.append(hop.service)
+                    spans[index] = new(Span, (parent, service, operation,
+                                              total, "ERROR", failure.message))
+                    errors[service] = errors.get(service, 0) + 1
+                latencies[service].append(total)
+                if not stack:
                     break
+                latency = total  # the caller resumes
+                service, operation, hop, index, parent, total, kids, row = stack.pop()
+                total += latency
+                entering = False
+                if failure is not None:
+                    log(service, *caller_log(row[7], failure))
+                    error_services.append(service)
+        if failure is not None and root.service not in error_services:
+            error_services.append(root.service)
+        trace = self.collector.traces.record(self.clock.now, spans)
+        if self._held is None:
+            self._flush()
+        return RequestResult(op.name, failure is None, total, failure,
+                             trace.trace_id, error_services)
 
-        if failure is None:
-            if rng.bernoulli(self.NOISE_WARN):
-                self._log(hop.service, *warn_noise(hop))
-            if rng.bernoulli(self.INFO_SAMPLE):
-                self._log(hop.service, *info_noise(hop, total))
-            spans[index] = Span(parent, hop.service, hop.operation, total)
-        else:
-            spans[index] = Span(parent, hop.service, hop.operation, total,
-                                "ERROR", failure.message)
-        self._record(hop.service, 1, int(failure is not None), (total,))
-        return total, failure
+    def _flush(self) -> None:
+        """Account the buffered requests: one :meth:`_record` per service,
+        latencies in request order (see :meth:`holding_plans`)."""
+        errors = self._tick_errors
+        for service, lats in self._tick_latencies.items():
+            self._record(service, len(lats), errors.get(service, 0), lats)
+        self._tick_latencies.clear()
+        errors.clear()
 
     # ------------------------------------------------------------------
     # aggregate execution (the batched tier)
@@ -452,36 +455,39 @@ class ServiceRuntime:
 
     @contextmanager
     def holding_plans(self) -> Iterator[None]:
-        """Key each op's plan once for the block: sound while only requests
-        run in it, as they never write what ``resolve`` reads."""
+        """Key each op's plan once for the block and account its requests
+        when it exits: sound while only requests run in it, as they never
+        write what ``resolve`` reads and nothing reads the accounts."""
         self._held = {}
         try:
             yield
         finally:
             self._held = None
+            self._flush()
 
-    def _plan_for(self, op: Operation) -> Plan:
-        """The plan for ``op`` under the current state: re-resolved (and
-        its compiled profile dropped) exactly when the counter key moves;
-        inside :meth:`holding_plans`, the plan already handed out."""
+    def _plan_for(self, op: Operation) -> tuple[tuple, Plan, tuple]:
+        """The ``(key, plan, rows)`` entry for ``op`` under the current
+        state: re-resolved (and its compiled profile dropped) exactly when
+        the key moves; inside :meth:`holding_plans`, the one handed out."""
         held = self._held
         if held is not None and op.name in held:
             return held[op.name]
         key = self._profile_key(op)
         cached = self._plans.get(op.name)
         if cached is None or cached[0] != key:
-            cached = self._plans[op.name] = (key, resolve(self, op))
+            plan = resolve(self, op)
+            cached = self._plans[op.name] = (key, plan, _row(plan.root))
             self._profiles.pop(op.name, None)
         if held is not None:
-            held[op.name] = cached[1]
-        return cached[1]
+            held[op.name] = cached
+        return cached
 
     def _profile_for(self, op: Operation) -> PathProfile:
         """The compiled profile of ``op``'s current plan — per-runtime
         cache first, then the cross-session store (keyed by the plan, so
         a store-served profile object is shared as-is; its outcome objects
         are read-only after compilation), and only then a compile."""
-        plan = self._plan_for(op)
+        plan = self._plan_for(op)[1]
         profile = self._profiles.get(op.name)
         if profile is not None:
             self.profile_stats["hits"] += 1
@@ -593,19 +599,12 @@ class ServiceRuntime:
         tail_services = self.collector.tail_watch_services()
         if tail_services:
             involved, _ = self._op_fingerprint_inputs(op)
-            if not tail_services.isdisjoint(self._q(s) for s in involved):
+            ns, qualify = self.namespace, self.collector.qualify
+            if not tail_services.isdisjoint(qualify(ns, s) for s in involved):
                 trace_exemplars = max(trace_exemplars,
                                       self.BATCH_TRACE_EXEMPLARS_TAIL)
         #: service -> [requests, errors, latency exemplars]
-        bulk: dict[str, list] = {}
-
-        def bulk_entry(service: str) -> list:
-            entry = bulk.get(service)
-            if entry is None:
-                entry = [0, 0, []]
-                bulk[service] = entry
-            return entry
-
+        bulk: dict[str, list] = defaultdict(lambda: [0, 0, []])
         noise_pool = 0
         noise_sites: tuple[tuple[Hop, float], ...] = ()
         for oi, (outcome, k) in enumerate(zip(profile.outcomes, counts)):
@@ -629,16 +628,16 @@ class ServiceRuntime:
                 noise_sites = outcome.noise_sites
             # per-service request accounting (counts are exact)
             for s, c in outcome.visit_counts.items():
-                bulk_entry(s)[0] += k * c
+                bulk[s][0] += k * c
             for s, c in outcome.error_visit_counts.items():
-                bulk_entry(s)[1] += k * c
+                bulk[s][1] += k * c
             for s, c in outcome.hop_fail_counts.items():
-                e = bulk_entry(s)
+                e = bulk[s]
                 e[0] += k * c
                 e[1] += k * c
                 e[2].extend([HOP_FAIL_MS] * min(k * c, 2))
             if outcome.client_fail:
-                e = bulk_entry(profile.entry)
+                e = bulk[profile.entry]
                 e[0] += k
                 e[1] += k
                 e[2].extend([CLIENT_FAIL_MS] * min(k, 2))
@@ -648,7 +647,7 @@ class ServiceRuntime:
             n_ex = min(k, trace_exemplars)
             n_full = min(n_ex, self.BATCH_TRACE_EXEMPLARS)
             self._emit_exemplars(op, outcome, rng, n_ex, n_full,
-                                 batch, bulk_entry)
+                                 batch, bulk)
             for _ in range(min(k, self.BATCH_LOG_EXEMPLARS)):
                 for svc_name, level, message in outcome.logs:
                     self._log(svc_name, level, message)
@@ -674,7 +673,7 @@ class ServiceRuntime:
         n_ex: int,
         n_full: int,
         batch: BatchResult,
-        bulk_entry: Callable[[str], list],
+        bulk: dict[str, list],
     ) -> None:
         """Exemplar block for one branch: a single fused
         lognormal matrix covers every exemplar — full-fidelity rows
@@ -704,4 +703,4 @@ class ServiceRuntime:
         # per-service latency exemplars: one column slice per entered span
         # hands all n_ex subtree samples to the collector at once
         for i in kernel.entered_idx:
-            bulk_entry(skeleton[i].service)[2].extend(durations[:, i].tolist())
+            bulk[skeleton[i].service][2].extend(durations[:, i].tolist())

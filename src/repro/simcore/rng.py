@@ -55,7 +55,9 @@ class RngStream:
         return float(self._gen.random())
 
     def lognormal(self, mean: float, sigma: float) -> float:
-        """Sample a lognormal; used for per-hop RPC latency."""
+        """Sample a lognormal: the value, and the generator state after,
+        of ``exp(mean + sigma * generator.standard_normal())``, which is
+        how the per-request walker draws a hop's service time."""
         return float(self._gen.lognormal(mean, sigma))
 
     def exponential(self, scale: float) -> float:

@@ -9,11 +9,13 @@ locally with ``HYPOTHESIS_PROFILE=ci``."""
 from __future__ import annotations
 
 import os
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.apps import HotelReservation, SocialNetwork
+from repro.core import Orchestrator
 
 settings.register_profile(
     "ci",
@@ -33,6 +35,45 @@ from repro.workload import ConstantRate, WorkloadDriver
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: multi-minute example runs (deselect with -m 'not slow')")
+
+
+def _export_dirs() -> set[str]:
+    return {name for name in os.listdir(tempfile.gettempdir())
+            if name.startswith("aiopslab-")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_export_dirs():
+    """Fail a test that leaves an environment's owned export directory
+    (``aiopslab-*`` in the temp directory) behind: every environment a
+    test builds is closed, even when the test fails."""
+    before = _export_dirs()
+    yield
+    left = sorted(_export_dirs() - before)
+    if left:
+        pytest.fail(f"left {len(left)} export directories in "
+                    f"{tempfile.gettempdir()}: {', '.join(left)}")
+
+
+@pytest.fixture
+def closing():
+    """Close what a test registers when it ends, passed or failed:
+    ``env = closing(CloudEnvironment(...))``.  Anything with ``close()``
+    registers (environments, session handles); an orchestrator is closed
+    by releasing every handle it still tracks."""
+    opened: list = []
+
+    def register(thing):
+        opened.append(thing)
+        return thing
+
+    yield register
+    for thing in reversed(opened):
+        if isinstance(thing, Orchestrator):
+            for handle in list(thing.handles):
+                thing.release(handle)
+        else:
+            thing.close()
 
 
 class DeployedApp:

@@ -7,7 +7,9 @@ from repro.core.env import CloudEnvironment
 
 @pytest.fixture
 def env():
-    return CloudEnvironment(HotelReservation, seed=5, workload_rate=20)
+    env = CloudEnvironment(HotelReservation, seed=5, workload_rate=20)
+    yield env
+    env.close()
 
 
 @pytest.fixture

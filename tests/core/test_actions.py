@@ -144,7 +144,8 @@ class TestObservation:
     def actions(self):
         env = CloudEnvironment(HotelReservation, seed=5, workload_rate=20)
         env.advance(10)
-        return TaskActions(env)
+        yield TaskActions(env)
+        env.close()
 
     def test_telemetry_returns_structured_observation(self, actions):
         obs = actions.get_logs(actions.env.namespace, "all")

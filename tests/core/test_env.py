@@ -7,35 +7,35 @@ from repro.workload import BurstRate, DiurnalRate
 
 
 class TestCloudEnvironment:
-    def test_builds_all_subsystems(self):
-        env = CloudEnvironment(HotelReservation, seed=1)
+    def test_builds_all_subsystems(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1))
         assert env.cluster is not None
         assert env.runtime is not None
         assert env.kubectl is not None
         assert env.exporter is not None
 
-    def test_namespace_from_app(self):
-        env = CloudEnvironment(SocialNetwork, seed=1)
+    def test_namespace_from_app(self, closing):
+        env = closing(CloudEnvironment(SocialNetwork, seed=1))
         assert env.namespace == "test-social-network"
 
-    def test_advance_runs_workload(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    def test_advance_runs_workload(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         env.advance(10)
         assert env.driver.stats.requests == 300
         assert env.clock.now == pytest.approx(10.0)
 
-    def test_probe_error_rate_healthy(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    def test_probe_error_rate_healthy(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         env.advance(5)
         assert env.probe_error_rate(5) == 0.0
 
-    def test_probe_error_rate_under_fault(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    def test_probe_error_rate_under_fault(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         env.app.backends["mongodb-geo"].revoke_roles("admin")
         assert env.probe_error_rate(10) > 0.1
 
-    def test_kubectl_wired_to_logs(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    def test_kubectl_wired_to_logs(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         env.app.backends["mongodb-geo"].revoke_roles("admin")
         env.advance(10)
         pod = next(p.name for p in env.cluster.pods_in(env.namespace)
@@ -43,14 +43,14 @@ class TestCloudEnvironment:
         out = env.kubectl.run(f"kubectl logs {pod} -n {env.namespace}")
         assert "not authorized" in out
 
-    def test_kubectl_top_wired_to_metrics(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    def test_kubectl_top_wired_to_metrics(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         env.advance(10)
         out = env.kubectl.run(f"kubectl top pods -n {env.namespace}")
         assert "CPU" in out and "Mi" in out
 
-    def test_exec_wired_to_app(self):
-        env = CloudEnvironment(HotelReservation, seed=1)
+    def test_exec_wired_to_app(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1))
         pod = next(p.name for p in env.cluster.pods_in(env.namespace)
                    if p.owner == "mongodb-geo")
         out = env.kubectl.run(
@@ -63,9 +63,9 @@ class TestCloudEnvironment:
                                export_root=tmp_path / "telemetry")
         assert str(env.exporter.root).endswith("telemetry")
 
-    def test_seeds_reproduce_environments(self):
-        a = CloudEnvironment(HotelReservation, seed=9, workload_rate=30)
-        b = CloudEnvironment(HotelReservation, seed=9, workload_rate=30)
+    def test_seeds_reproduce_environments(self, closing):
+        a = closing(CloudEnvironment(HotelReservation, seed=9, workload_rate=30))
+        b = closing(CloudEnvironment(HotelReservation, seed=9, workload_rate=30))
         a.advance(10)
         b.advance(10)
         assert a.driver.stats.errors == b.driver.stats.errors
@@ -73,25 +73,25 @@ class TestCloudEnvironment:
 
 
 class TestEnvironmentKernel:
-    def test_env_owns_one_queue_on_shared_clock(self):
-        env = CloudEnvironment(HotelReservation, seed=1)
+    def test_env_owns_one_queue_on_shared_clock(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1))
         assert env.queue.clock is env.clock
         assert env.driver.queue is env.queue
 
-    def test_scheduled_event_fires_during_advance(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    def test_scheduled_event_fires_during_advance(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         fired = []
         env.queue.schedule_at(7.5, lambda: fired.append(env.clock.now))
         env.advance(10)
         assert fired == [7.5]
 
-    def test_periodic_resync_scheduled(self):
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30,
-                               resync_interval=20.0)
+    def test_periodic_resync_scheduled(self, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30,
+                                       resync_interval=20.0))
         env.advance(50)
         assert env._resync.fired == 2
-        env2 = CloudEnvironment(HotelReservation, seed=1, workload_rate=30,
-                                resync_interval=0.0)
+        env2 = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30,
+                                        resync_interval=0.0))
         assert env2._resync is None
 
 

@@ -71,9 +71,13 @@ def scrape_series(env, service="geo"):
 
 
 class TestKernelEquivalence:
+    @pytest.fixture(autouse=True)
+    def _closing(self, closing):
+        self.closing = closing
+
     def _pair(self, app=HotelReservation, **kwargs):
-        return (CloudEnvironment(app, **kwargs),
-                CloudEnvironment(app, **kwargs))
+        return (self.closing(CloudEnvironment(app, **kwargs)),
+                self.closing(CloudEnvironment(app, **kwargs)))
 
     def test_irregular_windows_bit_identical(self):
         kernel, legacy = self._pair(seed=3, workload_rate=45)
@@ -172,31 +176,31 @@ class TestKernelEquivalence:
 
 
 class TestKernelRobustness:
-    def test_legacy_run_for_does_not_poison_queue(self):
+    def test_legacy_run_for_does_not_poison_queue(self, closing):
         """run_for advances the clock past pending events (it bypasses the
         queue); the next advance() must fire them late, not crash."""
-        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+        env = closing(CloudEnvironment(HotelReservation, seed=1, workload_rate=30))
         legacy_run_for(env.driver, 40.0)          # resync event at t=30 now overdue
         env.advance(10.0)                 # must not raise
         assert env.clock.now == 50.0
 
-    def test_queued_rate_change_applies_from_next_tick(self):
+    def test_queued_rate_change_applies_from_next_tick(self, closing):
         """A set_rate-style event inside an idle span takes effect at the
         first boundary after it fires."""
         from repro.workload import ConstantRate as CR
-        env = CloudEnvironment(HotelReservation, seed=1, policy=CR(0.0))
+        env = closing(CloudEnvironment(HotelReservation, seed=1, policy=CR(0.0)))
         env.queue.schedule_at(
             2.0, lambda: setattr(env.driver, "policy", CR(50.0)))
         env.advance(10.0)
         # boundaries 2..9 each issue 50 requests under the new policy
         assert env.driver.stats.requests == 400
 
-    def test_resync_fires_through_idle_window(self):
+    def test_resync_fires_through_idle_window(self, closing):
         """The recurring resync fires on schedule through an idle window
         whose scrape interval spans many resyncs."""
-        env = CloudEnvironment(HotelReservation, seed=1,
-                               policy=ConstantRate(0.0),
-                               resync_interval=30.0)
+        env = closing(CloudEnvironment(HotelReservation, seed=1,
+                                       policy=ConstantRate(0.0),
+                                       resync_interval=30.0))
         env.driver.scrape_interval = 300.0
         env.advance(900.0)
         assert env._resync.fired == 30

@@ -30,16 +30,16 @@ class ExplodingAgent:
 
 
 class TestSessionHandle:
-    def test_create_session_returns_independent_handle(self):
-        orch = Orchestrator()
+    def test_create_session_returns_independent_handle(self, closing):
+        orch = closing(Orchestrator())
         h1 = orch.create_session(DetectionTask("RevokeAuth"), seed=1)
         h2 = orch.create_session(DetectionTask("RevokeAuth"), seed=1)
         assert h1.env is not h2.env
         assert h1.actions is not h2.actions
         assert orch.handles == [h1, h2]
 
-    def test_context_unpacks_like_seed_tuple(self):
-        orch = Orchestrator()
+    def test_context_unpacks_like_seed_tuple(self, closing):
+        orch = closing(Orchestrator())
         handle = orch.create_session("revoke_auth_hotel_res-detection-1",
                                      seed=3)
         prob_desc, instructs, apis = handle.context
@@ -47,25 +47,25 @@ class TestSessionHandle:
         assert "submit" in instructs
         assert "get_logs" in apis
 
-    def test_run_sync_drives_loop(self):
-        orch = Orchestrator()
+    def test_run_sync_drives_loop(self, closing):
+        orch = closing(Orchestrator())
         handle = orch.create_session(DetectionTask("RevokeAuth"),
                                      ScriptedAgent(DETECT_SCRIPT), seed=3)
         res = handle.run_sync(max_steps=10)
         assert res["success"] and handle.session.submitted
 
-    def test_run_without_agent_rejected(self):
-        handle = Orchestrator().create_session(DetectionTask("RevokeAuth"))
+    def test_run_without_agent_rejected(self, closing):
+        handle = closing(Orchestrator()).create_session(DetectionTask("RevokeAuth"))
         with pytest.raises(RuntimeError):
             handle.run_sync()
 
-    def test_bad_agent_rejected(self):
-        handle = Orchestrator().create_session(DetectionTask("RevokeAuth"))
+    def test_bad_agent_rejected(self, closing):
+        handle = closing(Orchestrator()).create_session(DetectionTask("RevokeAuth"))
         with pytest.raises(TypeError):
             handle.bind_agent(object())
 
-    def test_mitigation_session_sees_restart_service(self):
-        orch = Orchestrator()
+    def test_mitigation_session_sees_restart_service(self, closing):
+        orch = closing(Orchestrator())
         mit = orch.create_session(MitigationTask(6,
                                                  target="compose-post-service"),
                                   seed=3)
@@ -75,8 +75,8 @@ class TestSessionHandle:
         assert "restart_service(" in mit.context.api_docs
         assert "restart_service(" not in det.context.api_docs
 
-    def test_step_records_structured_observation(self):
-        orch = Orchestrator()
+    def test_step_records_structured_observation(self, closing):
+        orch = closing(Orchestrator())
         handle = orch.create_session(DetectionTask("RevokeAuth"),
                                      ScriptedAgent(DETECT_SCRIPT), seed=3)
         handle.run_sync(max_steps=5)
@@ -91,8 +91,8 @@ class TestSessionHandle:
         orch.release(handle)
         assert orch.handles == []
 
-    def test_two_handles_run_concurrently_without_sharing_state(self):
-        orch = Orchestrator()
+    def test_two_handles_run_concurrently_without_sharing_state(self, closing):
+        orch = closing(Orchestrator())
         h1 = orch.create_session(DetectionTask("RevokeAuth"),
                                  ScriptedAgent(DETECT_SCRIPT), seed=7)
         h2 = orch.create_session(
@@ -111,8 +111,8 @@ class TestSessionHandle:
 
 
 class TestCompatShim:
-    def test_seed_flow_unchanged(self):
-        orch = Orchestrator(seed=3)
+    def test_seed_flow_unchanged(self, closing):
+        orch = closing(Orchestrator(seed=3))
         prob_desc, instructs, apis = orch.init_problem(
             DetectionTask("RevokeAuth"))
         orch.register_agent(ScriptedAgent(DETECT_SCRIPT), name="scripted")
@@ -121,30 +121,30 @@ class TestCompatShim:
         assert orch.session.agent_name == "scripted"
         assert orch.sessions and orch.sessions[-1] is orch.session
 
-    def test_context_supports_tuple_indexing(self):
+    def test_context_supports_tuple_indexing(self, closing):
         """v1 returned a plain tuple; indexing/len must keep working."""
-        orch = Orchestrator(seed=3)
+        orch = closing(Orchestrator(seed=3))
         ctx = orch.init_problem(DetectionTask("RevokeAuth"))
         assert len(ctx) == 3
         assert "HotelReservation" in ctx[0]
         assert "get_logs" in ctx[2]
         assert tuple(ctx) == (ctx.description, ctx.instructions, ctx.api_docs)
 
-    def test_shim_does_not_accumulate_handles(self):
+    def test_shim_does_not_accumulate_handles(self, closing):
         """The seed flow held one problem at a time; re-initialising must
         not pin the replaced environment on the orchestrator."""
-        orch = Orchestrator(seed=3)
+        orch = closing(Orchestrator(seed=3))
         orch.init_problem(DetectionTask("RevokeAuth"))
         orch.init_problem(DetectionTask("RevokeAuth"))
         assert len(orch.handles) == 1
 
-    def test_register_before_init_still_works(self):
-        orch = Orchestrator(seed=3)
+    def test_register_before_init_still_works(self, closing):
+        orch = closing(Orchestrator(seed=3))
         orch.register_agent(ScriptedAgent(DETECT_SCRIPT))
         orch.init_problem(DetectionTask("RevokeAuth"))
         assert orch.run_problem(max_steps=10)["success"]
 
-    def test_partial_session_reachable_after_agent_crash(self):
+    def test_partial_session_reachable_after_agent_crash(self, closing):
         """v1 exposed the session from loop start; a crash mid-run must not
         make the partial trajectory unreachable."""
         class CrashAfterOne:
@@ -157,7 +157,7 @@ class TestCompatShim:
                     raise RuntimeError("agent crashed")
                 return 'get_logs("test-hotel-reservation", "all")'
 
-        orch = Orchestrator(seed=3)
+        orch = closing(Orchestrator(seed=3))
         orch.init_problem(DetectionTask("RevokeAuth"))
         orch.register_agent(CrashAfterOne())
         with pytest.raises(RuntimeError, match="agent crashed"):
@@ -165,10 +165,10 @@ class TestCompatShim:
         assert len(orch.sessions) == 1
         assert orch.sessions[-1].steps[0].action_name == "get_logs"
 
-    def test_run_problem_inside_running_event_loop(self):
+    def test_run_problem_inside_running_event_loop(self, closing):
         """The seed's bare asyncio.run crashed in notebooks/async drivers."""
         async def driver():
-            orch = Orchestrator(seed=3)
+            orch = closing(Orchestrator(seed=3))
             orch.init_problem(DetectionTask("RevokeAuth"))
             orch.register_agent(ScriptedAgent(DETECT_SCRIPT))
             return orch.run_problem(max_steps=10)
@@ -178,8 +178,12 @@ class TestCompatShim:
 
 
 class TestExecutionErrors:
+    @pytest.fixture(autouse=True)
+    def _closing(self, closing):
+        self.closing = closing
+
     def _handle(self, script, seed=3):
-        orch = Orchestrator()
+        orch = self.closing(Orchestrator())
         return orch.create_session(DetectionTask("RevokeAuth"),
                                    ScriptedAgent(script), seed=seed)
 
@@ -253,6 +257,7 @@ class TestExecutionErrors:
             [SessionSpec(problem=DetectionTask("RevokeAuth"),
                          agent=ScriptedAgent(script), seed=3, max_steps=5)],
             concurrency=1)
+        self.closing(outcome.handle)
         assert not outcome.ok and outcome.result is None
         assert isinstance(outcome.error, TypeError)
         assert not outcome.session.submitted
@@ -281,12 +286,15 @@ class TestBatchExecutor:
         ]
 
     @pytest.mark.parametrize("concurrency", [1, 3])
-    def test_outcomes_in_spec_order(self, concurrency):
+    def test_outcomes_in_spec_order(self, concurrency, closing):
         outcomes = run_sessions_sync(self._specs(), concurrency=concurrency)
+        for o in outcomes:
+            if o.handle is not None:  # the pool releases its own
+                closing(o.handle)
         assert [o.spec.agent_name for o in outcomes] == ["a0", "a1", "a2"]
         assert all(o.ok and o.result["success"] for o in outcomes)
 
-    def test_agent_factory_spec(self):
+    def test_agent_factory_spec(self, closing):
         built = []
 
         def factory(context, task_type, seed):
@@ -296,15 +304,19 @@ class TestBatchExecutor:
         spec = SessionSpec(problem="revoke_auth_hotel_res-detection-1",
                            agent=factory, seed=11)
         [outcome] = run_sessions_sync([spec], concurrency=1)
+        closing(outcome.handle)
         assert outcome.ok
         assert built == [("detection", 11)]
 
     @pytest.mark.parametrize("concurrency", [1, 3])
-    def test_failing_session_isolated(self, concurrency):
+    def test_failing_session_isolated(self, concurrency, closing):
         specs = self._specs(2)
         specs.insert(1, SessionSpec(problem=DetectionTask("RevokeAuth"),
                                     agent=ExplodingAgent(), seed=9))
         outcomes = run_sessions_sync(specs, concurrency=concurrency)
+        for o in outcomes:
+            if o.handle is not None:  # the pool releases its own
+                closing(o.handle)
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
         assert "agent crashed" in str(outcomes[1].error)

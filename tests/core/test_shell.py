@@ -8,7 +8,9 @@ from repro.simcore import PolicyViolation
 
 @pytest.fixture
 def env():
-    return CloudEnvironment(HotelReservation, seed=5, workload_rate=20)
+    env = CloudEnvironment(HotelReservation, seed=5, workload_rate=20)
+    yield env
+    env.close()
 
 
 @pytest.fixture

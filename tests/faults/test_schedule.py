@@ -14,7 +14,9 @@ from repro.workload import BurstRate, ConstantRate
 
 @pytest.fixture
 def env():
-    return CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    env = CloudEnvironment(HotelReservation, seed=1, workload_rate=30)
+    yield env
+    env.close()
 
 
 class TestBuilders:
@@ -151,10 +153,10 @@ class TestArmedSchedule:
         env.advance(20.0)
         assert armed.log[0][0] == 40.0
 
-    def test_zero_rate_window_still_fires_timeline(self):
+    def test_zero_rate_window_still_fires_timeline(self, closing):
         """Timeline events land inside zero-rate spans."""
-        env = CloudEnvironment(HotelReservation, seed=1,
-                               policy=ConstantRate(0.0))
+        env = closing(CloudEnvironment(HotelReservation, seed=1,
+                                       policy=ConstantRate(0.0)))
         armed = FaultSchedule.delayed("RevokeAuth", ("mongodb-geo",),
                                       333.3).arm(env)
         env.advance(1000.0)

@@ -67,8 +67,8 @@ class TestPaperAgentBehaviours:
                                "misconfig_k8s_social_net-localization-1")
         assert all(s.action_name != "get_traces" for s in case.session.steps)
 
-    def test_judge_grades_real_session(self):
-        orch = Orchestrator(seed=4)
+    def test_judge_grades_real_session(self, closing):
+        orch = closing(Orchestrator(seed=4))
         orch.init_problem(get_problem("revoke_auth_hotel_res-detection-1"))
         from repro.agents import build_agent
         agent = build_agent("oracle", *orch.init_problem(
@@ -81,9 +81,9 @@ class TestPaperAgentBehaviours:
 
 
 class TestDynamicEnvironmentProperty:
-    def test_workload_continues_during_agent_session(self):
+    def test_workload_continues_during_agent_session(self, closing):
         """The cloud must keep living while the agent thinks (§2.2.3)."""
-        orch = Orchestrator(seed=6)
+        orch = closing(Orchestrator(seed=6))
         orch.init_problem(get_problem("revoke_auth_hotel_res-detection-1"))
         requests_before = orch.env.driver.stats.requests
 

@@ -8,17 +8,30 @@ a resource-coupled scenario or a two-app environment moves the key of
 any mix operation.  The key is made of cluster-wide counters, which is
 sound because ``resolve`` is a pure, RNG-free function of what it reads:
 moving a counter without changing that state resolves equal plans.
+
+A hold also buffers its requests' accounting and flushes it when the hold
+exits; a bare ``execute`` flushes before it returns.  ``TestTickAccounting``
+pins that the flush leaves exactly what per-request accounting would.
 """
+
+from collections import Counter
 
 import pytest
 
 from repro.apps import HotelReservation
 from repro.core import CloudEnvironment
 from repro.kubesim.objects import ObjectMeta, Secret
+from repro.kubesim.resources import ResourcePlane
 from repro.problems import benchmark_pids, get_problem, noop_pids
 from repro.services.plan import resolve
 from repro.workload import WorkloadDriver
-from tests.services.test_execute_many import MUTATIONS, OP
+from tests.services.test_execute_many import (
+    MUTATIONS,
+    OP,
+    Deployed,
+    _apply_auth_failure,
+    _apply_network_loss,
+)
 from tests.telemetry.test_golden_export import ENV_SEED, PIDS as GOLDEN_PIDS
 
 _PAPER = set(benchmark_pids()) | set(noop_pids())
@@ -121,3 +134,73 @@ class TestHeldPlans:
         assert plans() == before
         assert streams() == states
         env.close()
+
+
+class TestTickAccounting:
+    """Requests are accounted with the collector and the resource plane
+    per tick: a hold flushes its buffered requests when it exits, and
+    leaves what accounting each request on its own would have left."""
+
+    @staticmethod
+    def _deployed() -> Deployed:
+        """A deployment under network loss and revoked roles (stubs and
+        handler errors both), with a resource plane taking demand."""
+        d = Deployed()
+        d.runtime.resources = ResourcePlane(d.cluster, d.clock, coupled=False)
+        _apply_network_loss(d)
+        _apply_auth_failure(d)
+        return d
+
+    @staticmethod
+    def _accounts(d: Deployed) -> tuple:
+        c = d.collector
+        return (dict(c._window_requests), dict(c._window_errors),
+                {s: list(lats) for s, lats in c._window_latencies.items()},
+                dict(d.runtime.resources._window))
+
+    @staticmethod
+    def _ops(d: Deployed, n: int) -> list[str]:
+        ops = sorted(d.app.operations)
+        return [ops[i % len(ops)] for i in range(n)]
+
+    def test_bare_execute_is_accounted_when_it_returns(self):
+        d = self._deployed()
+        ns = d.app.namespace
+        for op in self._ops(d, 40):
+            before = self._accounts(d)
+            d.runtime.execute(op)
+            requests, errors, latencies, demand = self._accounts(d)
+            spans = d.collector.traces.query()[-1].spans
+            # each span row is one request of its service, accounted now
+            assert Counter(requests) - Counter(before[0]) == \
+                Counter(s.service for s in spans)
+            assert Counter(errors) - Counter(before[1]) == \
+                Counter(s.service for s in spans if s.status == "ERROR")
+            assert demand == {(ns, s): n for s, n in requests.items()}
+            for service, lats in latencies.items():
+                new = lats[len(before[2].get(service, [])):]
+                assert sorted(new) == sorted(
+                    s.duration_ms for s in spans if s.service == service)
+
+    def test_a_hold_accounts_what_bare_requests_do(self):
+        held, bare = self._deployed(), self._deployed()
+        ops = self._ops(held, 120)
+        with held.runtime.holding_plans():
+            for op in ops:
+                held.runtime.execute(op)
+        for op in ops:
+            bare.runtime.execute(op)
+        accounts = self._accounts(held)
+        assert accounts == self._accounts(bare)
+        assert sum(accounts[1].values()) > 0
+        assert held.runtime.rng.generator.bit_generator.state == \
+            bare.runtime.rng.generator.bit_generator.state
+
+    def test_nothing_is_accounted_before_the_hold_exits(self):
+        d = self._deployed()
+        before = self._accounts(d)
+        with d.runtime.holding_plans():
+            for op in self._ops(d, 30):
+                d.runtime.execute(op)
+                assert self._accounts(d) == before
+        assert self._accounts(d) != before

@@ -89,3 +89,36 @@ class TestRngStream:
         import math
         rng = RngStream(1, "t")
         assert rng.lognormal(math.log(scale), 0.5) > 0
+
+
+class TestLognormalIdentity:
+    """The per-request walker draws a hop's service time as
+    ``exp(mu + sigma * standard_normal())`` on the generator itself: the
+    same value, and the same generator state after, as
+    ``Generator.lognormal(mu, sigma)``."""
+
+    def test_equal_on_twin_generators(self):
+        import math
+
+        import numpy as np
+
+        grid = np.random.default_rng(2024)
+        mus = grid.uniform(-3.0, 7.0, size=60).tolist() + [0.0, math.log(0.1)]
+        sigmas = grid.uniform(0.0, 2.0, size=60).tolist() + [0.0, 0.3]
+        a, b = np.random.default_rng(17), np.random.default_rng(17)
+        for mu, sigma in zip(mus, sigmas):
+            for _ in range(50):
+                assert a.lognormal(mu, sigma) == \
+                    math.exp(mu + sigma * b.standard_normal())
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [-0.5, -0.0])
+    def test_negative_service_sigma_rejected(self, sigma):
+        """A service whose latency sigma numpy's lognormal would reject is
+        rejected by ``execute`` too, with the same error."""
+        from tests.services.test_execute_many import OP, Deployed
+
+        d = Deployed()
+        d.app.services["search"].latency_sigma = sigma
+        with pytest.raises(ValueError, match="sigma < 0"):
+            d.runtime.execute(OP)

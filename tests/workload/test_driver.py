@@ -140,10 +140,14 @@ class TestOperationPick:
 class TestAggregateMode:
     """mode="aggregate": coalesced spans over execute_many batches."""
 
+    @pytest.fixture(autouse=True)
+    def _closing(self, closing):
+        self.closing = closing
+
     def _env(self, fidelity, policy=None, rate=60.0, seed=5):
-        return CloudEnvironment(HotelReservation, seed=seed,
-                                workload_rate=rate, policy=policy,
-                                fidelity=fidelity)
+        return self.closing(CloudEnvironment(HotelReservation, seed=seed,
+                                             workload_rate=rate, policy=policy,
+                                             fidelity=fidelity))
 
     def test_invalid_mode_rejected(self, hotel):
         with pytest.raises(ValueError):
