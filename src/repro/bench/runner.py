@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.agents.registry import AGENT_NAMES, agent_factory
-from repro.core.batch import (
-    GridCell,
-    SessionOutcome,
-    SessionSpec,
-    run_grid,
-    run_sessions_sync,
-)
+from repro.core.batch import SessionOutcome, SessionSpec, run_sessions_sync
 from repro.core.env import EnvSnapshot
 from repro.core.session import Session
 from repro.problems import benchmark_pids, get_problem
@@ -227,22 +221,24 @@ class BenchmarkRunner:
     ) -> list[dict]:
         """Run an (agent × seed × step-limit) grid from one snapshot.
 
-        Every cell forks the snapshot — the environment seed is frozen in
-        it; ``seeds`` vary the *agent* seed — so a 1000-cell grid pays
-        environment setup exactly once.  At ``concurrency > 1`` the cells
-        fan out over warm workers that inherit the snapshot at startup;
-        results are bit-identical to the serial path either way, in cell
-        order (agents outermost, then seeds, then step limits).
+        Every cell is a :class:`~repro.core.batch.SessionSpec` whose
+        problem is ``snapshot`` — the environment seed is frozen in it;
+        ``seeds`` vary the *agent* seed — so a 1000-cell grid pays
+        environment setup exactly once and each cell one fork.  The cells
+        run through :func:`~repro.core.batch.run_sessions_sync` like any
+        other specs; results are bit-identical at any ``concurrency``, in
+        cell order (agents outermost, then seeds, then step limits).
         """
         limits = list(step_limits) if step_limits is not None \
             else [self.max_steps]
-        cells = [GridCell(agent=agent_factory(agent), agent_name=agent,
-                          seed=seed, max_steps=limit)
+        specs = [SessionSpec(problem=snapshot, agent=agent_factory(agent),
+                             agent_name=agent, seed=seed, max_steps=limit)
                  for agent in agents for seed in seeds for limit in limits]
-        results = run_grid(
-            snapshot, cells,
-            processes=self.concurrency if concurrency is None else concurrency)
-        for cell, result in zip(cells, results):
-            result["agent_seed"] = cell.seed
-            result["max_steps"] = cell.max_steps
-        return results
+        outcomes = run_sessions_sync(
+            specs,
+            concurrency=self.concurrency if concurrency is None else concurrency,
+            fail_fast=True, release_handles=True)
+        for outcome in outcomes:
+            outcome.result["agent_seed"] = outcome.spec.seed
+            outcome.result["max_steps"] = outcome.spec.max_steps
+        return [outcome.result for outcome in outcomes]

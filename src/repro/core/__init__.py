@@ -44,7 +44,6 @@ from repro.core.batch import (
     GridCell,
     SessionOutcome,
     SessionSpec,
-    run_grid,
     run_sessions_sync,
 )
 from repro.core.evaluator import Evaluator, system_healthy
@@ -83,7 +82,6 @@ __all__ = [
     "GridCell",
     "SessionOutcome",
     "SessionSpec",
-    "run_grid",
     "run_sessions_sync",
     "Evaluator",
     "system_healthy",

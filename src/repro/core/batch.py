@@ -3,10 +3,11 @@
 :func:`run_sessions_sync` runs independent :class:`SessionSpec`\\ s either
 serially in the calling thread (``concurrency=1``) or over a process pool
 (``concurrency>1``) — multi-core parallelism for the CPU-bound 4-agents ×
-48-problems suite; :func:`run_grid` does the same for cells forked off one
-prepared :class:`~repro.core.env.EnvSnapshot`.  Each spec carries its own
-seed (derived upstream from ``(seed, agent, pid)``), every handle owns a
-private environment, and results come back in input order regardless of
+48-problems suite.  A spec starts cold from a problem (or its id) or from
+a fork of a prepared :class:`~repro.core.env.EnvSnapshot`; both run the
+same code on either path.  Each spec carries its own seed (derived
+upstream from ``(seed, agent, pid)``), every handle owns a private
+environment, and results come back in input order regardless of
 completion order — so the serial loop and any pool size are bit-identical.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from functools import partial
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.core.env import EnvSnapshot
@@ -32,13 +32,19 @@ AgentFactory = Callable[[SessionContext, str, int], Any]
 class SessionSpec:
     """Everything needed to run one session independently.
 
+    ``problem`` is a :class:`~repro.core.problem.Problem`, a problem id,
+    or an :class:`~repro.core.env.EnvSnapshot` that co-captured its
+    problem (``env.snapshot(extras=problem)``): the session then runs on
+    a fork of it and skips deploy, warm-up and fault soak.  Specs of one
+    sweep share the one snapshot object.
+
     ``agent`` is either a ready agent object (anything with ``get_action``)
     or an :data:`AgentFactory` called after the environment is set up —
     factories are the common case, since agent prompts are built from the
     session context.
     """
 
-    problem: Union[Problem, str]
+    problem: Union[Problem, str, EnvSnapshot]
     agent: Union[Any, AgentFactory]
     agent_name: str = "agent"
     seed: int = 0
@@ -66,82 +72,46 @@ class SessionOutcome:
 ProgressHook = Callable[[SessionOutcome], None]
 
 
-def _build_agent(spec: Union[SessionSpec, "GridCell"],
-                 handle: SessionHandle) -> Any:
-    """The spec's (or cell's) agent, calling its factory now that the
-    handle's context exists."""
+def _open_handle(spec: SessionSpec) -> SessionHandle:
+    """The spec's handle, on a cold environment or a fork of its snapshot."""
+    if not isinstance(spec.problem, EnvSnapshot):
+        return SessionHandle(Orchestrator._resolve_problem(spec.problem),
+                             seed=spec.seed, agent_name=spec.agent_name)
+    env, problem = spec.problem.fork_with_extras()
+    try:
+        if not isinstance(problem, Problem):
+            raise ValueError(
+                "snapshot specs must co-capture their problem: take the "
+                "snapshot with env.snapshot(extras=problem)")
+        return SessionHandle(problem, seed=spec.seed,
+                             agent_name=spec.agent_name, env=env)
+    except BaseException:
+        env.close()  # the handle never owned the fork; this executor does
+        raise
+
+
+def _build_agent(spec: SessionSpec, handle: SessionHandle) -> Any:
+    """The spec's agent, calling its factory now that the handle's
+    context exists."""
     agent = spec.agent
     if callable(agent) and not hasattr(agent, "get_action"):
         agent = agent(handle.context, handle.problem.task_type, spec.seed)
     return agent
 
 
-def _serial_map(fn: Callable, items: Sequence,
-                progress: Optional[Callable[[Any], None]]) -> list:
-    results = []
-    for item in items:
-        results.append(fn(item))
-        if progress is not None:
-            progress(results[-1])
-    return results
-
-
-def _pool_map(fn: Callable, items: Sequence, processes: int,
-              progress: Optional[Callable[[Any], None]] = None,
-              on_error: Optional[Callable[[Any, BaseException], Any]] = None,
-              initializer: Optional[Callable] = None,
-              initargs: tuple = ()) -> list:
-    """Map ``fn`` over ``items`` on a process pool; results in input order.
-
-    ``progress`` fires in the parent as each item completes.  An exception
-    out of a worker becomes that item's result via ``on_error(item, exc)``;
-    without ``on_error`` the first one propagates and undispatched work is
-    cancelled.  fork keeps worker start cheap and inherits the warmed
-    import state; spawn is the portable fallback.
-    """
-    if not items:
-        return []
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    results: list = [None] * len(items)
-    with ProcessPoolExecutor(max_workers=min(processes, len(items)),
-                             mp_context=ctx, initializer=initializer,
-                             initargs=initargs) as pool:
-        futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-        for future in as_completed(futures):
-            i = futures[future]
-            error = future.exception()
-            if error is not None and on_error is None:
-                pool.shutdown(cancel_futures=True)
-                raise error
-            results[i] = future.result() if error is None \
-                else on_error(items[i], error)
-            if progress is not None:
-                progress(results[i])
-    return results
-
-
-def _run_spec(spec: SessionSpec, orch: Optional[Orchestrator] = None,
-              fail_fast: bool = False,
+def _run_spec(spec: SessionSpec, fail_fast: bool = False,
               release_handles: bool = False) -> SessionOutcome:
     """Run one spec start-to-finish in this thread."""
     outcome = SessionOutcome(spec=spec)
     try:
-        if orch is not None:
-            handle = orch.create_session(
-                spec.problem, seed=spec.seed, agent_name=spec.agent_name)
-        else:  # untracked: the handle (and its env) dies with the case
-            handle = SessionHandle(
-                Orchestrator._resolve_problem(spec.problem),
-                seed=spec.seed, agent_name=spec.agent_name)
-        outcome.handle = handle
+        handle = outcome.handle = _open_handle(spec)
         handle.bind_agent(_build_agent(spec, handle), name=spec.agent_name)
         outcome.result = handle.run_sync(max_steps=spec.max_steps)
     except Exception as e:  # isolate failures to their own case
         if fail_fast:
-            # the raise drops the outcome, so an untracked handle would
-            # leak its environment's export directory
-            release_handles = release_handles or orch is None
+            # the raise drops the outcome, so a kept handle would leak its
+            # environment's export directory
+            release_handles = True
             raise
         outcome.error = e
     finally:
@@ -150,19 +120,58 @@ def _run_spec(spec: SessionSpec, orch: Optional[Orchestrator] = None,
             outcome.session = outcome.handle.session
             if release_handles:
                 # free the environment as soon as the case is done (failed
-                # or not); closing it (via the orchestrator, if it tracks
-                # the handle) removes its temp export dir
-                if orch is not None:
-                    orch.release(outcome.handle)
-                else:
-                    outcome.handle.close()
+                # or not); closing it removes its temp export dir
+                outcome.handle.close()
                 outcome.handle = None
     return outcome
 
 
+def _run_spec_in_worker(spec: SessionSpec,
+                        fail_fast: bool) -> SessionOutcome:
+    outcome = _run_spec(spec, fail_fast=fail_fast, release_handles=True)
+    outcome.spec = None  # the parent holds it (and its snapshot) already
+    return outcome
+
+
+def _pool_map(specs: Sequence[SessionSpec], processes: int, fail_fast: bool,
+              progress: Optional[ProgressHook]) -> list[SessionOutcome]:
+    """Run ``specs`` on a process pool; outcomes in spec order.
+
+    ``progress`` fires in the parent as each spec completes.  An exception
+    out of a worker (a failing session under ``fail_fast``, or e.g. an
+    unpicklable spec) propagates and cancels undispatched work under
+    ``fail_fast``, and is otherwise that spec's outcome.  fork keeps
+    worker start cheap and inherits the warmed import state; spawn is the
+    portable fallback.
+    """
+    if not specs:
+        return []
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    outcomes: list = [None] * len(specs)
+    with ProcessPoolExecutor(max_workers=min(processes, len(specs)),
+                             mp_context=ctx) as pool:
+        futures = {pool.submit(_run_spec_in_worker, spec, fail_fast): i
+                   for i, spec in enumerate(specs)}
+        for future in as_completed(futures):
+            i = futures[future]
+            error = future.exception()
+            if error is None:
+                outcome = future.result()
+                outcome.spec = specs[i]
+            elif fail_fast:
+                pool.shutdown(cancel_futures=True)
+                raise error
+            else:
+                outcome = SessionOutcome(spec=specs[i], error=error)
+            outcomes[i] = outcome
+            if progress is not None:
+                progress(outcome)
+    return outcomes
+
+
 def run_sessions_sync(specs: Sequence[SessionSpec],
                       concurrency: int = 4,
-                      orchestrator: Optional[Orchestrator] = None,
                       fail_fast: bool = False,
                       release_handles: bool = False,
                       progress: Optional[ProgressHook] = None,
@@ -174,11 +183,13 @@ def run_sessions_sync(specs: Sequence[SessionSpec],
     returns live handles unless ``release_handles``.  ``concurrency>1``
     fans the specs out over that many worker processes, each spec running
     start-to-finish in one worker — bit-identical to the serial loop,
-    since the spec's own seed fully determines the run.  Pool specs must
-    be picklable (use ``repro.agents.registry.agent_factory`` or any
-    module-level factory, not a lambda/closure agent), pool handles are
-    always released (environments never cross the process boundary), and
-    the pool cannot track handles on an ``orchestrator``.
+    since the spec (its seed, or its snapshot and agent seed) fully
+    determines the run.  Pool specs must be picklable (use
+    ``repro.agents.registry.agent_factory`` or any module-level factory,
+    not a lambda/closure agent); a snapshot spec ships its snapshot with
+    it, and pool handles are always released (environments never cross
+    the process boundary).  Handles a caller wants tracked come from
+    :meth:`~repro.core.orchestrator.Orchestrator.create_session`.
 
     By default a failing session never takes the batch down — its outcome
     carries the exception instead; ``fail_fast=True`` propagates the first
@@ -187,43 +198,26 @@ def run_sessions_sync(specs: Sequence[SessionSpec],
     telemetry stores, exported artifact files under its temp export root)
     as its case finishes, keeping only the in-memory trajectory and
     result — essential for paper-scale suites where 288 live environments
-    would otherwise coexist.  Passing an ``orchestrator`` tracks every
-    handle on it (``orchestrator.handles``) until released.  ``progress``
-    is called in this process as each case completes.
+    would otherwise coexist.  ``progress`` is called in this process as
+    each case completes.
     """
     if concurrency < 1:
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if concurrency > 1:
-        if orchestrator is not None:
-            raise ValueError(
-                "the process pool cannot track handles on an "
-                "orchestrator; pass orchestrator=None")
-        # session errors already live on the outcome; only worker-level
-        # failures (e.g. an unpicklable spec) reach on_error
-        return _pool_map(
-            partial(_run_spec, fail_fast=fail_fast, release_handles=True),
-            list(specs), concurrency, progress=progress,
-            on_error=None if fail_fast else
-            lambda spec, e: SessionOutcome(spec=spec, error=e))
-    return _serial_map(
-        partial(_run_spec, orch=orchestrator, fail_fast=fail_fast,
-                release_handles=release_handles), specs, progress)
+        return _pool_map(list(specs), concurrency, fail_fast, progress)
+    outcomes = []
+    for spec in specs:
+        outcomes.append(_run_spec(spec, fail_fast, release_handles))
+        if progress is not None:
+            progress(outcomes[-1])
+    return outcomes
 
-
-# ----------------------------------------------------------------------
-# snapshot grids: warm workers amortize one prepared environment across
-# every (agent × seed × step-limit) cell
-# ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GridCell:
-    """One cell of a snapshot sweep grid.
-
-    Cells are tiny and picklable (an :data:`AgentFactory` plus three
-    scalars), so shipping thousands of them to warm workers costs
-    nothing next to the one-time snapshot transfer.  ``seed`` seeds the
-    *agent* — the environment seed is frozen into the snapshot.
-    """
+    """One cell of a snapshot sweep grid: a :class:`SessionSpec` without
+    its snapshot.  ``seed`` seeds the *agent* — the environment seed is
+    frozen into the snapshot."""
 
     agent: Union[Any, AgentFactory]
     agent_name: str = "agent"
@@ -232,61 +226,16 @@ class GridCell:
 
 
 def run_grid_cell(snapshot: EnvSnapshot, cell: GridCell) -> dict:
-    """Run one grid cell against a fresh fork of ``snapshot``.
+    """Run one grid cell against a fresh fork of ``snapshot`` and return
+    its evaluation result dict.
 
     The snapshot must have been taken with its
     :class:`~repro.core.problem.Problem` as ``extras``
     (``env.snapshot(extras=problem)``) — the fork then resumes at the
     prepared point (deployed, warmed up, fault injected) and the session
-    skips all of that setup.  Returns the evaluation result dict, the
-    only thing a 1000-cell grid keeps per cell.
+    skips all of that setup.
     """
-    env, problem = snapshot.fork_with_extras()
-    if not isinstance(problem, Problem):
-        env.close()
-        raise ValueError(
-            "grid snapshots must co-capture their problem: take them "
-            "with env.snapshot(extras=problem)")
-    handle = SessionHandle(problem, seed=cell.seed,
-                           agent_name=cell.agent_name, env=env)
-    try:
-        handle.bind_agent(_build_agent(cell, handle), name=cell.agent_name)
-        return handle.run_sync(max_steps=cell.max_steps)
-    finally:
-        handle.close()
-
-
-#: the warm worker's snapshot, set once per worker by the pool initializer
-#: (fork-inherited where available) so it is never re-shipped per cell
-_WARM_SNAPSHOT: Optional[EnvSnapshot] = None
-
-
-def _init_warm_worker(snapshot: EnvSnapshot) -> None:
-    global _WARM_SNAPSHOT
-    _WARM_SNAPSHOT = snapshot
-
-
-def _run_cell_in_worker(cell: GridCell) -> dict:
-    return run_grid_cell(_WARM_SNAPSHOT, cell)
-
-
-def run_grid(snapshot: EnvSnapshot, cells: Sequence[GridCell],
-             processes: int = 1,
-             progress: Optional[Callable[[dict], None]] = None) -> list[dict]:
-    """Run every cell against forks of one snapshot; results in cell order.
-
-    ``processes=1`` forks and runs each cell serially in this process.
-    ``processes>1`` is the warm-worker pool: each worker receives the
-    snapshot exactly once at startup (inherited on fork, along with the
-    parent's warmed profile store and import state) and rehydrates per
-    cell — no per-cell environment setup or snapshot transfer.  Results
-    are bit-identical either way: (snapshot, cell) fully determines a
-    cell's evolution.  ``progress`` is called as each cell completes.
-    """
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    if processes > 1:
-        return _pool_map(_run_cell_in_worker, list(cells), processes,
-                         progress=progress, initializer=_init_warm_worker,
-                         initargs=(snapshot,))
-    return _serial_map(partial(run_grid_cell, snapshot), cells, progress)
+    spec = SessionSpec(problem=snapshot, agent=cell.agent,
+                       agent_name=cell.agent_name, seed=cell.seed,
+                       max_steps=cell.max_steps)
+    return _run_spec(spec, fail_fast=True, release_handles=True).result

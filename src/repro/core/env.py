@@ -384,8 +384,8 @@ class EnvSnapshot:
 
     The payload is a single pickle of the environment (and any ``extras``
     passed to :meth:`CloudEnvironment.snapshot`), so a snapshot can be
-    shipped across process boundaries — warm benchmark workers inherit
-    one by fork and rehydrate per grid cell instead of re-running
+    shipped across process boundaries — a batch spec carries one to a
+    pool worker, which rehydrates it per session instead of re-running
     deploy + warmup + fault soak.  Each :meth:`fork` call produces an
     independent environment: forks share no mutable state with each other
     or with the environment the snapshot was taken from.

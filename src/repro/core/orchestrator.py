@@ -78,19 +78,25 @@ class SessionHandle:
         self.step_env_seconds = step_env_seconds
         # a passed ``env`` was already deployed, warmed up and
         # fault-injected (an EnvSnapshot fork, a lifecycle's shared
-        # environment) — adopt it instead of paying the setup again
+        # environment) — adopt it instead of paying the setup again; it
+        # stays the caller's if the handle fails to build
         self.env = problem.prepare(seed) if env is None else env
-        self.actions = TaskActions(self.env)
-        self.registry: ActionRegistry = registry_for(problem.task_type)
-        self.context = SessionContext(
-            description=problem.problem_description(self.env),
-            instructions=_INSTRUCTIONS,
-            api_docs=self.registry.render_docs(),
-        )
-        self.agent: Any = None
-        self.agent_name = agent_name
-        if agent is not None:
-            self.bind_agent(agent, name=agent_name)
+        try:
+            self.actions = TaskActions(self.env)
+            self.registry: ActionRegistry = registry_for(problem.task_type)
+            self.context = SessionContext(
+                description=problem.problem_description(self.env),
+                instructions=_INSTRUCTIONS,
+                api_docs=self.registry.render_docs(),
+            )
+            self.agent: Any = None
+            self.agent_name = agent_name
+            if agent is not None:
+                self.bind_agent(agent, name=agent_name)
+        except BaseException:
+            if env is None:
+                self.env.close()
+            raise
         self.session: Optional[Session] = None
         self.result: Optional[dict] = None
 

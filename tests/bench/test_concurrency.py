@@ -37,7 +37,7 @@ class TestConcurrencyDeterminism:
         assert [case_key(c) for c in serial.cases] == \
             [case_key(c) for c in fanout.cases]
 
-    def test_sweep_step_limit_concurrent_identical(self):
+    def test_step_limit_series_concurrent_identical(self):
         kwargs = dict(agents=("oracle",), pids=PIDS[:1])
         serial = BenchmarkRunner(max_steps=8, seed=4).run_suite(**kwargs)
         fanout = BenchmarkRunner(max_steps=8, seed=4,

@@ -92,12 +92,6 @@ class TestProcessPoolMechanics:
         with pytest.raises(ValueError):
             run_sessions_sync(_specs()[:1], concurrency=0)
 
-    def test_orchestrator_incompatible_with_pool(self):
-        from repro.core.orchestrator import Orchestrator
-        with pytest.raises(ValueError):
-            run_sessions_sync(_specs()[:1], concurrency=2,
-                              orchestrator=Orchestrator())
-
     def test_pool_always_releases_handles(self):
         outcomes = run_sessions_sync(_specs(max_steps=5)[:2], concurrency=2)
         assert all(o.ok and o.handle is None and o.session.submitted

@@ -178,6 +178,19 @@ class TestEnvironmentClose:
         orch.release(handle)
         assert not root.exists()
 
+    def test_failed_handle_closes_the_env_it_prepared(self, closing):
+        """A handle that fails to build (a base ``Problem`` has no task
+        instructions) closes the environment it prepared; an environment
+        passed in stays the caller's."""
+        from repro.core import Problem, SessionHandle
+
+        with pytest.raises(NotImplementedError):
+            SessionHandle(Problem("RevokeAuth"), seed=4)
+        env = closing(CloudEnvironment(HotelReservation, seed=1))
+        with pytest.raises(NotImplementedError):
+            SessionHandle(Problem("RevokeAuth"), env=env)
+        assert not env.closed
+
     def test_batch_release_handles_closes_envs(self):
         from repro.agents.registry import agent_factory
         from repro.core.batch import SessionSpec, run_sessions_sync
@@ -214,22 +227,6 @@ class TestEnvironmentClose:
         assert outcomes[0].handle is None
         assert prob.env_ref.closed
         assert not prob.env_ref.export_root.exists()
-
-    def test_batch_release_handles_untracks_from_orchestrator(self):
-        from repro.agents.registry import agent_factory
-        from repro.core import Orchestrator
-        from repro.core.batch import SessionSpec, run_sessions_sync
-
-        orch = Orchestrator(seed=0)
-        spec = SessionSpec(
-            problem="revoke_auth_hotel_res-detection-1",
-            agent=agent_factory("flash"), agent_name="flash",
-            seed=2, max_steps=4)
-        outcomes = run_sessions_sync([spec], concurrency=1,
-                                     orchestrator=orch,
-                                     release_handles=True)
-        assert outcomes[0].ok
-        assert orch.handles == []
 
     def test_batch_failure_keeps_partial_trajectory(self):
         """A case that fails mid-run still exposes its partial session."""

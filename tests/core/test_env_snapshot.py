@@ -3,8 +3,8 @@ environment's subsequent evolution is bit-identical to a fresh
 environment advanced to the same point — WorkloadStats, RNG draw order
 (hence telemetry values), scrape timestamps, armed fault timelines and
 pending trigger chains all resume exactly where the snapshot was taken.
-That property is what lets warm benchmark workers amortize one prepared
-environment across a whole sweep grid (see ``run_grid``)."""
+That property is what lets one prepared environment serve a whole sweep
+grid: a snapshot is a batch spec's problem (see ``SessionSpec``)."""
 
 import warnings
 
@@ -13,7 +13,14 @@ import pytest
 
 from repro.agents.registry import agent_factory
 from repro.apps import HotelReservation, SocialNetwork
-from repro.core import AppSpec, CloudEnvironment, GridCell, run_grid
+from repro.core import (
+    AppSpec,
+    CloudEnvironment,
+    GridCell,
+    Problem,
+    SessionSpec,
+    run_sessions_sync,
+)
 from repro.core.batch import run_grid_cell
 from repro.faults import FaultSchedule, MetricAbove
 from repro.problems import get_problem
@@ -192,15 +199,39 @@ class TestSnapshotGrid:
 
     def test_grid_pool_bit_identical_to_serial(self):
         snapshot = self._snapshot()
-        cells = [GridCell(agent=agent_factory(name), agent_name=name,
-                          seed=seed, max_steps=limit)
+        specs = [SessionSpec(problem=snapshot, agent=agent_factory(name),
+                             agent_name=name, seed=seed, max_steps=limit)
                  for name in ("gpt-4-w-shell", "flash")
                  for seed in (0, 1)
                  for limit in (4, 6)]
-        serial = run_grid(snapshot, cells, processes=1)
-        pooled = run_grid(snapshot, cells, processes=2)
-        assert len(serial) == len(cells)
-        assert serial == pooled
+        serial = run_sessions_sync(specs, concurrency=1,
+                                   release_handles=True)
+        pooled = run_sessions_sync(specs, concurrency=2)
+        assert len(serial) == len(specs)
+        assert all(o.ok for o in serial)
+        assert [o.result for o in serial] == [o.result for o in pooled]
+        assert all(o.spec is spec for o, spec in zip(pooled, specs))
+
+    def test_spawn_pool_matches_serial(self, monkeypatch):
+        """Where ``fork`` is missing the pool spawns its workers: fresh
+        interpreters that receive the snapshot with each spec."""
+        import multiprocessing
+        snapshot = self._snapshot()
+        specs = [SessionSpec(problem=snapshot, agent=agent_factory("flash"),
+                             agent_name="flash", seed=seed, max_steps=4)
+                 for seed in (0, 1)]
+        serial = run_sessions_sync(specs, concurrency=1,
+                                   release_handles=True)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        started, get_context = [], multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: started.append(method)
+                            or get_context(method))
+        spawned = run_sessions_sync(specs, concurrency=2)
+        assert started == ["spawn"]
+        assert all(o.ok for o in spawned)
+        assert [o.result for o in serial] == [o.result for o in spawned]
 
     def test_sweep_grid_shapes_and_executors(self):
         from repro.bench import BenchmarkRunner
@@ -241,11 +272,15 @@ class TestSnapshotGrid:
             run_grid_cell(snapshot, GridCell(agent=agent_factory("flash"),
                                              agent_name="flash"))
 
-    def test_run_grid_validates_processes(self):
-        snapshot = self._snapshot()
-        with pytest.raises(ValueError):
-            run_grid(snapshot, [], processes=0)
-        assert run_grid(snapshot, [], processes=2) == []
+    def test_failed_handle_closes_the_fork(self):
+        """A fork whose handle fails to build (a base ``Problem`` has no
+        task instructions) is closed by the executor that made it."""
+        env = CloudEnvironment(HotelReservation, seed=1, workload_rate=10)
+        snapshot = env.snapshot(extras=Problem("RevokeAuth"))
+        env.close()
+        with pytest.raises(NotImplementedError):
+            run_grid_cell(snapshot, GridCell(agent=agent_factory("flash"),
+                                             agent_name="flash"))
 
     def test_snapshot_is_picklable_and_compact_enough(self):
         import pickle
@@ -259,10 +294,10 @@ class TestSnapshotGrid:
 
 
 class TestGeneratedSnapshotGrid:
-    """Snapshot/fork on *generated* problems: the warm-worker grid must
-    treat a procedurally synthesized pool exactly like the hand-written
-    one — fork sessions bit-identical to cold setup-from-scratch runs,
-    across trigger shapes, fidelity tiers and multi-tenant app sets."""
+    """Snapshot/fork on *generated* problems: a snapshot grid must treat
+    a procedurally synthesized pool exactly like the hand-written one —
+    fork sessions bit-identical to cold setup-from-scratch runs, across
+    trigger shapes, fidelity tiers and multi-tenant app sets."""
 
     def _sample_pids(self):
         """Deterministic shape-diverse sample of the seed-0 pool: the
