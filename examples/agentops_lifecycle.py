@@ -12,15 +12,8 @@ succeed, and with FLASH to see where a realistic agent drops the ball.
 Run:  python examples/agentops_lifecycle.py
 """
 
-from repro.agents import build_agent
+from repro.agents import agent_factory
 from repro.core import IncidentLifecycle
-
-
-def factory_for(agent_name: str):
-    def factory(stage, prob_desc, instructs, apis):
-        return build_agent(agent_name, prob_desc, instructs, apis,
-                           task_type=stage, seed=11)
-    return factory
 
 
 def main():
@@ -28,7 +21,7 @@ def main():
         lifecycle = IncidentLifecycle("RevokeAuth", seed=11,
                                       max_steps_per_stage=20)
         try:
-            result = lifecycle.run(factory_for(agent_name))
+            result = lifecycle.run(agent_factory(agent_name))
         finally:
             if lifecycle.env is not None:
                 lifecycle.env.close()  # removes its telemetry export dir

@@ -24,7 +24,6 @@ from repro.agents.registry import (
     AGENT_NAMES,
     agent_factory,
     build_agent,
-    build_agent_for,
     registration_loc,
 )
 
@@ -44,6 +43,5 @@ __all__ = [
     "AGENT_NAMES",
     "agent_factory",
     "build_agent",
-    "build_agent_for",
     "registration_loc",
 ]

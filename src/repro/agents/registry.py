@@ -38,18 +38,6 @@ def build_agent(name: str, prob_desc: str, instructs: str, apis: str,
                     profile=name, seed=seed)
 
 
-def build_agent_for(name: str, context, task_type: str,
-                    seed: int = 0) -> AgentBase:
-    """Instantiate a registered agent from a v2 ``SessionContext``.
-
-    ``context`` is anything that unpacks as (description, instructions,
-    api_docs) — the object ``Orchestrator.create_session`` hands back on
-    its handle.
-    """
-    prob_desc, instructs, apis = context
-    return build_agent(name, prob_desc, instructs, apis, task_type, seed=seed)
-
-
 class _RegisteredAgentFactory:
     """Picklable :data:`repro.core.batch.AgentFactory` for one registered
     agent — a module-level class (not a closure) so ``SessionSpec``\\ s that
@@ -61,7 +49,7 @@ class _RegisteredAgentFactory:
         self.name = name
 
     def __call__(self, context, task_type: str, seed: int) -> AgentBase:
-        return build_agent_for(self.name, context, task_type, seed=seed)
+        return build_agent(self.name, *context, task_type, seed=seed)
 
     def __repr__(self) -> str:
         return f"agent_factory({self.name!r})"

@@ -15,11 +15,9 @@ from typing import Any, Iterable, Optional, Sequence
 from repro.agents.registry import AGENT_NAMES, agent_factory
 from repro.core.batch import SessionOutcome, SessionSpec, run_sessions_sync
 from repro.core.env import EnvSnapshot
+from repro.core.evaluator import SUMMARY_KEYS
 from repro.core.session import Session
 from repro.problems import benchmark_pids, get_problem
-
-_SUMMARY_KEYS = ("pid", "task_type", "agent", "success", "duration_s",
-                 "steps", "input_tokens", "output_tokens")
 
 
 @dataclass
@@ -145,7 +143,7 @@ class BenchmarkRunner:
         if outcome.error is not None:
             raise outcome.error
         res = outcome.result
-        details = {k: v for k, v in res.items() if k not in _SUMMARY_KEYS}
+        details = {k: v for k, v in res.items() if k not in SUMMARY_KEYS}
         return CaseResult(
             agent=outcome.spec.agent_name, pid=res["pid"],
             task_type=res["task_type"],

@@ -242,9 +242,6 @@ class TaskActions:
 DEFAULT_REGISTRY = ActionRegistry.from_class(TaskActions)
 
 
-def registry_for(task_type: str = "",
-                 actions_cls: type = TaskActions) -> ActionRegistry:
+def registry_for(task_type: str = "") -> ActionRegistry:
     """The action surface for one task type (mitigation sees extra actions)."""
-    if actions_cls is TaskActions:
-        return DEFAULT_REGISTRY.for_task(task_type)
-    return ActionRegistry.from_class(actions_cls, task_type=task_type)
+    return DEFAULT_REGISTRY.for_task(task_type)

@@ -24,7 +24,8 @@ from repro.core.problem import Problem
 from repro.core.session import Session
 
 #: builds the agent once the session's environment (and thus its context)
-#: exists: (context, task_type, seed) -> agent
+#: exists: (context, task_type, seed) -> agent — the one factory protocol,
+#: shared by :class:`SessionSpec` and the incident lifecycle
 AgentFactory = Callable[[SessionContext, str, int], Any]
 
 

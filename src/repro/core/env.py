@@ -118,8 +118,8 @@ class CloudEnvironment:
         list).  ``None`` keeps the historical single ``node-0``.
     autoscale:
         :class:`~repro.kubesim.controllers.HpaPolicy` list; non-empty
-        activates the :class:`HorizontalAutoscaler` on the resync loop
-        and the resource-plane rollup tick.
+        activates the :class:`HorizontalAutoscaler`, evaluated after
+        each resource-plane rollup.
     resource_interval:
         Rollup cadence (virtual seconds) when the plane is active —
         matches the 5 s telemetry-scrape cadence by default.
@@ -177,8 +177,6 @@ class CloudEnvironment:
         self.autoscaler = HorizontalAutoscaler(self.cluster, self.resources)
         for hpa_policy in (autoscale or ()):
             self.autoscaler.add(hpa_policy)
-        if autoscale:
-            self.cluster.attach_autoscaler(self.autoscaler)
         # the first app's namespace keeps bare metric names (single-app
         # telemetry stays bit-identical); other namespaces are qualified
         self.collector.default_namespace = namespaces[0]

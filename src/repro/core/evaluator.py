@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.env import CloudEnvironment
@@ -43,23 +42,11 @@ def system_healthy(env: "CloudEnvironment",
     return True, "system healthy"
 
 
-@dataclass
-class EvaluationResult:
-    """Everything the problem evaluators record for one session."""
-
-    pid: str
-    task_type: str
-    agent_name: str
-    success: bool
-    duration_s: float
-    steps: int
-    input_tokens: int
-    output_tokens: int
-    details: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def total_tokens(self) -> int:
-        return self.input_tokens + self.output_tokens
+#: the keys every result dict opens with, in order; the problem's own
+#: grading details follow them
+SUMMARY_KEYS: tuple[str, ...] = (
+    "pid", "task_type", "agent", "success", "duration_s", "steps",
+    "input_tokens", "output_tokens")
 
 
 class Evaluator:
@@ -69,19 +56,23 @@ class Evaluator:
         self.problem = problem
         self.env = env
 
-    def evaluate(self, session: "Session",
-                 solution: Any) -> EvaluationResult:
+    def evaluate(self, session: "Session", solution: Any) -> dict[str, Any]:
+        """The session's result dict: :data:`SUMMARY_KEYS`, then the
+        problem's grading details.
+
+        No submission within the step budget is a failure; mitigation is
+        graded on the environment state anyway but still requires the
+        agent to have declared completion.
+        """
         duration = session.elapsed()
         details = self.problem.eval(solution, session, duration, env=self.env)
-        success = bool(details.get("success", False))
-        return EvaluationResult(
-            pid=self.problem.pid,
-            task_type=self.problem.task_type,
-            agent_name=session.agent_name,
-            success=success,
-            duration_s=duration,
-            steps=len(session.steps),
-            input_tokens=session.input_tokens,
-            output_tokens=session.output_tokens,
-            details=details,
-        )
+        result = dict(zip(SUMMARY_KEYS, (
+            self.problem.pid, self.problem.task_type, session.agent_name,
+            bool(details.get("success", False)), duration,
+            len(session.steps), session.input_tokens,
+            session.output_tokens)))
+        result.update(details)
+        if not session.submitted:
+            result["success"] = False
+            result.setdefault("reason", "no submission within step limit")
+        return result

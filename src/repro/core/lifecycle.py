@@ -11,8 +11,9 @@ over between stages and each stage graded by its own task oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
+from repro.core.batch import AgentFactory
 from repro.core.env import CloudEnvironment
 from repro.core.orchestrator import SessionHandle
 from repro.core.problem import TASK_CLASSES, Problem
@@ -20,9 +21,6 @@ from repro.core.session import Session
 
 #: lifecycle stage order (Figure 1)
 STAGES: tuple[str, ...] = tuple(TASK_CLASSES)
-
-#: agent factory: (stage, prob_desc, instructs, apis) -> agent object
-AgentFactory = Callable[[str, str, str, str], Any]
 
 
 @dataclass
@@ -102,8 +100,10 @@ class IncidentLifecycle:
 
     # ------------------------------------------------------------------
     def run(self, agent_factory: AgentFactory) -> LifecycleResult:
-        """Execute the lifecycle; a fresh agent is built per stage (the
-        factory may share memory between them if it wants to)."""
+        """Execute the lifecycle; a fresh agent is built per stage as
+        ``agent_factory(context, stage, seed)``, the batch executor's
+        factory protocol (it may share memory between stages if it wants
+        to)."""
         self.env = self.problems["detection"].prepare(self.seed)
         result = LifecycleResult(fault=self.fault_name, target=self.target)
         for stage in STAGES:
@@ -119,7 +119,7 @@ class IncidentLifecycle:
         """One stage = one ordinary session on the shared environment."""
         handle = SessionHandle(self.problems[stage], seed=self.seed,
                                env=self.env)
-        agent = agent_factory(stage, *handle.context)
+        agent = agent_factory(handle.context, stage, self.seed)
         handle.bind_agent(agent, name=getattr(agent, "name", "agent"))
         result = handle.run_sync(self.max_steps_per_stage)
         session = handle.session

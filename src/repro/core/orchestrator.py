@@ -19,7 +19,7 @@ from typing import Any, NamedTuple, Optional, Union
 from repro.core.aci import SubmissionReceived, TaskActions, registry_for
 from repro.core.actions import ActionRegistry, Observation
 from repro.core.env import CloudEnvironment
-from repro.core.evaluator import EvaluationResult, Evaluator
+from repro.core.evaluator import Evaluator
 from repro.core.parser import ActionParseError, parse_action
 from repro.core.problem import Problem
 from repro.core.session import Session, Step
@@ -54,6 +54,10 @@ class SessionContext(NamedTuple):
     api_docs: str
 
 
+#: virtual seconds a step advances the environment when the agent reports
+#: no latency of its own
+STEP_ENV_SECONDS = 5.0
+
 _INSTRUCTIONS = (
     "Interact step by step. Each response must be exactly one API "
     "call. Finish by calling submit(...). You have a limited number "
@@ -70,12 +74,10 @@ class SessionHandle:
     """
 
     def __init__(self, problem: Problem, *, seed: int = 0,
-                 step_env_seconds: float = 5.0,
                  agent: Any = None, agent_name: str = "agent",
                  env: Optional[CloudEnvironment] = None) -> None:
         self.problem = problem
         self.seed = seed
-        self.step_env_seconds = step_env_seconds
         # a passed ``env`` was already deployed, warmed up and
         # fault-injected (an EnvSnapshot fork, a lifecycle's shared
         # environment) — adopt it instead of paying the setup again; it
@@ -141,7 +143,7 @@ class SessionHandle:
             raw = await self._ask_agent(state)
             in_tok, out_tok, latency = self._agent_stats()
             session.add_tokens(in_tok, out_tok)
-            env.advance(max(latency, 0.0) or self.step_env_seconds)
+            env.advance(max(latency, 0.0) or STEP_ENV_SECONDS)
 
             step = Step(
                 index=index, time=env.clock.now, action_raw=raw,
@@ -176,16 +178,7 @@ class SessionHandle:
             state = step.observation
         session.ended_at = env.clock.now
 
-        evaluator = Evaluator(self.problem, env)
-        result = evaluator.evaluate(session, solution)
-        if not session.submitted:
-            # No submission within the step budget is a failure for answer
-            # tasks; mitigation is graded on the environment state anyway
-            # but still requires the agent to have declared completion.
-            result.success = False
-            result.details["success"] = False
-            result.details.setdefault("reason", "no submission within step limit")
-        self.result = self._result_dict(result)
+        self.result = Evaluator(self.problem, env).evaluate(session, solution)
         return self.result
 
     def run_sync(self, max_steps: int = 20) -> dict:
@@ -209,7 +202,7 @@ class SessionHandle:
         consume = getattr(self.agent, "consume_stats", None)
         if callable(consume):
             return consume()
-        return 0, 0, self.step_env_seconds
+        return 0, 0, STEP_ENV_SECONDS
 
     def _execute(self, parsed) -> Any:
         # A TypeError raised *inside* an action body must not be confused
@@ -226,20 +219,6 @@ class SessionHandle:
             # the environment's refusal is the agent's feedback; anything else
             # is a simulator defect for the case boundary (core/batch.py)
             return f"Error: {e}"
-
-    def _result_dict(self, result: EvaluationResult) -> dict:
-        out = {
-            "pid": result.pid,
-            "task_type": result.task_type,
-            "agent": result.agent_name,
-            "success": result.success,
-            "duration_s": result.duration_s,
-            "steps": result.steps,
-            "input_tokens": result.input_tokens,
-            "output_tokens": result.output_tokens,
-        }
-        out.update(result.details)
-        return out
 
 
 class Orchestrator:
@@ -265,13 +244,10 @@ class Orchestrator:
     ----------
     seed:
         Default seed for sessions that don't pass their own.
-    step_env_seconds:
-        Fallback virtual seconds per step when an agent reports no latency.
     """
 
-    def __init__(self, seed: int = 0, step_env_seconds: float = 5.0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.step_env_seconds = step_env_seconds
         self.handles: list[SessionHandle] = []
         self.sessions: list[Session] = []
         # the Example 2.3 façade's one-problem-at-a-time state
@@ -298,7 +274,6 @@ class Orchestrator:
         handle = SessionHandle(
             self._resolve_problem(problem),
             seed=self.seed if seed is None else seed,
-            step_env_seconds=self.step_env_seconds,
             agent=agent, agent_name=agent_name,
         )
         self.handles.append(handle)

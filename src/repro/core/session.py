@@ -49,20 +49,6 @@ class Session:
         self.input_tokens += int(input_tokens)
         self.output_tokens += int(output_tokens)
 
-    # -- trajectory analytics (used by the bench figures) --------------------
-    def action_histogram(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.steps:
-            counts[s.action_name] = counts.get(s.action_name, 0) + 1
-        return counts
-
-    def shell_command_histogram(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for s in self.steps:
-            if s.action_name == "exec_shell" and s.shell_command:
-                counts[s.shell_command] = counts.get(s.shell_command, 0) + 1
-        return counts
-
     def transcript(self, max_obs_chars: int = 400) -> str:
         """Human-readable trajectory (for debugging and the LLM judge)."""
         lines = [f"# Session {self.pid} — agent {self.agent_name}"]

@@ -123,8 +123,6 @@ class Cluster:
         self._scheduler = Scheduler(self)
         self._deploy_ctrl = DeploymentController(self)
         self._endpoints_ctrl = EndpointsController(self)
-        #: autoscalers evaluated on every resync (see attach_autoscaler)
-        self.autoscalers: list = []
         #: monotonic mutation counter: bumped by every mutating CRUD
         #: method *and* by every ``reconcile()`` run, so derived caches
         #: (plan keys, log pod attribution) can key on cluster state
@@ -232,13 +230,6 @@ class Cluster:
                     mem_capacity=mem_capacity, capacity_pods=capacity_pods)
         self.nodes[name] = node
         return node
-
-    def remove_node(self, name: str) -> None:
-        if name not in self.nodes:
-            raise ResourceNotFound("Node", name)
-        self._mark_dirty()
-        del self.nodes[name]
-        self.reconcile()
 
     # ------------------------------------------------------------------
     # generic CRUD
@@ -461,23 +452,14 @@ class Cluster:
                 break
         self._dirty = False
 
-    def attach_autoscaler(self, autoscaler) -> None:
-        """Register a :class:`~repro.kubesim.controllers.
-        HorizontalAutoscaler` for evaluation on every :meth:`resync`."""
-        if autoscaler not in self.autoscalers:
-            self.autoscalers.append(autoscaler)
-
     def resync(self) -> None:
         """Periodic controller sync (the controller-manager's resync loop).
 
-        Autoscalers evaluate first (they may scale deployments, which
-        reconciles eagerly); then, every mutating CRUD method reconciles
-        eagerly, so a converged cluster has nothing left to do — an O(1)
-        no-op unless a mutation was made without a follow-up
-        :meth:`reconcile` (the ``_dirty`` flag tracks that).  Scheduled
-        as a recurring event by :class:`~repro.core.env.CloudEnvironment`.
+        Every mutating CRUD method reconciles eagerly, so a converged
+        cluster has nothing left to do — an O(1) no-op unless a mutation
+        was made without a follow-up :meth:`reconcile` (the ``_dirty``
+        flag tracks that).  Scheduled as a recurring event by
+        :class:`~repro.core.env.CloudEnvironment`.
         """
-        for autoscaler in self.autoscalers:
-            autoscaler.evaluate()
         if self._dirty:
             self.reconcile()

@@ -173,10 +173,11 @@ class HpaPolicy:
 class HorizontalAutoscaler:
     """HPA-style controller scaling deployments on rolled-up utilization.
 
-    Evaluated from the cluster's resync loop and after every resource-
-    plane rollup.  Draws no randomness and mutates only through
-    ``Cluster.scale_deployment``, so an environment with no targets is
-    bit-identical to one without the controller at all.
+    Evaluated once per resource-plane rollup, on the fresh utilization
+    numbers (``CloudEnvironment._resource_tick``).  Draws no randomness
+    and mutates only through ``Cluster.scale_deployment``, so an
+    environment with no targets is bit-identical to one without the
+    controller at all.
 
     The desired-replica formula is the real HPA's:
     ``desired = ceil(current × utilization / target)`` — scale-invariant

@@ -6,17 +6,14 @@ requests count against them, so placement bin-packs on *requested*
 resources rather than pod count.  Best-effort pods (zero requests)
 always fit.
 
-Placement uses a capacity-keyed min-heap with lazy deletion: nodes are
-ordered by ``(requested cpu, requested mem, bound pods, name)`` — the
-exact key the old per-pod sort used — so picking the least-requested
-feasible node is one pop in the common case instead of an O(nodes)
-scan + sort per pod.  Bindings push a fresh entry; superseded entries
-are dropped when popped.  Identical placements, identical tiebreaks.
+Placement is one scan per pod: the least-requested feasible node by
+``(requested cpu, requested mem, bound pods, name)``.  Clusters hold a
+handful of nodes (one in every benchmark workload), so an index over
+them would save nothing.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING
 
 from repro.kubesim.objects import Node, Pod, PodPhase
@@ -62,62 +59,30 @@ class Scheduler:
                 and used[1] + pod.mem_request() <= node.mem_capacity
                 and used[2] + 1 <= node.capacity_pods)
 
-    def _build_heap(self, load: dict[str, list[float]]
-                    ) -> list[tuple[float, float, int, str]]:
-        """Min-heap of ``(cpu, mem, pods, name)`` over ready nodes — the
-        same ascending order the old per-pod feasible sort produced."""
-        heap = [(used[0], used[1], used[2], name)
-                for name, used in load.items()
-                if self.cluster.nodes[name].ready]
-        heapq.heapify(heap)
-        return heap
-
     def _pick_node(self, pod: Pod, load: dict[str, list[float]],
-                   heap: list[tuple[float, float, int, str]],
                    ) -> tuple[str | None, str]:
         """``(node name, "")`` or ``(None, failure message)``.
 
-        Pops the heap in ascending load order until a node matches the
-        pod's selector and fits its requests — the first such node *is*
-        the old scan's minimum, since both use the same key.  Entries
-        superseded by a later binding (their snapshot no longer equals
-        the node's current load) are dropped; still-valid entries popped
-        past are restored for the next pod.
+        One scan over the ready nodes matching the pod's selector: the
+        least-loaded one the pod fits on, or the kube-scheduler phrasing
+        of why none does.
         """
-        restore: list[tuple[float, float, int, str]] = []
-        chosen: str | None = None
-        while heap:
-            entry = heapq.heappop(heap)
-            cpu, mem, count, name = entry
-            node = self.cluster.nodes.get(name)
-            used = load.get(name)
-            if (node is None or not node.ready or used is None
-                    or used[0] != cpu or used[1] != mem or used[2] != count):
-                continue  # stale (node gone, or load superseded the entry)
-            restore.append(entry)
-            if all(node.labels.get(k) == v
-                   for k, v in pod.node_selector.items()) \
-                    and self._fits(node, used, pod):
-                chosen = name
-                break
-        for entry in restore:
-            heapq.heappush(heap, entry)
-        if chosen is not None:
-            return chosen, ""
-        # failure: full scan for the exact kube-scheduler phrasing (cold
-        # path — counts nodes per failed predicate)
         matching = [
             n for n in self.cluster.nodes.values()
             if n.ready and all(n.labels.get(k) == v
                                for k, v in pod.node_selector.items())
         ]
+        feasible = [(*load[n.name], n.name) for n in matching
+                    if self._fits(n, load[n.name], pod)]
+        if feasible:
+            return min(feasible)[3], ""
         total = len(self.cluster.nodes)
         if not matching:
             return None, (f"0/{total} nodes are available: "
                           f"node selector mismatch.")
-        short_cpu = sum(
-            1 for n in matching
-            if load[n.name][0] + pod.cpu_request() > n.cpu_capacity)
+        short_cpu = any(
+            load[n.name][0] + pod.cpu_request() > n.cpu_capacity
+            for n in matching)
         reason = ("Insufficient cpu." if short_cpu
                   else "Insufficient memory.")
         return None, (f"0/{total} nodes are available: "
@@ -133,7 +98,6 @@ class Scheduler:
              if p.phase is PodPhase.PENDING and not p.bound_node),
             key=lambda p: (p.meta.creation_time, p.meta.uid, p.name))
         load = self._node_load() if pending else {}
-        heap = self._build_heap(load) if pending else []
         for pod in pending:
             if pod.node_name is not None:
                 if pod.node_name in self.cluster.nodes:
@@ -150,7 +114,7 @@ class Scheduler:
                         changed = True
                     continue
             else:
-                target, message = self._pick_node(pod, load, heap)
+                target, message = self._pick_node(pod, load)
                 if target is None:
                     if pod.status_reason != "FailedScheduling":
                         pod.status_reason = "FailedScheduling"
@@ -165,14 +129,10 @@ class Scheduler:
             pod.phase = PodPhase.RUNNING
             pod.ready = True
             pod.status_reason = ""
-            used = load.get(target)
-            if used is not None:
-                used[0] += pod.cpu_request()
-                used[1] += pod.mem_request()
-                used[2] += 1
-                # fresh heap entry for the new load; the popped one is now
-                # stale and gets dropped lazily
-                heapq.heappush(heap, (used[0], used[1], used[2], target))
+            used = load[target]
+            used[0] += pod.cpu_request()
+            used[1] += pod.mem_request()
+            used[2] += 1
             self.cluster.record_event(
                 pod.namespace, "Pod", pod.name, "Scheduled",
                 f"Successfully assigned {pod.namespace}/{pod.name} to {target}",

@@ -5,6 +5,7 @@ can only change wall-clock, never results."""
 
 import pickle
 import re
+import tempfile
 
 import pytest
 
@@ -44,8 +45,10 @@ def _specs(max_steps=8, seed=7):
 
 def _norm(text):
     # temp export roots are OS-random (differ between ANY two runs,
-    # serial included); everything else in an observation is seed-driven
-    return re.sub(r"/tmp/aiopslab-[\w-]+", "/tmp/aiopslab-X", text)
+    # serial included) and live under whatever temp directory is in
+    # effect; everything else in an observation is seed-driven
+    return re.sub(re.escape(tempfile.gettempdir()) + r"/aiopslab-[\w-]+",
+                  "aiopslab-X", text)
 
 
 def _outcome_key(outcome):

@@ -104,7 +104,7 @@ class TestPerTaskSurfaces:
 
         reg = ActionRegistry.from_class(LegacyActions)
         assert set(reg.names()) == {"probe"}
-        docs = registry_for(actions_cls=LegacyActions).render_docs()
+        docs = reg.render_docs()
         assert "probe(target: str)" in docs and "Probe a target." in docs
         assert "_helper" not in docs
 

@@ -2,20 +2,13 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.agents import build_agent
+from repro.agents import agent_factory
 from repro.core import IncidentLifecycle
 from repro.core.evaluator import system_healthy
 from repro.core.lifecycle import STAGES
 
-
-def oracle_factory(stage, prob_desc, instructs, apis):
-    return build_agent("oracle", prob_desc, instructs, apis,
-                       task_type=stage, seed=5)
-
-
-def random_factory(stage, prob_desc, instructs, apis):
-    return build_agent("random", prob_desc, instructs, apis,
-                       task_type=stage, seed=5)
+oracle_factory = agent_factory("oracle")
+random_factory = agent_factory("random")
 
 
 @contextmanager

@@ -66,6 +66,37 @@ class TestSessionLoop:
         assert res["steps"] == 4
         assert res["reason"] == "no submission within step limit"
 
+    def test_no_submission_rule_detection(self, closing):
+        """A session that never submits fails after grading; the summary
+        keys come first, then the task's own, then the appended reason."""
+        orch = closing(Orchestrator())
+        handle = orch.create_session(
+            "revoke_auth_hotel_res-detection-1", seed=3,
+            agent=ScriptedAgent(['get_metrics("test-hotel-reservation", 5)']))
+        res = handle.run_sync(max_steps=3)
+        assert res["success"] is False
+        assert res["reason"] == "no submission within step limit"
+        assert list(res) == ["pid", "task_type", "agent", "success",
+                             "duration_s", "steps", "input_tokens",
+                             "output_tokens", "TTD", "reason"]
+        assert handle.result is res
+
+    def test_no_submission_rule_mitigation(self, closing):
+        """A mitigation that repairs the system but never submits still
+        fails; the grader's own health reason is kept."""
+        orch = closing(Orchestrator())
+        handle = orch.create_session(
+            "scale_pod_zero_social_net-mitigation-1", seed=3,
+            agent=ScriptedAgent([
+                'exec_shell("kubectl scale deployment compose-post-service '
+                '--replicas=1 -n test-social-network")']))
+        res = handle.run_sync(max_steps=3)
+        assert res["success"] is False
+        assert res["reason"] == "system healthy"
+        assert list(res) == ["pid", "task_type", "agent", "success",
+                             "duration_s", "steps", "input_tokens",
+                             "output_tokens", "TTM", "reason"]
+
     def test_mitigation_graded_on_environment(self, closing):
         agent = ScriptedAgent([
             'exec_shell("kubectl scale deployment compose-post-service '

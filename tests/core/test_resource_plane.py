@@ -3,7 +3,7 @@ coupling-off bit-identity contract."""
 
 import numpy as np
 
-from repro.agents.registry import build_agent_for
+from repro.agents.registry import build_agent
 from repro.apps import HotelReservation
 from repro.core import CloudEnvironment, Orchestrator
 from repro.kubesim import HpaPolicy
@@ -70,8 +70,8 @@ class TestHpaSession:
         prob = get_problem("hpa_spike_recovery_hotel_res-detection-1")
         orch = Orchestrator(seed=0)
         handle = orch.create_session(prob, seed=11)
-        agent = build_agent_for("gpt-4-w-shell", handle.context,
-                                prob.task_type, seed=11)
+        agent = build_agent("gpt-4-w-shell", *handle.context,
+                            prob.task_type, seed=11)
         handle.bind_agent(agent, name="gpt-4-w-shell")
         result = handle.run_sync(max_steps=12)
         assert isinstance(result["success"], bool)

@@ -22,18 +22,6 @@ class TestSession:
         s = Session(pid="p", agent_name="a", started_at=5.0)
         assert s.elapsed() == 0.0
 
-    def test_action_histogram(self):
-        s = make_session([("get_logs", ""), ("get_logs", ""), ("submit", "")])
-        assert s.action_histogram() == {"get_logs": 2, "submit": 1}
-
-    def test_shell_command_histogram(self):
-        s = make_session([])
-        s.add_step(Step(0, 0.0, 'exec_shell("kubectl get pods")', "exec_shell",
-                        ("kubectl get pods",), "", shell_command="kubectl"))
-        s.add_step(Step(1, 1.0, 'exec_shell("helm list")', "exec_shell",
-                        ("helm list",), "", shell_command="helm"))
-        assert s.shell_command_histogram() == {"kubectl": 1, "helm": 1}
-
     def test_token_accumulation(self):
         s = make_session([])
         s.add_tokens(10, 5)

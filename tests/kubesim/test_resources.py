@@ -217,6 +217,105 @@ class TestSchedulingDeterminism:
             assert mem <= node.mem_capacity
 
 
+#: per-node (cpu × 100 mcores, mem × 256 MiB, pod capacity, zone, ready)
+node_shapes_strategy = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=12),
+              st.integers(min_value=1, max_value=8),
+              st.sampled_from([2, 3, 110]),
+              st.sampled_from(["a", "b"]),
+              st.sampled_from([True, True, False])),
+    min_size=1, max_size=3,
+)
+
+#: per-deployment ((cpu × 100 mcores, mem × 64 MiB), replicas, zone
+#: selector); best-effort pods tie on requests, so bound-pod counts and
+#: names decide
+selector_shapes_strategy = st.lists(
+    st.tuples(st.one_of(st.just((0, 0)),
+                        st.tuples(st.integers(min_value=0, max_value=6),
+                                  st.integers(min_value=0, max_value=8))),
+              st.integers(min_value=1, max_value=4),
+              st.sampled_from([None, "a", "b"])),
+    min_size=1, max_size=5,
+)
+
+
+def _brute_force_binding(cluster, pod):
+    """The least-loaded ready node matching ``pod``'s selector with room
+    for it, by (requested cpu, requested mem, bound pods, name), given
+    every other bound pod — or the FailedScheduling message."""
+    load = {name: [0.0, 0.0, 0] for name in cluster.nodes}
+    for other in cluster.pods.values():
+        if other is not pod and other.bound_node in load:
+            used = load[other.bound_node]
+            used[0] += other.cpu_request()
+            used[1] += other.mem_request()
+            used[2] += 1
+    matching = [n for n in cluster.nodes.values() if n.ready and all(
+        n.labels.get(k) == v for k, v in pod.node_selector.items())]
+    feasible = [
+        (*load[n.name], n.name) for n in matching
+        if load[n.name][0] + pod.cpu_request() <= n.cpu_capacity
+        and load[n.name][1] + pod.mem_request() <= n.mem_capacity
+        and load[n.name][2] + 1 <= n.capacity_pods]
+    if feasible:
+        return min(feasible)[3], ""
+    total = len(cluster.nodes)
+    if not matching:
+        return None, f"0/{total} nodes are available: node selector mismatch."
+    short_cpu = any(load[n.name][0] + pod.cpu_request() > n.cpu_capacity
+                    for n in matching)
+    reason = "Insufficient cpu." if short_cpu else "Insufficient memory."
+    return None, f"0/{total} nodes are available: {len(matching)} {reason}"
+
+
+class TestLeastLoadedBinding:
+    @given(nodes=node_shapes_strategy, shapes=selector_shapes_strategy,
+           ops=ops_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_every_binding_is_the_brute_force_choice(self, nodes, shapes,
+                                                     ops):
+        """Every pod the scheduler places lands on the node a full scan
+        picks, and every pod it cannot place gets the scan's message.
+        Requests are whole multiples of 100 mcores / 64 MiB, so load sums
+        are exact in any order."""
+        cluster = Cluster(clock=SimClock(), seed=1, node_specs=[
+            NodeSpec(f"n{i}", cpu_capacity=100.0 * cpu,
+                     mem_capacity=256.0 * mem, capacity_pods=pods,
+                     labels=(("zone", zone),))
+            for i, (cpu, mem, pods, zone, _) in enumerate(nodes)])
+        for i, (*_, ready) in enumerate(nodes):
+            cluster.nodes[f"n{i}"].ready = ready
+        checked = []
+        record_event = cluster.record_event
+
+        def spy(namespace, kind, name, reason, message, **kwargs):
+            pod = cluster.pods.get((namespace, name))
+            if kind == "Pod" and pod is not None and pod.node_name is None:
+                if reason == "Scheduled":
+                    assert _brute_force_binding(cluster, pod) == \
+                        (pod.bound_node, "")
+                    checked.append(reason)
+                elif reason == "FailedScheduling":
+                    assert _brute_force_binding(cluster, pod) == \
+                        (None, message)
+                    checked.append(reason)
+            return record_event(namespace, kind, name, reason, message,
+                                **kwargs)
+
+        cluster.record_event = spy
+        for i, ((cpu, mem), replicas, zone) in enumerate(shapes):
+            dep = sized_deployment(f"svc{i}", cpu=100.0 * cpu,
+                                   mem=64.0 * mem, replicas=replicas)
+            if zone is not None:
+                dep.template.node_selector = {"zone": zone}
+            cluster.create_deployment(dep)
+        for op in ops:
+            apply_op(cluster, op)
+        cluster.reconcile()
+        assert checked or not cluster.pods
+
+
 class _StubService:
     def __init__(self, busy):
         self.busy_mcores_per_rps = busy

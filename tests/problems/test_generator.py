@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.agents.registry import build_agent_for
+from repro.agents.registry import build_agent
 from repro.core import Orchestrator
 from repro.faults import get_fault_spec
 from repro.faults.triggers import AfterEvent, MetricTrigger
@@ -41,8 +41,8 @@ INDICES = st.integers(min_value=0, max_value=499)
 def run_session(prob, agent_name="gpt-4-w-shell", seed=11, max_steps=5):
     orch = Orchestrator(seed=0)
     handle = orch.create_session(prob, seed=seed)
-    agent = build_agent_for(agent_name, handle.context, prob.task_type,
-                            seed=seed)
+    agent = build_agent(agent_name, *handle.context, prob.task_type,
+                        seed=seed)
     handle.bind_agent(agent, name=agent_name)
     result = handle.run_sync(max_steps=max_steps)
     orch.release(handle)

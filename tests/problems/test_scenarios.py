@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.agents.registry import build_agent_for
+from repro.agents.registry import build_agent
 from repro.apps import HotelReservation
 from repro.core import Orchestrator
 from repro.core.env import AppSpec
@@ -19,8 +19,8 @@ from repro.problems.scenarios import Scenario
 def run_session(prob, agent_name="gpt-4-w-shell", seed=11, max_steps=12):
     orch = Orchestrator(seed=0)
     handle = orch.create_session(prob, seed=seed)
-    agent = build_agent_for(agent_name, handle.context, prob.task_type,
-                            seed=seed)
+    agent = build_agent(agent_name, *handle.context, prob.task_type,
+                        seed=seed)
     handle.bind_agent(agent, name=agent_name)
     result = handle.run_sync(max_steps=max_steps)
     orch.release(handle)
@@ -96,8 +96,8 @@ class TestScenarioSessions:
         prob = get_problem("flapping_network_loss_hotel_res-detection-1")
         handle = orch.create_session(prob, seed=11)
         started = handle.env.clock.now
-        agent = build_agent_for("flash", handle.context, prob.task_type,
-                                seed=11)
+        agent = build_agent("flash", *handle.context, prob.task_type,
+                            seed=11)
         handle.bind_agent(agent, name="flash")
         handle.run_sync(max_steps=12)
         fired_during_session = [t for t, _ in handle.env.armed.log
