@@ -69,10 +69,10 @@ class PDiagnose:
                    since: float) -> dict[str, float]:
         votes: dict[str, float] = {}
         for svc in collector.logs.services_seen(namespace):
-            before = len(collector.logs.query(namespace=namespace, service=svc,
-                                              until=since))
-            after = len(collector.logs.query(namespace=namespace, service=svc,
-                                             since=since))
+            before = len(collector.logs.rows(namespace=namespace, service=svc,
+                                             until=since))
+            after = len(collector.logs.rows(namespace=namespace, service=svc,
+                                            since=since))
             if before + after == 0:
                 continue
             votes[svc] = float(np.clip(
@@ -84,10 +84,10 @@ class PDiagnose:
         votes: dict[str, float] = {}
         durations: dict[str, list[float]] = {}
         baselines: dict[str, list[float]] = {}
-        for trace in collector.traces.query():
-            bucket = durations if trace.start >= since else baselines
-            for span in trace.spans:
-                bucket.setdefault(span.service, []).append(span.duration_ms)
+        for _, start, spans in collector.traces.rows():
+            bucket = durations if start >= since else baselines
+            for _, service, _, duration_ms, _, _ in spans:
+                bucket.setdefault(service, []).append(duration_ms)
         for svc, obs in durations.items():
             ref = baselines.get(svc)
             if not ref or len(ref) < 3:

@@ -45,12 +45,12 @@ class RMLAD:
     def _volume_series(self, collector: TelemetryCollector, namespace: str,
                        since: float, until: float,
                        service: str) -> np.ndarray:
-        records = collector.logs.query(namespace=namespace, service=service,
-                                       since=since, until=until)
+        records = collector.logs.rows(namespace=namespace, service=service,
+                                      since=since, until=until)
         n_buckets = max(int((until - since) / self.bucket_seconds), 1)
         counts = np.zeros(n_buckets)
         for r in records:
-            idx = min(int((r.time - since) / self.bucket_seconds), n_buckets - 1)
+            idx = min(int((r[0] - since) / self.bucket_seconds), n_buckets - 1)
             counts[idx] += 1
         return counts
 

@@ -65,7 +65,7 @@ from repro.services.profile import (
     compile_profile,
 )
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.traces import Span
+from repro.telemetry.traces import trace_id
 
 #: ``(caller, callee) -> (user, password) | None``; None means the caller has
 #: no credentials configured for that backend (AuthenticationMissing).
@@ -281,19 +281,19 @@ class ServiceRuntime:
             raise KeyError(f"unknown operation {op_name!r}")
         _, plan, row = self._plan_for(op)
         latencies, errors = self._tick_latencies, self._tick_errors
-        spans: list[Span] = []
+        spans: list = []  # exact tuples in Span's field order
         error_services: list[str] = []
         root = plan.root
         if root.blocked is not None:
             # The client (workload generator) observes the frontend down.
             total, failure = CLIENT_FAIL_MS, root.blocked
-            spans.append(Span(-1, CLIENT, op.name, total, "ERROR", failure.message))
+            spans.append((-1, CLIENT, op.name, total, "ERROR", failure.message))
             latencies[root.service].append(total)
             errors[root.service] = errors.get(root.service, 0) + 1
         else:
             bernoulli, normal = self.rng.bernoulli, self.rng.generator.standard_normal
             noise_warn, info_sample = self.NOISE_WARN, self.INFO_SAMPLE
-            log, exp, new = self._log, math.exp, tuple.__new__
+            log, exp = self._log, math.exp
             stack, parent, entering = [], -1, True
             while True:
                 if entering:
@@ -317,8 +317,8 @@ class ServiceRuntime:
                         parent, entering = index, True
                         continue
                     # the callee never ran: a fixed-cost stub
-                    spans.append(Span(index, row[0], row[1], HOP_FAIL_MS,
-                                      "ERROR", failure.message))
+                    spans.append((index, row[0], row[1], HOP_FAIL_MS,
+                                  "ERROR", failure.message))
                     latencies[row[0]].append(HOP_FAIL_MS)
                     errors[row[0]] = errors.get(row[0], 0) + 1
                     log(service, *caller_log(row[7], failure))
@@ -329,11 +329,11 @@ class ServiceRuntime:
                         log(service, *warn_noise(hop))
                     if bernoulli(info_sample):
                         log(service, *info_noise(hop, total))
-                    spans[index] = new(Span, (parent, service, operation,
-                                              total, "OK", ""))
+                    spans[index] = (parent, service, operation, total,
+                                    "OK", "")
                 else:
-                    spans[index] = new(Span, (parent, service, operation,
-                                              total, "ERROR", failure.message))
+                    spans[index] = (parent, service, operation, total,
+                                    "ERROR", failure.message)
                     errors[service] = errors.get(service, 0) + 1
                 latencies[service].append(total)
                 if not stack:
@@ -347,11 +347,11 @@ class ServiceRuntime:
                     error_services.append(service)
         if failure is not None and root.service not in error_services:
             error_services.append(root.service)
-        trace = self.collector.traces.record(self.clock.now, spans)
+        number = self.collector.traces.add(self.clock.now, tuple(spans))
         if self._held is None:
             self._flush()
         return RequestResult(op.name, failure is None, total, failure,
-                             trace.trace_id, error_services)
+                             trace_id(number), error_services)
 
     def _flush(self) -> None:
         """Account the buffered requests: one :meth:`_record` per service,
@@ -689,13 +689,13 @@ class ServiceRuntime:
         traces = self.collector.traces
         for j in range(n_full):
             row = durations[j].tolist()
-            trace = traces.record(now, [
-                Span(sn.parent, sn.service, sn.operation, ms, sn.status,
-                     sn.error_message)
-                for sn, ms in zip(skeleton, row)])
+            number = traces.add(now, tuple([
+                (sn.parent, sn.service, sn.operation, ms, sn.status,
+                 sn.error_message)
+                for sn, ms in zip(skeleton, row)]))
             batch.exemplars.append(RequestResult(
                 op.name, outcome.ok, row[0], outcome.error,
-                trace.trace_id, list(outcome.error_services)))
+                trace_id(number), list(outcome.error_services)))
         for j in range(n_full, n_ex):
             batch.exemplars.append(RequestResult(
                 op.name, outcome.ok, float(durations[j, 0]), outcome.error,

@@ -4,7 +4,7 @@ The ACI returns *paths* from ``get_logs``/``get_metrics``/``get_traces``
 (like the paper's Example 2.2, which saves traces and returns the
 directory); this module writes those files.  An export is *staged*: the
 call creates and returns the directory and captures its window as plain
-data — the immutable log and trace rows the store's query returned, and
+data — the immutable log and trace rows (exact tuples) the store held, and
 each metric series' sample count — and :meth:`TelemetryExporter.materialize`
 writes the files later, byte for byte what writing them at stage time
 would have written, because the stores only ever append.  The shell's
@@ -22,20 +22,20 @@ from pathlib import Path
 from typing import Optional
 
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.logs import LogRecord, render_jsonl
+from repro.telemetry.logs import render_jsonl, render_line
 from repro.telemetry.metrics import MetricStore
-from repro.telemetry.traces import Trace, render_traces
+from repro.telemetry.traces import render_traces
 
 
-def _write_logs(out_dir: Path, records: list[LogRecord]) -> None:
+def _write_logs(out_dir: Path, records: list[tuple]) -> None:
     for stale in out_dir.glob("*.log"):  # another namespace's or window's
         stale.unlink()
     by_service: dict[str, list] = {}
     for r in records:
-        by_service.setdefault(r.service, []).append(r)
+        by_service.setdefault(r[2], []).append(r)
     for service, recs in by_service.items():
         (out_dir / f"{service}.log").write_text(
-            "\n".join(r.render() for r in recs) + "\n"
+            "\n".join(map(render_line, recs)) + "\n"
         )
     (out_dir / "all.jsonl").write_text(render_jsonl(records))
 
@@ -59,7 +59,7 @@ def _write_metrics(out_dir: Path, store: MetricStore, since: Optional[float],
             writer.writerows(rows)
 
 
-def _write_traces(out_dir: Path, traces: list[Trace]) -> None:
+def _write_traces(out_dir: Path, traces: list[tuple]) -> None:
     (out_dir / "traces.json").write_text(render_traces(traces))
 
 
@@ -92,7 +92,7 @@ class TelemetryExporter:
 
     def export_logs(self, namespace: str,
                     since: Optional[float] = None) -> Path:
-        return self._stage("logs", _write_logs, self.collector.logs.query(
+        return self._stage("logs", _write_logs, self.collector.logs.rows(
             namespace=namespace, since=since))
 
     def export_metrics(self, since: Optional[float] = None) -> Path:
@@ -107,7 +107,7 @@ class TelemetryExporter:
 
     def export_traces(self, since: Optional[float] = None) -> Path:
         return self._stage("traces", _write_traces,
-                           self.collector.traces.query(since=since))
+                           self.collector.traces.rows(since=since))
 
     def export_all(self, namespace: str, since: Optional[float] = None) -> Path:
         self.export_logs(namespace, since)

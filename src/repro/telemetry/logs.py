@@ -1,5 +1,10 @@
 """Structured application logs (the Filebeat/Logstash pipeline equivalent).
 
+A line is stored as an exact tuple in :class:`LogRecord`'s field order;
+:meth:`LogStore.query` hands out :class:`LogRecord` views.  An exact tuple
+of atomic values is untracked by the cyclic GC, a NamedTuple row never is
+(see :mod:`repro.telemetry.traces`).
+
 ``all.jsonl`` (:func:`render_jsonl`) is the text ``json``'s ``dumps`` would
 write, rendered from rows; the oracle test is the reference.
 """
@@ -14,7 +19,7 @@ from repro.telemetry.traces import json_number
 
 
 class LogRecord(NamedTuple):
-    """One structured log line from a pod: an immutable row."""
+    """One structured log line from a pod: a read view of a stored row."""
 
     time: float
     namespace: str
@@ -25,21 +30,27 @@ class LogRecord(NamedTuple):
 
     def render(self) -> str:
         """Render the line the way ``kubectl logs`` would show it."""
-        mins = int(self.time // 60)
-        secs = self.time - mins * 60
-        ts = f"2026-06-12T10:{mins % 60:02d}:{secs:06.3f}Z"
-        return f"{ts} {self.level:<5} [{self.service}] {self.message}"
+        return render_line(self)
 
 
-def render_jsonl(records: Iterable[LogRecord]) -> str:
-    """Each record's fields as one line of ``dumps`` with default options."""
+def render_line(row: tuple) -> str:
+    """A log row (or :class:`LogRecord`) as ``kubectl logs`` shows it."""
+    time, _, service, _, level, message = row
+    mins = int(time // 60)
+    secs = time - mins * 60
+    ts = f"2026-06-12T10:{mins % 60:02d}:{secs:06.3f}Z"
+    return f"{ts} {level:<5} [{service}] {message}"
+
+
+def render_jsonl(records: Iterable[tuple]) -> str:
+    """Each row's fields as one line of ``dumps`` with default options."""
     quote = cache(encode_basestring_ascii)
     return "".join([
         '{"time": %s, "namespace": %s, "service": %s, "pod": %s, '
         '"level": %s, "message": %s}\n' % (
-            json_number(r.time), quote(r.namespace), quote(r.service),
-            quote(r.pod), quote(r.level), quote(r.message))
-        for r in records])
+            json_number(time), quote(namespace), quote(service),
+            quote(pod), quote(level), quote(message))
+        for time, namespace, service, pod, level, message in records])
 
 
 class LogStore:
@@ -47,7 +58,8 @@ class LogStore:
 
     def __init__(self, capacity: int = 200_000) -> None:
         self.capacity = capacity
-        self._records: list[LogRecord] = []
+        #: exact tuples in :class:`LogRecord`'s field order, oldest first
+        self._records: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self._records)
@@ -55,17 +67,42 @@ class LogStore:
     def emit(
         self, time: float, namespace: str, service: str, pod: str,
         level: str, message: str,
-    ) -> LogRecord:
-        rec = tuple.__new__(
-            LogRecord, (time, namespace, service, pod, level, message))
+    ) -> None:
         records = self._records
-        records.append(rec)
+        records.append((time, namespace, service, pod, level, message))
         if len(records) > self.capacity:
             # Drop the oldest 10% in one slice to amortize the cost.
             del records[: self.capacity // 10]
-        return rec
 
     # -- queries ---------------------------------------------------------
+    def rows(
+        self,
+        namespace: Optional[str] = None,
+        service: Optional[str] = None,
+        pod: Optional[str] = None,
+        level: Optional[str] = None,
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+    ) -> list[tuple]:
+        """The stored rows that match; all criteria are ANDed, None means
+        no filter."""
+        out = []
+        for r in self._records:
+            if namespace is not None and r[1] != namespace:
+                continue
+            if service is not None and r[2] != service:
+                continue
+            if pod is not None and r[3] != pod:
+                continue
+            if level is not None and r[4] != level:
+                continue
+            if since is not None and r[0] < since:
+                continue
+            if until is not None and r[0] > until:
+                continue
+            out.append(r)
+        return out
+
     def query(
         self,
         namespace: Optional[str] = None,
@@ -75,23 +112,9 @@ class LogStore:
         since: Optional[float] = None,
         until: Optional[float] = None,
     ) -> list[LogRecord]:
-        """Filter records; all criteria are ANDed, None means no filter."""
-        out = []
-        for r in self._records:
-            if namespace is not None and r.namespace != namespace:
-                continue
-            if service is not None and r.service != service:
-                continue
-            if pod is not None and r.pod != pod:
-                continue
-            if level is not None and r.level != level:
-                continue
-            if since is not None and r.time < since:
-                continue
-            if until is not None and r.time > until:
-                continue
-            out.append(r)
-        return out
+        """:meth:`rows` as :class:`LogRecord` views."""
+        return [tuple.__new__(LogRecord, r) for r in self.rows(
+            namespace, service, pod, level, since, until)]
 
     def tail(self, namespace: str, n: int = 50, service: Optional[str] = None,
              pod: Optional[str] = None) -> str:
@@ -99,18 +122,18 @@ class LogStore:
         logs --tail`` view: 0 gives no lines, a negative ``n`` every line)."""
         if n == 0:
             return ""
-        records = self.query(namespace=namespace, service=service, pod=pod)
+        records = self.rows(namespace=namespace, service=service, pod=pod)
         if n > 0:
             records = records[-n:]
-        return "\n".join(r.render() for r in records)
+        return "\n".join(map(render_line, records))
 
     def error_counts(self, namespace: str,
                      since: Optional[float] = None) -> dict[str, int]:
         """ERROR-line count per service — the coarse signal detectors use."""
         counts: dict[str, int] = {}
-        for r in self.query(namespace=namespace, level="ERROR", since=since):
-            counts[r.service] = counts.get(r.service, 0) + 1
+        for r in self.rows(namespace=namespace, level="ERROR", since=since):
+            counts[r[2]] = counts.get(r[2], 0) + 1
         return counts
 
     def services_seen(self, namespace: str) -> set[str]:
-        return {r.service for r in self._records if r.namespace == namespace}
+        return {r[2] for r in self._records if r[1] == namespace}

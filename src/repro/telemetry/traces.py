@@ -1,16 +1,26 @@
-"""Jaeger-style distributed traces, stored as numbered lists of span rows.
+"""Jaeger-style distributed traces, stored as numbered tuples of span rows.
 
 A trace is a number, a start time and its spans as rows in the order the
 request entered them: the root first, every parent before its children,
-each row naming its parent by list index.  Nothing else is stored — every
+each row naming its parent by row index.  Nothing else is stored — every
 id is derived from the trace's number and a row's position when the trace
-is read or rendered: the trace is ``trace-{number:08x}``, span ``i`` is
-``span-{number + 1 + i:08x}``, and every span starts when the trace did.
-:meth:`TraceStore.record`, the one way a trace enters the store, hands out
-numbers by advancing a plain-int counter by ``1 + len(spans)`` — one id for
-the trace and one per span, the sequence the exported ids have always
-followed.  ``traces.json`` (:func:`render_traces`) is the text ``json``'s
-``dumps`` would write, rendered from rows; the oracle test is the reference.
+is read or rendered: the trace is :func:`trace_id` of its number, span
+``i`` is ``span-{number + 1 + i:08x}``, and every span starts when the
+trace did.  :meth:`TraceStore.add`, the one way a trace enters the store,
+hands out numbers by advancing a plain-int counter by ``1 + len(rows)`` —
+one id for the trace and one per span, the sequence the exported ids have
+always followed.
+
+Rows are exact tuples in the field order of :class:`Span` and
+:class:`Trace`, ``(number, start, rows)`` with ``rows`` a tuple of span
+tuples; the NamedTuples are read views that :meth:`TraceStore.query` and
+:meth:`TraceStore.record` hand out.  The reason is the cyclic GC: CPython
+untracks a tuple of atomic values only when it is an exact tuple, so a
+NamedTuple row stays tracked, and walked by every full collection, for as
+long as the store keeps it — and unpickling one calls its Python-level
+``__new__``.  ``traces.json`` (:func:`render_traces`) is the text
+``json``'s ``dumps`` would write, rendered from rows; the oracle test is
+the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from typing import Iterable, NamedTuple, Optional
 
 
 class Span(NamedTuple):
-    """One timed unit of work: a row of its trace."""
+    """One timed unit of work: a read view of one row of its trace."""
 
     parent: int                 # index of the parent row; -1 for the root
     service: str
@@ -32,7 +42,7 @@ class Span(NamedTuple):
 
 
 class Trace(NamedTuple):
-    """A full request trace: a numbered list of span rows."""
+    """A full request trace: a read view of a numbered trace row."""
 
     number: int
     start: float
@@ -40,7 +50,7 @@ class Trace(NamedTuple):
 
     @property
     def trace_id(self) -> str:
-        return f"trace-{self.number:08x}"
+        return trace_id(self.number)
 
     @property
     def root(self) -> Span:
@@ -49,6 +59,17 @@ class Trace(NamedTuple):
     @property
     def has_error(self) -> bool:
         return any(s.status == "ERROR" for s in self.spans)
+
+
+def trace_id(number: int) -> str:
+    """The id of the trace numbered ``number``."""
+    return f"trace-{number:08x}"
+
+
+def _view(trace: tuple) -> Trace:
+    """The :class:`Trace` view of a stored trace row."""
+    number, start, rows = trace
+    return Trace(number, start, [tuple.__new__(Span, r) for r in rows])
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -66,16 +87,17 @@ def json_number(x: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def render_traces(traces: Iterable[Trace]) -> str:
+def render_traces(traces: Iterable[tuple]) -> str:
     """``{"data": [...]}`` as ``json``'s ``dumps`` writes it with a
-    one-space indent: one template per trace and per span (a trace has at
-    least one span), each string encoded once per call."""
+    one-space indent, from trace rows or :class:`Trace` views: one template
+    per trace and per span (a trace has at least one span), each string
+    encoded once per call."""
     quote, out = cache(encode_basestring_ascii), []
     for number, start, spans in traces:
-        first, trace_id = number + 1, f"trace-{number:08x}"
+        first, tid = number + 1, trace_id(number)
         begin = json_number(start)
-        out.append(_TRACE % (trace_id, ",\n".join([_SPAN % (
-            first + i, trace_id,
+        out.append(_TRACE % (tid, ",\n".join([_SPAN % (
+            first + i, tid,
             f'"span-{first + parent:08x}"' if parent >= 0 else "null",
             quote(service), quote(operation), begin, json_number(ms),
             quote(status), quote(error))
@@ -90,28 +112,42 @@ class TraceStore:
 
     def __init__(self, capacity: int = 50_000) -> None:
         self.capacity = capacity
-        self._traces: list[Trace] = []
+        #: ``(number, start, rows)`` exact tuples, oldest first
+        self._traces: list[tuple] = []
         #: the next trace's number (a plain int, so the store pickles)
         self._next = 1
 
     def __len__(self) -> int:
         return len(self._traces)
 
-    def record(self, start: float, spans: list[Span]) -> Trace:
-        """Number ``spans`` (root first, parents before children) as one
-        trace started at ``start`` and store it."""
-        trace = Trace(self._next, start, spans)
-        self._next += 1 + len(spans)
-        self._traces.append(trace)
-        if len(self._traces) > self.capacity:
-            del self._traces[: self.capacity // 10]
-        return trace
+    def add(self, start: float, rows: tuple) -> int:
+        """Store ``rows`` — exact span tuples in :class:`Span`'s field
+        order, root first, parents before children — as one trace started
+        at ``start``; returns its number."""
+        number = self._next
+        self._next = number + 1 + len(rows)
+        traces = self._traces
+        traces.append((number, start, rows))
+        if len(traces) > self.capacity:
+            del traces[: self.capacity // 10]
+        return number
+
+    def record(self, start: float, spans: Iterable[tuple]) -> Trace:
+        """:meth:`add` ``spans`` (any tuples in :class:`Span`'s field
+        order) and return the stored trace's view."""
+        rows = tuple(map(tuple, spans))
+        return _view((self.add(start, rows), start, rows))
+
+    def rows(self, since: Optional[float] = None,
+             until: Optional[float] = None) -> list[tuple]:
+        """The stored trace rows started in the window, oldest first."""
+        return [tr for tr in self._traces
+                if (since is None or tr[1] >= since)
+                and (until is None or tr[1] <= until)]
 
     def query(self, since: Optional[float] = None,
               until: Optional[float] = None) -> list[Trace]:
-        return [tr for tr in self._traces
-                if (since is None or tr.start >= since)
-                and (until is None or tr.start <= until)]
+        return [_view(tr) for tr in self.rows(since, until)]
 
     def error_rate_by_service(
         self, since: Optional[float] = None
@@ -119,11 +155,11 @@ class TraceStore:
         """Fraction of spans per service that errored in the window."""
         total: dict[str, int] = {}
         errors: dict[str, int] = {}
-        for tr in self.query(since=since):
-            for s in tr.spans:
-                total[s.service] = total.get(s.service, 0) + 1
-                if s.status == "ERROR":
-                    errors[s.service] = errors.get(s.service, 0) + 1
+        for _, _, spans in self.rows(since=since):
+            for _, service, _, _, status, _ in spans:
+                total[service] = total.get(service, 0) + 1
+                if status == "ERROR":
+                    errors[service] = errors.get(service, 0) + 1
         return {
             svc: errors.get(svc, 0) / n for svc, n in total.items() if n > 0
         }
