@@ -318,20 +318,6 @@ class Cluster:
         except KeyError:
             raise ResourceNotFound("Endpoints", name, namespace) from None
 
-    def create_pod(self, pod: Pod) -> Pod:
-        self.require_namespace(pod.namespace)
-        key = (pod.namespace, pod.name)
-        if key in self.pods:
-            raise InvalidAction(f'pod "{pod.name}" already exists')
-        self._mark_dirty()
-        pod.meta.uid = self._next_uid()
-        pod.ip = self._next_ip()
-        pod.meta.creation_time = self.clock.now
-        pod.start_time = self.clock.now
-        self.pods[key] = pod
-        self.reconcile()
-        return pod
-
     def get_pod(self, namespace: str, name: str) -> Pod:
         try:
             return self.pods[(namespace, name)]

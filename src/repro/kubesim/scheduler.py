@@ -33,7 +33,8 @@ class Scheduler:
     * A ``nodeSelector`` no node satisfies also leaves the pod Pending.
     * A pod whose resource requests fit no remaining node capacity stays
       Pending with an ``Insufficient cpu`` / ``Insufficient memory``
-      warning — the capacity-exhaustion signature.
+      warning — the capacity-exhaustion signature — or ``Too many pods``
+      when only the nodes' pod counts refuse it.
     * Otherwise the pod binds to the least-requested feasible node
       (by requested cpu, then requested memory, then name) and runs.
     """
@@ -80,11 +81,14 @@ class Scheduler:
         if not matching:
             return None, (f"0/{total} nodes are available: "
                           f"node selector mismatch.")
-        short_cpu = any(
-            load[n.name][0] + pod.cpu_request() > n.cpu_capacity
-            for n in matching)
-        reason = ("Insufficient cpu." if short_cpu
-                  else "Insufficient memory.")
+        if any(load[n.name][0] + pod.cpu_request() > n.cpu_capacity
+               for n in matching):
+            reason = "Insufficient cpu."
+        elif any(load[n.name][1] + pod.mem_request() > n.mem_capacity
+                 for n in matching):
+            reason = "Insufficient memory."
+        else:
+            reason = "Too many pods."
         return None, (f"0/{total} nodes are available: "
                       f"{len(matching)} {reason}")
 

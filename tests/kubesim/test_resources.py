@@ -111,6 +111,19 @@ class TestCapacityScheduling:
                 if e.reason == "FailedScheduling"]
         assert any("Insufficient memory" in m for m in msgs)
 
+    def test_pod_count_limit_reported_as_too_many_pods(self):
+        cluster = Cluster(clock=SimClock(), node_specs=[
+            NodeSpec("node-0", capacity_pods=1),
+        ])
+        cluster.create_deployment(sized_deployment("web", cpu=100.0,
+                                                   replicas=2))
+        pending = [p for p in cluster.pods_in("default")
+                   if p.bound_node is None]
+        assert len(pending) == 1
+        msgs = [e.message for e in cluster.events
+                if e.reason == "FailedScheduling"]
+        assert msgs == ["0/1 nodes are available: 1 Too many pods."]
+
     def test_pending_pod_schedules_once_capacity_appears(self):
         cluster = Cluster(clock=SimClock(), node_specs=[
             NodeSpec("node-0", cpu_capacity=500.0),
@@ -263,9 +276,14 @@ def _brute_force_binding(cluster, pod):
     total = len(cluster.nodes)
     if not matching:
         return None, f"0/{total} nodes are available: node selector mismatch."
-    short_cpu = any(load[n.name][0] + pod.cpu_request() > n.cpu_capacity
-                    for n in matching)
-    reason = "Insufficient cpu." if short_cpu else "Insufficient memory."
+    if any(load[n.name][0] + pod.cpu_request() > n.cpu_capacity
+           for n in matching):
+        reason = "Insufficient cpu."
+    elif any(load[n.name][1] + pod.mem_request() > n.mem_capacity
+             for n in matching):
+        reason = "Insufficient memory."
+    else:
+        reason = "Too many pods."
     return None, f"0/{total} nodes are available: {len(matching)} {reason}"
 
 
