@@ -62,7 +62,9 @@ class Evaluator:
 
         No submission within the step budget is a failure; mitigation is
         graded on the environment state anyway but still requires the
-        agent to have declared completion.
+        agent to have declared completion.  When that rule is what fails
+        the session (the grader passed it, or gave no reason), the reason
+        names the rule.
         """
         duration = session.elapsed()
         details = self.problem.eval(solution, session, duration, env=self.env)
@@ -73,6 +75,7 @@ class Evaluator:
             session.output_tokens)))
         result.update(details)
         if not session.submitted:
+            if result["success"] or "reason" not in result:
+                result["reason"] = "no submission within step limit"
             result["success"] = False
-            result.setdefault("reason", "no submission within step limit")
         return result

@@ -83,7 +83,8 @@ class TestSessionLoop:
 
     def test_no_submission_rule_mitigation(self, closing):
         """A mitigation that repairs the system but never submits still
-        fails; the grader's own health reason is kept."""
+        fails, and the reason names the no-submission rule, not the
+        grader's passing health check."""
         orch = closing(Orchestrator())
         handle = orch.create_session(
             "scale_pod_zero_social_net-mitigation-1", seed=3,
@@ -92,7 +93,7 @@ class TestSessionLoop:
                 '--replicas=1 -n test-social-network")']))
         res = handle.run_sync(max_steps=3)
         assert res["success"] is False
-        assert res["reason"] == "system healthy"
+        assert res["reason"] == "no submission within step limit"
         assert list(res) == ["pid", "task_type", "agent", "success",
                              "duration_s", "steps", "input_tokens",
                              "output_tokens", "TTM", "reason"]
