@@ -13,7 +13,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro-mlsysim",
-    version="3.17.0",
+    version="3.18.0",
     description=("Simulated cloud incident benchmark: apps, faults, "
                  "telemetry, and agent evaluation on a virtual clock"),
     package_dir={"": "src"},

@@ -29,7 +29,7 @@ The paper's Example 2.3 flow — ``init_problem`` → ``register_agent`` →
 ``start_problem`` — is a thin façade over one implicit session.
 """
 
-__version__ = "3.17.0"
+__version__ = "3.18.0"
 
 from repro.core import (
     ActionRegistry,

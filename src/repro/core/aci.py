@@ -13,6 +13,7 @@ machine-readable ``payload`` and the exported ``artifacts`` paths.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,6 +29,20 @@ class SubmissionReceived(Exception):
     def __init__(self, solution: object) -> None:
         self.solution = solution
         super().__init__(f"solution submitted: {solution!r}")
+
+
+def _saved(path: Path, text: str, **payload) -> Observation:
+    """An export's observation: the text names its directory (named after
+    its kind) relative to the export root, where the shell's file tools
+    resolve it; only the artifacts hold the absolute path."""
+    return Observation(f"Saved {path.name} to {path.name}. {text}",
+                       artifacts=(str(path),), payload=payload)
+
+
+def _missing(name: str, **payload) -> Observation:
+    """The paper's answer to an unknown namespace or service (§3.6.3)."""
+    return Observation.error(
+        f"Error: Your service/namespace does not exist: {name}", **payload)
 
 
 class TaskActions:
@@ -61,45 +76,33 @@ class TaskActions:
         """
         ns = namespace or self.env.namespace
         if ns not in self.env.cluster.namespaces:
-            return Observation.error(
-                f"Error: Your service/namespace does not exist: {ns}",
-                namespace=ns)
+            return _missing(ns, namespace=ns)
         path = self.env.exporter.export_logs(ns)
         if service in ("all", "*", ""):
             counts = self.env.collector.logs.error_counts(ns)
             if not counts:
-                return Observation(
-                    f"Saved logs to {path}. No ERROR-level log lines "
-                    f"found in namespace {ns}.",
-                    artifacts=(str(path),),
-                    payload={"namespace": ns, "error_counts": {}})
+                return _saved(path, f"No ERROR-level log lines found in "
+                              f"namespace {ns}.", namespace=ns,
+                              error_counts={})
             summary = "\n".join(
                 f"  {svc}: {n} ERROR lines"
                 for svc, n in sorted(counts.items(), key=lambda kv: -kv[1])
             )
-            return Observation(
-                f"Saved logs to {path}. ERROR lines per service:\n{summary}",
-                artifacts=(str(path),),
-                payload={"namespace": ns, "error_counts": dict(counts)})
+            return _saved(path, f"ERROR lines per service:\n{summary}",
+                          namespace=ns, error_counts=dict(counts))
         app = self.env.app_for(ns, fallback=self.env.app)
         known = self.env.collector.logs.services_seen(ns) | set(app.services)
         if service not in known:
-            return Observation.error(
-                f"Error: Your service/namespace does not exist: {service}",
-                namespace=ns, service=service)
+            return _missing(service, namespace=ns, service=service)
         n = int(tail)
         text = self.env.collector.logs.tail(ns, n, service=service)
         if not text and n:  # tail=0 asks for no lines, not "none yet"
-            return Observation(
-                f"Saved logs to {path}. Service {service} has produced "
-                f"no log lines yet.",
-                artifacts=(str(path),),
-                payload={"namespace": ns, "service": service, "lines": []})
-        return Observation(
-            f"Saved logs to {path}. Last lines of {service}:\n{text}",
-            artifacts=(str(path),),
-            payload={"namespace": ns, "service": service,
-                     "lines": text.splitlines()})
+            return _saved(path, f"Service {service} has produced no log "
+                          f"lines yet.", namespace=ns, service=service,
+                          lines=[])
+        return _saved(path, f"Last lines of {service}:\n{text}",
+                      namespace=ns, service=service,
+                      lines=text.splitlines())
 
     @action
     def get_metrics(self, namespace: str, duration: int = 5) -> Observation:
@@ -117,9 +120,7 @@ class TaskActions:
         spanning = namespace in ("all", "*")
         ns = namespace or self.env.namespace
         if not spanning and ns not in self.env.cluster.namespaces:
-            return Observation.error(
-                f"Error: Your service/namespace does not exist: {ns}",
-                namespace=ns)
+            return _missing(ns, namespace=ns)
         since = max(self.env.clock.now - duration * 60.0, 0.0)
         path = self.env.exporter.export_metrics(since=since)
         collector = self.env.collector
@@ -137,21 +138,15 @@ class TaskActions:
             if not spanning and svc_ns != ns:
                 continue
             shown = svc if spanning else bare
-            snapshot[shown] = {
-                "cpu_m": cpu.get(svc, 0),
-                "request_rate": rate.get(svc, 0),
-                "error_rate": err.get(svc, 0),
-            }
-            lines.append(
-                f"  {shown}: cpu={cpu.get(svc, 0):.0f}m "
-                f"req_rate={rate.get(svc, 0):.1f}/s "
-                f"err_rate={err.get(svc, 0):.2f}/s"
-            )
+            row = snapshot[shown] = {"cpu_m": cpu.get(svc, 0),
+                                     "request_rate": rate.get(svc, 0),
+                                     "error_rate": err.get(svc, 0)}
+            lines.append(f"  {shown}: cpu={row['cpu_m']:.0f}m "
+                         f"req_rate={row['request_rate']:.1f}/s "
+                         f"err_rate={row['error_rate']:.2f}/s")
         body = "\n".join(lines) if lines else "  (no samples yet)"
-        return Observation(
-            f"Saved metrics to {path}. Latest snapshot:\n{body}",
-            artifacts=(str(path),),
-            payload={"namespace": ns, "snapshot": snapshot})
+        return _saved(path, f"Latest snapshot:\n{body}", namespace=ns,
+                      snapshot=snapshot)
 
     @action
     def get_traces(self, namespace: str, duration: int = 5) -> Observation:
@@ -166,26 +161,20 @@ class TaskActions:
         """
         ns = namespace or self.env.namespace
         if ns not in self.env.cluster.namespaces:
-            return Observation.error(
-                f"Error: Your service/namespace does not exist: {ns}",
-                namespace=ns)
+            return _missing(ns, namespace=ns)
         since = max(self.env.clock.now - duration * 60.0, 0.0)
         path = self.env.exporter.export_traces(since=since)
         rates = self.env.collector.traces.error_rate_by_service(since=since)
         errored = {svc: r for svc, r in rates.items() if r > 0}
         if not errored:
-            return Observation(
-                f"Saved traces to {path}. No error spans in the window.",
-                artifacts=(str(path),),
-                payload={"namespace": ns, "error_rates": {}})
+            return _saved(path, "No error spans in the window.",
+                          namespace=ns, error_rates={})
         lines = "\n".join(
             f"  {svc}: {r * 100:.0f}% of spans errored"
             for svc, r in sorted(errored.items(), key=lambda kv: -kv[1])
         )
-        return Observation(
-            f"Saved traces to {path}. Services with error spans:\n{lines}",
-            artifacts=(str(path),),
-            payload={"namespace": ns, "error_rates": errored})
+        return _saved(path, f"Services with error spans:\n{lines}",
+                      namespace=ns, error_rates=errored)
 
     # ------------------------------------------------------------------
     # acting on the environment

@@ -29,8 +29,6 @@ to the historical single-app environment.
 from __future__ import annotations
 
 import pickle
-import shutil
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence, Type, Union
@@ -39,7 +37,7 @@ from repro.apps.base import App
 from repro.faults.schedule import ArmedSchedule
 from repro.kubesim import Cluster, Helm, Kubectl
 from repro.kubesim.controllers import HorizontalAutoscaler, HpaPolicy
-from repro.kubesim.resources import NodeSpec, ResourcePlane
+from repro.kubesim.resources import ROLLUP_INTERVAL, NodeSpec, ResourcePlane
 from repro.simcore import EventQueue, SimClock
 from repro.telemetry import TelemetryCollector, TelemetryExporter
 from repro.workload import ConstantRate, RatePolicy, WorkloadDriver
@@ -120,9 +118,9 @@ class CloudEnvironment:
         :class:`~repro.kubesim.controllers.HpaPolicy` list; non-empty
         activates the :class:`HorizontalAutoscaler`, evaluated after
         each resource-plane rollup.
-    resource_interval:
-        Rollup cadence (virtual seconds) when the plane is active —
-        matches the 5 s telemetry-scrape cadence by default.
+    export_root:
+        Keep the telemetry exports in this directory (default: the
+        exporter's own temp directory, removed on :meth:`close`).
     """
 
     def __init__(
@@ -137,7 +135,6 @@ class CloudEnvironment:
         resource_coupling: bool = False,
         node_specs: Optional[Sequence[NodeSpec]] = None,
         autoscale: Optional[Sequence[HpaPolicy]] = None,
-        resource_interval: float = 5.0,
     ) -> None:
         if fidelity not in FIDELITY_TIERS:
             raise ValueError(
@@ -172,7 +169,6 @@ class CloudEnvironment:
         self.resource_coupling = resource_coupling
         plane_active = bool(resource_coupling or autoscale)
         self.resources = ResourcePlane(self.cluster, self.clock,
-                                       interval=resource_interval,
                                        coupled=resource_coupling)
         self.autoscaler = HorizontalAutoscaler(self.cluster, self.resources)
         for hpa_policy in (autoscale or ()):
@@ -226,19 +222,15 @@ class CloudEnvironment:
                 self.resources.kubectl_node_metrics_source()
                 if plane_active else None),
         )
-        self._owns_export_root = export_root is None
-        root = Path(export_root) if export_root else Path(tempfile.mkdtemp(
-            prefix=f"aiopslab-{self.app.name}-"))
-        self.export_root = root
-        self.exporter = TelemetryExporter(self.collector, root)
+        self.exporter = TelemetryExporter(self.collector, export_root)
         self._resync = self.queue.schedule_every(
             resync_interval, self.cluster.resync, label="controller.resync",
         ) if resync_interval > 0 else None
         # the plane's rollup tick is only scheduled when something reads
         # it, so seed environments run an unchanged event sequence
         self._rollup = self.queue.schedule_every(
-            resource_interval, self._resource_tick, label="resources.rollup",
-        ) if plane_active and resource_interval > 0 else None
+            ROLLUP_INTERVAL, self._resource_tick, label="resources.rollup",
+        ) if plane_active else None
         #: the timeline ``Problem.inject_fault`` armed here, None until then
         self.armed: Optional[ArmedSchedule] = None
         self.closed = False
@@ -356,25 +348,18 @@ class CloudEnvironment:
     def close(self) -> None:
         """Release the environment's on-disk footprint.
 
-        Cancels the recurring resync event and removes the telemetry
-        export directory *if this environment created it*, unwritten
-        exports and all.  A caller-provided ``export_root`` is the
-        caller's to manage: its staged exports are written into it first.
-        Idempotent; the in-memory simulation stays usable for post-mortem
-        inspection.
+        Cancels the recurring events and closes the exporter, which removes
+        the export directory it created, unwritten exports and all, or
+        writes a caller's ``export_root``.  Idempotent; the in-memory
+        simulation stays usable for post-mortem inspection.
         """
         if self.closed:
             return
         self.closed = True
-        if self._resync is not None:
-            self._resync.cancel()
-        if self._rollup is not None:
-            self._rollup.cancel()
-        if self._owns_export_root:
-            self.exporter._staged.clear()
-            shutil.rmtree(self.export_root, ignore_errors=True)
-        else:
-            self.exporter.materialize()
+        for recurring in (self._resync, self._rollup):
+            if recurring is not None:
+                recurring.cancel()
+        self.exporter.close()
 
 
 class EnvSnapshot:
@@ -414,11 +399,5 @@ class EnvSnapshot:
         (one pickle memo covers both)."""
         state = pickle.loads(self.payload)
         env: CloudEnvironment = state["env"]
-        # every fork owns a fresh export directory: the captured path may
-        # belong to a still-open environment (or not exist in a worker)
-        env.export_root = Path(tempfile.mkdtemp(
-            prefix=f"aiopslab-{env.app.name}-"))
-        env._owns_export_root = True
-        env.exporter = TelemetryExporter(env.collector, env.export_root)
         env.closed = False
         return env, state["extras"]

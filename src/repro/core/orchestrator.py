@@ -116,11 +116,10 @@ class SessionHandle:
         """Release the session's environment's on-disk footprint.
 
         The in-memory trajectory (:attr:`session`) and :attr:`result` stay
-        available, but exported telemetry *files* (the paths recorded in
-        step ``artifacts``) live under the environment's temp export root
-        and are removed with it — read them through the shell or call
-        ``env.exporter.materialize()`` before closing, or pass an
-        ``export_root`` you own to keep them."""
+        available, but the exported telemetry files (step ``artifacts``)
+        go with the exporter's temp directory — read them through the
+        shell or ``env.exporter.materialize()`` first, or give the
+        environment an ``export_root`` you own to keep them."""
         self.env.close()
 
     # ------------------------------------------------------------------

@@ -89,7 +89,7 @@ class ShellExecutor:
 
     def run(self, command: str) -> str:
         """Execute one command; policy violations and malformed commands
-        come back as error text, never as exceptions."""
+        come back as error text.  Only a closed environment raises."""
         try:
             argv = self._admit(command)
             reject_shell_operators(argv)
@@ -160,7 +160,7 @@ class ShellExecutor:
         if not files:
             if binary != "ls":
                 return f"{binary}: missing file operand"
-            files = [str(root)]
+            files = ["."]
         n = flags.get("lines", 10)
         out: list[str] = []
         for f in files:
@@ -168,7 +168,7 @@ class ShellExecutor:
                 p = (root / f).resolve()
                 if not p.is_relative_to(root):
                     return (f"PolicyError: {binary} may only access the "
-                            f"telemetry export directory {root}")
+                            f"telemetry export directory")
                 if binary == "ls":
                     if not p.exists():
                         return (f"ls: cannot access '{f}': "
@@ -186,7 +186,7 @@ class ShellExecutor:
             elif binary == "head":
                 out.append("\n".join(lines[:n]))
             elif binary == "tail":
-                out.append("\n".join(lines[-n:] if n else []))
+                out.append("\n".join(lines[-abs(n):] if n else []))
             else:
                 out.append("\n".join(ln for ln in lines if pattern in ln))
         return "\n".join(out)

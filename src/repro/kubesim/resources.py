@@ -47,6 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.services.runtime import ServiceRuntime
     from repro.simcore import SimClock
 
+#: virtual seconds between rollups, the telemetry-scrape cadence
+ROLLUP_INTERVAL = 5.0
+
 #: quantization step for effective multipliers / shed probabilities —
 #: coarse enough that demand jitter between rollups doesn't churn the
 #: profile cache, fine enough that a regime change is visible
@@ -141,10 +144,9 @@ class ResourcePlane:
     """
 
     def __init__(self, cluster: "Cluster", clock: "SimClock",
-                 interval: float = 5.0, coupled: bool = True) -> None:
+                 coupled: bool = True) -> None:
         self.cluster = cluster
         self.clock = clock
-        self.interval = interval
         #: when False the plane still accounts demand and rolls up node
         #: utilization (feeding the autoscaler and ``kubectl top nodes``)
         #: but never publishes degradation parameters — an HPA-only

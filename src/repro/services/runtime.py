@@ -25,7 +25,7 @@ the plan itself so a mutated session can never observe a co-tenant's
 stale profile.
 
 Both write one trace shape, a list of span rows handed to
-``TraceStore.record`` (``execute`` appends a row per hop as it walks, the
+``TraceStore.add`` (``execute`` appends a row per hop as it walks, the
 aggregate path copies an outcome's span skeleton), and account requests
 through one call, ``TelemetryCollector.record_requests``, per batch or tick.
 """

@@ -1,15 +1,16 @@
 """On-disk telemetry export (§2.5: offline data for traditional AIOps).
 
-The ACI returns *paths* from ``get_logs``/``get_metrics``/``get_traces``
-(like the paper's Example 2.2, which saves traces and returns the
-directory); this module writes those files.  An export is *staged*: the
-call creates and returns the directory and captures its window as plain
-data — the immutable log and trace rows (exact tuples) the store held, and
-each metric series' sample count — and :meth:`TelemetryExporter.materialize`
+The ACI's ``get_logs``/``get_metrics``/``get_traces`` save an export and
+name it relative to the exporter's directory (like the paper's Example
+2.2), so no observation depends on the host; this module writes those
+files.  An export is *staged*: the call
+creates and returns the directory and captures its window as plain data —
+the immutable log and trace rows (exact tuples) the store held, and each
+metric series' sample count — and :meth:`TelemetryExporter.materialize`
 writes the files later, byte for byte what writing them at stage time
 would have written, because the stores only ever append.  The shell's
-file tools, ``export_all`` and closing an environment with a caller-owned
-export root materialize; nothing else reads the files.  ``traces.json`` and
+file tools, ``export_all`` and closing an exporter with a caller-owned
+root materialize; nothing else reads the files.  ``traces.json`` and
 ``all.jsonl`` are the text ``json``'s ``dumps`` would write, rendered from
 rows; the oracle test (``tests/telemetry/test_render_exact.py``) is the
 reference.
@@ -18,9 +19,12 @@ reference.
 from __future__ import annotations
 
 import csv
+import shutil
+import tempfile
 from pathlib import Path
 from typing import Optional
 
+from repro.simcore import SimError
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.logs import render_jsonl, render_line
 from repro.telemetry.metrics import MetricStore
@@ -76,13 +80,34 @@ class TelemetryExporter:
 
     Each kind holds at most one staged export; staging it again replaces
     the earlier one, as writing it again would have replaced the files.
+
+    Given no ``root``, it makes a temp directory on first use, which
+    :meth:`close` removes unwritten; a caller's ``root`` is written on
+    close.  A pickled copy (a fork) carries neither, so it starts with
+    nothing staged, in a directory of its own.
     """
 
-    def __init__(self, collector: TelemetryCollector, root: str | Path) -> None:
+    def __init__(self, collector: TelemetryCollector,
+                 root: Optional[str | Path] = None) -> None:
         self.collector = collector
-        self.root = Path(root)
+        self._root = None if root is None else Path(root)
+        self._owns_root = root is None
         #: kind → (writer, captured window) not yet written
         self._staged: dict[str, tuple] = {}
+        self.closed = False
+
+    def __reduce__(self):
+        return TelemetryExporter, (self.collector,)
+
+    @property
+    def root(self) -> Path:
+        """The export directory; once closed, it is never re-created."""
+        if self.closed:
+            raise SimError("the telemetry exporter is closed")
+        if self._root is None:
+            name = self.collector.default_namespace or "export"
+            self._root = Path(tempfile.mkdtemp(prefix=f"aiopslab-{name}-"))
+        return self._root
 
     def _stage(self, kind: str, writer, *window) -> Path:
         out_dir = self.root / kind
@@ -122,3 +147,14 @@ class TelemetryExporter:
         staged, self._staged = self._staged, {}
         for kind, (writer, window) in staged.items():
             writer(self.root / kind, *window)
+
+    def close(self) -> None:
+        """Remove an owned directory, staged exports unwritten, or write a
+        caller's root.  Nothing can be staged afterwards.  Idempotent."""
+        if self._owns_root:
+            self._staged.clear()
+            if self._root is not None:
+                shutil.rmtree(self._root, ignore_errors=True)
+        elif not self.closed:
+            self.materialize()
+        self.closed = True

@@ -13,8 +13,8 @@ always followed.
 
 Rows are exact tuples in the field order of :class:`Span` and
 :class:`Trace`, ``(number, start, rows)`` with ``rows`` a tuple of span
-tuples; the NamedTuples are read views that :meth:`TraceStore.query` and
-:meth:`TraceStore.record` hand out.  The reason is the cyclic GC: CPython
+tuples; the NamedTuples are read views that :meth:`TraceStore.query`
+hands out.  The reason is the cyclic GC: CPython
 untracks a tuple of atomic values only when it is an exact tuple, so a
 NamedTuple row stays tracked, and walked by every full collection, for as
 long as the store keeps it — and unpickling one calls its Python-level
@@ -131,12 +131,6 @@ class TraceStore:
         if len(traces) > self.capacity:
             del traces[: self.capacity // 10]
         return number
-
-    def record(self, start: float, spans: Iterable[tuple]) -> Trace:
-        """:meth:`add` ``spans`` (any tuples in :class:`Span`'s field
-        order) and return the stored trace's view."""
-        rows = tuple(map(tuple, spans))
-        return _view((self.add(start, rows), start, rows))
 
     def rows(self, since: Optional[float] = None,
              until: Optional[float] = None) -> list[tuple]:

@@ -36,8 +36,12 @@ class TestGetLogs:
         assert "not authorized on geo-db" in out
 
     def test_returns_save_path(self, env, actions):
+        """The path is relative to the export root, where the shell's file
+        tools resolve it; no host path reaches the agent."""
         out = actions.get_logs(env.namespace, "all")
-        assert str(env.exporter.root) in out
+        assert out.startswith("Saved logs to logs.")
+        assert str(env.exporter.root) not in out
+        assert "all.jsonl" in actions.exec_shell("ls logs").splitlines()
 
     def test_unknown_namespace_is_paper_error(self, actions):
         out = actions.get_logs("ghost-ns", "geo")

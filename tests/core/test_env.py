@@ -149,7 +149,7 @@ class TestEnvironmentClose:
     def test_close_removes_owned_export_root(self):
         env = CloudEnvironment(HotelReservation, seed=1)
         env.exporter.export_metrics()
-        root = env.export_root
+        root = env.exporter.root
         assert root.exists()
         env.close()
         assert not root.exists()
@@ -159,6 +159,25 @@ class TestEnvironmentClose:
         env = CloudEnvironment(HotelReservation, seed=1)
         env.close()
         env.close()
+
+    def test_closed_env_exports_nothing(self):
+        """A getter or a file tool on a closed environment raises and
+        leaves no directory behind (closing is idempotent, so nothing
+        would remove one)."""
+        from repro.core.aci import TaskActions
+        from repro.simcore import SimError
+
+        env = CloudEnvironment(HotelReservation, seed=1)
+        actions = TaskActions(env)
+        actions.get_logs(env.namespace, "all")
+        root = env.exporter.root
+        env.close()
+        for act in (lambda: actions.get_logs(env.namespace, "all"),
+                    lambda: actions.get_traces(env.namespace),
+                    lambda: actions.exec_shell("ls logs")):
+            with pytest.raises(SimError, match="exporter is closed"):
+                act()
+        assert not root.exists()
 
     def test_close_keeps_caller_provided_root(self, tmp_path):
         root = tmp_path / "telemetry"
@@ -173,7 +192,7 @@ class TestEnvironmentClose:
 
         orch = Orchestrator(seed=0)
         handle = orch.create_session(benchmark_pids()[0])
-        root = handle.env.export_root
+        root = handle.env.exporter.root
         assert root.exists()
         orch.release(handle)
         assert not root.exists()
@@ -226,7 +245,7 @@ class TestEnvironmentClose:
         assert isinstance(outcomes[0].error, RuntimeError)
         assert outcomes[0].handle is None
         assert prob.env_ref.closed
-        assert not prob.env_ref.export_root.exists()
+        assert prob.env_ref.exporter.closed
 
     def test_batch_failure_keeps_partial_trajectory(self):
         """A case that fails mid-run still exposes its partial session."""

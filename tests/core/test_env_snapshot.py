@@ -156,13 +156,14 @@ class TestForkDeterminism:
     def test_fork_owns_a_fresh_export_root(self):
         origin = CloudEnvironment(HotelReservation, seed=1, workload_rate=10)
         origin.advance(5.0)
+        origin_root = origin.exporter.root
         fork = origin.snapshot().fork()
-        assert fork.export_root != origin.export_root
-        assert fork.export_root.exists()
-        assert fork._owns_export_root
+        fork_root = fork.exporter.root
+        assert fork_root != origin_root
+        assert fork_root.exists()
         fork.close()
-        assert not fork.export_root.exists()  # fork cleans up only its own
-        assert origin.export_root.exists()
+        assert not fork_root.exists()  # fork cleans up only its own
+        assert origin_root.exists()
         origin.close()
 
 

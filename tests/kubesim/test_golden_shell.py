@@ -18,7 +18,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 from repro.apps import HotelReservation
@@ -183,29 +182,26 @@ kubectl top pods -n {ns}
 
 
 def _transcript(commands, **env_kwargs) -> str:
-    with tempfile.TemporaryDirectory() as root:
-        env = CloudEnvironment(HotelReservation, seed=0, export_root=root,
-                               **env_kwargs)
-        env.advance(45)
-        env.exporter.export_logs(env.namespace)
-        env.exporter.export_metrics(since=0.0)
-        env.exporter.export_traces(since=0.0)
-        shell = ShellExecutor(env)
-        resolved_root = str(Path(root).resolve())
+    env = CloudEnvironment(HotelReservation, seed=0, **env_kwargs)
+    env.advance(45)
+    env.exporter.export_logs(env.namespace)
+    env.exporter.export_metrics(since=0.0)
+    env.exporter.export_traces(since=0.0)
+    shell = ShellExecutor(env)
 
-        def first_pod(match: re.Match) -> str:
-            dep = env.cluster.get_deployment(env.namespace, match.group(1))
-            return env.cluster.pods_for_deployment(dep)[0].name
+    def first_pod(match: re.Match) -> str:
+        dep = env.cluster.get_deployment(env.namespace, match.group(1))
+        return env.cluster.pods_for_deployment(dep)[0].name
 
-        out = []
-        for template in commands:
-            command = re.sub(r"\{pod:([\w-]+)\}", first_pod, template) \
-                .replace("{ns}", env.namespace) \
-                .replace("{rel}", env.app.release_name)
-            result = shell.run(command)
-            assert isinstance(result, str)
-            out.append(f"$ {command}\n{result}".replace(resolved_root, "<ROOT>"))
-        env.close()
+    out = []
+    for template in commands:
+        command = re.sub(r"\{pod:([\w-]+)\}", first_pod, template) \
+            .replace("{ns}", env.namespace) \
+            .replace("{rel}", env.app.release_name)
+        result = shell.run(command)
+        assert isinstance(result, str)
+        out.append(f"$ {command}\n{result}")
+    env.close()
     return "\n\n".join(out) + "\n"
 
 

@@ -5,15 +5,15 @@ pinned for every paper incident's preparation and two scenarios.
 the first three entries at commit 048d3d7 (the last commit whose traces
 stored their ids per span), the rest at commit 7511ec8 (the last commit
 whose paper problems injected their fault without a ``FaultSchedule``),
-which reproduced the first three unchanged.  For each problem, after
-``prepare`` at env seed 4 and 30 more seconds, it holds: the sha256 and
-length of every file ``TelemetryExporter.export_all`` writes per
-namespace; the ACI's ``get_logs``/``get_traces`` text with the export
-root replaced by ``<ROOT>``; for a problem with a target, ``get_logs`` of
-the target and ``kubectl logs`` of its first pod, if it has one; and the
-last 50
-``RequestResult.trace_id`` values of each workload driver.  The first
-three problems cover the per-request tier, the aggregate tier's exemplar
+which reproduced the first three unchanged; the ``<ROOT>/`` placeholder
+the text once carried was dropped when observations began to name exports
+relative to the export root.  For each problem, after ``prepare`` at env
+seed 4 and 30 more seconds, it holds: the sha256 and length of every file
+``TelemetryExporter.export_all`` writes per namespace; the ACI's
+``get_logs``/``get_traces`` text; for a problem with a target,
+``get_logs`` of the target and ``kubectl logs`` of its first pod, if it
+has one; and the last 50 ``RequestResult.trace_id`` values of each
+workload driver.  The first three problems cover the per-request tier, the aggregate tier's exemplar
 traces and two namespaces on one collector.  ``prepare`` depends on the
 fault, the target and the app but not on the task, so one detection pid
 per remaining paper incident, and one Noop probe, pin every paper
@@ -75,7 +75,6 @@ def capture(pid: str) -> dict:
             TelemetryExporter(env.collector, tmp).export_all(ns)
             files[ns] = _digest(Path(tmp))
     aci = TaskActions(env)
-    root = str(env.export_root)
     text = {}
     for ns in env.namespaces:
         text[f"get_logs({ns}, all)"] = aci.get_logs(ns, "all")
@@ -90,7 +89,7 @@ def capture(pid: str) -> dict:
             text[command] = ShellExecutor(env).run(command)
     record = {
         "files": files,
-        "text": {k: v.replace(root, "<ROOT>") for k, v in text.items()},
+        "text": text,
         "trace_ids": [[r.trace_id for r in d.recent_results[-50:]]
                       for d in env.drivers],
     }

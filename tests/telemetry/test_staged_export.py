@@ -55,14 +55,15 @@ def test_materialize_writes_the_export_at_stage_time(pid, tmp_path):
                            "traces/traces.json"}
     _move_on(env)
     env.exporter.materialize()
-    assert _tree(env.export_root) == oracle
+    assert _tree(env.exporter.root) == oracle
     env.close()
 
 
 def test_nothing_is_written_before_a_read(tmp_path):
     env = get_problem(PIDS[0]).prepare(4)
     _stage(env, tmp_path)
-    dirs = [env.export_root / kind for kind in ("logs", "metrics", "traces")]
+    dirs = [env.exporter.root / kind
+            for kind in ("logs", "metrics", "traces")]
     assert all(d.is_dir() and not any(d.iterdir()) for d in dirs)
     env.close()
 
@@ -73,7 +74,7 @@ def test_shell_read_writes_the_staged_bytes(tmp_path):
     _move_on(env)
     out = TaskActions(env).exec_shell("cat logs/all.jsonl")
     assert out == oracle["logs/all.jsonl"].decode()
-    assert _tree(env.export_root) == oracle
+    assert _tree(env.exporter.root) == oracle
     env.close()
 
 
@@ -90,7 +91,7 @@ def test_close_writes_a_caller_root(tmp_path):
 def test_close_removes_an_owned_root_unwritten(tmp_path):
     env = get_problem(PIDS[0]).prepare(4)
     _stage(env, tmp_path)
-    root = env.export_root
+    root = env.exporter.root
     env.close()
     assert not root.exists()
     env.exporter.materialize()  # nothing left staged to write
@@ -102,6 +103,6 @@ def test_fork_starts_with_nothing_staged(tmp_path):
     _stage(env, tmp_path)
     fork = env.snapshot().fork()
     fork.exporter.materialize()
-    assert not any(fork.export_root.iterdir())
+    assert not any(fork.exporter.root.iterdir())
     fork.close()
     env.close()

@@ -4,10 +4,12 @@ from repro.telemetry.traces import Span, TraceStore, render_traces
 
 
 def make_trace(store, services_status, start=0.0):
-    """Record a linear trace: first service is root, each child nested."""
-    return store.record(start, [
-        Span(i - 1, svc, "op", 1.0, status)
-        for i, (svc, status) in enumerate(services_status)])
+    """Add a linear trace (first service is root, each child nested) and
+    return its view."""
+    store.add(start, tuple(
+        tuple(Span(i - 1, svc, "op", 1.0, status))
+        for i, (svc, status) in enumerate(services_status)))
+    return store.query()[-1]
 
 
 def rendered(trace):
