@@ -3,10 +3,9 @@ asserted at ``AIOPSLAB_BENCH_SEED`` (run with ``-s`` to see every table),
 and the evaluation's results pinned by ``tests/bench/golden_report.json``.
 
 The golden holds, at seed 0: per (agent, pid) the outcome, step count,
-virtual duration, task-detail fields and a sha256 of the action sequence;
-the three baseline rows without their wall time; the Figure-5 series; the
-Noop outcome.  Token counts stay out: an observation embeds the export
-directory's temp path, and input tokens count observation bytes.
+virtual duration, input and output token counts, task-detail fields and a
+sha256 of the action sequence; the three baseline rows without their wall
+time; the Figure-5 series; the Noop outcome.
 
 Re-record (only when a result change is intended and reviewed)::
 
@@ -35,6 +34,7 @@ def capture(report) -> dict:
         cases.setdefault(c.agent, {})[c.pid] = {
             "success": c.success, "steps": c.steps,
             "duration_s": c.duration_s,
+            "input_tokens": c.input_tokens, "output_tokens": c.output_tokens,
             **{key: c.details.get(key) for key in _DETAIL_KEYS},
             "actions_sha256": hashlib.sha256(actions.encode()).hexdigest(),
         }
