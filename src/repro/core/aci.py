@@ -138,12 +138,16 @@ class TaskActions:
             if not spanning and svc_ns != ns:
                 continue
             shown = svc if spanning else bare
-            row = snapshot[shown] = {"cpu_m": cpu.get(svc, 0),
-                                     "request_rate": rate.get(svc, 0),
-                                     "error_rate": err.get(svc, 0)}
-            lines.append(f"  {shown}: cpu={row['cpu_m']:.0f}m "
-                         f"req_rate={row['request_rate']:.1f}/s "
-                         f"err_rate={row['error_rate']:.2f}/s")
+            snapshot[shown] = {
+                "cpu_m": cpu.get(svc, 0),
+                "request_rate": rate.get(svc, 0),
+                "error_rate": err.get(svc, 0),
+            }
+            lines.append(
+                f"  {shown}: cpu={cpu.get(svc, 0):.0f}m "
+                f"req_rate={rate.get(svc, 0):.1f}/s "
+                f"err_rate={err.get(svc, 0):.2f}/s"
+            )
         body = "\n".join(lines) if lines else "  (no samples yet)"
         return _saved(path, f"Latest snapshot:\n{body}", namespace=ns,
                       snapshot=snapshot)

@@ -118,9 +118,6 @@ class CloudEnvironment:
         :class:`~repro.kubesim.controllers.HpaPolicy` list; non-empty
         activates the :class:`HorizontalAutoscaler`, evaluated after
         each resource-plane rollup.
-    export_root:
-        Keep the telemetry exports in this directory (default: the
-        exporter's own temp directory, removed on :meth:`close`).
     """
 
     def __init__(
@@ -356,9 +353,10 @@ class CloudEnvironment:
         if self.closed:
             return
         self.closed = True
-        for recurring in (self._resync, self._rollup):
-            if recurring is not None:
-                recurring.cancel()
+        if self._resync is not None:
+            self._resync.cancel()
+        if self._rollup is not None:
+            self._rollup.cancel()
         self.exporter.close()
 
 

@@ -113,13 +113,9 @@ class SessionHandle:
         return self
 
     def close(self) -> None:
-        """Release the session's environment's on-disk footprint.
-
-        The in-memory trajectory (:attr:`session`) and :attr:`result` stay
-        available, but the exported telemetry files (step ``artifacts``)
-        go with the exporter's temp directory — read them through the
-        shell or ``env.exporter.materialize()`` first, or give the
-        environment an ``export_root`` you own to keep them."""
+        """Close the session's environment (:meth:`CloudEnvironment.close`,
+        which removes the exporter's own directory and the files in step
+        ``artifacts``); :attr:`session` and :attr:`result` stay available."""
         self.env.close()
 
     # ------------------------------------------------------------------
