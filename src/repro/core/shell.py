@@ -46,13 +46,14 @@ HELM_VERBS = {
 }
 
 _LINES = Flag(("-n", "--lines"), "lines", integer=True)
-#: read-only tools over the exported telemetry -> the flags each accepts
+#: read-only tools over the exported telemetry -> the flags each accepts;
+#: tail reads its count itself, as a leading "+" means "from line K on"
 FILE_TOOLS = {
     "cat": flag_spec(),
     "ls": flag_spec(ignored("-l", "-a", "-la", "-al")),
     "grep": flag_spec(ignored("-i", "-r", "-n")),
     "head": flag_spec(_LINES),
-    "tail": flag_spec(_LINES),
+    "tail": flag_spec(_LINES._replace(integer=False)),
 }
 
 #: binaries the policy allows as entry points
@@ -162,6 +163,14 @@ class ShellExecutor:
                 return f"{binary}: missing file operand"
             files = ["."]
         n = flags.get("lines", 10)
+        if binary == "tail":
+            count = str(n)
+            try:
+                n = int(count)
+            except ValueError:
+                raise InvalidAction(f'invalid argument "{count}" for -n: '
+                                    f"expected an integer") from None
+            from_start = count.startswith("+")
         out: list[str] = []
         for f in files:
             try:
@@ -186,7 +195,9 @@ class ShellExecutor:
             elif binary == "head":
                 out.append("\n".join(lines[:n]))
             elif binary == "tail":
-                out.append("\n".join(lines[-abs(n):] if n else []))
+                # GNU: "+K" prints from line K on, "K" and "-K" the last K
+                start = n - 1 if from_start else len(lines) - abs(n)
+                out.append("\n".join(lines[max(start, 0):]))
             else:
                 out.append("\n".join(ln for ln in lines if pattern in ln))
         return "\n".join(out)

@@ -6,7 +6,9 @@ one statement of fault semantics); two execution tiers consume it:
 
 * :meth:`ServiceRuntime.execute` — the per-request reference path: walks
   the plan's rows (:func:`_row`) once per request, one RNG draw per
-  decision, full-fidelity telemetry.  Bit-identical to the seed.
+  decision (a coin is one raw 64-bit draw against a threshold fixed when
+  the rows are built, :func:`_coin`), full-fidelity telemetry.
+  Bit-identical to the seed.
 * :meth:`ServiceRuntime.execute_many` — the aggregate path: compiles the
   plan into a cached :class:`~repro.services.profile.PathProfile` and
   samples ``n`` requests' outcomes in O(outcome branches) —
@@ -78,16 +80,31 @@ def _default_credentials(caller: str, backend: str) -> tuple[str, str]:
     return ("admin", "admin")
 
 
+def _coin(p: float) -> int:
+    """The threshold of a coin of probability ``p`` in [0, 1]: a raw 64-bit
+    draw is below it exactly when ``random()`` on that draw is below ``p``,
+    as PCG64's ``random()`` is ``(raw >> 11) * 2**-53``.  So the coin takes
+    the draw ``bernoulli(p)`` takes and agrees with it bit for bit."""
+    return math.ceil(p * 2**53) << 11
+
+
 def _row(hop: Hop) -> tuple:
     """``hop``'s walker row: ``(service, operation, mu, sigma, handler,
     handler_log line, kids, hop)``, a kid per child: ``(gates, blocked,
-    row)``.  Rejects a sigma numpy's lognormal would (sign bit, not NaN)."""
+    row)`` with each gate ``(_coin(p), error)``.  Rejects what a draw
+    would: a gate probability outside [0, 1] (NaN too), with
+    ``RngStream.bernoulli``'s error, and a sigma numpy's lognormal would
+    (sign bit, not NaN)."""
+    for p in (hop.p_drop, hop.p_shed):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"bernoulli p must be in [0,1], got {p}")
     if hop.blocked is None and math.copysign(1.0, hop.sigma) < 0 \
             and not math.isnan(hop.sigma):
         raise ValueError("sigma < 0")
     line = None if hop.handler is None else handler_log(hop.handler)
     return (hop.service, hop.operation, hop.mu, hop.sigma, hop.handler, line,
-            tuple((gates(c), c.blocked, _row(c)) for c in hop.children), hop)
+            tuple((tuple((_coin(p), e) for p, e in gates(c)), c.blocked,
+                   _row(c)) for c in hop.children), hop)
 
 
 @dataclass
@@ -271,11 +288,14 @@ class ServiceRuntime:
     def execute(self, op_name: str) -> RequestResult:
         """Run one request for ``op_name`` through its resolved plan's rows,
         in one loop (a hop calling a child waits on ``stack``).  Draw order,
-        per entered hop: its service time; per child in order one bernoulli
-        per gate (network drop, then shed; non-zero ones only) until one
-        fires, overriding ``blocked``; after the children, iff nothing
-        failed, the WARN then the INFO noise coin.  Latencies are buffered
-        as hops end and accounted per tick (:meth:`_flush`)."""
+        per entered hop: its service time (one ``standard_normal``); per
+        child in order one coin per gate (network drop, then shed; non-zero
+        ones only) until one fires, overriding ``blocked``; after the
+        children, iff nothing failed, the WARN then the INFO noise coin.  A
+        coin is one raw draw held below its :func:`_coin` threshold: the
+        gates' are fixed in the rows, the noise coins' are read from the
+        instance once per request.  Latencies are buffered as hops end and
+        accounted per tick (:meth:`_flush`)."""
         op = self.operations.get(op_name)
         if op is None:
             raise KeyError(f"unknown operation {op_name!r}")
@@ -291,8 +311,9 @@ class ServiceRuntime:
             latencies[root.service].append(total)
             errors[root.service] = errors.get(root.service, 0) + 1
         else:
-            bernoulli, normal = self.rng.bernoulli, self.rng.generator.standard_normal
-            noise_warn, info_sample = self.NOISE_WARN, self.INFO_SAMPLE
+            generator = self.rng.generator
+            raw, normal = generator.bit_generator.random_raw, generator.standard_normal
+            noise_warn, info_sample = _coin(self.NOISE_WARN), _coin(self.INFO_SAMPLE)
             log, exp = self._log, math.exp
             stack, parent, entering = [], -1, True
             while True:
@@ -307,8 +328,8 @@ class ServiceRuntime:
                     kids = iter(kids)
                 if failure is None and (kid := next(kids, None)) is not None:
                     gates, failure, row = kid
-                    for p, gate_err in gates:
-                        if bernoulli(p):
+                    for threshold, gate_err in gates:
+                        if raw() < threshold:
                             failure = gate_err
                             break
                     if failure is None:
@@ -325,9 +346,9 @@ class ServiceRuntime:
                     error_services.append(service)
                 # the hop ends
                 if failure is None:
-                    if bernoulli(noise_warn):
+                    if raw() < noise_warn:
                         log(service, *warn_noise(hop))
-                    if bernoulli(info_sample):
+                    if raw() < info_sample:
                         log(service, *info_noise(hop, total))
                     spans[index] = (parent, service, operation, total,
                                     "OK", "")

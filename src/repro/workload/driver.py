@@ -154,10 +154,13 @@ class WorkloadDriver:
     # shared per-request work
     # ------------------------------------------------------------------
     def _issue(self, n: int) -> None:
-        """Issue one tick's ``n`` requests: pick all ``n`` operations, then
-        execute them with the runtime holding its plans."""
-        gen, cdf, ops = self.rng.generator, self._cdf, self._ops
-        names = [ops[bisect_right(cdf, gen.random())] for _ in range(n)]
+        """Issue one tick's ``n`` requests: pick all ``n`` operations from
+        one ``random(n)`` (the doubles ``n`` scalar ``random()`` calls
+        give, as nothing draws between the picks), then execute them with
+        the runtime holding its plans."""
+        cdf, ops = self._cdf, self._ops
+        names = [ops[bisect_right(cdf, u)]
+                 for u in self.rng.generator.random(n).tolist()]
         stats, recent = self.stats, self.recent_results
         with self.runtime.holding_plans():
             for op in names:

@@ -132,8 +132,15 @@ class TestFileTools:
         assert shell.run("tail -n 3 logs/n.txt") == "3\n4\n5"
         assert shell.run("head --lines=2 logs/n.txt") == "1\n2"
         assert shell.run("head logs/n.txt -n 1") == "1"
-        # GNU: tail's sign is ignored, head's negative count drops the end
+        # GNU: tail's "+K" starts at line K (+0 and +1 at the first), a
+        # bare or "-" count is the last K; head's negative count drops the end
         assert shell.run("tail -n -2 logs/n.txt") == "4\n5"
+        assert shell.run("tail -n +2 logs/n.txt") == "2\n3\n4\n5"
+        assert shell.run("tail --lines=+2 logs/n.txt") == "2\n3\n4\n5"
+        assert shell.run("tail -n +0 logs/n.txt") == "1\n2\n3\n4\n5"
+        assert shell.run("tail -n +9 logs/n.txt") == ""
+        assert shell.run("tail -n 0 logs/n.txt") == ""
+        assert shell.run("tail -n 9 logs/n.txt") == "1\n2\n3\n4\n5"
         assert shell.run("head -n -2 logs/n.txt") == "1\n2\n3"
         assert shell.run("tail -n x logs/n.txt").startswith(
             'error: invalid argument "x" for -n')

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import Callable
 
 import pytest
 
@@ -250,6 +251,22 @@ STATES = {
 }
 
 
+class _ScriptedCoin(int):
+    """Stands in for a coin threshold (``runtime._coin``): the walker's
+    ``raw() < threshold`` asks this int subclass first, through its
+    reflected ``__gt__``, which answers ``verdict(p)`` whatever was drawn."""
+
+    verdict: Callable[[float], bool]
+
+    def __new__(cls, p: float) -> "_ScriptedCoin":
+        coin = super().__new__(cls)
+        coin.p = p
+        return coin
+
+    def __gt__(self, raw: int) -> bool:
+        return self.verdict(self.p)
+
+
 class TestTierAgreement:
     """The tiers agree branch for branch, not just on average: drive
     ``execute`` down every path of every operation with scripted coins and
@@ -258,7 +275,8 @@ class TestTierAgreement:
     construction; the test is what fails if they are ever made to differ."""
 
     @staticmethod
-    def _walked(d: Deployed, op: str, fire_at) -> tuple[tuple, float, int]:
+    def _walked(d: Deployed, op: str, fire_at,
+                monkeypatch) -> tuple[tuple, float, int]:
         """One ``execute`` whose fault coins all come up False, except the
         ``fire_at``-th: (what happened, its probability, coins flipped)."""
         rt = d.runtime
@@ -271,7 +289,8 @@ class TestTierAgreement:
             flipped.append(p)
             return len(flipped) - 1 == fire_at
 
-        rt.rng.bernoulli = scripted
+        monkeypatch.setattr(_ScriptedCoin, "verdict", staticmethod(scripted),
+                            raising=False)
         logs_before = len(d.collector.logs)
         requests = Counter(d.collector._window_requests)
         errors = Counter(d.collector._window_errors)
@@ -312,7 +331,9 @@ class TestTierAgreement:
                 frozenset(requests.items()), frozenset(errors.items()))
 
     @pytest.mark.parametrize("state", sorted(STATES))
-    def test_every_branch_of_every_operation(self, state):
+    def test_every_branch_of_every_operation(self, state, monkeypatch):
+        # rows built from here on hold scripted thresholds
+        monkeypatch.setattr(runtime_module, "_coin", _ScriptedCoin)
         d = Deployed()
         STATES[state](d)
         for op in sorted(d.app.operations):
@@ -322,10 +343,10 @@ class TestTierAgreement:
                         for o in profile.outcomes}
             assert len(compiled) == profile.n_outcomes, (state, op)
 
-            first, prob, coins = self._walked(d, op, fire_at=None)
+            first, prob, coins = self._walked(d, op, None, monkeypatch)
             walked = {first: prob}
             for i in range(coins):
-                branch, prob, _ = self._walked(d, op, fire_at=i)
+                branch, prob, _ = self._walked(d, op, i, monkeypatch)
                 assert branch not in walked, (state, op, i)
                 walked[branch] = prob
             # a path that needed a p = 1 coin to come up False is no path

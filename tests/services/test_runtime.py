@@ -1,6 +1,16 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.services.errors import RpcErrorKind
+from repro.services.runtime import _coin
+from repro.simcore import RngStream
+
+#: the coin identity rests on PCG64's ``next_double``: a failure names
+#: the numpy it ran on
+NUMPY = f"numpy {np.__version__}"
 
 
 class TestHealthyExecution:
@@ -99,6 +109,20 @@ class TestConnectivityFaultPath:
                     for _ in range(40)}
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("loss", [1.5, math.nan])
+    def test_loss_outside_unit_interval_is_rejected(self, hotel, loss):
+        """A gate probability is range-checked when the plan's rows are
+        built, so every request of an op whose plan holds it raises, and
+        the plan cache keeps nothing of the rejected state."""
+        rt = hotel.runtime
+        rt.network_loss["search"] = loss
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match=r"bernoulli p must be in \[0,1\]"):
+                rt.execute("search_hotel")
+        del rt.network_loss["search"]
+        assert rt.execute("search_hotel").ok
+
     def test_buggy_image_read_from_live_deployment(self, hotel):
         """`kubectl set image` on the deployment template must drive the
         runtime's behaviour (so mitigation by image rollback works)."""
@@ -196,3 +220,41 @@ class TestCredentialsProvider:
         release.values["mongo_credentials"]["mongodb-rate"] = {
             "username": "admin", "password": "rate-pass"}
         assert hotel.runtime.execute("search_hotel").ok
+
+
+#: edge probabilities of the coin threshold: both ends, the smallest step
+#: of ``random()``, the two noise rates, and the double just below 1
+EDGE_PS = [0.0, 2**-53, 0.01, 0.03, 0.5, math.nextafter(1.0, 0.0), 1.0]
+
+
+class TestCoinThreshold:
+    """A walker coin is one raw draw compared with ``_coin(p)``; it must
+    give the verdict ``random() < p`` gives and consume the same draw."""
+
+    @staticmethod
+    def _agree(seed: int, p: float, draws: int) -> None:
+        walker, reference = RngStream(seed, "coin"), RngStream(seed, "coin")
+        raw = walker.generator.bit_generator.random_raw
+        random = reference.generator.random
+        threshold = _coin(p)
+        for _ in range(draws):
+            drawn, u = raw(), random()
+            assert (drawn >> 11) * 2**-53 == u, NUMPY
+            assert (drawn < threshold) == (u < p), (p, drawn, NUMPY)
+        assert walker.generator.random() == reference.generator.random(), \
+            NUMPY
+        # the two raw draws either side of the threshold's edge
+        edge = threshold >> 11
+        for drawn in ((edge - 1) << 11 | 2047, edge << 11):
+            if 0 <= drawn < 2**64:
+                assert (drawn < threshold) == ((drawn >> 11) * 2**-53 < p), \
+                    (p, drawn, NUMPY)
+
+    @pytest.mark.parametrize("p", EDGE_PS)
+    def test_raw_draw_below_threshold_is_random_below_p(self, p):
+        self._agree(11, p, 5000)
+
+    @given(p=st.floats(0.0, 1.0) | st.sampled_from(EDGE_PS),
+           seed=st.integers(0, 2**32))
+    def test_any_p_and_seed(self, p, seed):
+        self._agree(seed, p, 200)

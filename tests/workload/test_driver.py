@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 from contextlib import nullcontext
 
 import numpy as np
@@ -131,6 +132,21 @@ class TestOperationPick:
         reference = np.random.default_rng(driver.rng.seed)
         p = [w / sum(weights) for w in weights]
         expected = [ops[reference.choice(len(ops), p=p)] for _ in range(n)]
+        driver._issue(n)
+        assert runtime.executed == expected
+        assert driver.rng.generator.bit_generator.state \
+            == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_one_vector_draw_equals_scalar_picks(self, n):
+        """A tick draws its ``n`` picks as one ``random(n)``: the ops and
+        the generator state after equal ``n`` scalar ``random()`` picks."""
+        ops = ["a", "b", "c"]
+        runtime = _RecordingRuntime(ops)
+        driver = WorkloadDriver(runtime, {"a": 1.0, "b": 2.0, "c": 3.0}, seed=3)
+        reference = np.random.default_rng(driver.rng.seed)
+        expected = [ops[bisect_right(driver._cdf, reference.random())]
+                    for _ in range(n)]
         driver._issue(n)
         assert runtime.executed == expected
         assert driver.rng.generator.bit_generator.state \
