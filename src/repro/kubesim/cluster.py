@@ -362,7 +362,9 @@ class Cluster:
     # ------------------------------------------------------------------
     # queries used by controllers and telemetry
     # ------------------------------------------------------------------
-    def pods_in(self, namespace: str) -> list[Pod]:
+    def _pods_view(self, namespace: str) -> list[Pod]:
+        """The namespace's cached, name-sorted pod list — shared, so read
+        it only; a ``pods`` membership change replaces it, never edits it."""
         version, views = self._pods_views
         if version != self.pods.version:
             views = {}
@@ -372,7 +374,10 @@ class Cluster:
             view = [p for (ns, _), p in sorted(self.pods.items())
                     if ns == namespace]
             views[namespace] = view
-        return list(view)
+        return view
+
+    def pods_in(self, namespace: str) -> list[Pod]:
+        return list(self._pods_view(namespace))
 
     def deployments_in(self, namespace: str) -> list[Deployment]:
         return [d for (ns, _), d in sorted(self.deployments.items()) if ns == namespace]
@@ -394,7 +399,7 @@ class Cluster:
             return []
         items = selector.items()
         out = []
-        for p in self.pods_in(namespace):
+        for p in self._pods_view(namespace):
             labels = p.meta.labels
             for k, v in items:
                 if labels.get(k) != v:

@@ -278,7 +278,7 @@ class ServiceRuntime:
         """Account ``count`` requests of ``service`` — with the collector,
         and as offered demand on the resource plane (when attached)."""
         self.collector.record_requests(
-            self.collector.qualify(self.namespace, service), count, errors, latencies)
+            self.namespace, service, count, errors, latencies)
         if self.resources is not None:
             self.resources.account(self.namespace, service, count)
 
@@ -597,8 +597,11 @@ class ServiceRuntime:
             sums = vectorized.branch_latency_sums(rng.generator, locs, scales)
             for (pi, oi), total in zip(keyed, sums):
                 totals[pi][oi] = total
+        # no watch is added, fired or cancelled inside one call
+        tail_services = self.collector.tail_watch_services()
         for (op, profile, counts, batch), op_totals in zip(plans, totals):
-            self._emit_batch(op, profile, counts, batch, rng, op_totals)
+            self._emit_batch(op, profile, counts, batch, rng, op_totals,
+                             tail_services)
         return results
 
     def _emit_batch(
@@ -609,15 +612,17 @@ class ServiceRuntime:
         batch: BatchResult,
         rng: RngStream,
         totals: dict[int, float],
+        tail_services: frozenset[str],
     ) -> None:
         """Emit one planned batch: error accounting, latency sums, bounded
         exemplars/logs/noise, and bulk telemetry.  ``totals`` carries the
         pre-drawn per-branch latency sums, indexed by outcome position
-        (branches with zero variance have no entry)."""
+        (branches with zero variance have no entry); ``tail_services`` is
+        the collector's :meth:`~repro.telemetry.collector.
+        TelemetryCollector.tail_watch_services` for this call."""
         # adaptive exemplar reservoir: a pending p50/p99 watch on any
         # service this operation touches asks for tail fidelity
         trace_exemplars = self.BATCH_TRACE_EXEMPLARS
-        tail_services = self.collector.tail_watch_services()
         if tail_services:
             involved, _ = self._op_fingerprint_inputs(op)
             ns, qualify = self.namespace, self.collector.qualify

@@ -13,7 +13,6 @@ never collide in the metric store, the baseline RNG or a metric watch.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.simcore import RngStream, SimClock
@@ -48,11 +47,12 @@ class TelemetryCollector:
         #: environment to its first app's namespace); None means "qualify
         #: nothing" — the historical single-tenant behavior
         self.default_namespace: Optional[str] = None
-        # request accounting between scrapes, keyed by qualified name:
-        # service -> [count, errors, latencies]
-        self._window_requests: dict[str, int] = defaultdict(int)
-        self._window_errors: dict[str, int] = defaultdict(int)
-        self._window_latencies: dict[str, list[float]] = defaultdict(list)
+        #: request accounting between scrapes, per window group (see
+        #: :meth:`_group`): group -> service -> [count, errors, latencies]
+        self._windows: dict[Optional[str], dict[str, list]] = {}
+        #: per-namespace scrape tables (:meth:`_scrape_table`):
+        #: namespace -> (cluster, version key, rows, running services)
+        self._tables: dict[str, tuple] = {}
         #: per-namespace previous-scrape timestamps (scrape windows must
         #: not bleed across namespaces scraped at the same instant)
         self._last_scrape: dict[str, float] = {}
@@ -66,6 +66,16 @@ class TelemetryCollector:
         self._watches: list[MetricWatch] = []
 
     # -- namespace qualification ------------------------------------------
+    def _group(self, namespace: str) -> Optional[str]:
+        """The prefix :meth:`qualify` gives names in ``namespace``: None
+        when they stay bare, else the namespace itself.  Request windows
+        are kept per group, so the namespaces sharing bare names (all of
+        them on a collector with no default) share one window."""
+        default = self.default_namespace
+        if not namespace or default is None or namespace == default:
+            return None
+        return namespace
+
     def qualify(self, namespace: str, service: str) -> str:
         """The metric-store key for ``service`` in ``namespace``.
 
@@ -73,10 +83,8 @@ class TelemetryCollector:
         single-app telemetry keeps its historical names bit-for-bit;
         ``"<namespace>/<service>"`` for every other namespace.
         """
-        if not namespace or self.default_namespace is None \
-                or namespace == self.default_namespace:
-            return service
-        return f"{namespace}/{service}"
+        group = self._group(namespace)
+        return service if group is None else f"{group}/{service}"
 
     def split(self, qualified: str) -> tuple[str, str]:
         """Invert :meth:`qualify`: ``(namespace, service)`` of a key."""
@@ -143,20 +151,28 @@ class TelemetryCollector:
                  level: str, message: str) -> None:
         self.logs.emit(self.clock.now, namespace, service, pod, level, message)
 
-    def record_requests(self, service: str, count: int, errors: int,
-                        latencies: Iterable[float]) -> None:
-        """Account ``count`` requests, ``errors`` of them failed, under a
-        (qualified) service name.
+    def record_requests(self, namespace: str, service: str, count: int,
+                        errors: int, latencies: Iterable[float]) -> None:
+        """Account ``count`` requests of ``service`` in ``namespace``,
+        ``errors`` of them failed, in that namespace's request window.
 
         Counts feed ``request_rate``/``error_rate``; ``latencies`` feed the
         scrape percentiles — every request's latency on the per-request
         tier, a *bounded exemplar sample* of the batch on the aggregate
-        tier (so its percentiles are reservoir estimates).
+        tier (so its percentiles are reservoir estimates).  ``service`` is
+        the bare name; the window's group stands for the qualification.
         """
-        self._window_requests[service] += count
-        if errors:
-            self._window_errors[service] += errors
-        self._window_latencies[service].extend(latencies)
+        group = self._group(namespace)
+        window = self._windows.get(group)
+        if window is None:
+            window = self._windows[group] = {}
+        entry = window.get(service)
+        if entry is None:
+            window[service] = [count, errors, list(latencies)]
+        else:
+            entry[0] += count
+            entry[1] += errors
+            entry[2].extend(latencies)
 
     # -- scraping ---------------------------------------------------------
     def _baseline(self, service: str) -> tuple[float, float]:
@@ -166,67 +182,111 @@ class TelemetryCollector:
             self._mem_baseline[service] = rng.uniform(80.0, 400.0)   # MiB
         return self._cpu_baseline[service], self._mem_baseline[service]
 
-    def scrape(self, cluster: "Cluster", namespace: str) -> None:
-        """Sample one scrape's worth of metrics for every service in ``namespace``."""
-        now = self.clock.now
-        last = self._last_scrape.get(namespace, self._created_at)
-        window = max(now - last, 1e-9)
+    def _scrape_table(self, cluster: "Cluster",
+                      namespace: str) -> tuple[list[tuple], int]:
+        """``namespace``'s scrape rows and how many of them are running.
+
+        One row per service of ``cluster.services_in(namespace)``, in that
+        order: ``(service, cpu baseline, mem baseline, running, series)``
+        — ``running`` when some pod the selector matches is ready and not
+        crash-looping, ``series`` the six standard metric series, fetched
+        or created service by service in ``STANDARD_METRICS`` order (the
+        store's insertion order, so exports keep theirs).  Cached on the
+        cluster's ``(services.version, pods.version, state_version)``:
+        membership changes move the dict versions, and every in-place pod
+        or service edit (crash-loop flags, readiness, a patched selector)
+        goes through a reconcile, which bumps ``state_version``.  Building
+        a row draws only from its baseline's child stream, never from the
+        scrape stream.
+        """
+        key = (cluster.services.version, cluster.pods.version,
+               cluster.state_version, self.default_namespace)
+        cached = self._tables.get(namespace)
+        if cached is not None and cached[0] is cluster and cached[1] == key:
+            return cached[2], cached[3]
+        rows = []
         for svc in cluster.services_in(namespace):
             name = self.qualify(namespace, svc.name)
             cpu_base, mem_base = self._baseline(name)
-            pods = cluster.pods_matching(namespace, svc.selector)
-            running = [p for p in pods if p.ready and not p.crash_looping]
-            reqs = self._window_requests.get(name, 0)
-            errs = self._window_errors.get(name, 0)
-            lats = self._window_latencies.get(name, [])
+            running = any(p.ready and not p.crash_looping
+                          for p in cluster.pods_matching(namespace, svc.selector))
+            series = tuple(self.metrics.series_for(name, metric)
+                           for metric in MetricStore.STANDARD_METRICS)
+            rows.append((svc.name, cpu_base, mem_base, running, series))
+        n_running = sum(row[3] for row in rows)
+        self._tables[namespace] = (cluster, key, rows, n_running)
+        return rows, n_running
 
+    def scrape(self, cluster: "Cluster", namespace: str) -> None:
+        """Sample one scrape's worth of metrics for every service in
+        ``namespace`` and clear the namespace's request window.
+
+        O(services): the rows come from the cached scrape table, the
+        values go straight onto its series, and the resource noise of
+        every running service is one ``standard_normal`` vector laid out
+        cpu, mem, cpu, mem…  ``normal(0, s)`` is ``0 + s·standard_normal()``
+        on the same stream, so each ``1 + (0.0 + s·z)`` is the double —
+        and the stream is left in the state — that one scalar
+        ``normal(0, s)`` per metric per service would give.  A namespace
+        with nothing running draws nothing.
+        """
+        now = self.clock.now
+        last = self._last_scrape.get(namespace, self._created_at)
+        window = max(now - last, 1e-9)
+        requests = self._take_window(namespace)
+        rows, n_running = self._scrape_table(cluster, namespace)
+        noise = iter(self.rng.generator.standard_normal(2 * n_running).tolist()) \
+            if n_running else None
+        for service, cpu_base, mem_base, running, series in rows:
+            entry = requests.get(service)
+            if entry is None:
+                rate = err_rate = p50 = p99 = 0.0
+            else:  # values stored as floats, as MetricSeries.add stores them
+                reqs, errs, lats = entry
+                rate = float(reqs / window)
+                err_rate = float(errs / window)
+                if lats:
+                    lats_sorted = sorted(lats)
+                    n = len(lats_sorted)
+                    p50 = float(lats_sorted[n // 2])
+                    p99 = float(lats_sorted[min(int(n * 0.99), n - 1)])
+                else:
+                    p50 = p99 = 0.0
             # CPU is dominated by the service's steady-state footprint;
             # request-driven load moves it by only a couple of percent at
             # the benchmark's offered rates (so resource-KPI detectors see
             # functional faults only when pods actually stop running).
-            load_factor = 1.0 + 0.0005 * (reqs / window)
             if running:
-                cpu = cpu_base * load_factor * (1 + self.rng.normal(0, 0.05))
-                mem = mem_base * (1 + self.rng.normal(0, 0.02))
+                cpu = max(cpu_base * (1.0 + 0.0005 * rate)
+                          * (1 + (0.0 + 0.05 * next(noise))), 0.0)
+                mem = max(mem_base * (1 + (0.0 + 0.02 * next(noise))), 0.0)
             else:
-                cpu, mem = 0.0, 0.0
-            self.metrics.record(now, name, "cpu_usage", max(cpu, 0.0))
-            self.metrics.record(now, name, "memory_usage", max(mem, 0.0))
-            self.metrics.record(now, name, "request_rate", reqs / window)
-            self.metrics.record(now, name, "error_rate", errs / window)
-            if lats:
-                lats_sorted = sorted(lats)
-                p50 = lats_sorted[len(lats_sorted) // 2]
-                p99 = lats_sorted[min(int(len(lats_sorted) * 0.99), len(lats_sorted) - 1)]
-            else:
-                p50 = p99 = 0.0
-            self.metrics.record(now, name, "latency_p50_ms", p50)
-            self.metrics.record(now, name, "latency_p99_ms", p99)
-        self._clear_window(namespace)
+                cpu = mem = 0.0
+            for s, value in zip(series, (cpu, mem, rate, err_rate, p50, p99)):
+                s.times.append(now)
+                s.values.append(value)
         self._last_scrape[namespace] = now
         if self._watches:
             self._evaluate_watches(now)
 
-    def _clear_window(self, namespace: str) -> None:
-        """Drop the scraped namespace's request window — and only its own.
+    def _take_window(self, namespace: str) -> dict[str, list]:
+        """Remove and return the request window a scrape of ``namespace``
+        reads: its group's (:meth:`_group`), and only that one.
 
         Another app's window may be mid-accumulation when this namespace
         scrapes (multi-app environments scrape per namespace, possibly at
-        the same instant), so a blanket ``clear()`` would eat its counts.
-        With no default namespace configured (standalone collectors) every
-        bare key belongs to whichever namespace is scraping — the
-        historical single-tenant behavior.
+        the same instant), so it stays.  With no default namespace
+        (standalone collectors) every scrape takes the one bare window —
+        the historical single-tenant behavior.  The bare window belongs to
+        the default namespace, so a scrape of ``""`` under a default reads
+        it and leaves it.  A whole window goes at once, keys of services
+        the namespace no longer lists included.
         """
-        def owned(key: str) -> bool:
-            if "/" in key:
-                return key.split("/", 1)[0] == namespace
-            return self.default_namespace is None \
-                or self.default_namespace == namespace
-
-        for store in (self._window_requests, self._window_errors,
-                      self._window_latencies):
-            for key in [k for k in store if owned(k)]:
-                del store[key]
+        group = self._group(namespace)
+        default = self.default_namespace
+        if group is not None or default is None or default == namespace:
+            return self._windows.pop(group, None) or {}
+        return self._windows.get(group) or {}
 
     # -- adapters for kubectl ----------------------------------------------
     def kubectl_log_source(self, namespace: str, pod: str, tail: int) -> str:

@@ -56,11 +56,15 @@ class MetricStore:
         self._series: dict[tuple[str, str], MetricSeries] = {}
 
     def record(self, t: float, service: str, metric: str, value: float) -> None:
+        self.series_for(service, metric).add(t, value)
+
+    def series_for(self, service: str, metric: str) -> MetricSeries:
+        """The ``(service, metric)`` series, created empty on first use."""
         key = (service, metric)
         series = self._series.get(key)
         if series is None:
             series = self._series[key] = MetricSeries(service, metric)
-        series.add(t, value)
+        return series
 
     def series(self, service: str, metric: str) -> Optional[MetricSeries]:
         return self._series.get((service, metric))

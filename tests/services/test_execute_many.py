@@ -95,6 +95,15 @@ def _per_request_reference(apply_fault) -> tuple[float, dict[str, float], float]
             latency_sum / N)
 
 
+def _window_counts(collector: TelemetryCollector) -> tuple[Counter, Counter]:
+    """Requests and errors per service in the collector's bare-name
+    request window (the only window a collector with no default namespace
+    keeps)."""
+    window = collector._windows.get(None, {})
+    return (Counter({s: e[0] for s, e in window.items()}),
+            Counter({s: e[1] for s, e in window.items()}))
+
+
 def _batch(apply_fault, n: int = N, seed: int = SEED):
     d = Deployed(seed)
     apply_fault(d)
@@ -139,14 +148,16 @@ class TestStatisticalEquivalence:
         """Bulk telemetry counts (unlike latency percentiles) are not
         sampled: every request crossing a service lands in its window."""
         d, _ = _batch(_apply_healthy, n=1000)
-        assert d.collector._window_requests["frontend"] == 1000
-        assert d.collector._window_requests["geo"] == 1000
-        assert d.collector._window_errors.get("frontend", 0) == 0
+        requests, errors = _window_counts(d.collector)
+        assert requests["frontend"] == 1000
+        assert requests["geo"] == 1000
+        assert errors.get("frontend", 0) == 0
         d2, _ = _batch(_apply_backend_down, n=1000)
-        assert d2.collector._window_errors["frontend"] == 1000
+        requests, errors = _window_counts(d2.collector)
+        assert errors["frontend"] == 1000
         # the down backend itself was entered and recorded every request
-        assert d2.collector._window_requests["mongodb-geo"] == 1000
-        assert d2.collector._window_errors["mongodb-geo"] == 1000
+        assert requests["mongodb-geo"] == 1000
+        assert errors["mongodb-geo"] == 1000
 
     def test_deterministic_given_seed_and_n(self):
         for family, apply_fault in FAULT_FAMILIES.items():
@@ -292,11 +303,11 @@ class TestTierAgreement:
         monkeypatch.setattr(_ScriptedCoin, "verdict", staticmethod(scripted),
                             raising=False)
         logs_before = len(d.collector.logs)
-        requests = Counter(d.collector._window_requests)
-        errors = Counter(d.collector._window_errors)
+        requests, errors = _window_counts(d.collector)
         result = rt.execute(op)
-        requests = Counter(d.collector._window_requests) - requests
-        errors = Counter(d.collector._window_errors) - errors
+        after_requests, after_errors = _window_counts(d.collector)
+        requests = after_requests - requests
+        errors = after_errors - errors
         trace = d.collector.traces.query()[-1]
         assert trace.trace_id == result.trace_id
         prob = math.prod(p if i == fire_at else 1.0 - p

@@ -153,9 +153,10 @@ class TestTickAccounting:
 
     @staticmethod
     def _accounts(d: Deployed) -> tuple:
-        c = d.collector
-        return (dict(c._window_requests), dict(c._window_errors),
-                {s: list(lats) for s, lats in c._window_latencies.items()},
+        window = d.collector._windows.get(None, {})
+        return ({s: e[0] for s, e in window.items()},
+                {s: e[1] for s, e in window.items() if e[1]},
+                {s: list(e[2]) for s, e in window.items()},
                 dict(d.runtime.resources._window))
 
     @staticmethod
