@@ -25,17 +25,20 @@ _SCAFFOLDS: dict[str, type[AgentBase]] = {
 }
 
 
-def build_agent(name: str, prob_desc: str, instructs: str, apis: str,
-                task_type: str, seed: int = 0) -> AgentBase:
-    """Instantiate a registered agent for one problem instance."""
+def _scaffold(name: str) -> type[AgentBase]:
     try:
-        scaffold = _SCAFFOLDS[name]
+        return _SCAFFOLDS[name]
     except KeyError:
         raise KeyError(
             f"unknown agent {name!r}; available: {', '.join(AGENT_NAMES)}"
         ) from None
-    return scaffold(prob_desc, instructs, apis, task_type,
-                    profile=name, seed=seed)
+
+
+def build_agent(name: str, prob_desc: str, instructs: str, apis: str,
+                task_type: str, seed: int = 0) -> AgentBase:
+    """Instantiate a registered agent for one problem instance."""
+    return _scaffold(name)(prob_desc, instructs, apis, task_type,
+                           profile=name, seed=seed)
 
 
 class _RegisteredAgentFactory:
@@ -62,7 +65,9 @@ def agent_factory(name: str) -> _RegisteredAgentFactory:
     """An :data:`repro.core.batch.AgentFactory` for one registered agent —
     the glue between the agent registry and ``SessionSpec``.  The returned
     factory is picklable, so specs built from it work under the
-    process-pool executor."""
+    process-pool executor.  An unregistered ``name`` raises ``KeyError``
+    here, before any session starts."""
+    _scaffold(name)
     return _RegisteredAgentFactory(name)
 
 

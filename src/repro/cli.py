@@ -18,6 +18,31 @@ import sys
 from typing import Optional, Sequence
 
 
+def _error(message: str) -> int:
+    """Report bad input on stderr, without a traceback: exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _bad_run_args(args, agents: Sequence[str],
+                  pids: Sequence[str] = ()) -> Optional[str]:
+    """What is wrong with a run's ``--max-steps``, agents or pids, or
+    None."""
+    from repro.agents.registry import agent_factory
+    from repro.problems import get_problem
+
+    if args.max_steps < 1:
+        return f"--max-steps must be >= 1, got {args.max_steps}"
+    try:
+        for name in agents:
+            agent_factory(name)
+        for pid in pids:
+            get_problem(pid)
+    except KeyError as e:
+        return e.args[0]
+    return None
+
+
 def _cmd_list_problems(args) -> int:
     from repro.problems import list_problems
     for pid in list_problems(args.task, include_noop=args.include_noop):
@@ -36,6 +61,9 @@ def _cmd_run_problem(args) -> int:
     from repro.bench import BenchmarkRunner
     from repro.core.trajectory import save_session
 
+    bad = _bad_run_args(args, [args.agent], [args.pid])
+    if bad is not None:
+        return _error(bad)
     runner = BenchmarkRunner(max_steps=args.max_steps, seed=args.seed)
     case = runner.run_case(args.agent, args.pid)
     print(case.session.transcript())
@@ -59,10 +87,11 @@ def _cmd_run_benchmark(args) -> int:
     from repro.problems import list_problems
 
     if args.concurrency < 1:
-        print(f"error: --concurrency must be >= 1, got {args.concurrency}",
-              file=sys.stderr)
-        return 2
+        return _error(f"--concurrency must be >= 1, got {args.concurrency}")
     agents = args.agents.split(",") if args.agents else list(AGENT_NAMES)
+    bad = _bad_run_args(args, agents)
+    if bad is not None:
+        return _error(bad)
     pids = list_problems(args.task) if args.task else None
     runner = BenchmarkRunner(max_steps=args.max_steps, seed=args.seed,
                              concurrency=args.concurrency)

@@ -27,7 +27,7 @@ from repro.services.backends import MongoBackend, RedisBackend, MemcachedBackend
 from repro.services.model import Microservice, CallEdge, Operation
 from repro.services.plan import Hop, Plan, resolve
 from repro.services.profile import Outcome, PathProfile, compile_profile
-from repro.services.runtime import BatchResult, ServiceRuntime, RequestResult
+from repro.services.runtime import BatchResult, ServiceRuntime
 
 __all__ = [
     "RpcError",
@@ -39,7 +39,6 @@ __all__ = [
     "CallEdge",
     "Operation",
     "ServiceRuntime",
-    "RequestResult",
     "BatchResult",
     "Hop",
     "Plan",

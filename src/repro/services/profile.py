@@ -67,7 +67,7 @@ class Outcome:
     prob: float
     ok: bool
     error: Optional[RpcError]
-    #: RequestResult.error_services attribution order (deepest first)
+    #: the outcome row's error_services attribution order (deepest first)
     error_services: tuple[str, ...]
     #: entered services → number of request records (error + ok)
     visit_counts: dict[str, int]

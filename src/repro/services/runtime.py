@@ -4,12 +4,12 @@ What can happen to a request under the current state is resolved once per
 state into a :class:`~repro.services.plan.Plan` (``services/plan.py``, the
 one statement of fault semantics); two execution tiers consume it:
 
-* :meth:`ServiceRuntime.execute` — the per-request reference path
-  (:meth:`ServiceRuntime.walk`): walks the plan's rows (:func:`_row`) once
-  per request, one draw per decision read from the tick's block of raw
-  words (a coin is one word against a threshold fixed when the rows are
-  built, :func:`_coin`; a service time is numpy's ziggurat on the words),
-  full-fidelity telemetry.  Bit-identical to the seed.
+* :meth:`ServiceRuntime.execute` — the per-request reference path: walks
+  the plan's rows (:func:`_row`) once per request, one draw per decision
+  read from the tick's block of raw words (a coin is one word against a
+  threshold fixed when the rows are built, :func:`_coin`; a service time
+  is numpy's ziggurat on the words), full-fidelity telemetry, and returns
+  the request's outcome row.  Bit-identical to the seed.
 * :meth:`ServiceRuntime.execute_many` — the aggregate path: compiles the
   plan into a cached :class:`~repro.services.profile.PathProfile` and
   samples ``n`` requests' outcomes in O(outcome branches) —
@@ -28,9 +28,12 @@ the plan itself so a mutated session can never observe a co-tenant's
 stale profile.
 
 Both write one trace shape, a list of span rows handed to
-``TraceStore.add`` (``walk`` appends a row per hop as it walks, the
-aggregate path copies an outcome's span skeleton), and account requests
-through one call, ``TelemetryCollector.record_requests``, per batch or tick.
+``TraceStore.add`` (``execute`` appends a row per hop as it walks, the
+aggregate path copies an outcome's span skeleton), account requests
+through one call, ``TelemetryCollector.record_requests``, per batch or
+tick, and state a request's outcome as one row shape,
+``(operation, ok, latency_ms, error, trace number, error_services)``: what
+``execute`` returns and what :attr:`BatchResult.exemplars` holds.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from repro.services.profile import (
     compile_profile,
 )
 from repro.telemetry.collector import TelemetryCollector
-from repro.telemetry.traces import trace_id
 
 #: ``(caller, callee) -> (user, password) | None``; None means the caller has
 #: no credentials configured for that backend (AuthenticationMissing).
@@ -114,31 +116,9 @@ def _row(hop: Hop) -> tuple:
 
 
 @dataclass
-class RequestResult:
-    """Outcome of one end-to-end request."""
-
-    operation: str
-    ok: bool
-    latency_ms: float
-    error: Optional[RpcError] = None
-    trace_id: str = ""
-    #: services that logged an error while handling this request
-    error_services: list[str] = field(default_factory=list)
-
-
-def request_result(row: tuple) -> RequestResult:
-    """The :class:`RequestResult` view of a :meth:`ServiceRuntime.walk`
-    row."""
-    operation, ok, latency, error, number, error_services = row
-    return RequestResult(operation, ok, latency, error, trace_id(number),
-                         list(error_services))
-
-
-@dataclass
 class BatchResult:
-    """Aggregate outcome of ``execute_many(op, n)`` — the batch analogue of
-    :class:`RequestResult`, with counts where the per-request path has
-    booleans."""
+    """Aggregate outcome of ``execute_many(op, n)``, with counts where the
+    per-request outcome row has booleans."""
 
     operation: str
     n: int
@@ -148,8 +128,9 @@ class BatchResult:
     error_services: dict[str, int] = field(default_factory=dict)
     #: RpcErrorKind.value → failed-request count
     error_kinds: dict[str, int] = field(default_factory=dict)
-    #: bounded per-outcome exemplar requests (full traces were recorded)
-    exemplars: list[RequestResult] = field(default_factory=list)
+    #: bounded per-outcome exemplar requests as outcome rows: a full one's
+    #: trace was recorded under its number, a latency-only one has None
+    exemplars: list[tuple] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -299,16 +280,12 @@ class ServiceRuntime:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def execute(self, op_name: str) -> RequestResult:
-        """Run one request for ``op_name``: the :class:`RequestResult` view
-        of :meth:`walk`'s row."""
-        return request_result(self.walk(op_name))
-
-    def walk(self, op_name: str) -> tuple:
+    def execute(self, op_name: str) -> tuple:
         """Run one request for ``op_name`` through its resolved plan's rows,
         in one loop (a hop calling a child waits on ``stack``), and return
         its outcome row ``(operation, ok, latency_ms, error, trace number,
-        error_services)``.
+        error_services)``: the one per-request entry point, called once per
+        request.
 
         Draw order, per entered hop: its service time (one
         ``standard_normal``); per child in order one coin per gate (network
@@ -324,17 +301,17 @@ class ServiceRuntime:
         words consumed are handed back to the block even when the request
         raises, so the stream ends where the generator's own draws would
         leave it.  Latencies are buffered as hops end and accounted per
-        tick (:meth:`_flush`)."""
+        tick (:meth:`_flush`); a bare call accounts before it returns."""
         block = self._block
         if block is None:
             with self.holding_plans():
-                return self.walk(op_name)
+                return _execute(self, op_name)
         op = self.operations.get(op_name)
         if op is None:
             raise KeyError(f"unknown operation {op_name!r}")
         _, plan, row = self._plan_for(op)
         latencies, errors = self._tick_latencies, self._tick_errors
-        spans: list = []  # exact tuples in Span's field order
+        spans: list = []  # exact span rows (see repro.telemetry.traces)
         error_services: list[str] = []
         root = plan.root
         if root.blocked is not None:
@@ -775,14 +752,19 @@ class ServiceRuntime:
                 (sn.parent, sn.service, sn.operation, ms, sn.status,
                  sn.error_message)
                 for sn, ms in zip(skeleton, row)]))
-            batch.exemplars.append(RequestResult(
-                op.name, outcome.ok, row[0], outcome.error,
-                trace_id(number), list(outcome.error_services)))
+            batch.exemplars.append((op.name, outcome.ok, row[0], outcome.error,
+                                    number, list(outcome.error_services)))
         for j in range(n_full, n_ex):
-            batch.exemplars.append(RequestResult(
-                op.name, outcome.ok, float(durations[j, 0]), outcome.error,
-                "", list(outcome.error_services)))
+            batch.exemplars.append((op.name, outcome.ok, float(durations[j, 0]),
+                                    outcome.error, None,
+                                    list(outcome.error_services)))
         # per-service latency exemplars: one column slice per entered span
         # hands all n_ex subtree samples to the collector at once
         for i in kernel.entered_idx:
             bulk[skeleton[i].service][2].extend(durations[:, i].tolist())
+
+
+#: the walker as defined here: a bare :meth:`ServiceRuntime.execute`
+#: re-enters it inside the hold it opens, so a wrapper installed on the
+#: class attribute still sees one call per request
+_execute = ServiceRuntime.execute

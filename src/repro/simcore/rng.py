@@ -73,11 +73,6 @@ class RngStream:
         how the per-request walker draws a hop's service time."""
         return float(self._gen.lognormal(mean, sigma))
 
-    def exponential(self, scale: float) -> float:
-        if scale <= 0:
-            raise ValueError(f"exponential scale must be > 0, got {scale}")
-        return float(self._gen.exponential(scale))
-
     def normal(self, loc: float, scale: float) -> float:
         return float(self._gen.normal(loc, scale))
 
@@ -111,12 +106,6 @@ class RngStream:
         if n < 0:
             raise ValueError(f"multinomial n must be >= 0, got {n}")
         return [int(c) for c in self._gen.multinomial(n, pvals)]
-
-    def shuffle(self, seq: list) -> list:
-        """Return a new shuffled copy of ``seq``."""
-        out = list(seq)
-        self._gen.shuffle(out)
-        return out
 
 
 class WordBlock:

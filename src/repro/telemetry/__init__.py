@@ -6,21 +6,18 @@ the cluster write into.  The ACI's ``get_logs`` / ``get_metrics`` /
 disk for offline (non-LLM) AIOps baselines, mirroring §2.5 of the paper.
 """
 
-from repro.telemetry.logs import LogRecord, LogStore
+from repro.telemetry.logs import LogStore
 from repro.telemetry.metrics import MetricStore, MetricSeries
-from repro.telemetry.traces import Span, Trace, TraceStore
+from repro.telemetry.traces import TraceStore
 from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.export import TelemetryExporter
 from repro.telemetry.watch import MetricWatch
 
 __all__ = [
     "MetricWatch",
-    "LogRecord",
     "LogStore",
     "MetricStore",
     "MetricSeries",
-    "Span",
-    "Trace",
     "TraceStore",
     "TelemetryCollector",
     "TelemetryExporter",

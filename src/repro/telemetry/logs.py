@@ -1,9 +1,10 @@
 """Structured application logs (the Filebeat/Logstash pipeline equivalent).
 
-A line is stored as an exact tuple in :class:`LogRecord`'s field order;
-:meth:`LogStore.query` hands out :class:`LogRecord` views.  An exact tuple
-of atomic values is untracked by the cyclic GC, a NamedTuple row never is
-(see :mod:`repro.telemetry.traces`).
+A line is stored, and handed out by :meth:`LogStore.rows`, as the exact
+tuple ``(time, namespace, service, pod, level, message)``, ``level`` one of
+``INFO``, ``WARN`` and ``ERROR``.  An exact tuple of atomic values is
+untracked by the cyclic GC, a NamedTuple row never is (see
+:mod:`repro.telemetry.traces`).
 
 ``all.jsonl`` (:func:`render_jsonl`) is the text ``json``'s ``dumps`` would
 write, rendered from rows; the oracle test is the reference.
@@ -13,28 +14,13 @@ from __future__ import annotations
 
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from repro.telemetry.traces import json_number
 
 
-class LogRecord(NamedTuple):
-    """One structured log line from a pod: a read view of a stored row."""
-
-    time: float
-    namespace: str
-    service: str
-    pod: str
-    level: str       # INFO / WARN / ERROR
-    message: str
-
-    def render(self) -> str:
-        """Render the line the way ``kubectl logs`` would show it."""
-        return render_line(self)
-
-
 def render_line(row: tuple) -> str:
-    """A log row (or :class:`LogRecord`) as ``kubectl logs`` shows it."""
+    """A log row as ``kubectl logs`` shows it."""
     time, _, service, _, level, message = row
     mins = int(time // 60)
     secs = time - mins * 60
@@ -57,8 +43,10 @@ class LogStore:
     """Append-only log store with per-service and per-pod retrieval."""
 
     def __init__(self, capacity: int = 200_000) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
-        #: exact tuples in :class:`LogRecord`'s field order, oldest first
+        #: log rows, oldest first
         self._records: list[tuple] = []
 
     def __len__(self) -> int:
@@ -71,8 +59,9 @@ class LogStore:
         records = self._records
         records.append((time, namespace, service, pod, level, message))
         if len(records) > self.capacity:
-            # Drop the oldest 10% in one slice to amortize the cost.
-            del records[: self.capacity // 10]
+            # Drop the oldest 10% (at least one) in one slice to amortize
+            # the cost.
+            del records[: self.capacity // 10 or 1]
 
     # -- queries ---------------------------------------------------------
     def rows(
@@ -102,19 +91,6 @@ class LogStore:
                 continue
             out.append(r)
         return out
-
-    def query(
-        self,
-        namespace: Optional[str] = None,
-        service: Optional[str] = None,
-        pod: Optional[str] = None,
-        level: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> list[LogRecord]:
-        """:meth:`rows` as :class:`LogRecord` views."""
-        return [tuple.__new__(LogRecord, r) for r in self.rows(
-            namespace, service, pod, level, since, until)]
 
     def tail(self, namespace: str, n: int = 50, service: Optional[str] = None,
              pod: Optional[str] = None) -> str:

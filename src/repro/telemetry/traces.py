@@ -11,65 +11,29 @@ hands out numbers by advancing a plain-int counter by ``1 + len(rows)`` —
 one id for the trace and one per span, the sequence the exported ids have
 always followed.
 
-Rows are exact tuples in the field order of :class:`Span` and
-:class:`Trace`, ``(number, start, rows)`` with ``rows`` a tuple of span
-tuples; the NamedTuples are read views that :meth:`TraceStore.query`
-hands out.  The reason is the cyclic GC: CPython
+A trace row is the exact tuple ``(number, start, spans)``, ``spans`` a
+tuple of span rows ``(parent, service, operation, duration_ms, status,
+error_message)``, ``parent`` the parent row's index (-1 for the root) and
+``status`` ``"OK"`` or ``"ERROR"``; :meth:`TraceStore.rows` hands them out
+as stored.  They stay exact tuples because of the cyclic GC: CPython
 untracks a tuple of atomic values only when it is an exact tuple, so a
-NamedTuple row stays tracked, and walked by every full collection, for as
-long as the store keeps it — and unpickling one calls its Python-level
-``__new__``.  ``traces.json`` (:func:`render_traces`) is the text
-``json``'s ``dumps`` would write, rendered from rows; the oracle test is
-the reference.
+NamedTuple row would stay tracked, and walked by every full collection,
+for as long as the store keeps it — and unpickling one calls its
+Python-level ``__new__``.  ``traces.json`` (:func:`render_traces`) is the
+text ``json``'s ``dumps`` would write, rendered from rows; the oracle test
+is the reference.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple, Optional
-
-
-class Span(NamedTuple):
-    """One timed unit of work: a read view of one row of its trace."""
-
-    parent: int                 # index of the parent row; -1 for the root
-    service: str
-    operation: str
-    duration_ms: float
-    status: str = "OK"          # OK | ERROR
-    error_message: str = ""
-
-
-class Trace(NamedTuple):
-    """A full request trace: a read view of a numbered trace row."""
-
-    number: int
-    start: float
-    spans: list[Span]
-
-    @property
-    def trace_id(self) -> str:
-        return trace_id(self.number)
-
-    @property
-    def root(self) -> Span:
-        return self.spans[0]
-
-    @property
-    def has_error(self) -> bool:
-        return any(s.status == "ERROR" for s in self.spans)
+from typing import Iterable, Optional
 
 
 def trace_id(number: int) -> str:
     """The id of the trace numbered ``number``."""
     return f"trace-{number:08x}"
-
-
-def _view(trace: tuple) -> Trace:
-    """The :class:`Trace` view of a stored trace row."""
-    number, start, rows = trace
-    return Trace(number, start, [tuple.__new__(Span, r) for r in rows])
 
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -89,7 +53,7 @@ def json_number(x: float) -> str:
 
 def render_traces(traces: Iterable[tuple]) -> str:
     """``{"data": [...]}`` as ``json``'s ``dumps`` writes it with a
-    one-space indent, from trace rows or :class:`Trace` views: one template
+    one-space indent, from trace rows: one template
     per trace and per span (a trace has at least one span), each string
     encoded once per call."""
     quote, out = cache(encode_basestring_ascii), []
@@ -111,6 +75,8 @@ class TraceStore:
     """Holds traces with time-window retrieval (the Jaeger query API)."""
 
     def __init__(self, capacity: int = 50_000) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
         #: ``(number, start, rows)`` exact tuples, oldest first
         self._traces: list[tuple] = []
@@ -121,15 +87,15 @@ class TraceStore:
         return len(self._traces)
 
     def add(self, start: float, rows: tuple) -> int:
-        """Store ``rows`` — exact span tuples in :class:`Span`'s field
-        order, root first, parents before children — as one trace started
-        at ``start``; returns its number."""
+        """Store ``rows`` — exact span rows, root first, parents before
+        children — as one trace started at ``start``; returns its number.
+        A full store drops its oldest tenth (at least one trace)."""
         number = self._next
         self._next = number + 1 + len(rows)
         traces = self._traces
         traces.append((number, start, rows))
         if len(traces) > self.capacity:
-            del traces[: self.capacity // 10]
+            del traces[: self.capacity // 10 or 1]
         return number
 
     def rows(self, since: Optional[float] = None,
@@ -138,10 +104,6 @@ class TraceStore:
         return [tr for tr in self._traces
                 if (since is None or tr[1] >= since)
                 and (until is None or tr[1] <= until)]
-
-    def query(self, since: Optional[float] = None,
-              until: Optional[float] = None) -> list[Trace]:
-        return [_view(tr) for tr in self.rows(since, until)]
 
     def error_rate_by_service(
         self, since: Optional[float] = None

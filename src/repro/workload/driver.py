@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.simcore import EventQueue, RngStream
-from repro.services.runtime import RequestResult, ServiceRuntime
+from repro.services.runtime import ServiceRuntime
 from repro.workload.policies import ConstantRate, RatePolicy
 
 
@@ -136,7 +136,6 @@ class WorkloadDriver:
         self._carry = 0.0
         self._warned_clipping = False
         self._last_scrape = runtime.clock.now
-        self.recent_results: list[RequestResult] = []
         # standalone drivers own a private queue; environments share theirs
         self.queue = queue if queue is not None else EventQueue(runtime.clock)
         self._window_start = runtime.clock.now
@@ -167,18 +166,15 @@ class WorkloadDriver:
         cdf, ops = self._cdf, self._ops
         names = [ops[bisect_right(cdf, u)]
                  for u in self.rng.generator.random(n).tolist()]
-        stats, recent = self.stats, self.recent_results
+        stats = self.stats
         with self.runtime.holding_plans():
             for op in names:
-                result = self.runtime.execute(op)
+                _, ok, latency, _, _, _ = self.runtime.execute(op)
                 stats.requests += 1
-                stats.latency_sum_ms += result.latency_ms
+                stats.latency_sum_ms += latency
                 stats.per_operation[op] = stats.per_operation.get(op, 0) + 1
-                if not result.ok:
+                if not ok:
                     stats.errors += 1
-                recent.append(result)
-                if len(recent) > 500:
-                    del recent[:250]
 
     def _scrape(self) -> None:
         self.runtime.collector.scrape(
@@ -335,7 +331,4 @@ class WorkloadDriver:
             self.stats.latency_sum_ms += batch.latency_sum_ms
             self.stats.per_operation[batch.operation] = \
                 self.stats.per_operation.get(batch.operation, 0) + batch.n
-            self.recent_results.extend(batch.exemplars)
-        if len(self.recent_results) > 500:
-            del self.recent_results[:250]
 

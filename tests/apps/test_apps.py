@@ -1,6 +1,7 @@
 import pytest
 
 from repro.apps import HotelReservation, SocialNetwork
+from tests.rows import OK
 
 
 class TestTopologies:
@@ -144,5 +145,5 @@ class TestDeployGuards:
         s = SocialNetwork()
         h.deploy(cluster, collector, seed=0)
         s.deploy(cluster, collector, seed=0)
-        assert h.runtime.execute("search_hotel").ok
-        assert s.runtime.execute("read_home_timeline").ok
+        assert h.runtime.execute("search_hotel")[OK]
+        assert s.runtime.execute("read_home_timeline")[OK]

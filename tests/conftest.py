@@ -32,6 +32,14 @@ from repro.telemetry import TelemetryCollector
 from repro.workload import ConstantRate, WorkloadDriver
 
 
+def pytest_report_header(config):
+    """Name the numpy in every run's header: the goldens and the walker's
+    draw identities rest on its ``Generator``, so a golden diff after a
+    numpy upgrade shows its likely cause in the log."""
+    import numpy
+    return f"numpy: {numpy.__version__}"
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: multi-minute example runs (deselect with -m 'not slow')")

@@ -3,6 +3,7 @@ import pytest
 from repro.apps import HotelReservation
 from repro.core.aci import SubmissionReceived, TaskActions, registry_for
 from repro.core.env import CloudEnvironment
+from repro.telemetry.logs import render_line
 
 
 @pytest.fixture
@@ -57,10 +58,10 @@ class TestLogTail:
     """kubectl's ``--tail``: 0 gives no lines, a negative value every line."""
 
     def _busiest_pod(self, env):
-        records = env.collector.logs.query(namespace=env.namespace)
-        pods = [r.pod for r in records]
+        records = env.collector.logs.rows(namespace=env.namespace)
+        pods = [r[3] for r in records]
         pod = max(set(pods), key=pods.count)
-        return pod, [r.render() for r in records if r.pod == pod]
+        return pod, [render_line(r) for r in records if r[3] == pod]
 
     def test_kubectl_logs_tail_zero_is_empty(self, env, actions):
         pod, lines = self._busiest_pod(env)

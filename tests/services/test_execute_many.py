@@ -25,6 +25,7 @@ from repro.services.plan import handler_log, resolve
 from repro.services.profile import compile_profile
 from repro.simcore import SimClock
 from repro.telemetry import TelemetryCollector
+from tests.rows import ERROR, LATENCY, OK
 
 N = 5000
 SEED = 11
@@ -84,12 +85,12 @@ def _per_request_reference(apply_fault) -> tuple[float, dict[str, float], float]
     latency_sum = 0.0
     attribution: dict[str, int] = {}
     for _ in range(N):
-        r = d.runtime.execute(OP)
-        if not r.ok:
+        _, ok, latency, _, _, error_services = d.runtime.execute(OP)
+        if not ok:
             errors += 1
-            for s in r.error_services:
+            for s in error_services:
                 attribution[s] = attribution.get(s, 0) + 1
-        latency_sum += r.latency_ms
+        latency_sum += latency
     return (errors / N,
             {s: c / N for s, c in attribution.items()},
             latency_sum / N)
@@ -167,8 +168,8 @@ class TestStatisticalEquivalence:
             assert a.latency_sum_ms == b.latency_sum_ms, family
             assert a.error_services == b.error_services, family
             assert a.error_kinds == b.error_kinds, family
-            assert [r.latency_ms for r in a.exemplars] == \
-                [r.latency_ms for r in b.exemplars], family
+            assert [r[LATENCY] for r in a.exemplars] == \
+                [r[LATENCY] for r in b.exemplars], family
 
     def test_independent_of_interleaved_per_request_calls(self):
         """The batch stream is derived from the seed, not the per-request
@@ -187,7 +188,7 @@ class TestStatisticalEquivalence:
         assert len(batch.exemplars) <= cap
         assert len(d.collector.traces) <= cap
         # exemplars cover both failed and successful branches
-        assert {r.ok for r in batch.exemplars} == {True, False}
+        assert {r[OK] for r in batch.exemplars} == {True, False}
 
     def test_unknown_operation_rejected(self):
         d = Deployed()
@@ -304,24 +305,26 @@ class TestTierAgreement:
                             raising=False)
         logs_before = len(d.collector.logs)
         requests, errors = _window_counts(d.collector)
-        result = rt.execute(op)
+        _, ok, _, error, number, error_services = rt.execute(op)
         after_requests, after_errors = _window_counts(d.collector)
         requests = after_requests - requests
         errors = after_errors - errors
-        trace = d.collector.traces.query()[-1]
-        assert trace.trace_id == result.trace_id
+        trace_number, _, spans = d.collector.traces.rows()[-1]
+        assert trace_number == number
         prob = math.prod(p if i == fire_at else 1.0 - p
                          for i, p in enumerate(flipped))
         return (
-            (result.ok,
-             result.error.kind if result.error else None,
-             result.error.message if result.error else None,
-             tuple(result.error_services),
-             tuple((s.service, s.operation, s.status, s.error_message)
-                   for s in trace.spans),
-             tuple((r.service, r.level, r.message)
-                   for r in d.collector.logs.query()[logs_before:]
-                   if r.level in ("ERROR", "WARN")),
+            (ok,
+             error.kind if error else None,
+             error.message if error else None,
+             tuple(error_services),
+             tuple((service, operation, status, error_message)
+                   for _, service, operation, _, status, error_message
+                   in spans),
+             tuple((service, level, message)
+                   for _, _, service, _, level, message
+                   in d.collector.logs.rows()[logs_before:]
+                   if level in ("ERROR", "WARN")),
              frozenset(requests.items()), frozenset(errors.items())),
             prob, len(flipped))
 
@@ -561,17 +564,17 @@ class TestPerRequestPlanInvalidation:
     def test_first_execute_after_mutation_sees_it(self, mutation, resolved):
         mutate, kind = MUTATIONS[mutation]
         d = Deployed()
-        assert d.runtime.execute(OP).ok
-        assert d.runtime.execute(OP).ok
+        assert d.runtime.execute(OP)[OK]
+        assert d.runtime.execute(OP)[OK]
         assert resolved == [OP]
         mutate(d)
-        result = d.runtime.execute(OP)
-        assert (result.error.kind.value if result.error else None) == kind
+        error = d.runtime.execute(OP)[ERROR]
+        assert (error.kind.value if error else None) == kind
         assert resolved == [OP, OP]
 
     def test_mutation_is_undone_on_the_next_request_too(self):
         d = Deployed()
-        assert d.runtime.execute(OP).ok
+        assert d.runtime.execute(OP)[OK]
         for mutate, undo in [
             (_memcached_down,
              lambda d: setattr(d.app.backends["memcached-rate"], "up", True)),
@@ -579,9 +582,9 @@ class TestPerRequestPlanInvalidation:
             (STATES["scaled_to_zero"], lambda d: _scale(d, "search", 1)),
         ]:
             mutate(d)
-            assert not d.runtime.execute(OP).ok
+            assert not d.runtime.execute(OP)[OK]
             undo(d)
-            assert d.runtime.execute(OP).ok
+            assert d.runtime.execute(OP)[OK]
 
     def test_unmutated_runtime_resolves_each_op_once(self, resolved):
         d = Deployed()
@@ -672,8 +675,8 @@ class TestEngineDeterminism:
             _, b = _batch(apply_fault, n=3000)
             assert a.latency_sum_ms == b.latency_sum_ms, family
             assert a.error_kinds == b.error_kinds, family
-            assert [r.latency_ms for r in a.exemplars] == \
-                [r.latency_ms for r in b.exemplars], family
+            assert [r[LATENCY] for r in a.exemplars] == \
+                [r[LATENCY] for r in b.exemplars], family
 
     def test_execute_many_is_single_op_execute_many_all(self):
         d1 = Deployed()
@@ -682,8 +685,8 @@ class TestEngineDeterminism:
         [fused] = d2.runtime.execute_many_all([(OP, 1500)])
         assert one.latency_sum_ms == fused.latency_sum_ms
         assert one.error_kinds == fused.error_kinds
-        assert [r.latency_ms for r in one.exemplars] == \
-            [r.latency_ms for r in fused.exemplars]
+        assert [r[LATENCY] for r in one.exemplars] == \
+            [r[LATENCY] for r in fused.exemplars]
 
     def test_multi_op_fused_call_deterministic(self):
         reqs = [("search_hotel", 700), ("recommend", 500),

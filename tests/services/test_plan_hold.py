@@ -25,6 +25,7 @@ from repro.kubesim.resources import ResourcePlane
 from repro.problems import benchmark_pids, get_problem, noop_pids
 import repro.services.runtime as runtime_module
 from repro.services.plan import resolve
+from repro.services.runtime import ServiceRuntime
 from repro.workload import WorkloadDriver
 from tests.services.test_execute_many import (
     MUTATIONS,
@@ -58,20 +59,26 @@ class TestHeldPlans:
         env.advance(10.0)
         assert env.driver.stats.errors == 0
         mutate(env)
+        rows: list[tuple] = []
         ticks: list[list] = []
-        issue = WorkloadDriver._issue
+        issue, execute = WorkloadDriver._issue, ServiceRuntime.execute
 
         def recording(driver, n):
-            before = len(driver.recent_results)
+            before = len(rows)
             issue(driver, n)
-            ticks.append(driver.recent_results[before:])
+            ticks.append(rows[before:])
+
+        def executing(runtime, op_name):
+            rows.append(execute(runtime, op_name))
+            return rows[-1]
 
         monkeypatch.setattr(WorkloadDriver, "_issue", recording)
+        monkeypatch.setattr(ServiceRuntime, "execute", executing)
         env.advance(1.0)
         env.close()
         assert len(ticks) == 1 and ticks[0]
-        first = ticks[0][0]
-        assert (first.error.kind.value if first.error else None) == kind
+        _, _, _, error, _, _ = ticks[0][0]
+        assert (error.kind.value if error else None) == kind
 
     def test_hold_ends_with_the_block(self, hotel):
         rt = hotel.runtime
@@ -172,17 +179,18 @@ class TestTickAccounting:
             before = self._accounts(d)
             d.runtime.execute(op)
             requests, errors, latencies, demand = self._accounts(d)
-            spans = d.collector.traces.query()[-1].spans
+            _, _, spans = d.collector.traces.rows()[-1]
             # each span row is one request of its service, accounted now
             assert Counter(requests) - Counter(before[0]) == \
-                Counter(s.service for s in spans)
+                Counter(s for _, s, *_ in spans)
             assert Counter(errors) - Counter(before[1]) == \
-                Counter(s.service for s in spans if s.status == "ERROR")
+                Counter(s for _, s, _, _, status, _ in spans
+                        if status == "ERROR")
             assert demand == {(ns, s): n for s, n in requests.items()}
             for service, lats in latencies.items():
                 new = lats[len(before[2].get(service, [])):]
                 assert sorted(new) == sorted(
-                    s.duration_ms for s in spans if s.service == service)
+                    ms for _, s, _, ms, _, _ in spans if s == service)
 
     def test_a_hold_accounts_what_bare_requests_do(self):
         held, bare = self._deployed(), self._deployed()
@@ -263,7 +271,7 @@ class TestHeldWords:
         try:
             with d.runtime.holding_plans():
                 for op in ops:
-                    d.runtime.walk(op)
+                    d.runtime.execute(op)
                     done += 1
         except RuntimeError:
             assert raise_at is not None
@@ -292,5 +300,5 @@ class TestHeldWords:
             scalar.runtime.rng.generator.bit_generator.state
         assert TestTickAccounting._accounts(held) == \
             TestTickAccounting._accounts(scalar)
-        assert [t.spans for t in held.collector.traces.query()] == \
-            [t.spans for t in scalar.collector.traces.query()]
+        assert [spans for _, _, spans in held.collector.traces.rows()] == \
+            [spans for _, _, spans in scalar.collector.traces.rows()]

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from repro.services.errors import RpcErrorKind
 from repro.services.runtime import _coin
 from repro.simcore import RngStream
+from tests.rows import ERROR, LATENCY, OK
 
 #: the coin identity rests on PCG64's ``next_double``: a failure names
 #: the numpy it ran on
@@ -16,12 +17,11 @@ NUMPY = f"numpy {np.__version__}"
 class TestHealthyExecution:
     def test_all_operations_succeed(self, hotel):
         for op in hotel.app.operations:
-            result = hotel.runtime.execute(op)
-            assert result.ok, f"{op} failed: {result.error}"
+            _, ok, _, error, _, _ = hotel.runtime.execute(op)
+            assert ok, f"{op} failed: {error}"
 
     def test_latency_positive_and_composed(self, hotel):
-        result = hotel.runtime.execute("search_hotel")
-        assert result.latency_ms > 1.0
+        assert hotel.runtime.execute("search_hotel")[LATENCY] > 1.0
 
     def test_traces_recorded(self, hotel):
         before = len(hotel.collector.traces)
@@ -29,9 +29,9 @@ class TestHealthyExecution:
         assert len(hotel.collector.traces) == before + 1
 
     def test_trace_covers_call_graph(self, hotel):
-        result = hotel.runtime.execute("search_hotel")
-        trace = hotel.collector.traces.query()[-1]
-        services = {s.service for s in trace.spans}
+        hotel.runtime.execute("search_hotel")
+        _, _, spans = hotel.collector.traces.rows()[-1]
+        services = {service for _, service, *_ in spans}
         assert {"frontend", "search", "geo", "mongodb-geo"} <= services
 
     def test_unknown_operation_rejected(self, hotel):
@@ -47,65 +47,65 @@ class TestHealthyExecution:
 class TestMongoFaultPath:
     def test_revoked_auth_fails_geo_path(self, hotel):
         hotel.app.backends["mongodb-geo"].revoke_roles("admin")
-        result = hotel.runtime.execute("search_hotel")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.NOT_AUTHORIZED
+        _, ok, _, error, _, _ = hotel.runtime.execute("search_hotel")
+        assert not ok
+        assert error.kind is RpcErrorKind.NOT_AUTHORIZED
 
     def test_error_logged_at_caller_service(self, hotel):
         """Figure 4: injection at mongodb-geo, geo generates error logs."""
         hotel.app.backends["mongodb-geo"].revoke_roles("admin")
         hotel.runtime.execute("search_hotel")
-        geo_logs = hotel.collector.logs.query(
+        geo_logs = hotel.collector.logs.rows(
             namespace=hotel.app.namespace, service="geo", level="ERROR")
-        assert any("not authorized on geo-db" in r.message for r in geo_logs)
+        assert any("not authorized on geo-db" in message
+                   for *_, message in geo_logs)
 
     def test_error_propagates_up_the_chain(self, hotel):
         hotel.app.backends["mongodb-geo"].revoke_roles("admin")
         hotel.runtime.execute("search_hotel")
         for svc in ("geo", "search", "frontend"):
-            logs = hotel.collector.logs.query(
+            logs = hotel.collector.logs.rows(
                 namespace=hotel.app.namespace, service=svc, level="ERROR")
             assert logs, f"{svc} should log the propagated failure"
 
     def test_unrelated_operation_unaffected(self, hotel):
         hotel.app.backends["mongodb-geo"].revoke_roles("admin")
-        result = hotel.runtime.execute("login")  # user path, not geo
-        assert result.ok
+        assert hotel.runtime.execute("login")[OK]  # user path, not geo
 
     def test_dropped_user_yields_user_not_found(self, hotel):
         hotel.app.backends["mongodb-user"].drop_user("admin")
-        result = hotel.runtime.execute("login")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.USER_NOT_FOUND
+        _, ok, _, error, _, _ = hotel.runtime.execute("login")
+        assert not ok
+        assert error.kind is RpcErrorKind.USER_NOT_FOUND
 
     def test_error_span_marked(self, hotel):
         hotel.app.backends["mongodb-geo"].revoke_roles("admin")
-        result = hotel.runtime.execute("search_hotel")
-        trace = [t for t in hotel.collector.traces.query()
-                 if t.trace_id == result.trace_id][0]
-        assert trace.has_error
-        assert any(s.service == "mongodb-geo" and s.status == "ERROR"
-                   for s in trace.spans)
+        *_, number, _ = hotel.runtime.execute("search_hotel")
+        spans = [spans for n, _, spans in hotel.collector.traces.rows()
+                 if n == number][0]
+        assert any(status == "ERROR" for *_, status, _ in spans)
+        assert any(service == "mongodb-geo" and status == "ERROR"
+                   for _, service, _, _, status, _ in spans)
 
 
 class TestConnectivityFaultPath:
     def test_scaled_to_zero_is_connection_refused(self, social):
         social.cluster.scale_deployment(social.app.namespace,
                                         "post-storage-service", 0)
-        result = social.runtime.execute("read_home_timeline")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.CONNECTION_REFUSED
-        assert 'service "post-storage-service"' in result.error.message
+        _, ok, _, error, _, _ = social.runtime.execute("read_home_timeline")
+        assert not ok
+        assert error.kind is RpcErrorKind.CONNECTION_REFUSED
+        assert 'service "post-storage-service"' in error.message
 
     def test_network_loss_drops_requests(self, hotel):
         hotel.runtime.network_loss["search"] = 1.0
-        result = hotel.runtime.execute("search_hotel")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.NETWORK_DROP
+        _, ok, _, error, _, _ = hotel.runtime.execute("search_hotel")
+        assert not ok
+        assert error.kind is RpcErrorKind.NETWORK_DROP
 
     def test_partial_loss_is_probabilistic(self, hotel):
         hotel.runtime.network_loss["search"] = 0.5
-        outcomes = {hotel.runtime.execute("search_hotel").ok
+        outcomes = {hotel.runtime.execute("search_hotel")[OK]
                     for _ in range(40)}
         assert outcomes == {True, False}
 
@@ -121,38 +121,39 @@ class TestConnectivityFaultPath:
                                match=r"bernoulli p must be in \[0,1\]"):
                 rt.execute("search_hotel")
         del rt.network_loss["search"]
-        assert rt.execute("search_hotel").ok
+        assert rt.execute("search_hotel")[OK]
 
     def test_buggy_image_read_from_live_deployment(self, hotel):
         """`kubectl set image` on the deployment template must drive the
         runtime's behaviour (so mitigation by image rollback works)."""
         dep = hotel.cluster.get_deployment(hotel.app.namespace, "geo")
         dep.template.containers[0].image = "hotel-geo:buggy-v2"
-        result = hotel.runtime.execute("search_hotel")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.APP_BUG
+        _, ok, _, error, _, _ = hotel.runtime.execute("search_hotel")
+        assert not ok
+        assert error.kind is RpcErrorKind.APP_BUG
         # rollback
         dep.template.containers[0].image = "hotel-geo:latest"
-        assert hotel.runtime.execute("search_hotel").ok
+        assert hotel.runtime.execute("search_hotel")[OK]
 
     def test_frontend_down_fails_fast(self, hotel):
         hotel.cluster.scale_deployment(hotel.app.namespace, "frontend", 0)
-        result = hotel.runtime.execute("search_hotel")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.CONNECTION_REFUSED
+        _, ok, _, error, _, _ = hotel.runtime.execute("search_hotel")
+        assert not ok
+        assert error.kind is RpcErrorKind.CONNECTION_REFUSED
 
     def test_deleted_service_is_unavailable(self, hotel):
         """A Service the agent deleted is the agent's problem: the hop
         fails with the same ``unavailable`` RpcError as ever (values
         pinned from before the probe narrowed to ResourceNotFound)."""
         hotel.cluster.delete_service(hotel.app.namespace, "geo")
-        result = hotel.runtime.execute("search_hotel")
-        assert not result.ok
-        assert result.error.kind is RpcErrorKind.UNAVAILABLE
-        assert result.error.message == \
+        _, ok, latency, error, _, error_services = \
+            hotel.runtime.execute("search_hotel")
+        assert not ok
+        assert error.kind is RpcErrorKind.UNAVAILABLE
+        assert error.message == \
             'rpc error: code = Unavailable desc = service "geo" not found'
-        assert result.latency_ms == 3.169402301824175
-        assert result.error_services == ["search", "frontend"]
+        assert latency == 3.169402301824175
+        assert error_services == ["search", "frontend"]
 
     def test_simulator_bug_in_lookup_propagates(self, hotel, monkeypatch):
         """Anything but ResourceNotFound out of the cluster lookup is a
@@ -179,8 +180,9 @@ class TestLogPodAttribution:
         assert pod_after != pod_before, \
             "stale memo: logs still attributed to the deleted pod"
         rt._log("geo", "INFO", "post-delete line")
-        rec = hotel.collector.logs.query(namespace=ns, service="geo")[-1]
-        assert rec.pod == pod_after
+        _, _, _, pod, _, _ = hotel.collector.logs.rows(
+            namespace=ns, service="geo")[-1]
+        assert pod == pod_after
         # the recreated pod exists and is the attribution target
         assert any(p.name == pod_after
                    for p in hotel.cluster.pods_in(ns) if p.owner == "geo")
@@ -208,7 +210,7 @@ class TestCredentialsProvider:
         release = hotel.app.helm.releases[hotel.app.release_name]
         release.values["mongo_credentials"]["mongodb-rate"] = None
         result_errors = [
-            hotel.runtime.execute("search_hotel").error for _ in range(3)
+            hotel.runtime.execute("search_hotel")[ERROR] for _ in range(3)
         ]
         kinds = {e.kind for e in result_errors if e}
         assert RpcErrorKind.AUTH_FAILED in kinds
@@ -216,10 +218,10 @@ class TestCredentialsProvider:
     def test_helm_upgrade_restores_access(self, hotel):
         release = hotel.app.helm.releases[hotel.app.release_name]
         release.values["mongo_credentials"]["mongodb-rate"] = None
-        assert not hotel.runtime.execute("search_hotel").ok
+        assert not hotel.runtime.execute("search_hotel")[OK]
         release.values["mongo_credentials"]["mongodb-rate"] = {
             "username": "admin", "password": "rate-pass"}
-        assert hotel.runtime.execute("search_hotel").ok
+        assert hotel.runtime.execute("search_hotel")[OK]
 
 
 #: edge probabilities of the coin threshold: both ends, the smallest step

@@ -12,8 +12,10 @@ seed 4 and 30 more seconds, it holds: the sha256 and length of every file
 ``TelemetryExporter.export_all`` writes per namespace; the ACI's
 ``get_logs``/``get_traces`` text; for a problem with a target,
 ``get_logs`` of the target and ``kubectl logs`` of its first pod, if it
-has one; and the last 50 ``RequestResult.trace_id`` values of each
-workload driver.  The first three problems cover the per-request tier, the aggregate tier's exemplar
+has one; and the trace ids of the last 50 outcome rows each workload
+driver's runtime handed out (``execute`` rows and ``BatchResult``
+exemplars, ``""`` for a latency-only exemplar), which the drivers kept
+themselves when the file was recorded.  The first three problems cover the per-request tier, the aggregate tier's exemplar
 traces and two namespaces on one collector.  ``prepare`` depends on the
 fault, the target and the app but not on the task, so one detection pid
 per remaining paper incident, and one Noop probe, pin every paper
@@ -27,14 +29,19 @@ Re-record (only when an output change is intended and reviewed)::
 import hashlib
 import json
 import tempfile
+from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from repro.core.aci import TaskActions
 from repro.core.shell import ShellExecutor
 from repro.problems import get_problem
+from repro.services.runtime import ServiceRuntime
 from repro.telemetry import TelemetryExporter
+from repro.telemetry.traces import trace_id
 
 GOLDEN = Path(__file__).with_name("golden_export.json")
 ENV_SEED = 4
@@ -65,10 +72,40 @@ def _digest(root: Path) -> dict:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+@contextmanager
+def _recording_trace_ids():
+    """Keep, per runtime, the trace ids of the last 50 outcome rows it
+    hands out while the block runs."""
+    ids: dict[ServiceRuntime, deque] = {}
+    execute = ServiceRuntime.execute
+    execute_many_all = ServiceRuntime.execute_many_all
+
+    def note(runtime, rows):
+        ids.setdefault(runtime, deque(maxlen=50)).extend(
+            "" if number is None else trace_id(number)
+            for _, _, _, _, number, _ in rows)
+
+    def executing(runtime, op_name):
+        row = execute(runtime, op_name)
+        note(runtime, [row])
+        return row
+
+    def batching(runtime, requests):
+        batches = execute_many_all(runtime, requests)
+        for batch in batches:
+            note(runtime, batch.exemplars)
+        return batches
+
+    with patch.object(ServiceRuntime, "execute", executing), \
+            patch.object(ServiceRuntime, "execute_many_all", batching):
+        yield ids
+
+
 def capture(pid: str) -> dict:
     prob = get_problem(pid)
-    env = prob.prepare(ENV_SEED)
-    env.advance(30.0)
+    with _recording_trace_ids() as ids:
+        env = prob.prepare(ENV_SEED)
+        env.advance(30.0)
     files = {}
     for ns in env.namespaces:
         with tempfile.TemporaryDirectory() as tmp:
@@ -90,8 +127,7 @@ def capture(pid: str) -> dict:
     record = {
         "files": files,
         "text": text,
-        "trace_ids": [[r.trace_id for r in d.recent_results[-50:]]
-                      for d in env.drivers],
+        "trace_ids": [list(ids.get(d.runtime, ())) for d in env.drivers],
     }
     env.close()
     return record

@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.telemetry.logs import LogRecord, LogStore
+from repro.telemetry.logs import LogStore, render_line
 
 
 def emit(store, t=0.0, ns="ns", svc="svc", pod="pod-1", level="INFO", msg="m"):
@@ -17,26 +18,26 @@ class TestLogStore:
         store = LogStore()
         emit(store, svc="a")
         emit(store, svc="b")
-        assert len(store.query(service="a")) == 1
+        assert len(store.rows(service="a")) == 1
 
     def test_query_by_level(self):
         store = LogStore()
         emit(store, level="ERROR")
         emit(store, level="INFO")
-        assert [r.level for r in store.query(level="ERROR")] == ["ERROR"]
+        assert [r[4] for r in store.rows(level="ERROR")] == ["ERROR"]
 
     def test_query_time_window(self):
         store = LogStore()
         for t in (1.0, 5.0, 9.0):
             emit(store, t=t)
-        assert len(store.query(since=2.0, until=8.0)) == 1
+        assert len(store.rows(since=2.0, until=8.0)) == 1
 
     def test_query_conjunction(self):
         store = LogStore()
         emit(store, svc="a", level="ERROR", t=5.0)
         emit(store, svc="a", level="INFO", t=5.0)
         emit(store, svc="b", level="ERROR", t=5.0)
-        assert len(store.query(service="a", level="ERROR")) == 1
+        assert len(store.rows(service="a", level="ERROR")) == 1
 
     def test_tail_returns_last_n(self):
         store = LogStore()
@@ -71,16 +72,18 @@ class TestLogStore:
         emit(store, svc="y")
         assert store.services_seen("ns") == {"x", "y"}
 
-    def test_capacity_eviction_keeps_recent(self):
-        store = LogStore(capacity=100)
-        for i in range(150):
+    @pytest.mark.parametrize("capacity", [1, 5, 100])
+    def test_capacity_eviction_keeps_recent(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            LogStore(capacity=0)
+        store = LogStore(capacity=capacity)
+        for i in range(capacity + 50):
             emit(store, msg=f"m{i}")
-        assert len(store) <= 150
-        assert any("m149" in r.message for r in store.query())
+        assert len(store) <= capacity
+        assert any(f"m{capacity + 49}" in r[5] for r in store.rows())
 
     def test_render_contains_level_and_service(self):
-        rec = LogRecord(65.0, "ns", "geo", "geo-1", "ERROR", "boom")
-        text = rec.render()
+        text = render_line((65.0, "ns", "geo", "geo-1", "ERROR", "boom"))
         assert "ERROR" in text and "[geo]" in text and "boom" in text
 
     @given(st.lists(st.sampled_from(["INFO", "WARN", "ERROR"]), max_size=30))
@@ -89,5 +92,5 @@ class TestLogStore:
         store = LogStore()
         for i, level in enumerate(levels):
             emit(store, t=float(i), level=level)
-        total = sum(len(store.query(level=l)) for l in ("INFO", "WARN", "ERROR"))
+        total = sum(len(store.rows(level=l)) for l in ("INFO", "WARN", "ERROR"))
         assert total == len(levels)

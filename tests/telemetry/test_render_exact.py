@@ -16,15 +16,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.problems import get_problem
-from repro.telemetry.logs import LogRecord, render_jsonl
-from repro.telemetry.traces import Span, Trace, render_traces
+from repro.telemetry.logs import render_jsonl
+from repro.telemetry.traces import render_traces
 
 
-def trace_dict(trace: Trace) -> dict:
-    """One trace's entry in ``traces.json``."""
-    first = trace.number + 1
-    ids = [f"span-{first + i:08x}" for i in range(len(trace.spans))]
-    trace_id, start = trace.trace_id, trace.start
+def trace_dict(trace: tuple) -> dict:
+    """One trace row's entry in ``traces.json``."""
+    number, start, spans = trace
+    first = number + 1
+    ids = [f"span-{first + i:08x}" for i in range(len(spans))]
+    trace_id = f"trace-{number:08x}"
     return {"traceID": trace_id, "spans": [{
         "spanID": ids[i],
         "traceID": trace_id,
@@ -36,7 +37,7 @@ def trace_dict(trace: Trace) -> dict:
         "status": status,
         "error": error_message,
     } for i, (parent, service, operation, duration_ms, status,
-              error_message) in enumerate(trace.spans)]}
+              error_message) in enumerate(spans)]}
 
 
 def oracle_traces(traces) -> str:
@@ -45,9 +46,9 @@ def oracle_traces(traces) -> str:
 
 def oracle_jsonl(records) -> str:
     return "".join(json.dumps({
-        "time": r.time, "namespace": r.namespace, "service": r.service,
-        "pod": r.pod, "level": r.level, "message": r.message,
-    }) + "\n" for r in records)
+        "time": time, "namespace": namespace, "service": service,
+        "pod": pod, "level": level, "message": message,
+    }) + "\n" for time, namespace, service, pod, level, message in records)
 
 
 #: quotes, backslashes, control characters, non-ASCII (BMP, astral, U+2028)
@@ -67,17 +68,17 @@ NUMBER = (st.sampled_from([-0.0, 0.0, 1e-7, 1e16, 1e22, 0.1 + 0.2,
 def traces(draw):
     out, number = [], draw(st.integers(0, 2 ** 36))
     for _ in range(draw(st.integers(0, 4))):
-        spans = [Span(draw(st.integers(0, i - 1)) if i else -1,
-                      draw(TEXT), draw(TEXT), draw(NUMBER), draw(TEXT),
-                      draw(TEXT))
-                 for i in range(draw(st.integers(1, 5)))]
-        out.append(Trace(number, draw(NUMBER), spans))
+        spans = tuple((draw(st.integers(0, i - 1)) if i else -1,
+                       draw(TEXT), draw(TEXT), draw(NUMBER), draw(TEXT),
+                       draw(TEXT))
+                      for i in range(draw(st.integers(1, 5))))
+        out.append((number, draw(NUMBER), spans))
         number += 1 + len(spans)
     return out
 
 
-RECORDS = st.lists(st.builds(LogRecord, NUMBER, TEXT, TEXT, TEXT, TEXT,
-                             TEXT), max_size=6)
+RECORDS = st.lists(st.tuples(NUMBER, TEXT, TEXT, TEXT, TEXT, TEXT),
+                   max_size=6)
 
 
 @given(traces())
@@ -100,8 +101,8 @@ def test_empty_window():
 def test_real_store_renders_as_json_dumps():
     env = get_problem("revoke_auth_hotel_res-localization-1").prepare(4)
     env.advance(120.0)
-    trs = env.collector.traces.query()
-    records = env.collector.logs.query()
+    trs = env.collector.traces.rows()
+    records = env.collector.logs.rows()
     env.close()
     assert trs and records
     assert render_traces(trs) == oracle_traces(trs)

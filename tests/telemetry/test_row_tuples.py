@@ -1,15 +1,13 @@
 """The trace and log stores keep their rows as exact tuples, which the
 cyclic GC untracks (a NamedTuple row stays tracked for as long as the store
-keeps it); their queries hand out NamedTuple views of the same fields."""
+keeps it)."""
 
 import gc
 
 from repro.problems import get_problem
-from repro.telemetry.logs import LogRecord
-from repro.telemetry.traces import Span, Trace
 
 
-def test_forked_rows_are_untracked_and_views_match_them(closing):
+def test_forked_rows_are_untracked(closing):
     origin = closing(
         get_problem("revoke_auth_hotel_res-localization-1").prepare(4))
     fork = closing(origin.snapshot().fork())
@@ -25,15 +23,3 @@ def test_forked_rows_are_untracked_and_views_match_them(closing):
     for row in records:
         assert type(row) is tuple and not gc.is_tracked(row)
 
-    views = traces.query()
-    assert len(views) == len(stored)
-    for view, (number, start, rows) in zip(views, stored):
-        assert isinstance(view, Trace)
-        assert (view.number, view.start) == (number, start)
-        assert len(view.spans) == len(rows)
-        for span, row in zip(view.spans, rows):
-            assert isinstance(span, Span) and tuple(span) == row
-    lines = logs.query()
-    assert len(lines) == len(records)
-    for line, row in zip(lines, records):
-        assert isinstance(line, LogRecord) and tuple(line) == row

@@ -1,15 +1,17 @@
 import json
 
-from repro.telemetry.traces import Span, TraceStore, render_traces
+import pytest
+
+from repro.telemetry.traces import TraceStore, render_traces, trace_id
 
 
 def make_trace(store, services_status, start=0.0):
     """Add a linear trace (first service is root, each child nested) and
-    return its view."""
+    return its row."""
     store.add(start, tuple(
-        tuple(Span(i - 1, svc, "op", 1.0, status))
+        (i - 1, svc, "op", 1.0, status, "")
         for i, (svc, status) in enumerate(services_status)))
-    return store.query()[-1]
+    return store.rows()[-1]
 
 
 def rendered(trace):
@@ -19,21 +21,11 @@ def rendered(trace):
 
 
 class TestTrace:
-    def test_root_is_first_span(self):
-        store = TraceStore()
-        trace = make_trace(store, [("a", "OK"), ("b", "OK")])
-        assert trace.root.service == "a"
-
-    def test_has_error(self):
-        store = TraceStore()
-        trace = make_trace(store, [("a", "OK"), ("b", "ERROR")])
-        assert trace.has_error
-
     def test_to_dict_roundtrip_fields(self):
         store = TraceStore()
         trace = make_trace(store, [("a", "OK")])
         d = rendered(trace)
-        assert d["traceID"] == trace.trace_id
+        assert d["traceID"] == trace_id(trace[0])
         assert d["spans"][0]["serviceName"] == "a"
 
     def test_ids_derive_from_number_and_position(self):
@@ -53,7 +45,7 @@ class TestTrace:
 class TestTraceStore:
     def test_ids_unique(self):
         store = TraceStore()
-        ids = {make_trace(store, [("a", "OK")] * (i % 3 + 1)).trace_id
+        ids = {trace_id(make_trace(store, [("a", "OK")] * (i % 3 + 1))[0])
                for i in range(100)}
         assert len(ids) == 100
 
@@ -61,14 +53,14 @@ class TestTraceStore:
         store = TraceStore()
         first = make_trace(store, [("a", "OK"), ("b", "OK")])
         second = make_trace(store, [("a", "OK")])
-        assert (first.number, second.number) == (1, 4)
+        assert (first[0], second[0]) == (1, 4)
 
     def test_query_time_window(self):
         store = TraceStore()
         make_trace(store, [("a", "OK")], start=1.0)
         make_trace(store, [("a", "OK")], start=10.0)
-        assert len(store.query(since=5.0)) == 1
-        assert len(store.query(until=5.0)) == 1
+        assert len(store.rows(since=5.0)) == 1
+        assert len(store.rows(until=5.0)) == 1
 
     def test_error_rate_by_service(self):
         store = TraceStore()
@@ -77,8 +69,11 @@ class TestTraceStore:
         rates = store.error_rate_by_service()
         assert rates["b"] == 0.5 and rates["a"] == 0.0
 
-    def test_capacity_eviction(self):
-        store = TraceStore(capacity=50)
-        for _ in range(80):
+    @pytest.mark.parametrize("capacity", [1, 5, 50])
+    def test_capacity_eviction(self, capacity):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            TraceStore(capacity=0)
+        store = TraceStore(capacity=capacity)
+        for _ in range(capacity + 30):
             make_trace(store, [("a", "OK")])
-        assert len(store) <= 80
+        assert len(store) <= capacity

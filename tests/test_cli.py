@@ -73,3 +73,23 @@ class TestCommands:
         args = build_parser().parse_args(
             ["make-report", "--seed", "7", "-o", "out.md"])
         assert args.seed == 7 and args.output == "out.md"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-problem", "no_such_pid"], "unknown problem id 'no_such_pid'"),
+        (["run-problem", "revoke_auth_hotel_res-detection-1",
+          "--agent", "nope"], "unknown agent 'nope'"),
+        (["run-problem", "revoke_auth_hotel_res-detection-1",
+          "--max-steps", "-1"], "--max-steps must be >= 1, got -1"),
+        (["run-benchmark", "--agents", "nope"], "unknown agent 'nope'"),
+        (["run-benchmark", "--agents", "flash", "--max-steps", "0"],
+         "--max-steps must be >= 1, got 0"),
+        (["run-benchmark", "--concurrency", "0"],
+         "--concurrency must be >= 1, got 0"),
+    ])
+    def test_bad_input_is_an_error_line_not_a_traceback(
+            self, capsys, argv, message):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1

@@ -1,3 +1,4 @@
+import functools
 import math
 from bisect import bisect_right
 from contextlib import nullcontext
@@ -8,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 from repro.core import CloudEnvironment
 from repro.apps import HotelReservation
-from repro.services.runtime import RequestResult
+from repro.services.runtime import ServiceRuntime
 from repro.simcore import SimClock
 from repro.workload import BurstRate, ConstantRate, DiurnalRate, \
     WorkloadDriver, Wrk
@@ -118,10 +119,6 @@ class TestWorkloadDriver:
         hotel.driver.run_events(5)
         assert hotel.driver.stats.mean_latency_ms > 0
 
-    def test_recent_results_bounded(self, hotel):
-        hotel.driver.run_events(30)
-        assert len(hotel.driver.recent_results) <= 500
-
 
 class _RecordingRuntime:
     """Just enough runtime for a driver: records the ops it executes."""
@@ -136,7 +133,7 @@ class _RecordingRuntime:
 
     def execute(self, op):
         self.executed.append(op)
-        return RequestResult(op, True, 1.0)
+        return (op, True, 1.0, None, 0, [])
 
 
 class TestOperationPick:
@@ -270,17 +267,48 @@ class TestAggregateMode:
         assert a.driver.stats.latency_sum_ms == b.driver.stats.latency_sum_ms
         assert a.driver.stats.per_operation == b.driver.stats.per_operation
 
-    def test_recent_results_bounded_and_populated(self):
-        env = self._env("aggregate")
-        env.advance(120.0)
-        assert 0 < len(env.driver.recent_results) <= 500
-
     def test_high_rates_not_capped(self):
         """The per-request tick cap must not apply: batched execution is
         O(branches) in n, and high offered rates are the tier's purpose."""
         env = self._env("aggregate", rate=10_000.0)
         env.advance(10.0)
         assert env.driver.stats.requests == 100_000
+
+
+class TestExecuteSeam:
+    """The benchmark counts per-request work by wrapping
+    ``ServiceRuntime.execute`` on the class: every request a driver issues
+    is one call of it, and the aggregate tier makes none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls: list[str] = []
+        execute = ServiceRuntime.execute
+
+        @functools.wraps(execute)
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(ServiceRuntime, "execute", counting)
+        return calls
+
+    def test_per_request_advance_calls_execute_once_per_request(
+            self, calls, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=5))
+        env.cluster.scale_deployment(env.namespace, "geo", 0)
+        env.advance(10.0)
+        assert env.driver.stats.errors > 0
+        assert len(calls) == env.driver.stats.requests > 0
+        env.runtime.execute("search_hotel")  # a bare call opens its own hold
+        assert len(calls) == env.driver.stats.requests + 1
+
+    def test_aggregate_advance_never_calls_execute(self, calls, closing):
+        env = closing(CloudEnvironment(HotelReservation, seed=5,
+                                       fidelity="aggregate"))
+        env.advance(10.0)
+        assert env.driver.stats.requests > 0
+        assert calls == []
 
 
 class TestWrk:
